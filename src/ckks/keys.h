@@ -32,14 +32,22 @@ namespace detail {
  * Thread-safe lazy map level → V with stable references (std::map
  * nodes never move). Copying a key copies its material but not the
  * cache — the copy rebuilds lazily, which keeps serialization
- * round-trips and container reallocation correct for free.
+ * round-trips and container reallocation correct for free. Assigning
+ * a key drops the target's cache: its entries were prepared from the
+ * key material being replaced.
  */
 template <class V> class PerLevelCache
 {
   public:
     PerLevelCache() = default;
     PerLevelCache(const PerLevelCache &) {}
-    PerLevelCache &operator=(const PerLevelCache &) { return *this; }
+    PerLevelCache &
+    operator=(const PerLevelCache &)
+    {
+        LockGuard lock(mu_);
+        map_.clear();
+        return *this;
+    }
 
     /// Return the cached value for @p level, building it on first use.
     template <class Build>

@@ -1,5 +1,6 @@
 #include "ckks/serialize.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -69,11 +70,24 @@ load_poly(std::istream &is)
     mods.reserve(limbs);
     for (u64 i = 0; i < limbs; ++i)
         mods.emplace_back(read_pod<u64>(is));
+    // The header may promise far more words than the stream holds (up
+    // to 2^32 of them). Read the payload in bounded chunks, growing the
+    // buffer only as data arrives, so a forged header fails "truncated"
+    // after at most one chunk instead of allocating its full size.
+    constexpr size_t kChunkWords = size_t{1} << 16;
+    const size_t total = n * limbs;
+    std::vector<u64> payload;
+    for (size_t done = 0; done < total;) {
+        const size_t take = std::min(kChunkWords, total - done);
+        payload.resize(done + take);
+        is.read(reinterpret_cast<char *>(payload.data() + done),
+                static_cast<std::streamsize>(take * sizeof(u64)));
+        NEO_CHECK(is.good(), "truncated polynomial data");
+        done += take;
+    }
     RnsPoly poly(n, mods,
                  form ? PolyForm::eval : PolyForm::coeff);
-    is.read(reinterpret_cast<char *>(poly.data()),
-            static_cast<std::streamsize>(limbs * n * sizeof(u64)));
-    NEO_CHECK(is.good(), "truncated polynomial data");
+    std::copy(payload.begin(), payload.end(), poly.data());
     for (size_t i = 0; i < poly.limbs(); ++i) {
         const u64 q = poly.modulus(i).value();
         const u64 *limb = poly.limb(i);

@@ -504,7 +504,7 @@ keyswitch_pipeline_kernel_counts(const CkksContext &ctx, size_t level)
                                       2 * beta_tilde * alpha_p +
                                       2 * (level + 1));
     const u64 gemms_per_mntt =
-        MatrixNtt::matmul_calls_for(n, std::min<size_t>(16, n));
+        MatrixNtt::complexity_for(n, std::min<size_t>(16, n)).matmul_stages;
 
     PipelineKernelCounts c;
     c.ntt = static_cast<u64>(level + 1) + mntt;
@@ -512,7 +512,7 @@ keyswitch_pipeline_kernel_counts(const CkksContext &ctx, size_t level)
     // both components, plus ModDown's two approximate conversions.
     c.bconv = static_cast<u64>(beta + 2 * beta_tilde + 2);
     c.ip = 2; // one matrix IP per ciphertext component
-    // GEMM engine calls: MatrixNtt tiles, one multiply per BConv
+    // GEMM engine calls: one per MatrixNtt stage, one multiply per BConv
     // factor matrix, and one *batched* site GEMM per IP (all N·α'
     // sites of a component ride in a single engine call).
     c.gemm = mntt * gemms_per_mntt +

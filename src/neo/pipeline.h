@@ -134,7 +134,7 @@ model::ModelConfig model_config(const ExecPolicy &policy,
  */
 struct PipelineKernelCounts
 {
-    u64 gemm = 0;  ///< GEMM engine calls (MatrixNtt tiles + BConv + IP)
+    u64 gemm = 0;  ///< GEMM engine calls (MatrixNtt stages + BConv + IP)
     u64 ntt = 0;   ///< NTT/INTT transform invocations
     u64 bconv = 0; ///< base-conversion kernel invocations
     u64 ip = 0;    ///< inner-product kernel invocations

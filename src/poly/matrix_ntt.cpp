@@ -52,84 +52,117 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
     const Modulus &q = tables_.modulus();
     NEO_ASSERT(top == TopTwist::none || (rows == 1 && len > radix_),
                "fused twists apply to the top-level call only");
+    Workspace::Frame frame;
     if (len <= radix_) {
         // Base case: one (rows × len) · (len × len) matrix product.
         const auto &w = twiddle_matrix(len, inverse);
-        Workspace::Frame frame;
         u64 *out = frame.alloc<u64>(rows * len);
         mm(a, w.data(), out, rows, len, len, q);
         std::copy(out, out + rows * len, a);
         return;
     }
 
+    // One stage over all rows at once: the rows' n1 × n2 matrices sit
+    // side by side in one n1 × (rows·n2) operand, so the stage is a
+    // single engine call — the batched per-stage schedule the model
+    // prices (complexity().matmul_stages calls per transform).
     const size_t n1 = radix_;
     const size_t n2 = len / n1;
-    const size_t nfull = tables_.n();
-    const size_t step = nfull / len; // ω_len = ω_full^step
+    const size_t cols = rows * n2;
+    const size_t step = tables_.n() / len; // ω_len = ω_full^step
     const u64 qv = q.value();
-
     const auto &w1 = twiddle_matrix(n1, inverse);
+    const size_t grain = row_chunk_grain(n1, cols);
+    u64 *at = frame.alloc<u64>(rows * len);
 
-    // Rows are independent length-len transforms over disjoint slices
-    // of `a`; each chunk carries its own scratch. A nested pool call
-    // (from the recursion or from `mm`) runs inline on the worker.
+    // Step 1: gather AT[r][row·n2 + c] = x_row[r + n1·c]. At the fused
+    // top level the ψ pre-twist rides in the gather: element x[i] is
+    // multiplied by ψ^i exactly as the standalone pass would, just at
+    // its new address.
     parallel_for(
-        0, rows,
-        [&](size_t row_begin, size_t row_end) {
-            // Worker-local arena frame: scratch comes from the
-            // executing thread's Workspace, so chunks never share
-            // buffers and repeat calls reuse warm blocks.
-            Workspace::Frame frame;
-            u64 *at = frame.alloc<u64>(len);  // n1 × n2 gathered matrix
-            u64 *out = frame.alloc<u64>(len); // n1 × n2 left-matmul result
-            for (size_t row = row_begin; row < row_end; ++row) {
-                u64 *x = a + row * len;
-                // Step 1: gather A[r][c] = x[r + n1*c]. At the fused
-                // top level the ψ pre-twist rides in the gather:
-                // element x[i] is multiplied by ψ^i exactly as the
-                // standalone pass would, just at its new address.
-                if (top == TopTwist::psi_fwd) {
-                    for (size_t r = 0; r < n1; ++r)
+        0, n1,
+        [&](size_t rb, size_t re) {
+            for (size_t r = rb; r < re; ++r) {
+                for (size_t row = 0; row < rows; ++row) {
+                    const u64 *x = a + row * len + r;
+                    u64 *dst = at + r * cols + row * n2;
+                    if (top == TopTwist::psi_fwd) {
+                        for (size_t c = 0; c < n2; ++c) {
+                            const size_t i = r + n1 * c;
+                            dst[c] = mul_shoup(x[n1 * c], tables_.psi_pow(i),
+                                               tables_.psi_pow_shoup(i), qv);
+                        }
+                    } else {
                         for (size_t c = 0; c < n2; ++c)
-                            at[r * n2 + c] =
-                                mul_mod(x[r + n1 * c],
-                                        tables_.psi_pow(r + n1 * c), qv);
-                } else {
-                    for (size_t r = 0; r < n1; ++r)
-                        for (size_t c = 0; c < n2; ++c)
-                            at[r * n2 + c] = x[r + n1 * c];
-                }
-                // Step 2: length-n2 transforms on the n1 rows
-                // (recursive).
-                cyclic_batch(at, n1, n2, inverse, mm);
-                // Step 3: twisting factors ω_len^{r*k2}.
-                for (size_t r = 1; r < n1; ++r) {
-                    for (size_t k2 = 0; k2 < n2; ++k2) {
-                        size_t e = (r * k2 % len) * step;
-                        u64 w = inverse ? tables_.omega_inv_pow(e)
-                                        : tables_.omega_pow(e);
-                        at[r * n2 + k2] = mul_mod(at[r * n2 + k2], w, qv);
+                            dst[c] = x[n1 * c];
                     }
-                }
-                // Step 4: left-multiply by the n1×n1 twiddle matrix.
-                mm(w1.data(), at, out, n1, n2, n1, q);
-                // Rows land in natural order:
-                // X[k1*n2 + k2] = out[k1][k2]. At the fused inverse
-                // top level the n⁻¹·ψ⁻¹ scaling rides in the
-                // writeback — same two mul_mods per element, same
-                // order, as the standalone pass.
-                if (top == TopTwist::psi_inv) {
-                    const u64 ninv = tables_.n_inv();
-                    for (size_t k = 0; k < len; ++k) {
-                        const u64 v = mul_mod(out[k], ninv, qv);
-                        x[k] = mul_mod(v, tables_.psi_inv_pow(k), qv);
-                    }
-                } else {
-                    std::copy(out, out + len, x);
                 }
             }
         },
-        1);
+        grain);
+
+    // Step 2: length-n2 transforms of the rows·n1 contiguous AT rows.
+    cyclic_batch(at, rows * n1, n2, inverse, mm);
+
+    // Step 3: twisting factors ω_len^{r·k2}, the same for every row
+    // (row r = 0 twists by ω^0 = 1). len is a power of two, so the
+    // exponent wraps with a mask.
+    const auto twist = [&](u64 v, size_t e) {
+        return inverse ? mul_shoup(v, tables_.omega_inv_pow(e),
+                                   tables_.omega_inv_pow_shoup(e), qv)
+                       : mul_shoup(v, tables_.omega_pow(e),
+                                   tables_.omega_pow_shoup(e), qv);
+    };
+    parallel_for(
+        1, n1,
+        [&](size_t rb, size_t re) {
+            for (size_t r = rb; r < re; ++r) {
+                for (size_t row = 0; row < rows; ++row) {
+                    u64 *v = at + r * cols + row * n2;
+                    for (size_t k2 = 0; k2 < n2; ++k2)
+                        v[k2] = twist(v[k2], ((r * k2) & (len - 1)) * step);
+                }
+            }
+        },
+        grain);
+
+    // Step 4: left-multiply by the n1×n1 twiddle matrix — one GEMM of
+    // shape n1 × (rows·n2) × n1 for the whole stage. With one row the
+    // product is already X in natural order, so it lands in place.
+    u64 *out = rows == 1 ? a : frame.alloc<u64>(rows * len);
+    mm(w1.data(), at, out, n1, cols, n1, q);
+    if (out == a && top != TopTwist::psi_inv)
+        return;
+
+    // Rows land in natural order: X_row[k1·n2 + k2] =
+    // OUT[k1][row·n2 + k2]. At the fused inverse top level the
+    // n⁻¹·ψ⁻¹ scaling rides in the writeback — same two
+    // multiplications per element, same order, as the standalone pass.
+    const u64 ninv = tables_.n_inv();
+    const u64 ninv_shoup =
+        top == TopTwist::psi_inv ? shoup_precompute(ninv, qv) : 0;
+    parallel_for(
+        0, n1,
+        [&](size_t kb, size_t ke) {
+            for (size_t k1 = kb; k1 < ke; ++k1) {
+                for (size_t row = 0; row < rows; ++row) {
+                    const u64 *src = out + k1 * cols + row * n2;
+                    u64 *x = a + row * len + k1 * n2;
+                    if (top == TopTwist::psi_inv) {
+                        for (size_t k2 = 0; k2 < n2; ++k2) {
+                            const size_t i = k1 * n2 + k2;
+                            const u64 v =
+                                mul_shoup(src[k2], ninv, ninv_shoup, qv);
+                            x[k2] = mul_shoup(v, tables_.psi_inv_pow(i),
+                                              tables_.psi_inv_pow_shoup(i), qv);
+                        }
+                    } else {
+                        std::copy(src, src + n2, x);
+                    }
+                }
+            }
+        },
+        grain);
 }
 
 namespace {
@@ -165,7 +198,8 @@ MatrixNtt::forward(u64 *a, const ModMatMulFn &mm, bool fuse) const
             0, n,
             [&](size_t b, size_t e) {
                 for (size_t i = b; i < e; ++i)
-                    a[i] = mul_mod(a[i], tables_.psi_pow(i), qv);
+                    a[i] = mul_shoup(a[i], tables_.psi_pow(i),
+                                     tables_.psi_pow_shoup(i), qv);
             },
             4096);
     }
@@ -177,8 +211,7 @@ MatrixNtt::inverse(u64 *a, const ModMatMulFn &mm, bool fuse) const
 {
     obs::Span span("mntt_inv", obs::cat::ntt);
     const size_t n = tables_.n();
-    const Modulus &q = tables_.modulus();
-    const u64 qv = q.value();
+    const u64 qv = tables_.modulus().value();
     if (fuse && n > radix_) {
         twist_count("fuse.ntt_twist");
         cyclic_batch(a, 1, n, true, mm, TopTwist::psi_inv);
@@ -187,12 +220,15 @@ MatrixNtt::inverse(u64 *a, const ModMatMulFn &mm, bool fuse) const
     cyclic_batch(a, 1, n, true, mm);
     obs::Span twist("ntt_twist", obs::cat::stage);
     twist_count("pass.ntt_twist");
+    const u64 ninv = tables_.n_inv();
+    const u64 ninv_shoup = shoup_precompute(ninv, qv);
     parallel_for(
         0, n,
         [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i) {
-                u64 x = mul_mod(a[i], tables_.n_inv(), qv);
-                a[i] = mul_mod(x, tables_.psi_inv_pow(i), qv);
+                u64 x = mul_shoup(a[i], ninv, ninv_shoup, qv);
+                a[i] = mul_shoup(x, tables_.psi_inv_pow(i),
+                                 tables_.psi_inv_pow_shoup(i), qv);
             }
         },
         4096);
@@ -233,24 +269,6 @@ MatrixNtt::complexity_for(size_t n, size_t radix)
     // ψ twist at entry.
     c.twist_muls += n;
     return c;
-}
-
-namespace {
-
-u64
-matmul_calls_rec(u64 rows, size_t len, size_t radix)
-{
-    if (len <= radix)
-        return 1;
-    return rows * (matmul_calls_rec(radix, len / radix, radix) + 1);
-}
-
-} // namespace
-
-u64
-MatrixNtt::matmul_calls_for(size_t n, size_t radix)
-{
-    return matmul_calls_rec(1, n, radix);
 }
 
 } // namespace neo

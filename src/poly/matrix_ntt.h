@@ -19,6 +19,11 @@
  * 16×16 — the shape that maps onto TCU fragments (Fig 10). All matrix
  * products go through a ModMatMulFn so the TCU emulation can be
  * substituted.
+ *
+ * Execution is batched per stage, as on the GPU: every recursion level
+ * gathers the n1×n2 matrices of all its rows side by side into one
+ * n1 × (rows·n2) operand, so a transform makes one ModMatMulFn call
+ * per stage (complexity().matmul_stages in total, 4 at N = 2^14).
  */
 #pragma once
 
@@ -74,18 +79,8 @@ class MatrixNtt
     Complexity complexity() const;
 
     /// Same computation without building tables (for cost models).
+    /// One transform issues exactly matmul_stages ModMatMulFn calls.
     static Complexity complexity_for(size_t n, size_t radix);
-
-    /**
-     * Number of ModMatMulFn invocations one transform actually makes.
-     * Differs from complexity().matmul_stages, which models the
-     * batched (per-stage) execution a GPU would launch: the CPU
-     * recursion issues one matmul per row at each level, i.e.
-     * calls(rows, len) = 1 if len ≤ radix, else
-     * rows · (calls(radix, len/radix) + 1). This is the number of
-     * `gemm` spans a traced run records per transform.
-     */
-    static u64 matmul_calls_for(size_t n, size_t radix);
 
   private:
     /// Element-wise pass folded into the top-level call (never into
@@ -96,7 +91,8 @@ class MatrixNtt
         psi_inv,  ///< n⁻¹·ψ⁻¹ scaling fused into the writeback
     };
 
-    /// Transform @p rows contiguous vectors of length @p len in place.
+    /// Transform @p rows contiguous vectors of length @p len in place,
+    /// one ModMatMulFn call per recursion stage for all rows together.
     void cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
                       const ModMatMulFn &mm,
                       TopTwist top = TopTwist::none) const;

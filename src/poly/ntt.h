@@ -45,6 +45,12 @@ class NttTables
     u64 omega_pow(size_t i) const { return w_pow_[i]; }
     /// ω^{-i}.
     u64 omega_inv_pow(size_t i) const { return w_inv_pow_[i]; }
+
+    /// Shoup constants of the power tables above (mul_shoup operands).
+    u64 psi_pow_shoup(size_t i) const { return psi_pow_shoup_[i]; }
+    u64 psi_inv_pow_shoup(size_t i) const { return psi_inv_pow_shoup_[i]; }
+    u64 omega_pow_shoup(size_t i) const { return w_pow_shoup_[i]; }
+    u64 omega_inv_pow_shoup(size_t i) const { return w_inv_pow_shoup_[i]; }
     /// n^{-1} mod q.
     u64 n_inv() const { return n_inv_; }
 

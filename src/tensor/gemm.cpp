@@ -1,6 +1,9 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -185,19 +188,179 @@ plane_gemm_block(const T *am, const T *bm, T *prod, size_t i0, size_t i1,
     }
 }
 
+using F64BlockFn = void (*)(const double *, const double *, double *, size_t,
+                            size_t, size_t, size_t, size_t, size_t, size_t,
+                            size_t, bool);
+
+#if defined(__x86_64__) || defined(__i386__)
+
+/*
+ * FMA microkernel. Written once over a vector type V of `lanes` doubles
+ * (GCC/clang vector extensions) and compiled per ISA level through the
+ * target-attributed entry points below, into which the always_inline
+ * templates inline. `acc += av * bv` contracts to one FMA per lane.
+ *
+ * Exactness: every plane value, product and partial sum is an integer
+ * below 2^53 (SplitPlan construction), so a fused multiply-add rounds
+ * nothing — each lane computes exactly what the portable loop does, in
+ * the same ascending t order, and the planes are bit-identical at every
+ * ISA level.
+ */
+typedef double f64x8 __attribute__((vector_size(64)));
+typedef double f64x4 __attribute__((vector_size(32)));
+typedef double f64x2 __attribute__((vector_size(16)));
+
+/// One MR × (NV·lanes) register tile at (i, j) over t ∈ [t0, t1).
+template <class V, size_t MR, size_t NV>
+[[gnu::always_inline]] inline void
+f64_tile(const double *am, const double *bm, double *prod, size_t i,
+         size_t j, size_t t0, size_t t1, size_t n, size_t k, bool first)
+{
+    constexpr size_t lanes = sizeof(V) / sizeof(double);
+    // Fully unrolled tile loops keep the accumulators in registers.
+    V acc[MR][NV] = {};
+    for (size_t t = t0; t < t1; ++t) {
+        V bv[NV];
+#pragma GCC unroll 4
+        for (size_t v = 0; v < NV; ++v)
+            std::memcpy(&bv[v], bm + t * n + j + v * lanes, sizeof(V));
+#pragma GCC unroll 8
+        for (size_t ii = 0; ii < MR; ++ii) {
+            const double av = am[(i + ii) * k + t];
+#pragma GCC unroll 4
+            for (size_t v = 0; v < NV; ++v)
+                acc[ii][v] += av * bv[v];
+        }
+    }
+#pragma GCC unroll 8
+    for (size_t ii = 0; ii < MR; ++ii)
+#pragma GCC unroll 4
+        for (size_t v = 0; v < NV; ++v) {
+            double *out = prod + (i + ii) * n + j + v * lanes;
+            if (!first) {
+                V old;
+                std::memcpy(&old, out, sizeof(V));
+                acc[ii][v] += old;
+            }
+            std::memcpy(out, &acc[ii][v], sizeof(V));
+        }
+}
+
+/// One strip of MR rows: two-vector tiles, then one half-width vector,
+/// then single columns for the ragged edge.
+template <class V, class H, size_t MR>
+[[gnu::always_inline]] inline void
+f64_strip(const double *am, const double *bm, double *prod, size_t i,
+          size_t j0, size_t j1, size_t t0, size_t t1, size_t n, size_t k,
+          bool first)
+{
+    constexpr size_t wide = 2 * sizeof(V) / sizeof(double);
+    constexpr size_t half = sizeof(H) / sizeof(double);
+    size_t j = j0;
+    for (; j + wide <= j1; j += wide)
+        f64_tile<V, MR, 2>(am, bm, prod, i, j, t0, t1, n, k, first);
+    for (; j + half <= j1; j += half)
+        f64_tile<H, MR, 1>(am, bm, prod, i, j, t0, t1, n, k, first);
+    for (; j < j1; ++j)
+        f64_tile<double, MR, 1>(am, bm, prod, i, j, t0, t1, n, k, first);
+}
+
+/// plane_gemm_block's contract on vector type V (half width H).
+template <class V, class H>
+[[gnu::always_inline]] inline void
+f64_block_simd(const double *am, const double *bm, double *prod, size_t i0,
+               size_t i1, size_t j0, size_t j1, size_t t0, size_t t1,
+               size_t n, size_t k, bool first)
+{
+    size_t i = i0;
+    for (; i + kMR <= i1; i += kMR)
+        f64_strip<V, H, kMR>(am, bm, prod, i, j0, j1, t0, t1, n, k, first);
+    for (; i < i1; ++i)
+        f64_strip<V, H, 1>(am, bm, prod, i, j0, j1, t0, t1, n, k, first);
+}
+
+[[gnu::target("avx512f,avx2,fma")]] void
+f64_block_avx512(const double *am, const double *bm, double *prod, size_t i0,
+                 size_t i1, size_t j0, size_t j1, size_t t0, size_t t1,
+                 size_t n, size_t k, bool first)
+{
+    f64_block_simd<f64x8, f64x4>(am, bm, prod, i0, i1, j0, j1, t0, t1, n, k,
+                                 first);
+}
+
+[[gnu::target("avx2,fma")]] void
+f64_block_avx2(const double *am, const double *bm, double *prod, size_t i0,
+               size_t i1, size_t j0, size_t j1, size_t t0, size_t t1,
+               size_t n, size_t k, bool first)
+{
+    f64_block_simd<f64x4, f64x2>(am, bm, prod, i0, i1, j0, j1, t0, t1, n, k,
+                                 first);
+}
+
+GemmIsa
+detect_isa()
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma"))
+        return GemmIsa::avx512;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        return GemmIsa::avx2;
+    return GemmIsa::portable;
+}
+
+#else
+
+GemmIsa
+detect_isa()
+{
+    return GemmIsa::portable;
+}
+
+#endif
+
+/// The level plane_gemm dispatches on: CPUID's pick unless a test
+/// forced a lower one.
+std::atomic<GemmIsa> &
+active_isa()
+{
+    static std::atomic<GemmIsa> isa{gemm_isa_supported()};
+    return isa;
+}
+
+F64BlockFn
+f64_block_fn(GemmIsa isa)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (isa == GemmIsa::avx512)
+        return f64_block_avx512;
+    if (isa == GemmIsa::avx2)
+        return f64_block_avx2;
+#endif
+    (void)isa;
+    return plane_gemm_block<double>;
+}
+
 /// prod = am(m×k) · bm(k×n), blocked and parallel over row chunks.
+/// FP64 planes run the microkernel of the active ISA level; INT8
+/// planes (INT32 accumulation) always run the portable loop.
 template <class T>
 void
 plane_gemm(const T *am, const T *bm, T *prod, size_t m, size_t n, size_t k)
 {
+    const auto block = [] {
+        if constexpr (std::is_same_v<T, double>)
+            return f64_block_fn(active_isa().load(std::memory_order_relaxed));
+        else
+            return plane_gemm_block<T>;
+    }();
     parallel_for(
         0, m,
         [&](size_t rb, size_t re) {
             for (size_t jc = 0; jc < n; jc += kNC) {
                 const size_t je = std::min(n, jc + kNC);
                 for (size_t tc = 0; tc < k; tc += kKC)
-                    plane_gemm_block(am, bm, prod, rb, re, jc, je, tc,
-                                     std::min(k, tc + kKC), n, k, tc == 0);
+                    block(am, bm, prod, rb, re, jc, je, tc,
+                          std::min(k, tc + kKC), n, k, tc == 0);
             }
         },
         row_grain(m, n, k));
@@ -242,6 +405,68 @@ operand_bits(const u64 *v, size_t count)
     return bit_size(m);
 }
 
+/// A plane-GEMM output element as the exact integer it holds.
+u64
+plane_value(double v)
+{
+    return static_cast<u64>(v);
+}
+
+u64
+plane_value(i32 v)
+{
+    return static_cast<u64>(static_cast<u32>(v));
+}
+
+/**
+ * One plane pair's recombine, C (+)= w · P (mod q), with the pair's
+ * fixed weight w = 2^shift mod q as a Shoup constant: one mulhi and
+ * one correction per element. mul_shoup is exact for any u64 input
+ * when w < q, so the plane sum P (< 2^53, or < 2^31 for INT32) needs
+ * no reduction first and the result equals q.mul(q.reduce(P), w) bit
+ * for bit.
+ */
+template <class T>
+void
+recombine_pair(u64 *c, const T *prod, size_t count, u64 w, u64 qv)
+{
+    const u64 ws = shoup_precompute(w, qv);
+    parallel_for(
+        0, count,
+        [&](size_t b0, size_t e0) {
+            for (size_t i = b0; i < e0; ++i)
+                c[i] = add_mod(c[i],
+                               mul_shoup(plane_value(prod[i]), w, ws, qv),
+                               qv);
+        },
+        8192);
+}
+
+/// Per-column recombine: column j of C (m × n) uses col_mods[j] and
+/// its own weight w[j] (Shoup constant ws[j]).
+template <class T>
+void
+recombine_pair_cols(u64 *c, const T *prod, size_t m, size_t n,
+                    const std::vector<Modulus> &col_mods, const u64 *w,
+                    const u64 *ws)
+{
+    parallel_for(
+        0, m,
+        [&](size_t rb, size_t re) {
+            for (size_t i = rb; i < re; ++i) {
+                for (size_t j = 0; j < n; ++j) {
+                    const u64 qv = col_mods[j].value();
+                    c[i * n + j] = add_mod(
+                        c[i * n + j],
+                        mul_shoup(plane_value(prod[i * n + j]), w[j], ws[j],
+                                  qv),
+                        qv);
+                }
+            }
+        },
+        row_grain(m, n, 1));
+}
+
 } // namespace
 
 void
@@ -273,16 +498,9 @@ fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
             // Recombine: C += 2^shift * P (mod q). The plane loops
             // stay sequential, so each c[i] accumulates its planes in
             // the fixed (pa, pb) order.
-            const u64 w = (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb];
-            parallel_for(
-                0, m * n,
-                [&](size_t b0, size_t e0) {
-                    for (size_t i = b0; i < e0; ++i) {
-                        u64 v = q.reduce(static_cast<u64>(prod[i]));
-                        c[i] = add_mod(c[i], q.mul(v, w), qv);
-                    }
-                },
-                8192);
+            recombine_pair(
+                c, prod, m * n,
+                (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb], qv);
         }
     }
 }
@@ -319,17 +537,9 @@ int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
             const i32 *bm = bp + static_cast<size_t>(pb) * k * n;
             // INT32 accumulation, as on the INT8 tensor core.
             plane_gemm(am, bm, prod, m, n, k);
-            const u64 w = (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb];
-            parallel_for(
-                0, m * n,
-                [&](size_t b0, size_t e0) {
-                    for (size_t i = b0; i < e0; ++i) {
-                        u64 v = q.reduce(
-                            static_cast<u64>(static_cast<u32>(prod[i])));
-                        c[i] = add_mod(c[i], q.mul(v, w), qv);
-                    }
-                },
-                8192);
+            recombine_pair(
+                c, prod, m * n,
+                (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb], qv);
         }
     }
 }
@@ -382,32 +592,22 @@ fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
 
     double *prod = frame.alloc<double>(m * n);
     u64 *w = frame.alloc<u64>(n);
+    u64 *ws = frame.alloc<u64>(n);
     std::fill(c, c + m * n, 0);
     for (int pa = 0; pa < plan.a_planes; ++pa) {
         const double *am = ap + static_cast<size_t>(pa) * m * k;
         for (int pb = 0; pb < plan.b_planes; ++pb) {
             const double *bm = bp + static_cast<size_t>(pb) * k * n;
             plane_gemm(am, bm, prod, m, n, k);
-            // Per-column shift weights, hoisted out of the recombine
-            // loop (was one pow_mod per output element).
+            // Per-column shift weights and their Shoup constants,
+            // hoisted out of the recombine loop.
             const int shift =
                 pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j)
+            for (size_t j = 0; j < n; ++j) {
                 w[j] = pow_mod(2, shift, col_mods[j].value());
-            parallel_for(
-                0, m,
-                [&](size_t rb, size_t re) {
-                    for (size_t i = rb; i < re; ++i) {
-                        for (size_t j = 0; j < n; ++j) {
-                            const Modulus &q = col_mods[j];
-                            u64 v = q.reduce(
-                                static_cast<u64>(prod[i * n + j]));
-                            c[i * n + j] =
-                                q.add(c[i * n + j], q.mul(v, w[j]));
-                        }
-                    }
-                },
-                row_grain(m, n, 1));
+                ws[j] = shoup_precompute(w[j], col_mods[j].value());
+            }
+            recombine_pair_cols(c, prod, m, n, col_mods, w, ws);
         }
     }
 }
@@ -433,6 +633,7 @@ int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
 
     i32 *prod = frame.alloc<i32>(m * n);
     u64 *w = frame.alloc<u64>(n);
+    u64 *ws = frame.alloc<u64>(n);
     std::fill(c, c + m * n, 0);
     for (int pa = 0; pa < plan.a_planes; ++pa) {
         const i32 *am = ap + static_cast<size_t>(pa) * m * k;
@@ -441,22 +642,11 @@ int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
             plane_gemm(am, bm, prod, m, n, k);
             const int shift =
                 pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j)
+            for (size_t j = 0; j < n; ++j) {
                 w[j] = pow_mod(2, shift, col_mods[j].value());
-            parallel_for(
-                0, m,
-                [&](size_t rb, size_t re) {
-                    for (size_t i = rb; i < re; ++i) {
-                        for (size_t j = 0; j < n; ++j) {
-                            const Modulus &q = col_mods[j];
-                            u64 v = q.reduce(static_cast<u64>(
-                                static_cast<u32>(prod[i * n + j])));
-                            c[i * n + j] =
-                                q.add(c[i * n + j], q.mul(v, w[j]));
-                        }
-                    }
-                },
-                row_grain(m, n, 1));
+                ws[j] = shoup_precompute(w[j], col_mods[j].value());
+            }
+            recombine_pair_cols(c, prod, m, n, col_mods, w, ws);
         }
     }
 }
@@ -509,12 +699,12 @@ namespace {
  * construction — so results are bit-identical to calling the matching
  * single-site engine once per site.
  */
-template <class T, class Slice, class Fold>
+template <class T, class Slice>
 void
 sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods,
-                         const SplitPlan &plan, Slice &&slice, Fold &&fold)
+                         const SplitPlan &plan, Slice &&slice)
 {
     const size_t nmods = mods.size();
     Workspace::Frame frame;
@@ -527,22 +717,28 @@ sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
     (void)keep_b;
 
     // One pow2 recombine table per distinct site modulus (cached,
-    // data-independent); row-major in (pa, pb) like the plan.
-    std::vector<PlaneCache::Pow2Ptr> tabs(nmods);
-    for (size_t r = 0; r < nmods; ++r)
-        tabs[r] = PlaneCache::global().pow2(plan, mods[r].value());
-
+    // data-independent); row-major in (pa, pb) like the plan. Each
+    // weight gets its Shoup constant (see recombine_pair).
     const size_t pairs =
         static_cast<size_t>(plan.a_planes) * plan.b_planes;
+    std::vector<PlaneCache::Pow2Ptr> tabs(nmods);
+    u64 *shoup = frame.alloc<u64>(nmods * pairs);
+    for (size_t r = 0; r < nmods; ++r) {
+        tabs[r] = PlaneCache::global().pow2(plan, mods[r].value());
+        for (size_t pair = 0; pair < pairs; ++pair)
+            shoup[r * pairs + pair] =
+                shoup_precompute((*tabs[r])[pair], mods[r].value());
+    }
+
     parallel_for(
         0, sites,
         [&](size_t sb, size_t se) {
             Workspace::Frame wframe;
             T *prod = wframe.alloc<T>(m * n);
             for (size_t s = sb; s < se; ++s) {
-                const Modulus &q = mods[s % nmods];
-                const u64 qv = q.value();
+                const u64 qv = mods[s % nmods].value();
                 const u64 *w = tabs[s % nmods]->data();
+                const u64 *ws = shoup + (s % nmods) * pairs;
                 u64 *cs = c + s * m * n;
                 std::fill(cs, cs + m * n, 0);
                 for (size_t pair = 0; pair < pairs; ++pair) {
@@ -559,10 +755,11 @@ sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
                                 acc += am[i * k + t] * bm[t * n + j];
                             prod[i * n + j] = acc;
                         }
-                    const u64 wv = w[pair];
                     for (size_t i = 0; i < m * n; ++i)
-                        cs[i] = add_mod(
-                            cs[i], q.mul(q.reduce(fold(prod[i])), wv), qv);
+                        cs[i] = add_mod(cs[i],
+                                        mul_shoup(plane_value(prod[i]),
+                                                  w[pair], ws[pair], qv),
+                                        qv);
                 }
             }
         },
@@ -590,8 +787,7 @@ fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
             PlaneCache::F64Ptr keep;
             out = f64_planes(p, count, planes, bits, frame, keep);
             return keep;
-        },
-        [](double v) { return static_cast<u64>(v); });
+        });
 }
 
 void
@@ -613,8 +809,7 @@ int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
             PlaneCache::I32Ptr keep;
             out = i32_planes(p, count, planes, bits, frame, keep);
             return keep;
-        },
-        [](i32 v) { return static_cast<u64>(static_cast<u32>(v)); });
+        });
 }
 
 const ModSiteMatMulFn &
@@ -679,6 +874,35 @@ int8_tcu_matmul()
         int8_sliced_matmul(a, b, c, m, n, k, q);
     };
     return fn;
+}
+
+GemmIsa
+gemm_isa_supported()
+{
+    static const GemmIsa isa = detect_isa();
+    return isa;
+}
+
+const char *
+gemm_isa_name(GemmIsa isa)
+{
+    switch (isa) {
+    case GemmIsa::avx512:
+        return "avx512";
+    case GemmIsa::avx2:
+        return "avx2";
+    case GemmIsa::portable:
+        break;
+    }
+    return "portable";
+}
+
+GemmIsa
+force_gemm_isa_for_testing(GemmIsa isa)
+{
+    NEO_CHECK(isa <= gemm_isa_supported(),
+              "GEMM ISA level not supported by this host");
+    return active_isa().exchange(isa, std::memory_order_relaxed);
 }
 
 } // namespace neo

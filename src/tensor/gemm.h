@@ -114,4 +114,24 @@ const ModSiteMatMulFn &scalar_site_matmul();
 const ModSiteMatMulFn &fp64_tcu_site_matmul();
 const ModSiteMatMulFn &int8_tcu_site_matmul();
 
+/**
+ * Instruction-set level of the FP64 plane microkernel, lowest first.
+ * The highest level the host supports is picked once from CPUID; every
+ * level produces bit-identical planes (see plane_gemm_block).
+ */
+enum class GemmIsa { portable, avx2, avx512 };
+
+/// Highest level this host supports; the FP64 plane GEMM runs at it.
+GemmIsa gemm_isa_supported();
+
+/// "portable", "avx2" or "avx512".
+const char *gemm_isa_name(GemmIsa isa);
+
+/**
+ * Test hook: run the FP64 plane GEMM at @p isa, which must not exceed
+ * gemm_isa_supported(). Returns the previous level. Not for use while
+ * GEMMs are in flight.
+ */
+GemmIsa force_gemm_isa_for_testing(GemmIsa isa);
+
 } // namespace neo

@@ -10,11 +10,15 @@
  *   1. keyswitch_klss_pipeline with caches cold, warm, and disabled
  *      is bit-identical to the reference ckks::keyswitch_klss across
  *      21 (level, d_num, engine) configurations;
- *   2. the same holds under 1 / 2 / 7 / 16 worker threads, and for
+ *   2. the same holds under 1 / 2 / 7 / 16 worker threads, at every
+ *      FP64 plane-kernel ISA level the host supports, and for
  *      Evaluator::mul / rotate routed through the pipeline;
  *   3. the gemm.plane_cache.{hit,miss} counters prove operand slicing
  *      happens exactly once: a second mul with the same key bundle
  *      records hits and zero misses.
+ *
+ * Assigning a new key into a live key object drops the operands it
+ * had prepared, so the next keyswitch uses the new key's material.
  */
 #include <gtest/gtest.h>
 
@@ -25,10 +29,12 @@
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keygen.h"
+#include "ckks/keyswitch.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "neo/pipeline.h"
 #include "obs/obs.h"
+#include "tensor/gemm.h"
 #include "tensor/plane_cache.h"
 
 namespace neo {
@@ -202,6 +208,32 @@ TEST_F(PerfCache, KeyswitchBitExactAcrossThreadCounts)
     ThreadPool::set_global_threads(0); // back to NEO_NUM_THREADS
 }
 
+TEST_F(PerfCache, KeyswitchBitExactAtEveryIsaLevel)
+{
+    const auto cfgs = configs();
+    const GemmIsa top = gemm_isa_supported();
+    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
+        const GemmIsa isa = static_cast<GemmIsa>(lvl);
+        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+        for (const auto &cfg : cfgs) {
+            SCOPED_TRACE(::testing::Message()
+                         << cfg.engine << " d_num="
+                         << cfg.set->params.d_num << " level=" << cfg.level
+                         << " isa=" << gemm_isa_name(isa));
+            RnsPoly d2 = random_eval_poly(cfg.set->ctx, cfg.level,
+                                          4000 + cfg.level);
+            const auto ref =
+                keyswitch_klss(d2, cfg.set->klss_rlk, cfg.set->ctx);
+            const auto got = keyswitch_klss_pipeline(
+                d2, cfg.set->klss_rlk, cfg.set->ctx,
+                ExecPolicy::fixed(EngineRegistry::parse(cfg.engine)));
+            EXPECT_TRUE(poly_eq(got.first, ref.first));
+            EXPECT_TRUE(poly_eq(got.second, ref.second));
+        }
+        force_gemm_isa_for_testing(prev);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Evaluator ops routed through the cached pipeline
 // ---------------------------------------------------------------------
@@ -240,6 +272,43 @@ TEST_F(PerfCache, MulAndRotateThroughPipelineMatchReference)
             EXPECT_TRUE(ct_eq(ev.rotate(ca, 3, keys), rot3_ref)) << run;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Key reassignment drops the operands prepared from the old key
+// ---------------------------------------------------------------------
+
+TEST_F(PerfCache, AssignedKeySwitchesWithItsOwnMaterial)
+{
+    auto &s = *set_a_;
+    const size_t level = s.ctx.max_level();
+    const RnsPoly d2 = random_eval_poly(s.ctx, level, 3000);
+    KeyGenerator other(s.ctx, 303);
+    const SecretKey sk_b = other.secret_key();
+    const EvalKey rlk_b = other.relin_key(sk_b);
+    const KlssEvalKey klss_b = other.to_klss(rlk_b);
+    const auto policy = ExecPolicy::fixed(EngineId::fp64_tcu);
+
+    // KLSS: the pipeline prepares per-level IP operands inside the key.
+    KlssEvalKey klss = s.klss_rlk;
+    (void)keyswitch_klss_pipeline(d2, klss, s.ctx, policy);
+    klss = klss_b;
+    const auto klss_got = keyswitch_klss_pipeline(d2, klss, s.ctx, policy);
+    const KlssEvalKey klss_fresh = klss_b;
+    const auto klss_want =
+        keyswitch_klss_pipeline(d2, klss_fresh, s.ctx, policy);
+    EXPECT_TRUE(poly_eq(klss_got.first, klss_want.first));
+    EXPECT_TRUE(poly_eq(klss_got.second, klss_want.second));
+
+    // Hybrid: the keyswitch prepares per-level key slices.
+    EvalKey rlk = s.keygen.relin_key(s.sk);
+    (void)keyswitch_hybrid(d2, rlk, s.ctx);
+    rlk = rlk_b;
+    const auto hyb_got = keyswitch_hybrid(d2, rlk, s.ctx);
+    const EvalKey rlk_fresh = rlk_b;
+    const auto hyb_want = keyswitch_hybrid(d2, rlk_fresh, s.ctx);
+    EXPECT_TRUE(poly_eq(hyb_got.first, hyb_want.first));
+    EXPECT_TRUE(poly_eq(hyb_got.second, hyb_want.second));
 }
 
 // ---------------------------------------------------------------------

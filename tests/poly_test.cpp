@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "obs/obs.h"
 #include "poly/matrix_ntt.h"
 #include "poly/ntt.h"
 #include "poly/rns_poly.h"
@@ -131,6 +132,33 @@ TEST(MatrixNtt, Radix16ComplexityMatchesPaper)
     MatrixNtt radix16(t, 16);
     EXPECT_EQ(radix16.complexity().matmul_macs, 1ULL << 22);
     EXPECT_EQ(radix16.complexity().matmul_stages, 4u);
+}
+
+TEST(MatrixNtt, OneGemmCallPerStage)
+{
+    // Batched schedule: a traced transform issues exactly
+    // complexity().matmul_stages engine calls at every ring size, fused
+    // or not — the host runs the per-stage schedule the model prices.
+    for (size_t n : {1u << 8, 1u << 10, 1u << 12, 1u << 14}) {
+        Modulus q = test_modulus(n);
+        NttTables t(n, q);
+        MatrixNtt mntt(t, 16);
+        const u64 stages = mntt.complexity().matmul_stages;
+        Rng rng(n + 1);
+        auto a = rng.uniform_vec(n, q.value());
+        for (bool fuse : {false, true}) {
+            {
+                obs::Scope scope;
+                mntt.forward(a.data(), default_mat_mul(), fuse);
+                EXPECT_EQ(scope.counter("span.gemm"), stages)
+                    << "forward n=" << n << " fuse=" << fuse;
+            }
+            obs::Scope scope;
+            mntt.inverse(a.data(), default_mat_mul(), fuse);
+            EXPECT_EQ(scope.counter("span.gemm"), stages)
+                << "inverse n=" << n << " fuse=" << fuse;
+        }
+    }
 }
 
 TEST(MatrixNtt, FullRingDegreeRoundTrip)

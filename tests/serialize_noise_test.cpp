@@ -133,6 +133,35 @@ TEST_F(SnFixture, TamperedStreamsRejected)
     EXPECT_THROW(load_secret_key(wrong_magic), std::invalid_argument);
 }
 
+TEST_F(SnFixture, OversizedPolyHeaderFailsTruncatedWithoutAllocating)
+{
+    // A ~32 KB stream whose header claims n = 2^20 and 4096 limbs, with
+    // 4096 valid moduli and no payload: the header alone asks for
+    // 32 GiB. The loader must fail on the missing data, having
+    // allocated no more than the stream could have filled.
+    std::string raw;
+    const auto put = [&raw](auto v) {
+        raw.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    put(u32{0x4e504f4c}); // "NPOL"
+    put(u32{1});          // version
+    put(u64{1} << 20);    // n
+    put(u64{4096});       // limbs
+    put(u8{1});           // eval form
+    for (int i = 0; i < 4096; ++i)
+        put(ctx_->q_basis()[0].value());
+    ASSERT_LT(raw.size(), 33u * 1024);
+    std::stringstream ss(raw);
+    try {
+        (void)load_poly(ss);
+        FAIL() << "oversized header accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(SnFixture, ValidateAgainstRejectsForeignModuli)
 {
     std::vector<Modulus> fake = {Modulus(1000003),

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <utility>
+
 #include "common/random.h"
 #include "poly/matrix_ntt.h"
 #include "rns/primes.h"
@@ -131,6 +134,126 @@ TEST(SlicedGemm, OddShapes)
         scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
         fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
         EXPECT_EQ(got, ref) << m << "x" << n << "x" << k;
+    }
+}
+
+// ---------------------------------------------------------------------
+// ISA differential: every FP64 plane-kernel level is bit-exact
+// ---------------------------------------------------------------------
+
+/// Run @p fn once per ISA level the host supports, forced through the
+/// test hook; the host's own level is restored afterwards.
+template <class Fn>
+void
+for_each_isa(Fn &&fn)
+{
+    const GemmIsa top = gemm_isa_supported();
+    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
+        const GemmIsa isa = static_cast<GemmIsa>(lvl);
+        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+        SCOPED_TRACE(gemm_isa_name(isa));
+        fn();
+        force_gemm_isa_for_testing(prev);
+    }
+}
+
+struct Shape
+{
+    size_t m, n, k;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Shape &s)
+{
+    return os << s.m << "x" << s.n << "x" << s.k;
+}
+
+class IsaDifferentialTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(IsaDifferentialTest, SingleModulusMatchesScalar)
+{
+    const int bits = GetParam();
+    Modulus q(generate_ntt_primes(bits, 1, 1 << 10)[0]);
+    Rng rng(bits + 300);
+    // Batched-NTT stage and base shapes, then ragged edges: m mod 4 ≠
+    // 0, n mod 16 ≠ 0, and K past one 256-deep KC slab.
+    for (const Shape s : {Shape{16, 1024, 16}, Shape{4096, 4, 4},
+                          Shape{7, 37, 16}, Shape{13, 21, 300},
+                          Shape{5, 19, 257}, Shape{1, 3, 1}}) {
+        auto a = rng.uniform_vec(s.m * s.k, q.value());
+        auto b = rng.uniform_vec(s.k * s.n, q.value());
+        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
+        scalar_mod_matmul(a.data(), b.data(), ref.data(), s.m, s.n, s.k, q);
+        for_each_isa([&] {
+            fp64_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n,
+                               s.k, q);
+            EXPECT_EQ(got, ref) << s;
+        });
+    }
+}
+
+TEST_P(IsaDifferentialTest, PerColumnMatchesScalar)
+{
+    const int bits = GetParam();
+    const auto primes = generate_ntt_primes(bits, 3, 1 << 10);
+    Rng rng(bits + 400);
+    // scalar_matmul_cols accumulates in u128, so K stays ≤ 64 here.
+    for (const Shape s : {Shape{16, 1024, 16}, Shape{4096, 4, 4},
+                          Shape{7, 37, 16}, Shape{13, 21, 64}}) {
+        std::vector<Modulus> mods;
+        for (size_t j = 0; j < s.n; ++j)
+            mods.emplace_back(primes[j % primes.size()]);
+        auto a = rng.uniform_vec(s.m * s.k, primes[0]);
+        auto b = rng.uniform_vec(s.k * s.n, primes[0]);
+        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
+        scalar_matmul_cols(a.data(), b.data(), ref.data(), s.m, s.n, s.k,
+                           mods);
+        for_each_isa([&] {
+            fp64_sliced_matmul_cols(a.data(), b.data(), got.data(), s.m,
+                                    s.n, s.k, mods);
+            EXPECT_EQ(got, ref) << s;
+        });
+    }
+}
+
+TEST_P(IsaDifferentialTest, PerSiteMatchesScalar)
+{
+    const int bits = GetParam();
+    const auto primes = generate_ntt_primes(bits, 3, 1 << 10);
+    const std::vector<Modulus> mods(primes.begin(), primes.end());
+    Rng rng(bits + 500);
+    // (sites, shape): IP-like sites, ragged sites, a deep K.
+    for (const auto &[sites, s] :
+         {std::pair<size_t, Shape>{1024, Shape{4, 4, 4}},
+          {37, Shape{3, 5, 7}},
+          {3, Shape{2, 3, 300}}}) {
+        auto a = rng.uniform_vec(sites * s.m * s.k, primes[0]);
+        auto b = rng.uniform_vec(sites * s.k * s.n, primes[0]);
+        std::vector<u64> ref(sites * s.m * s.n), got(sites * s.m * s.n);
+        scalar_matmul_sites(a.data(), b.data(), ref.data(), sites, s.m, s.n,
+                            s.k, mods);
+        for_each_isa([&] {
+            fp64_sliced_matmul_sites(a.data(), b.data(), got.data(), sites,
+                                     s.m, s.n, s.k, mods);
+            EXPECT_EQ(got, ref) << sites << " sites of " << s;
+        });
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WordSizes, IsaDifferentialTest,
+                         ::testing::Values(30, 36, 48, 60));
+
+TEST(GemmIsa, HookForcesSupportedLevelsOnly)
+{
+    // The host runs at its highest level until a test forces another.
+    const GemmIsa prev = force_gemm_isa_for_testing(GemmIsa::portable);
+    EXPECT_EQ(prev, gemm_isa_supported());
+    EXPECT_EQ(force_gemm_isa_for_testing(prev), GemmIsa::portable);
+    if (gemm_isa_supported() != GemmIsa::avx512) {
+        EXPECT_THROW(force_gemm_isa_for_testing(GemmIsa::avx512),
+                     std::invalid_argument);
     }
 }
 
