@@ -5,8 +5,8 @@
  * Neo's core invariant — bit-identical results at any thread/device
  * count — is enforced dynamically by the TSan legs and the determinism
  * suites, and *statically* by these annotations: every shared-state
- * module (ThreadPool, PlaneCache, KeySwitchPrecomp, StaticOperands,
- * obs::Registry, pipeline kernel caches) declares which capability
+ * module (ThreadPool, KeySwitchPrecomp, obs::Registry, pipeline
+ * kernel caches, per-key operand caches) declares which capability
  * (lock) guards which member, and the clang `-Wthread-safety
  * -Wthread-safety-beta -Werror` CI leg rejects any access that the
  * analysis cannot prove is protected. Under gcc (or any non-clang

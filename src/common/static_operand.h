@@ -1,104 +1,24 @@
 /**
  * @file
- * Registry of long-lived ("static") GEMM operands.
+ * neo::StaticPin — a stateless leftover that does nothing.
  *
- * The hot-path caches (tensor/plane_cache.h) may precompute derived
- * forms of an operand — bit-sliced FP64/INT8 planes, pow2 recombine
- * tables, bit-width scans — but only when the operand's storage is
- * guaranteed stable and its contents immutable for the lifetime of the
- * cache entry. Owners of such operands (BConv factor matrices, NTT
- * twiddle matrices, evaluation-key buffers) declare that guarantee by
- * *pinning* the byte range here, normally through the RAII StaticPin.
- *
- * Every pin carries a monotonically increasing generation id. Cache
- * entries record the generation they were built under; when a range is
- * unpinned and later re-pinned (e.g. the allocator reuses the address
- * for a new object), the generation changes and stale entries miss
- * instead of returning another object's data. Lookups on unpinned
- * addresses return generation 0, so transient operands are never
- * cached.
- *
- * This registry lives in common/ (below both poly/ and tensor/) so any
- * layer can pin without creating dependency cycles; only the cache
- * itself needs the tensor layer.
+ * GEMM operands are sliced into planes on every call, so no operand is
+ * registered or cached any more. The type survives only because the
+ * benchmark harness (perfbench/harness/replay.cpp) still assigns
+ * ckks::KlssEvalKey::IpOperands::pins, and that harness changes only
+ * together with the benchmark itself. Delete this header and that
+ * field in the next change to the benchmark.
  */
 #pragma once
 
 #include <cstddef>
 
-#include "common/types.h"
-
 namespace neo {
 
-class StaticOperands
+struct StaticPin
 {
-  public:
-    /// The process-wide registry.
-    static StaticOperands &instance();
-
-    /**
-     * Declare [p, p+bytes) stable and immutable until unpin(p).
-     * Returns the generation id of the new pin. Re-pinning a live
-     * range replaces it under a fresh generation.
-     */
-    u64 pin(const void *p, size_t bytes);
-
-    /// Remove the pin starting at @p p (no-op if absent or null).
-    void unpin(const void *p);
-
-    /**
-     * Generation of the pinned range *containing* @p p (interior
-     * pointers resolve to their enclosing pin), or 0 when no pin
-     * covers it. The containment rule lets a cache key on a slice of a
-     * larger pinned buffer (e.g. one site of a reordered key tensor).
-     */
-    u64 generation(const void *p) const;
-
-    /// Live pin count — a zero fast-path for cache lookups.
-    size_t pins() const;
-};
-
-/**
- * RAII pin: registers the range on construction, unpins on
- * destruction. Movable (the moved-from handle becomes empty) so owners
- * can live in containers; not copyable.
- */
-class StaticPin
-{
-  public:
     StaticPin() = default;
-    StaticPin(const void *p, size_t bytes)
-        : ptr_(bytes > 0 ? p : nullptr)
-    {
-        if (ptr_ != nullptr)
-            StaticOperands::instance().pin(ptr_, bytes);
-    }
-    ~StaticPin() { reset(); }
-    StaticPin(StaticPin &&o) noexcept : ptr_(o.ptr_) { o.ptr_ = nullptr; }
-    StaticPin &
-    operator=(StaticPin &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            ptr_ = o.ptr_;
-            o.ptr_ = nullptr;
-        }
-        return *this;
-    }
-    StaticPin(const StaticPin &) = delete;
-    StaticPin &operator=(const StaticPin &) = delete;
-
-    void
-    reset()
-    {
-        if (ptr_ != nullptr) {
-            StaticOperands::instance().unpin(ptr_);
-            ptr_ = nullptr;
-        }
-    }
-
-  private:
-    const void *ptr_ = nullptr;
+    StaticPin(const void *, size_t) {}
 };
 
 } // namespace neo

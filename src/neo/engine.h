@@ -4,10 +4,10 @@
  * source of truth for their names.
  *
  * Every layer that used to hand-maintain the engine name list
- * (PipelineEngines::from_name, neo-prof's --engine help text, the
- * bench CLIs, test config tables) resolves through EngineRegistry
- * instead, so adding an engine is a one-file change and the CLI help,
- * parse errors and tuning-table serialization can never drift apart.
+ * (neo-prof's --engine help text, the bench CLIs, test config tables)
+ * resolves through EngineRegistry instead, so adding an engine is a
+ * one-file change and the CLI help, parse errors and tuning-table
+ * serialization can never drift apart.
  */
 #pragma once
 

@@ -58,8 +58,6 @@ BConvKernel::BConvKernel(const RnsBasis &from, const RnsBasis &to)
     for (size_t i = 0; i < a; ++i)
         for (size_t j = 0; j < ap; ++j)
             factor_matrix_[i * ap + j] = conv_.factor(i, j);
-    factor_pin_ = StaticPin(factor_matrix_.data(),
-                            factor_matrix_.size() * sizeof(u64));
 }
 
 void

@@ -18,7 +18,6 @@
 
 #include <vector>
 
-#include "common/static_operand.h"
 #include "rns/base_convert.h"
 #include "tensor/gemm.h"
 
@@ -65,11 +64,6 @@ class BConvKernel
 
     BaseConverter conv_;
     std::vector<u64> factor_matrix_; // α × α': (B/b_i) mod t_j
-    // The factor matrix is the static B operand of every BConv GEMM;
-    // pinning it lets the tensor layer's plane cache slice it once per
-    // (kernel, engine). Makes the kernel move-only (vector moves keep
-    // the heap buffer, so the pin stays valid).
-    StaticPin factor_pin_;
 };
 
 /**
@@ -101,8 +95,8 @@ class IpKernel
     /**
      * Algorithm 4 with the key tensor already in the Fig 8 layout
      * (β̃×β×α'×N reversed to N×α'×β×β̃). Key material is static per
-     * (key, level), so callers cache the reorder — and pin the buffer
-     * as a static operand — instead of paying it on every keyswitch.
+     * (key, level), so callers cache the reorder instead of paying it
+     * on every keyswitch.
      */
     void run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
                               size_t batch, size_t n, u64 *out,

@@ -10,7 +10,6 @@
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/static_operand.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "gpusim/memory_model.h"
@@ -35,9 +34,7 @@ namespace {
  * across keyswitch calls. Every one of these used to be rebuilt per
  * call — a MatrixNtt construction fills two twiddle matrices and a
  * BConvKernel construction is O(α·α') modular exponentiations, which
- * together dominated small-ring pipeline runs. Cached MatrixNtt and
- * BConvKernel instances also pin their static GEMM operands, so the
- * tensor layer's plane cache can reuse bit-sliced forms across calls.
+ * together dominated small-ring pipeline runs.
  */
 struct LevelKernels
 {
@@ -83,7 +80,7 @@ struct PipelineCache
  * address — a context reallocated at a freed context's address must
  * not see its predecessor's kernels). Bounded to a small working set;
  * eviction is safe because callers hold a shared_ptr for the duration
- * of the call and all pinned operands release via RAII.
+ * of the call.
  */
 // Magic-static registry guarded by the function-local reg_mu — a
 // documented NEO_NO_THREAD_SAFETY_ANALYSIS exception (the attribute
@@ -320,8 +317,7 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
     stage_span.emplace("pipeline_ip", obs::cat::stage);
     IpKernel ip(ctx.t_basis().mods(), beta, beta_tilde);
     // Key material is static per (key, level): flatten each component
-    // to β̃ × β × α' × N, reorder once into the Fig 8 GEMM layout and
-    // pin the result so the plane cache can keep its sliced form.
+    // to β̃ × β × α' × N and reorder it once into the Fig 8 GEMM layout.
     const auto &key_ops = evk.ip_operands().get(level, [&] {
         KlssEvalKey::IpOperands ops;
         ops.beta = beta;
@@ -338,8 +334,6 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
             ops.reordered[c].resize(keys.size());
             reorder_4d_reverse(keys.data(), beta_tilde, beta, alpha_p, n,
                                ops.reordered[c].data());
-            ops.pins[c] = StaticPin(ops.reordered[c].data(),
-                                    ops.reordered[c].size() * sizeof(u64));
         }
         return ops;
     });
@@ -439,27 +433,6 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
 }
 
 } // namespace
-
-PipelineEngines
-PipelineEngines::from_name(std::string_view name)
-{
-    return EngineRegistry::engines(EngineRegistry::parse(name));
-}
-
-const std::vector<std::string_view> &
-PipelineEngines::names()
-{
-    // Mirrors EngineRegistry::ids() order; kept only for the
-    // deprecation window.
-    // neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> n = [] {
-        std::vector<std::string_view> out;
-        for (EngineId id : EngineRegistry::ids())
-            out.push_back(EngineRegistry::name(id));
-        return out;
-    }();
-    return n;
-}
 
 model::ModelConfig
 model_config(const ExecPolicy &policy, const ckks::CkksParams &params)
@@ -572,22 +545,6 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
         &EngineRegistry::engines(e_ntt_q).same_mod};
     return pipeline_run(d2, evk, ctx, bindings, policy.fuse,
                         model_config(policy, pp));
-}
-
-std::pair<RnsPoly, RnsPoly>
-keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
-                        const CkksContext &ctx,
-                        const PipelineEngines &engines, bool fuse)
-{
-    // Legacy raw-engine surface: one bundle drives every stage and
-    // the modeled span prices the default (FP64-TCU) configuration,
-    // exactly the pre-ExecPolicy behaviour.
-    model::ModelConfig mcfg;
-    mcfg.fuse_elementwise = fuse;
-    const StageBindings bindings{&engines.per_column, &engines.same_mod,
-                                 &engines.per_site,   &engines.same_mod,
-                                 &engines.per_column, &engines.same_mod};
-    return pipeline_run(d2, evk, ctx, bindings, fuse, mcfg);
 }
 
 std::function<std::pair<RnsPoly, RnsPoly>(

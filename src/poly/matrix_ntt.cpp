@@ -33,8 +33,6 @@ MatrixNtt::MatrixNtt(const NttTables &tables, size_t radix)
                 wi[c * len + k] = tables_.omega_inv_pow(e);
             }
         }
-        pins_.emplace_back(wf.data(), wf.size() * sizeof(u64));
-        pins_.emplace_back(wi.data(), wi.size() * sizeof(u64));
     }
 }
 

@@ -29,7 +29,6 @@
 
 #include <vector>
 
-#include "common/static_operand.h"
 #include "poly/mat_mul.h"
 #include "poly/ntt.h"
 
@@ -107,12 +106,7 @@ class MatrixNtt
     size_t radix_;
     // Precomputed twiddle matrices for all lengths 2..radix (powers of
     // two), forward and inverse.
-    mutable std::vector<std::vector<u64>> w_fwd_, w_inv_;
-    // The twiddle matrices are static GEMM operands: pinning them lets
-    // the sliced engines cache their plane decompositions. Makes the
-    // class move-only (moving a vector keeps its heap buffer, so pins
-    // survive moves).
-    std::vector<StaticPin> pins_;
+    std::vector<std::vector<u64>> w_fwd_, w_inv_;
 };
 
 } // namespace neo

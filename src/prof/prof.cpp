@@ -170,15 +170,9 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
     r.wall_s = run_once();
 
     // Snapshot the counters before any extra sample runs inflate them.
-    // gemm.plane_cache.evict stays out of the gate-able set: evictions
-    // fire on heap-address reuse across pin generations, which the
-    // allocator does not reproduce run to run.
     for (const auto &[name, count] : scope.registry().counters()) {
-        if (name == "gemm.plane_cache.evict")
-            continue;
         if (name.rfind("span.", 0) == 0 || name == "gemm.calls" ||
             name == "pipeline.keyswitch" ||
-            name.rfind("gemm.plane_cache.", 0) == 0 ||
             name.rfind("ws.", 0) == 0 || name.rfind("ks.", 0) == 0 ||
             name.rfind("pass.", 0) == 0 ||
             name.rfind("fuse.", 0) == 0 || name.rfind("tune.", 0) == 0)
@@ -425,20 +419,6 @@ profile(const std::string &workload, const ExecPolicy &policy,
     }
     msg += ')';
     throw std::invalid_argument(msg);
-}
-
-Result
-profile(const std::string &workload, const std::string &engine,
-        size_t level, size_t repeat, const ProfileOptions &opts)
-{
-    ExecPolicy p;
-    p.fuse = opts.fuse;
-    p.graph = opts.graph;
-    if (engine == "auto")
-        p.select = EngineSelect::autotune;
-    else
-        p.engine = EngineRegistry::parse(engine); // validates up front
-    return profile(workload, p, level, repeat);
 }
 
 void

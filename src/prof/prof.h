@@ -172,7 +172,7 @@ const std::vector<std::string> &workload_names();
  * with repeat == 1 the single (cold) traced run is timed, matching the
  * historical behaviour; with repeat > 1 the traced run doubles as a
  * warmup that fills the hot-path caches (key-switch precomp, pipeline
- * kernels, GEMM plane cache, workspace arenas) and wall_s is the
+ * kernels, key operands, workspace arenas) and wall_s is the
  * median of @p repeat steady-state samples. Span counters always come
  * from exactly one run. Modeled workloads ignore @p repeat.
  *
@@ -180,18 +180,6 @@ const std::vector<std::string> &workload_names();
  */
 Result profile(const std::string &workload, const ExecPolicy &policy,
                size_t level = 0, size_t repeat = 1);
-
-/**
- * Deprecated engine-string surface (pre-ExecPolicy). "auto" selects
- * autotune; other names resolve through EngineRegistry::parse. Kept
- * one PR for out-of-tree callers.
- */
-[[deprecated("pass a neo::ExecPolicy (ExecPolicy::fixed(EngineId) or "
-             "an autotune policy) instead of an engine string + "
-             "ProfileOptions")]]
-Result profile(const std::string &workload, const std::string &engine,
-               size_t level = 0, size_t repeat = 1,
-               const ProfileOptions &opts = {});
 
 /**
  * The canonical tuning table: every site of the parameter sets

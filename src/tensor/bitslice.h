@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -145,13 +146,27 @@ int8_plan_exact(int wa, int wb, size_t k)
 /**
  * Decompose @p n values into @p planes planes of @p plane_bits bits,
  * least-significant plane first: in[i] = Σ_p out[p][i] << (p*bits).
- * Planes are stored contiguously: out must hold planes*n doubles.
+ * Planes are stored contiguously: out must hold planes*n values. FP64
+ * planes (Plane = double) take any width below 64 bits; INT8 planes,
+ * held in i32, at most 16. Inline, because the per-site GEMM slices a
+ * few words at a time.
  */
-void slice_to_f64(const u64 *in, size_t n, int planes, int plane_bits,
-                  double *out);
-
-/// Same decomposition into 8-bit unsigned planes stored as u8-in-i32.
-void slice_to_i32(const u64 *in, size_t n, int planes, int plane_bits,
-                  i32 *out);
+template <class Plane>
+void
+slice_planes(const u64 *in, size_t n, int planes, int plane_bits, Plane *out)
+{
+    NEO_ASSERT(plane_bits > 0 &&
+                   plane_bits < (std::is_same_v<Plane, double> ? 64 : 17),
+               "bad plane width");
+    const u64 mask = (1ULL << plane_bits) - 1;
+    for (int p = 0; p < planes; ++p) {
+        const int shift = p * plane_bits;
+        Plane *dst = out + static_cast<size_t>(p) * n;
+        for (size_t i = 0; i < n; ++i) {
+            const u64 chunk = shift >= 64 ? 0 : ((in[i] >> shift) & mask);
+            dst[i] = static_cast<Plane>(chunk);
+        }
+    }
+}
 
 } // namespace neo

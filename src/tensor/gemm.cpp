@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "obs/obs.h"
-#include "tensor/plane_cache.h"
 
 namespace neo {
 
@@ -366,43 +365,15 @@ plane_gemm(const T *am, const T *bm, T *prod, size_t m, size_t n, size_t k)
         row_grain(m, n, k));
 }
 
-/// Operand planes: cache hit for pinned operands, workspace slice
-/// otherwise. The returned pointer is valid for the caller's Frame
-/// lifetime (the shared_ptr keeps cached planes alive).
-const double *
-f64_planes(const u64 *p, size_t count, int planes, int plane_bits,
-           Workspace::Frame &frame, PlaneCache::F64Ptr &keep)
-{
-    keep = PlaneCache::global().f64_planes(p, count, planes, plane_bits);
-    if (keep != nullptr)
-        return keep->data();
-    double *buf = frame.alloc<double>(static_cast<size_t>(planes) * count);
-    slice_to_f64(p, count, planes, plane_bits, buf);
-    return buf;
-}
-
-const i32 *
-i32_planes(const u64 *p, size_t count, int planes, int plane_bits,
-           Workspace::Frame &frame, PlaneCache::I32Ptr &keep)
-{
-    keep = PlaneCache::global().i32_planes(p, count, planes, plane_bits);
-    if (keep != nullptr)
-        return keep->data();
-    i32 *buf = frame.alloc<i32>(static_cast<size_t>(planes) * count);
-    slice_to_i32(p, count, planes, plane_bits, buf);
-    return buf;
-}
-
+/// Largest bit width over an operand's words, at least 1 (the
+/// planners reject zero-width operands).
 int
 operand_bits(const u64 *v, size_t count)
 {
-    const int cached = PlaneCache::global().width_bits(v, count);
-    if (cached >= 0)
-        return cached;
     u64 m = 0;
     for (size_t i = 0; i < count; ++i)
         m |= v[i];
-    return bit_size(m);
+    return std::max(bit_size(m), 1);
 }
 
 /// A plane-GEMM output element as the exact integer it holds.
@@ -418,19 +389,61 @@ plane_value(i32 v)
     return static_cast<u64>(static_cast<u32>(v));
 }
 
+/// FP64 planes (2^53 mantissa budget) or INT8 planes held in i32
+/// (INT32 accumulation).
+template <class Plane>
+SplitPlan
+choose_split(int wa, int wb, size_t k)
+{
+    if constexpr (std::is_same_v<Plane, double>)
+        return choose_fp64_split(wa, wb, k);
+    else
+        return choose_int8_split(wa, wb, k);
+}
+
+/**
+ * Which modulus reduces each output element of a sliced GEMM: one
+ * modulus for the whole product, mods[j] for output column j, or
+ * mods[s % count] for site s.
+ */
+struct ModulusMap
+{
+    enum class Kind { one, per_column, per_site };
+    Kind kind;
+    const Modulus *mods;
+    size_t count;
+
+    static ModulusMap of(const Modulus &q) { return {Kind::one, &q, 1}; }
+    static ModulusMap columns(const std::vector<Modulus> &mods)
+    {
+        return {Kind::per_column, mods.data(), mods.size()};
+    }
+    static ModulusMap sites(const std::vector<Modulus> &mods)
+    {
+        return {Kind::per_site, mods.data(), mods.size()};
+    }
+};
+
+/// `sites` independent m×n×k products laid out contiguously: A is
+/// sites×m×k, B sites×k×n, C sites×m×n. sites is 1 unless the modulus
+/// map is per site.
+struct GemmShape
+{
+    size_t sites, m, n, k;
+};
+
 /**
  * One plane pair's recombine, C (+)= w · P (mod q), with the pair's
- * fixed weight w = 2^shift mod q as a Shoup constant: one mulhi and
- * one correction per element. mul_shoup is exact for any u64 input
- * when w < q, so the plane sum P (< 2^53, or < 2^31 for INT32) needs
- * no reduction first and the result equals q.mul(q.reduce(P), w) bit
- * for bit.
+ * fixed weight w = 2^shift mod q and its Shoup constant ws: one mulhi
+ * and one correction per element. mul_shoup is exact for any u64
+ * input when w < q, so the plane sum P (< 2^53, or < 2^31 for INT32)
+ * needs no reduction first and the result equals q.mul(q.reduce(P), w)
+ * bit for bit.
  */
 template <class T>
 void
-recombine_pair(u64 *c, const T *prod, size_t count, u64 w, u64 qv)
+recombine_pair(u64 *c, const T *prod, size_t count, u64 w, u64 ws, u64 qv)
 {
-    const u64 ws = shoup_precompute(w, qv);
     parallel_for(
         0, count,
         [&](size_t b0, size_t e0) {
@@ -447,8 +460,7 @@ recombine_pair(u64 *c, const T *prod, size_t count, u64 w, u64 qv)
 template <class T>
 void
 recombine_pair_cols(u64 *c, const T *prod, size_t m, size_t n,
-                    const std::vector<Modulus> &col_mods, const u64 *w,
-                    const u64 *ws)
+                    const Modulus *col_mods, const u64 *w, const u64 *ws)
 {
     parallel_for(
         0, m,
@@ -467,81 +479,168 @@ recombine_pair_cols(u64 *c, const T *prod, size_t m, size_t n,
         row_grain(m, n, 1));
 }
 
-} // namespace
-
+/**
+ * One-modulus and per-column body: slice both operands into the call's
+ * workspace frame, then run the blocked plane GEMM and recombine once
+ * per plane pair. The plane loops stay sequential, so each c[i]
+ * accumulates its planes in the fixed (pa, pb) order.
+ */
+template <class Plane>
 void
-fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k, const Modulus &q,
-                        const SplitPlan &plan)
+block_planes_gemm(const u64 *a, const u64 *b, u64 *c, const GemmShape &s,
+                  const ModulusMap &map, const SplitPlan &plan, const u64 *w,
+                  const u64 *ws, Workspace::Frame &frame)
 {
-    obs::Span span("fp64_gemm", obs::cat::gemm);
-    note_gemm(m, n, k);
-    const u64 qv = q.value();
-    Workspace::Frame frame;
-    PlaneCache::F64Ptr keep_a, keep_b;
-    const double *ap =
-        f64_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const double *bp =
-        f64_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-    const PlaneCache::Pow2Ptr pow2 = PlaneCache::global().pow2(plan, qv);
-
-    double *prod = frame.alloc<double>(m * n);
+    const size_t m = s.m, n = s.n, k = s.k;
+    Plane *ap = frame.alloc<Plane>(static_cast<size_t>(plan.a_planes) * m * k);
+    Plane *bp = frame.alloc<Plane>(static_cast<size_t>(plan.b_planes) * k * n);
+    slice_planes(a, m * k, plan.a_planes, plan.a_plane_bits, ap);
+    slice_planes(b, k * n, plan.b_planes, plan.b_plane_bits, bp);
+    Plane *prod = frame.alloc<Plane>(m * n);
     std::fill(c, c + m * n, 0);
     for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const double *am = ap + static_cast<size_t>(pa) * m * k;
         for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const double *bm = bp + static_cast<size_t>(pb) * k * n;
-            // The per-plane GEMM the TCU executes: pure double
-            // arithmetic, exact because every accumulation stays
-            // below 2^53 by construction of the plan.
-            plane_gemm(am, bm, prod, m, n, k);
-            // Recombine: C += 2^shift * P (mod q). The plane loops
-            // stay sequential, so each c[i] accumulates its planes in
-            // the fixed (pa, pb) order.
-            recombine_pair(
-                c, prod, m * n,
-                (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb], qv);
+            const size_t pair = static_cast<size_t>(pa) * plan.b_planes + pb;
+            // The per-plane GEMM the TCU executes, exact because every
+            // accumulation stays inside the plan's budget.
+            plane_gemm(ap + static_cast<size_t>(pa) * m * k,
+                       bp + static_cast<size_t>(pb) * k * n, prod, m, n, k);
+            if (map.kind == ModulusMap::Kind::one)
+                recombine_pair(c, prod, m * n, w[pair], ws[pair],
+                               map.mods->value());
+            else
+                recombine_pair_cols(c, prod, m, n, map.mods, w + pair * n,
+                                    ws + pair * n);
         }
     }
 }
+
+/**
+ * Per-site body over sites [sb, se). Each site's A and B are sliced
+ * here, inside the parallel site loop, so a site's planes are still in
+ * L1 when its plane pairs multiply; a site is a handful of words (the
+ * IP's BS×β̃×β), too small for the blocked kernel, so each plane pair
+ * runs a scalar triple loop and recombines with the site's modulus.
+ * Every element accumulates its k-products in ascending order and its
+ * planes in (pa, pb) order, so the result equals one single-site call
+ * per site bit for bit. Shape, map and plan come by value: the u64
+ * stores into C then cannot alias the loop bounds.
+ */
+template <class Plane>
+void
+site_range(const u64 *a, const u64 *b, u64 *c, size_t sb, size_t se,
+           GemmShape s, ModulusMap map, SplitPlan plan, const u64 *w,
+           const u64 *ws)
+{
+    const size_t m = s.m, n = s.n, k = s.k;
+    const size_t pairs = static_cast<size_t>(plan.products());
+    Workspace::Frame frame;
+    Plane *ap = frame.alloc<Plane>(static_cast<size_t>(plan.a_planes) * m * k);
+    Plane *bp = frame.alloc<Plane>(static_cast<size_t>(plan.b_planes) * k * n);
+    Plane *prod = frame.alloc<Plane>(m * n);
+    for (size_t site = sb; site < se; ++site) {
+        slice_planes(a + site * m * k, m * k, plan.a_planes, plan.a_plane_bits,
+                     ap);
+        slice_planes(b + site * k * n, k * n, plan.b_planes, plan.b_plane_bits,
+                     bp);
+        const size_t r = site % map.count;
+        const u64 qv = map.mods[r].value();
+        u64 *cs = c + site * m * n;
+        std::fill(cs, cs + m * n, 0);
+        for (size_t pair = 0; pair < pairs; ++pair) {
+            const Plane *am = ap + pair / plan.b_planes * m * k;
+            const Plane *bm = bp + pair % plan.b_planes * k * n;
+            for (size_t i = 0; i < m; ++i)
+                for (size_t j = 0; j < n; ++j) {
+                    Plane acc = 0;
+                    for (size_t t = 0; t < k; ++t)
+                        acc += am[i * k + t] * bm[t * n + j];
+                    prod[i * n + j] = acc;
+                }
+            // Recombine in its own pass: fused into the k-loop above, it
+            // doubled this engine's time at the N = 2^14 IP shape.
+            const u64 wp = w[pair * map.count + r];
+            const u64 wsp = ws[pair * map.count + r];
+            for (size_t i = 0; i < m * n; ++i)
+                cs[i] = add_mod(cs[i],
+                                mul_shoup(plane_value(prod[i]), wp, wsp, qv),
+                                qv);
+        }
+    }
+}
+
+/**
+ * The sliced-GEMM core behind all six fp64/int8 engines. It plans the
+ * split, derives each plane pair's recombine weight 2^shift mod q (and
+ * its Shoup constant) for every modulus of the map, then slices,
+ * multiplies and recombines. Operands are sliced on every call, as the
+ * tensor cores split and merge inside every GEMM (§3.4); nothing about
+ * an operand outlives the call.
+ */
+template <class Plane>
+void
+sliced_gemm(const char *name, const u64 *a, const u64 *b, u64 *c,
+            const GemmShape &s, const ModulusMap &map)
+{
+    obs::Span span(name, obs::cat::gemm);
+    note_gemm(s.sites * s.m, s.n, s.k);
+    NEO_CHECK(map.kind != ModulusMap::Kind::per_column || map.count == s.n,
+              "column modulus count mismatch");
+    NEO_CHECK(map.kind != ModulusMap::Kind::per_site || map.count > 0,
+              "site modulus list empty");
+    // One-modulus and per-site operands are residues, so the planes are
+    // sized to the widest modulus. A per-column A operand is in the
+    // BConv source basis, so those planes are sized to the widest word
+    // present.
+    int wa = 0;
+    for (size_t r = 0; r < map.count; ++r)
+        wa = std::max(wa, map.mods[r].bits());
+    int wb = wa;
+    if (map.kind == ModulusMap::Kind::per_column) {
+        wa = operand_bits(a, s.m * s.k);
+        wb = operand_bits(b, s.k * s.n);
+    }
+    const SplitPlan plan = choose_split<Plane>(wa, wb, s.k);
+    Workspace::Frame frame;
+    const size_t pairs = static_cast<size_t>(plan.products());
+    u64 *w = frame.alloc<u64>(pairs * map.count);
+    u64 *ws = frame.alloc<u64>(pairs * map.count);
+    for (size_t pair = 0; pair < pairs; ++pair) {
+        const int shift =
+            static_cast<int>(pair / plan.b_planes) * plan.a_plane_bits +
+            static_cast<int>(pair % plan.b_planes) * plan.b_plane_bits;
+        for (size_t r = 0; r < map.count; ++r) {
+            const u64 qv = map.mods[r].value();
+            w[pair * map.count + r] = pow_mod(2, shift, qv);
+            ws[pair * map.count + r] =
+                shoup_precompute(w[pair * map.count + r], qv);
+        }
+    }
+    if (map.kind == ModulusMap::Kind::per_site)
+        parallel_for(
+            0, s.sites,
+            [&](size_t sb, size_t se) {
+                site_range<Plane>(a, b, c, sb, se, s, map, plan, w, ws);
+            },
+            row_chunk_grain(s.sites, pairs * s.m * s.n * s.k));
+    else
+        block_planes_gemm<Plane>(a, b, c, s, map, plan, w, ws, frame);
+}
+
+} // namespace
 
 void
 fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
                    size_t k, const Modulus &q)
 {
-    const SplitPlan plan = choose_fp64_split(q.bits(), q.bits(), k);
-    fp64_sliced_matmul_plan(a, b, c, m, n, k, q, plan);
+    sliced_gemm<double>("fp64_gemm", a, b, c, {1, m, n, k}, ModulusMap::of(q));
 }
 
 void
 int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
                    size_t k, const Modulus &q)
 {
-    obs::Span span("int8_gemm", obs::cat::gemm);
-    note_gemm(m, n, k);
-    const u64 qv = q.value();
-    const SplitPlan plan = choose_int8_split(q.bits(), q.bits(), k);
-    Workspace::Frame frame;
-    PlaneCache::I32Ptr keep_a, keep_b;
-    const i32 *ap =
-        i32_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const i32 *bp =
-        i32_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-    const PlaneCache::Pow2Ptr pow2 = PlaneCache::global().pow2(plan, qv);
-
-    i32 *prod = frame.alloc<i32>(m * n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const i32 *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const i32 *bm = bp + static_cast<size_t>(pb) * k * n;
-            // INT32 accumulation, as on the INT8 tensor core.
-            plane_gemm(am, bm, prod, m, n, k);
-            recombine_pair(
-                c, prod, m * n,
-                (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb], qv);
-        }
-    }
+    sliced_gemm<i32>("int8_gemm", a, b, c, {1, m, n, k}, ModulusMap::of(q));
 }
 
 void
@@ -576,40 +675,8 @@ fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
                         size_t n, size_t k,
                         const std::vector<Modulus> &col_mods)
 {
-    obs::Span span("fp64_gemm_cols", obs::cat::gemm);
-    note_gemm(m, n, k);
-    NEO_CHECK(col_mods.size() == n, "column modulus count mismatch");
-    const int wa = operand_bits(a, m * k);
-    const int wb = operand_bits(b, k * n);
-    const SplitPlan plan = choose_fp64_split(std::max(wa, 1),
-                                             std::max(wb, 1), k);
-    Workspace::Frame frame;
-    PlaneCache::F64Ptr keep_a, keep_b;
-    const double *ap =
-        f64_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const double *bp =
-        f64_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-
-    double *prod = frame.alloc<double>(m * n);
-    u64 *w = frame.alloc<u64>(n);
-    u64 *ws = frame.alloc<u64>(n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const double *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const double *bm = bp + static_cast<size_t>(pb) * k * n;
-            plane_gemm(am, bm, prod, m, n, k);
-            // Per-column shift weights and their Shoup constants,
-            // hoisted out of the recombine loop.
-            const int shift =
-                pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j) {
-                w[j] = pow_mod(2, shift, col_mods[j].value());
-                ws[j] = shoup_precompute(w[j], col_mods[j].value());
-            }
-            recombine_pair_cols(c, prod, m, n, col_mods, w, ws);
-        }
-    }
+    sliced_gemm<double>("fp64_gemm_cols", a, b, c, {1, m, n, k},
+                        ModulusMap::columns(col_mods));
 }
 
 void
@@ -617,38 +684,8 @@ int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
                         size_t n, size_t k,
                         const std::vector<Modulus> &col_mods)
 {
-    obs::Span span("int8_gemm_cols", obs::cat::gemm);
-    note_gemm(m, n, k);
-    NEO_CHECK(col_mods.size() == n, "column modulus count mismatch");
-    const int wa = operand_bits(a, m * k);
-    const int wb = operand_bits(b, k * n);
-    const SplitPlan plan =
-        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k);
-    Workspace::Frame frame;
-    PlaneCache::I32Ptr keep_a, keep_b;
-    const i32 *ap =
-        i32_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const i32 *bp =
-        i32_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-
-    i32 *prod = frame.alloc<i32>(m * n);
-    u64 *w = frame.alloc<u64>(n);
-    u64 *ws = frame.alloc<u64>(n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const i32 *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const i32 *bm = bp + static_cast<size_t>(pb) * k * n;
-            plane_gemm(am, bm, prod, m, n, k);
-            const int shift =
-                pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j) {
-                w[j] = pow_mod(2, shift, col_mods[j].value());
-                ws[j] = shoup_precompute(w[j], col_mods[j].value());
-            }
-            recombine_pair_cols(c, prod, m, n, col_mods, w, ws);
-        }
-    }
+    sliced_gemm<i32>("int8_gemm_cols", a, b, c, {1, m, n, k},
+                     ModulusMap::columns(col_mods));
 }
 
 void
@@ -687,107 +724,13 @@ scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
         row_chunk_grain(sites, m * n * k));
 }
 
-namespace {
-
-/**
- * Shared skeleton of the sliced per-site GEMMs: decompose both full
- * tensors into planes once (one plane-cache entry per static operand
- * covering every site), then per site run the plane micro-GEMMs and
- * recombine with the site's modulus. Every output element accumulates
- * its k-products in ascending order and its planes in (pa, pb) order —
- * exactly like the single-site engines, and exact by plan
- * construction — so results are bit-identical to calling the matching
- * single-site engine once per site.
- */
-template <class T, class Slice>
-void
-sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                         size_t m, size_t n, size_t k,
-                         const std::vector<Modulus> &mods,
-                         const SplitPlan &plan, Slice &&slice)
-{
-    const size_t nmods = mods.size();
-    Workspace::Frame frame;
-    const T *ap, *bp;
-    auto keep_a = slice(a, sites * m * k, plan.a_planes, plan.a_plane_bits,
-                        frame, ap);
-    auto keep_b = slice(b, sites * k * n, plan.b_planes, plan.b_plane_bits,
-                        frame, bp);
-    (void)keep_a;
-    (void)keep_b;
-
-    // One pow2 recombine table per distinct site modulus (cached,
-    // data-independent); row-major in (pa, pb) like the plan. Each
-    // weight gets its Shoup constant (see recombine_pair).
-    const size_t pairs =
-        static_cast<size_t>(plan.a_planes) * plan.b_planes;
-    std::vector<PlaneCache::Pow2Ptr> tabs(nmods);
-    u64 *shoup = frame.alloc<u64>(nmods * pairs);
-    for (size_t r = 0; r < nmods; ++r) {
-        tabs[r] = PlaneCache::global().pow2(plan, mods[r].value());
-        for (size_t pair = 0; pair < pairs; ++pair)
-            shoup[r * pairs + pair] =
-                shoup_precompute((*tabs[r])[pair], mods[r].value());
-    }
-
-    parallel_for(
-        0, sites,
-        [&](size_t sb, size_t se) {
-            Workspace::Frame wframe;
-            T *prod = wframe.alloc<T>(m * n);
-            for (size_t s = sb; s < se; ++s) {
-                const u64 qv = mods[s % nmods].value();
-                const u64 *w = tabs[s % nmods]->data();
-                const u64 *ws = shoup + (s % nmods) * pairs;
-                u64 *cs = c + s * m * n;
-                std::fill(cs, cs + m * n, 0);
-                for (size_t pair = 0; pair < pairs; ++pair) {
-                    const T *am = ap +
-                                  (pair / plan.b_planes) * sites * m * k +
-                                  s * m * k;
-                    const T *bm = bp +
-                                  (pair % plan.b_planes) * sites * k * n +
-                                  s * k * n;
-                    for (size_t i = 0; i < m; ++i)
-                        for (size_t j = 0; j < n; ++j) {
-                            T acc = 0;
-                            for (size_t t = 0; t < k; ++t)
-                                acc += am[i * k + t] * bm[t * n + j];
-                            prod[i * n + j] = acc;
-                        }
-                    for (size_t i = 0; i < m * n; ++i)
-                        cs[i] = add_mod(cs[i],
-                                        mul_shoup(plane_value(prod[i]),
-                                                  w[pair], ws[pair], qv),
-                                        qv);
-                }
-            }
-        },
-        row_chunk_grain(sites, pairs * m * n * k));
-}
-
-} // namespace
-
 void
 fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods)
 {
-    obs::Span span("fp64_gemm_sites", obs::cat::gemm);
-    note_gemm(sites * m, n, k);
-    NEO_CHECK(!mods.empty(), "site modulus list empty");
-    const int wa = operand_bits(a, sites * m * k);
-    const int wb = operand_bits(b, sites * k * n);
-    const SplitPlan plan =
-        choose_fp64_split(std::max(wa, 1), std::max(wb, 1), k);
-    sliced_matmul_sites_impl<double>(
-        a, b, c, sites, m, n, k, mods, plan,
-        [](const u64 *p, size_t count, int planes, int bits,
-           Workspace::Frame &frame, const double *&out) {
-            PlaneCache::F64Ptr keep;
-            out = f64_planes(p, count, planes, bits, frame, keep);
-            return keep;
-        });
+    sliced_gemm<double>("fp64_gemm_sites", a, b, c, {sites, m, n, k},
+                        ModulusMap::sites(mods));
 }
 
 void
@@ -795,21 +738,8 @@ int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods)
 {
-    obs::Span span("int8_gemm_sites", obs::cat::gemm);
-    note_gemm(sites * m, n, k);
-    NEO_CHECK(!mods.empty(), "site modulus list empty");
-    const int wa = operand_bits(a, sites * m * k);
-    const int wb = operand_bits(b, sites * k * n);
-    const SplitPlan plan =
-        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k);
-    sliced_matmul_sites_impl<i32>(
-        a, b, c, sites, m, n, k, mods, plan,
-        [](const u64 *p, size_t count, int planes, int bits,
-           Workspace::Frame &frame, const i32 *&out) {
-            PlaneCache::I32Ptr keep;
-            out = i32_planes(p, count, planes, bits, frame, keep);
-            return keep;
-        });
+    sliced_gemm<i32>("int8_gemm_sites", a, b, c, {sites, m, n, k},
+                     ModulusMap::sites(mods));
 }
 
 const ModSiteMatMulFn &
@@ -857,22 +787,14 @@ int8_tcu_col_matmul()
 const ModMatMulFn &
 fp64_tcu_matmul()
 {
-    static const ModMatMulFn fn = [](const u64 *a, const u64 *b, u64 *c,
-                                     size_t m, size_t n, size_t k,
-                                     const Modulus &q) {
-        fp64_sliced_matmul(a, b, c, m, n, k, q);
-    };
+    static const ModMatMulFn fn = fp64_sliced_matmul;
     return fn;
 }
 
 const ModMatMulFn &
 int8_tcu_matmul()
 {
-    static const ModMatMulFn fn = [](const u64 *a, const u64 *b, u64 *c,
-                                     size_t m, size_t n, size_t k,
-                                     const Modulus &q) {
-        int8_sliced_matmul(a, b, c, m, n, k, q);
-    };
+    static const ModMatMulFn fn = int8_sliced_matmul;
     return fn;
 }
 

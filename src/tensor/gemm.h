@@ -28,11 +28,6 @@ namespace neo {
 void fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
                         size_t n, size_t k, const Modulus &q);
 
-/// Same with an explicit plane plan (tests sweep plans).
-void fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
-                             size_t n, size_t k, const Modulus &q,
-                             const SplitPlan &plan);
-
 /// C = A·B mod q through the INT8-plane path (INT32 accumulation).
 void int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
                         size_t n, size_t k, const Modulus &q);
@@ -45,7 +40,7 @@ const ModMatMulFn &int8_tcu_matmul();
  * Per-column-modulus GEMM, as needed by the matrix-form BConv
  * (Algorithm 2): the TCU accumulates the integer product exactly;
  * column j of C is then reduced modulo col_mods[j] in the epilogue.
- * Plane widths are sized for the widest column modulus.
+ * Plane widths are sized for the widest operand word.
  */
 using ModColMatMulFn =
     std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
@@ -75,15 +70,15 @@ const ModColMatMulFn &int8_tcu_col_matmul();
 /**
  * Batched per-site GEMM: `sites` independent M×N×K modular matmuls
  * laid out contiguously — A is sites×M×K, B is sites×K×N, C is
- * sites×M×N — where site s reduces modulo mods[s % mods.size()].
+ * sites×M×N — where site s reduces modulo mods[s % mods.size()]. The
+ * entries are residues: the sliced engines size their planes to the
+ * widest modulus.
  *
  * This is the shape of the KeySwitch inner product (Algorithm 4): one
  * BS×β̃×β product per (coefficient, T-limb) site, with the modulus
  * cycling through the α' T primes. Issuing it as ONE engine call
- * amortises the per-call fixed costs (span, counters, plane slicing,
- * split-plan selection) that dwarf the ~MNK useful MACs of a single
- * site; the sliced engines also slice the whole key tensor as one
- * plane-cache entry instead of one per site.
+ * amortises the per-call fixed costs (span, counters, split-plan
+ * selection) that dwarf the ~MNK useful MACs of a single site.
  *
  * Counted as a single GEMM of shape (sites·M)×N×K, which preserves
  * the FLOP accounting. Each site's accumulation order is unchanged

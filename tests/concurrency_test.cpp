@@ -4,10 +4,9 @@
  *
  * Hammers every process-wide shared-state module from NTHREADS threads
  * at once. Under a plain build these tests check the functional
- * contracts (stable references, exact merge totals, generation
- * monotonicity); their real value is under `-DNEO_SANITIZE=ON` with
- * ThreadSanitizer, where any locking hole in the annotated modules
- * becomes a hard failure. Together with the clang `-Wthread-safety`
+ * contracts (stable references, exact merge totals); their real value
+ * is under `-DNEO_SANITIZE=ON` with ThreadSanitizer, where any locking
+ * hole in the annotated modules becomes a hard failure. Together with the clang `-Wthread-safety`
  * CI leg this gives both static and dynamic coverage of the same
  * invariants.
  *
@@ -15,8 +14,6 @@
  * deterministic even though the interleavings are not.
  */
 #include <atomic>
-#include <cstring>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,10 +22,8 @@
 #include "ckks/context.h"
 #include "ckks/ks_precomp.h"
 #include "ckks/params.h"
-#include "common/static_operand.h"
 #include "common/types.h"
 #include "obs/obs.h"
-#include "tensor/plane_cache.h"
 
 using namespace neo;
 using namespace neo::ckks;
@@ -63,114 +58,6 @@ hammer(Fn fn)
 } // namespace
 
 // ---------------------------------------------------------------------
-// StaticOperands: pin / unpin / generation races
-// ---------------------------------------------------------------------
-
-TEST(Concurrency, StaticOperandPinUnpinRace)
-{
-    auto &reg = StaticOperands::instance();
-
-    // One private buffer per thread: pin/unpin churn must never
-    // corrupt the registry or hand out a stale generation.
-    std::vector<std::vector<u64>> bufs(NTHREADS);
-    for (auto &b : bufs)
-        b.assign(256, 0x1234'5678'9abc'def0ull);
-
-    // A shared buffer pinned for the whole test: its generation must
-    // stay constant no matter how much churn happens around it.
-    std::vector<u64> shared(128, 7);
-    StaticPin shared_pin(shared.data(), shared.size() * sizeof(u64));
-    const u64 shared_gen = reg.generation(shared.data());
-    ASSERT_NE(shared_gen, 0u);
-
-    hammer([&](int t) {
-        u64 last = 0;
-        for (int i = 0; i < 200; ++i) {
-            u64 g = reg.pin(bufs[t].data(),
-                            bufs[t].size() * sizeof(u64));
-            EXPECT_GT(g, last); // generations are monotone
-            last = g;
-            // Interior pointers resolve to the enclosing pin.
-            EXPECT_EQ(reg.generation(bufs[t].data() + 17), g);
-            // The concurrently churned registry still resolves the
-            // long-lived pin correctly.
-            EXPECT_EQ(reg.generation(shared.data() + (i % 128)),
-                      shared_gen);
-            reg.unpin(bufs[t].data());
-            EXPECT_EQ(reg.generation(bufs[t].data()), 0u);
-        }
-    });
-
-    EXPECT_EQ(reg.generation(shared.data()), shared_gen);
-}
-
-// ---------------------------------------------------------------------
-// PlaneCache: concurrent lookups against pinned operands
-// ---------------------------------------------------------------------
-
-TEST(Concurrency, PlaneCacheConcurrentLookups)
-{
-    auto &cache = PlaneCache::global();
-    cache.clear();
-
-    // A handful of pinned operands shared by all threads; every thread
-    // asks for the same derived planes, so the cache must build each
-    // entry exactly once semantically and serve identical storage.
-    constexpr int NOPS = 4;
-    std::vector<std::vector<u64>> ops(NOPS);
-    std::vector<StaticPin> pins;
-    for (int o = 0; o < NOPS; ++o) {
-        ops[o].resize(512);
-        for (size_t i = 0; i < ops[o].size(); ++i)
-            ops[o][i] = (u64(o + 1) << 40) ^ (u64(i) * 0x9e3779b97f4a7c15ull);
-        pins.emplace_back(ops[o].data(), ops[o].size() * sizeof(u64));
-    }
-
-    SplitPlan plan;
-    plan.a_planes = 4;
-    plan.a_plane_bits = 16;
-    plan.b_planes = 4;
-    plan.b_plane_bits = 16;
-
-    std::vector<PlaneCache::F64Ptr> f64_seen(NTHREADS);
-    std::vector<PlaneCache::Pow2Ptr> pow2_seen(NTHREADS);
-
-    hammer([&](int t) {
-        for (int i = 0; i < 100; ++i) {
-            const auto &op = ops[(t + i) % NOPS];
-            auto f = cache.f64_planes(op.data(), op.size(), 4, 16);
-            ASSERT_NE(f, nullptr);
-            auto s = cache.i32_planes(op.data(), op.size(), 8, 8);
-            ASSERT_NE(s, nullptr);
-            int w = cache.width_bits(op.data(), op.size());
-            EXPECT_GT(w, 0);
-            auto p2 = cache.pow2(plan, 0xffff'ffff'0000'0001ull);
-            ASSERT_NE(p2, nullptr);
-            if (i == 0 && (t + i) % NOPS == 0) {
-                f64_seen[t] = f;
-                pow2_seen[t] = p2;
-            }
-        }
-    });
-
-    // All threads that sampled operand 0 must agree on the bytes.
-    const PlaneCache::F64Ptr *first = nullptr;
-    for (const auto &f : f64_seen) {
-        if (!f)
-            continue;
-        if (first == nullptr) {
-            first = &f;
-            continue;
-        }
-        ASSERT_EQ(f->size(), (*first)->size());
-        EXPECT_EQ(std::memcmp(f->data(), (*first)->data(),
-                              f->size() * sizeof(double)),
-                  0);
-    }
-    cache.clear();
-}
-
-// ---------------------------------------------------------------------
 // KeySwitchPrecomp: lazy per-level build under contention
 // ---------------------------------------------------------------------
 
@@ -194,8 +81,9 @@ TEST(Concurrency, KeySwitchPrecompLazyBuildRace)
             const auto &lv = pre.level(l);
             EXPECT_EQ(lv.active.size(), l + 1);
             const KeySwitchPrecomp::Level *expect = nullptr;
-            if (!seen[l].compare_exchange_strong(expect, &lv))
+            if (!seen[l].compare_exchange_strong(expect, &lv)) {
                 EXPECT_EQ(expect, &lv);
+            }
         }
     });
 }

@@ -103,8 +103,8 @@ TEST(ObsCore, EventCapIncrementsDroppedNotStored)
 
 TEST(ObsCore, PipelineEnginesFromName)
 {
-    // The stringly PipelineEngines::from_name surface is deprecated;
-    // EngineRegistry is the name <-> id mapping it resolved through.
+    // EngineRegistry is the one name <-> id mapping for the pipeline's
+    // engines.
     for (const EngineId id : EngineRegistry::ids()) {
         EXPECT_EQ(EngineRegistry::parse(EngineRegistry::name(id)), id);
         EXPECT_EQ(EngineRegistry::try_parse(EngineRegistry::name(id)),
@@ -112,14 +112,6 @@ TEST(ObsCore, PipelineEnginesFromName)
     }
     EXPECT_THROW(EngineRegistry::parse("cuda"), std::invalid_argument);
     EXPECT_FALSE(EngineRegistry::try_parse("cuda").has_value());
-    // The deprecated shim must keep resolving until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    for (auto name : PipelineEngines::names())
-        EXPECT_NO_THROW(PipelineEngines::from_name(name));
-    EXPECT_THROW(PipelineEngines::from_name("cuda"),
-                 std::invalid_argument);
-#pragma GCC diagnostic pop
 }
 
 // ---------------------------------------------------------------------
@@ -276,10 +268,8 @@ TEST_F(ObsPipeline, TracedPipelineMatchesAnalyticCounts)
 TEST_F(ObsPipeline, CountersDeterministicAcrossThreadCounts)
 {
     RnsPoly d2 = random_eval_poly(5, 77);
-    // Warm the hot-path caches (plane cache, pipeline kernels, key
-    // operands) so both measured runs are steady-state: the
-    // gemm.plane_cache.* counters are then identical per run instead
-    // of shifting from miss-heavy to hit-only between them.
+    // Warm the hot-path caches (pipeline kernels, key operands) so both
+    // measured runs are steady-state and count the same work.
     (void)keyswitch_klss_pipeline(d2, *klss_rlk_, *ctx_);
     std::map<std::string, u64, std::less<>> totals[2];
     const size_t threads[2] = {1, 4};

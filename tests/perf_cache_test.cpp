@@ -1,21 +1,18 @@
 /**
  * Hot-path precomputation caches — differential correctness suite.
  *
- * The caches introduced for the steady-state key-switch path
- * (PlaneCache, ckks::KeySwitchPrecomp, the per-key operand
+ * The caches of the steady-state key-switch path (the pipeline's
+ * per-context kernels, ckks::KeySwitchPrecomp, the per-key operand
  * caches, and the per-thread Workspace arena) are pure memoization:
  * they must never change a single output bit. These tests pin that
- * down three ways:
+ * down two ways:
  *
- *   1. keyswitch_klss_pipeline with caches cold, warm, and disabled
- *      is bit-identical to the reference ckks::keyswitch_klss across
+ *   1. keyswitch_klss_pipeline with caches cold and warm is
+ *      bit-identical to the reference ckks::keyswitch_klss across
  *      21 (level, d_num, engine) configurations;
  *   2. the same holds under 1 / 2 / 7 / 16 worker threads, at every
  *      FP64 plane-kernel ISA level the host supports, and for
- *      Evaluator::mul / rotate routed through the pipeline;
- *   3. the gemm.plane_cache.{hit,miss} counters prove operand slicing
- *      happens exactly once: a second mul with the same key bundle
- *      records hits and zero misses.
+ *      Evaluator::mul / rotate routed through the pipeline.
  *
  * Assigning a new key into a live key object drops the operands it
  * had prepared, so the next keyswitch uses the new key's material.
@@ -33,9 +30,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "neo/pipeline.h"
-#include "obs/obs.h"
 #include "tensor/gemm.h"
-#include "tensor/plane_cache.h"
 
 namespace neo {
 namespace {
@@ -137,14 +132,13 @@ ParamSet *PerfCache::set_a_ = nullptr;
 ParamSet *PerfCache::set_b_ = nullptr;
 
 // ---------------------------------------------------------------------
-// Keyswitch: cached vs uncached vs reference
+// Keyswitch: cold and warm caches vs reference
 // ---------------------------------------------------------------------
 
-TEST_F(PerfCache, KeyswitchCachedAndUncachedMatchReference)
+TEST_F(PerfCache, KeyswitchColdAndWarmMatchReference)
 {
     const auto cfgs = configs();
     ASSERT_GE(cfgs.size(), 20u);
-    auto &pc = PlaneCache::global();
     for (const auto &cfg : cfgs) {
         SCOPED_TRACE(::testing::Message()
                      << cfg.engine << " d_num="
@@ -155,15 +149,6 @@ TEST_F(PerfCache, KeyswitchCachedAndUncachedMatchReference)
                                       1000 + cfg.level);
         const auto ref =
             keyswitch_klss(d2, cfg.set->klss_rlk, cfg.set->ctx);
-
-        // Uncached control: plane cache disabled end to end.
-        pc.clear();
-        pc.set_enabled(false);
-        const auto uncached = keyswitch_klss_pipeline(
-            d2, cfg.set->klss_rlk, cfg.set->ctx, policy);
-        pc.set_enabled(true);
-        EXPECT_TRUE(poly_eq(uncached.first, ref.first));
-        EXPECT_TRUE(poly_eq(uncached.second, ref.second));
 
         // Cold run populates the caches; warm run consumes them.
         const auto cold = keyswitch_klss_pipeline(
@@ -309,44 +294,6 @@ TEST_F(PerfCache, AssignedKeySwitchesWithItsOwnMaterial)
     const auto hyb_want = keyswitch_hybrid(d2, rlk_fresh, s.ctx);
     EXPECT_TRUE(poly_eq(hyb_got.first, hyb_want.first));
     EXPECT_TRUE(poly_eq(hyb_got.second, hyb_want.second));
-}
-
-// ---------------------------------------------------------------------
-// Cache-hit counters: slicing happens exactly once per operand
-// ---------------------------------------------------------------------
-
-TEST_F(PerfCache, SecondMulHitsPlaneCacheWithoutMisses)
-{
-    auto &s = *set_b_;
-    const EvalKeyBundle keys =
-        s.keygen.eval_key_bundle(s.sk, {}, false, true);
-    Encryptor enc(s.ctx, 47);
-    std::vector<Complex> slots(s.ctx.encoder().slot_count(),
-                               Complex(0.5, -0.25));
-    const Ciphertext ca = enc.encrypt_symmetric(
-        s.ctx.encode(slots, s.ctx.max_level()), s.sk, s.keygen);
-
-    Evaluator ev(s.ctx, KeySwitchMethod::klss);
-    ev.set_klss_keyswitch(
-        klss_keyswitch_fn(ExecPolicy::fixed(EngineId::fp64_tcu)));
-
-    PlaneCache::global().clear();
-    u64 first_hit = 0, first_miss = 0;
-    {
-        obs::Scope scope;
-        (void)ev.mul(ca, ca, keys);
-        first_hit = scope.counter("gemm.plane_cache.hit");
-        first_miss = scope.counter("gemm.plane_cache.miss");
-    }
-    // The cold mul slices every pinned static operand once.
-    EXPECT_GT(first_miss, 0u);
-
-    obs::Scope scope;
-    (void)ev.mul(ca, ca, keys);
-    // Steady state: every pinned-operand lookup hits, nothing is
-    // re-sliced.
-    EXPECT_GT(scope.counter("gemm.plane_cache.hit"), first_hit);
-    EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 0u);
 }
 
 } // namespace

@@ -100,14 +100,6 @@ TEST(ProfModel, UnknownNamesThrow)
                  std::invalid_argument);
     EXPECT_THROW(EngineRegistry::parse("warp_tcu"),
                  std::invalid_argument);
-    // The deprecated engine-string surface must keep validating both
-    // axes until it is removed (one deliberate deprecated call).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_THROW(prof::profile("nope", "fp64_tcu"),
-                 std::invalid_argument);
-    EXPECT_THROW(prof::profile("mul", "warp_tcu"), std::invalid_argument);
-#pragma GCC diagnostic pop
 }
 
 TEST(ProfKeyswitch, SpansMatchAnalyticCountsAndObsCounters)

@@ -60,7 +60,7 @@ TEST(BitSlice, PlanesReconstructValue)
         x = rng.next() & ((1ULL << 48) - 1);
     SplitPlan p = choose_fp64_split(48, 48, 16);
     std::vector<double> planes(static_cast<size_t>(p.a_planes) * 32);
-    slice_to_f64(in.data(), 32, p.a_planes, p.a_plane_bits, planes.data());
+    slice_planes(in.data(), 32, p.a_planes, p.a_plane_bits, planes.data());
     for (size_t i = 0; i < 32; ++i) {
         u64 v = 0;
         for (int pl = p.a_planes - 1; pl >= 0; --pl) {
@@ -138,7 +138,8 @@ TEST(SlicedGemm, OddShapes)
 }
 
 // ---------------------------------------------------------------------
-// ISA differential: every FP64 plane-kernel level is bit-exact
+// ISA differential: the FP64 engines at every plane-kernel level, and
+// the INT8 engines, are bit-exact against the scalar references
 // ---------------------------------------------------------------------
 
 /// Run @p fn once per ISA level the host supports, forced through the
@@ -190,6 +191,9 @@ TEST_P(IsaDifferentialTest, SingleModulusMatchesScalar)
             fp64_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n,
                                s.k, q);
             EXPECT_EQ(got, ref) << s;
+            int8_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n,
+                               s.k, q);
+            EXPECT_EQ(got, ref) << "int8 " << s;
         });
     }
 }
@@ -214,6 +218,9 @@ TEST_P(IsaDifferentialTest, PerColumnMatchesScalar)
             fp64_sliced_matmul_cols(a.data(), b.data(), got.data(), s.m,
                                     s.n, s.k, mods);
             EXPECT_EQ(got, ref) << s;
+            int8_sliced_matmul_cols(a.data(), b.data(), got.data(), s.m,
+                                    s.n, s.k, mods);
+            EXPECT_EQ(got, ref) << "int8 " << s;
         });
     }
 }
@@ -238,6 +245,9 @@ TEST_P(IsaDifferentialTest, PerSiteMatchesScalar)
             fp64_sliced_matmul_sites(a.data(), b.data(), got.data(), sites,
                                      s.m, s.n, s.k, mods);
             EXPECT_EQ(got, ref) << sites << " sites of " << s;
+            int8_sliced_matmul_sites(a.data(), b.data(), got.data(), sites,
+                                     s.m, s.n, s.k, mods);
+            EXPECT_EQ(got, ref) << "int8 " << sites << " sites of " << s;
         });
     }
 }

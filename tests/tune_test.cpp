@@ -12,9 +12,7 @@
  *    is never slower than the best uniform engine (the neo.bench/1
  *    gate's invariant),
  *  - the checked-in neo.tune.json is exactly what the tuner emits
- *    today (freshness), and
- *  - the deprecated PipelineEngines surface still compiles and agrees
- *    with the ExecPolicy path.
+ *    today (freshness).
  */
 #include <algorithm>
 #include <fstream>
@@ -365,26 +363,3 @@ TEST(TuneDevices, PolicyResolvesPerDeviceCount)
     EXPECT_EQ(policy.engine_at(site), EngineId::fp64_tcu);
 }
 
-// ---------------------------------------------------------------------
-// Deprecated surface: compiles (with a suppressed warning) and agrees
-// ---------------------------------------------------------------------
-
-TEST(TuneCompat, DeprecatedPipelineOverloadAgreesWithPolicy)
-{
-    const CkksParams params = test_params();
-    CkksContext ctx(params);
-    KeyGenerator keygen(ctx, 17);
-    const SecretKey sk = keygen.secret_key();
-    const KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
-    RnsPoly d2 = random_eval_poly(ctx, 4, 777);
-
-    const auto via_policy = keyswitch_klss_pipeline(
-        d2, rlk, ctx, ExecPolicy::fixed(EngineId::scalar, /*fuse=*/true));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const auto via_engines = keyswitch_klss_pipeline(
-        d2, rlk, ctx, PipelineEngines::from_name("scalar"), true);
-#pragma GCC diagnostic pop
-    EXPECT_TRUE(poly_eq(via_policy.first, via_engines.first));
-    EXPECT_TRUE(poly_eq(via_policy.second, via_engines.second));
-}
