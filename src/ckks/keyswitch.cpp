@@ -66,8 +66,8 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
 
     if (fuse) {
         // Fused kernel: the (c - corr)·P⁻¹ fix rides in the BConv
-        // epilogue. Per element this is convert_approx's accumulation
-        // verbatim, followed immediately by the unfused fix's exact
+        // epilogue. Per element this is convert_approx's Shoup sum,
+        // followed immediately by the unfused fix's exact
         // operation sequence — the correction never touches DRAM and
         // the standalone fix pass (and its launch) disappears.
         obs::Span fused_span("moddown_fused", obs::cat::bconv);
@@ -93,16 +93,17 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
             const u64 ps = lv.p_inv_shoup[j];
             const u64 *src = ext_poly.limb(j);
             u64 *dst = out.limb(j);
+            const u64 tv = tj.value();
             for (size_t l = 0; l < n; ++l) {
-                u128 acc = 0;
-                for (size_t i = 0; i < k_special; ++i) {
-                    acc +=
-                        static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                        conv.factor(i, j);
-                    acc = tj.reduce128(acc);
-                }
-                dst[l] = mul_shoup(qj.sub(src[l], static_cast<u64>(acc)),
-                                   p_inv, ps, qj.value());
+                u64 acc = 0;
+                for (size_t i = 0; i < k_special; ++i)
+                    acc = add_mod(acc,
+                                  mul_shoup(scaled[i * n + l],
+                                            conv.factor(i, j),
+                                            conv.factor_shoup(i, j), tv),
+                                  tv);
+                dst[l] = mul_shoup(qj.sub(src[l], acc), p_inv, ps,
+                                   qj.value());
             }
         }
         }

@@ -48,7 +48,10 @@ Workspace::raw_alloc(size_t bytes)
     if (b == blocks_.size()) {
         Block blk;
         blk.size = std::max({need, kMinBlock, capacity_});
-        blk.data = std::make_unique<unsigned char[]>(blk.size);
+        // Not zero-filled: callers overwrite what they take, so a page
+        // becomes resident only when a frame first reaches it, not when
+        // the geometric growth reserves it.
+        blk.data = std::make_unique_for_overwrite<unsigned char[]>(blk.size);
         capacity_ += blk.size;
         blocks_.push_back(std::move(blk));
         fresh = need;

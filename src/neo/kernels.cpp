@@ -180,8 +180,9 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
                         u64 *row = prod + (l * batch + b) * ap;
                         for (size_t j = 0; j < ap; ++j) {
                             const Modulus &tj = conv_.to()[j];
-                            u64 corr = tj.mul(tj.reduce(r),
-                                              conv_.product_mod_to(j));
+                            const u64 corr = mul_shoup(
+                                r, conv_.product_mod_to(j),
+                                conv_.product_mod_to_shoup(j), tj.value());
                             row[j] = tj.sub(row[j], corr);
                         }
                     }

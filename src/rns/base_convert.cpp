@@ -1,5 +1,6 @@
 #include "rns/base_convert.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -16,6 +17,7 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
     punc_mod_to_.resize(k * m);
     punc_mod_to_shoup_.resize(k * m);
     b_mod_to_.resize(m);
+    b_mod_to_shoup_.resize(m);
     inv_from_.resize(k);
     for (size_t j = 0; j < m; ++j) {
         const Modulus &tj = to_[j];
@@ -25,6 +27,7 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
             punc_mod_to_shoup_[i * m + j] = shoup_precompute(f, tj.value());
         }
         b_mod_to_[j] = from_.product_mod(tj);
+        b_mod_to_shoup_[j] = shoup_precompute(b_mod_to_[j], tj.value());
     }
     for (size_t i = 0; i < k; ++i)
         // Shenoy–Kumaresan overflow estimation is float-assisted by
@@ -63,21 +66,23 @@ BaseConverter::convert_approx(const u64 *in, size_t n, u64 *out) const
     Workspace::Frame frame;
     u64 *scaled = frame.alloc<u64>(k * n);
     scale_inputs(in, n, scaled);
-    for (size_t j = 0; j < m; ++j) {
-        const Modulus &tj = to_[j];
-        u64 *dst = out + j * n;
-        for (size_t l = 0; l < n; ++l) {
-            u128 acc = 0;
-            for (size_t i = 0; i < k; ++i) {
-                acc += static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                       punc_mod_to_[i * m + j];
-                // Keep the accumulator bounded (q < 2^63, so at most
-                // ~2 additions fit without reduction at 63-bit q; fold
-                // every iteration for safety).
-                acc = tj.reduce128(acc);
-            }
-            dst[l] = static_cast<u64>(acc);
-        }
+    for (size_t j = 0; j < m; ++j)
+        accumulate(scaled, n, j, out + j * n);
+}
+
+void
+BaseConverter::accumulate(const u64 *scaled, size_t n, size_t j,
+                          u64 *dst) const
+{
+    const size_t m = to_.size();
+    const u64 tv = to_[j].value();
+    std::fill(dst, dst + n, 0);
+    for (size_t i = 0; i < from_.size(); ++i) {
+        const u64 f = punc_mod_to_[i * m + j];
+        const u64 fs = punc_mod_to_shoup_[i * m + j];
+        const u64 *src = scaled + i * n;
+        for (size_t l = 0; l < n; ++l)
+            dst[l] = add_mod(dst[l], mul_shoup(src[l], f, fs, tv), tv);
     }
 }
 
@@ -106,19 +111,15 @@ BaseConverter::convert_exact(const u64 *in, size_t n, u64 *out) const
         overflow[l] = static_cast<u64>(llroundl(v));
     }
     for (size_t j = 0; j < m; ++j) {
-        const Modulus &tj = to_[j];
+        const u64 tv = to_[j].value();
         u64 *dst = out + j * n;
-        for (size_t l = 0; l < n; ++l) {
-            u128 acc = 0;
-            for (size_t i = 0; i < k; ++i) {
-                acc += static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                       punc_mod_to_[i * m + j];
-                acc = tj.reduce128(acc);
-            }
-            // Subtract r * B mod t_j.
-            u64 corr = tj.mul(tj.reduce(overflow[l]), b_mod_to_[j]);
-            dst[l] = tj.sub(static_cast<u64>(acc), corr);
-        }
+        accumulate(scaled, n, j, dst);
+        // Subtract r * B mod t_j.
+        for (size_t l = 0; l < n; ++l)
+            dst[l] = sub_mod(
+                dst[l],
+                mul_shoup(overflow[l], b_mod_to_[j], b_mod_to_shoup_[j], tv),
+                tv);
     }
 }
 

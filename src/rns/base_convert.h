@@ -73,15 +73,30 @@ class BaseConverter
         return punc_mod_to_[i * to_.size() + j];
     }
 
+    /// Shoup constant of factor(i, j) modulo t_j.
+    u64 factor_shoup(size_t i, size_t j) const
+    {
+        return punc_mod_to_shoup_[i * to_.size() + j];
+    }
+
     /// [B] mod t_j.
     u64 product_mod_to(size_t j) const { return b_mod_to_[j]; }
 
+    /// Shoup constant of product_mod_to(j) modulo t_j.
+    u64 product_mod_to_shoup(size_t j) const { return b_mod_to_shoup_[j]; }
+
   private:
+    /// dst[l] = Σ_i scaled_i[l] · [B/b_i]_{t_j} mod t_j, one Shoup
+    /// multiply per term: mul_shoup is exact for any u64 input, so the
+    /// scaled words need no reduction mod t_j first.
+    void accumulate(const u64 *scaled, size_t n, size_t j, u64 *dst) const;
+
     RnsBasis from_;
     RnsBasis to_;
     std::vector<u64> punc_mod_to_;       // [i*|to| + j] = (B/b_i) mod t_j
     std::vector<u64> punc_mod_to_shoup_; // Shoup companions
     std::vector<u64> b_mod_to_;          // B mod t_j
+    std::vector<u64> b_mod_to_shoup_;    // Shoup companions
     std::vector<double> inv_from_;       // 1.0 / b_i
 };
 

@@ -144,6 +144,50 @@ int8_plan_exact(int wa, int wb, size_t k)
 }
 
 /**
+ * Exactness proof of the FP64 recombine lanes (src/tensor/gemm.cpp)
+ * for plan @p p over K = @p k with moduli below 2^q_bits. Per plane
+ * pair, with plane sum x ≤ X = k·(2^a − 1)·(2^b − 1) and weight
+ * w < q, a lane computes
+ *
+ *   hi = x·w,  lo = fma(x, w, −hi),  q̂ = round(x·(w/q)),
+ *   r  = fma(−q̂, q, hi) + lo,
+ *
+ * and sums r over the pairs. hi is the rounded product, lo its exact
+ * error, and round the ISA's round-to-nearest instruction. With
+ * u = 2^-53, fl(w/q) and fl(x·fl(w/q)) each carry a relative error of
+ * at most u, so |q̂ − x·w/q| ≤ 1/2 + (x·w/q)(2u + u²) and
+ *
+ *   |r| ≤ q/2 + x·w·2^-52·(1 + 2^-54) ≤ ⌈q/2⌉ + ⌈x·w / 2^52⌉ + 1.
+ *
+ * Every quantity is an integer, so the fma (|hi − q̂·q| ≤ |r| + |lo|,
+ * |lo| ≤ u·x·w) and every add is exact while these bounds and the
+ * pair sum A stay below 2^53. The final t = fma(−round(A·(1/q)), q, A)
+ * then has |t| ≤ q/2 + ⌈A / 2^52⌉ + 1 ≤ q/2 + 3 by the same analysis,
+ * so for q ≥ 8 one conditional +q lands it in [0, q). Evaluated in
+ * 128-bit integer arithmetic, like split_plan_exact. At each width's
+ * deepest K the bound holds up to 49-bit moduli and fails from 50.
+ */
+constexpr bool
+fp64_lanes_exact(const SplitPlan &p, size_t k, int q_bits)
+{
+    if (q_bits <= 0 || q_bits > 60 || k == 0 || p.a_plane_bits <= 0 ||
+        p.b_plane_bits <= 0 ||
+        p.a_plane_bits + p.b_plane_bits + detail::accum_bits(k) > 120)
+        return false;
+    const u128 one = 1;
+    const u128 x = static_cast<u128>(k) * ((one << p.a_plane_bits) - 1) *
+                   ((one << p.b_plane_bits) - 1);
+    if (x >= (one << 53))
+        return false;
+    const u128 q = (one << q_bits) - 1;
+    const u128 xw = x * (q - 1);
+    const u128 r = (q + 1) / 2 + ((xw + (one << 52) - 1) >> 52) + 1;
+    const u128 before_lo = r + ((xw + (one << 53) - 1) >> 53) + 1;
+    const u128 sum = static_cast<u128>(p.products()) * r;
+    return before_lo < (one << 53) && sum < (one << 53);
+}
+
+/**
  * Decompose @p n values into @p planes planes of @p plane_bits bits,
  * least-significant plane first: in[i] = Σ_p out[p][i] << (p*bits).
  * Planes are stored contiguously: out must hold planes*n values. FP64

@@ -110,20 +110,22 @@ const ModSiteMatMulFn &fp64_tcu_site_matmul();
 const ModSiteMatMulFn &int8_tcu_site_matmul();
 
 /**
- * Instruction-set level of the FP64 plane microkernel, lowest first.
- * The highest level the host supports is picked once from CPUID; every
- * level produces bit-identical planes (see plane_gemm_block).
+ * Instruction-set level of the FP64 lane kernels (slicing, plane GEMM,
+ * recombine, per-site GEMM), lowest first. The highest level the host
+ * supports is picked once from CPUID; the portable level runs the
+ * scalar loops and the scalar Shoup recombine. Every level produces
+ * bit-identical results.
  */
 enum class GemmIsa { portable, avx2, avx512 };
 
-/// Highest level this host supports; the FP64 plane GEMM runs at it.
+/// Highest level this host supports; the FP64 engines run at it.
 GemmIsa gemm_isa_supported();
 
 /// "portable", "avx2" or "avx512".
 const char *gemm_isa_name(GemmIsa isa);
 
 /**
- * Test hook: run the FP64 plane GEMM at @p isa, which must not exceed
+ * Test hook: run the FP64 engines at @p isa, which must not exceed
  * gemm_isa_supported(). Returns the previous level. Not for use while
  * GEMMs are in flight.
  */

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/random.h"
 #include "rns/base_convert.h"
 #include "rns/basis.h"
@@ -256,6 +258,67 @@ TEST(BaseConverter, ExactConversionZeroAndEdges)
         EXPECT_EQ(out[j * n + 2], p2[j] - 1);
     }
 }
+
+// Both conversions against a per-term u128 reference: every term
+// x_i·(B/b_i)^{-1} mod b_i is reduced mod t_j, multiplied by
+// [B/b_i]_{t_j} in 128 bits and folded, and the exact variant subtracts
+// (r mod t_j)·[B]_{t_j} with r rounded exactly as convert_exact does.
+// 46 source primes is Set H's widest BConv source basis.
+class BaseConverterDiffTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BaseConverterDiffTest, MatchesPerTermU128Reference)
+{
+    const int bits = GetParam();
+    const size_t k = 46, m = 5, n = 64;
+    const auto primes = generate_ntt_primes(bits, static_cast<int>(k + m),
+                                            1 << 10);
+    const std::vector<u64> p1(primes.begin(), primes.begin() + k);
+    const std::vector<u64> p2(primes.begin() + k, primes.end());
+    RnsBasis from(p1), to(p2);
+    BaseConverter conv(from, to);
+    Rng rng(static_cast<u64>(bits) + 900);
+    std::vector<u64> in(k * n);
+    for (size_t i = 0; i < k; ++i)
+        for (size_t l = 0; l < n; ++l)
+            in[i * n + l] = rng.next() % p1[i];
+    // Every residue q-1 in the last coefficient: the widest terms.
+    for (size_t i = 0; i < k; ++i)
+        in[i * n + n - 1] = p1[i] - 1;
+
+    std::vector<u64> approx(m * n), exact(m * n);
+    conv.convert_approx(in.data(), n, approx.data());
+    conv.convert_exact(in.data(), n, exact.data());
+    for (size_t l = 0; l < n; ++l) {
+        long double v = 0.0L;
+        for (size_t i = 0; i < k; ++i) {
+            const u64 y = from[i].mul(in[i * n + l], from.punc_inv(i));
+            v += static_cast<long double>(y) *
+                 (1.0 / static_cast<double>(p1[i]));
+        }
+        const u64 r = static_cast<u64>(llroundl(v));
+        for (size_t j = 0; j < m; ++j) {
+            const Modulus &tj = to[j];
+            u128 acc = 0;
+            for (size_t i = 0; i < k; ++i) {
+                const u64 y = from[i].mul(in[i * n + l], from.punc_inv(i));
+                acc = (acc + static_cast<u128>(y % p2[j]) *
+                                 conv.factor(i, j)) %
+                      p2[j];
+            }
+            const u64 want = static_cast<u64>(acc);
+            EXPECT_EQ(approx[j * n + l], want) << "coef " << l << " limb " << j;
+            const u64 corr = static_cast<u64>(
+                static_cast<u128>(r % p2[j]) * conv.product_mod_to(j) % p2[j]);
+            EXPECT_EQ(exact[j * n + l], tj.sub(want, corr))
+                << "coef " << l << " limb " << j;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WordSizes, BaseConverterDiffTest,
+                         ::testing::Values(30, 36, 48, 60));
 
 TEST(Partition, GroupsCoverRange)
 {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "poly/matrix_ntt.h"
@@ -127,7 +129,8 @@ TEST(SlicedGemm, OddShapes)
     for (auto [m, n, k] : {std::tuple<size_t, size_t, size_t>{1, 1, 1},
                            {3, 5, 7},
                            {17, 9, 4},
-                           {2, 33, 8}}) {
+                           {2, 33, 8},
+                           {4, 0, 3}}) {
         auto a = rng.uniform_vec(m * k, q.value());
         auto b = rng.uniform_vec(k * n, q.value());
         std::vector<u64> ref(m * n), got(m * n);
@@ -204,8 +207,13 @@ TEST_P(IsaDifferentialTest, PerColumnMatchesScalar)
     const auto primes = generate_ntt_primes(bits, 3, 1 << 10);
     Rng rng(bits + 400);
     // scalar_matmul_cols accumulates in u128, so K stays ≤ 64 here.
-    for (const Shape s : {Shape{16, 1024, 16}, Shape{4096, 4, 4},
-                          Shape{7, 37, 16}, Shape{13, 21, 64}}) {
+    // The narrow BConv shapes (n = 1…7) come with m not a multiple of
+    // any lane count.
+    std::vector<Shape> shapes = {Shape{16, 1024, 16}, Shape{4096, 4, 4},
+                                 Shape{7, 37, 16}, Shape{13, 21, 64}};
+    for (size_t n = 1; n <= 7; ++n)
+        shapes.push_back(Shape{1003, n, 5});
+    for (const Shape s : shapes) {
         std::vector<Modulus> mods;
         for (size_t j = 0; j < s.n; ++j)
             mods.emplace_back(primes[j % primes.size()]);
@@ -228,26 +236,85 @@ TEST_P(IsaDifferentialTest, PerColumnMatchesScalar)
 TEST_P(IsaDifferentialTest, PerSiteMatchesScalar)
 {
     const int bits = GetParam();
-    const auto primes = generate_ntt_primes(bits, 3, 1 << 10);
-    const std::vector<Modulus> mods(primes.begin(), primes.end());
+    const auto primes = generate_ntt_primes(bits, 5, 1 << 10);
     Rng rng(bits + 500);
-    // (sites, shape): IP-like sites, ragged sites, a deep K.
-    for (const auto &[sites, s] :
-         {std::pair<size_t, Shape>{1024, Shape{4, 4, 4}},
-          {37, Shape{3, 5, 7}},
-          {3, Shape{2, 3, 300}}}) {
-        auto a = rng.uniform_vec(sites * s.m * s.k, primes[0]);
-        auto b = rng.uniform_vec(sites * s.k * s.n, primes[0]);
-        std::vector<u64> ref(sites * s.m * s.n), got(sites * s.m * s.n);
-        scalar_matmul_sites(a.data(), b.data(), ref.data(), sites, s.m, s.n,
-                            s.k, mods);
+    // (sites, shape): IP-like sites, ragged sites, a deep K, and site
+    // counts that are no multiple of any lane count against 3 and 5
+    // cycling moduli, so lane vectors start at every modulus phase.
+    for (const size_t nmods : {3, 5}) {
+        const std::vector<Modulus> mods(primes.begin(),
+                                        primes.begin() + nmods);
+        for (const auto &[sites, s] :
+             {std::pair<size_t, Shape>{1024, Shape{4, 4, 4}},
+              {37, Shape{3, 5, 7}},
+              {3, Shape{2, 3, 300}},
+              {1003, Shape{1, 8, 3}},
+              {21, Shape{2, 3, 5}}}) {
+            auto a = rng.uniform_vec(sites * s.m * s.k, primes[0]);
+            auto b = rng.uniform_vec(sites * s.k * s.n, primes[0]);
+            std::vector<u64> ref(sites * s.m * s.n), got(sites * s.m * s.n);
+            scalar_matmul_sites(a.data(), b.data(), ref.data(), sites, s.m,
+                                s.n, s.k, mods);
+            for_each_isa([&] {
+                fp64_sliced_matmul_sites(a.data(), b.data(), got.data(),
+                                         sites, s.m, s.n, s.k, mods);
+                EXPECT_EQ(got, ref) << sites << " sites of " << s << " mod "
+                                    << nmods;
+                int8_sliced_matmul_sites(a.data(), b.data(), got.data(),
+                                         sites, s.m, s.n, s.k, mods);
+                EXPECT_EQ(got, ref) << "int8 " << sites << " sites of " << s
+                                    << " mod " << nmods;
+            });
+        }
+    }
+}
+
+TEST(IsaDifferential, LaneWidthEdgesStayExact)
+{
+    // The FP64 recombine lanes take 49-bit moduli at the plan's deepest
+    // K, where the plane sums reach 2^53, and reject 50- and 51-bit
+    // ones there. All-(q-1) operands drive every plane sum and every
+    // pair's quotient to its worst case; the lane and scalar paths
+    // must both match the u128 reference.
+    for (const int bits : {49, 50, 51}) {
+        const SplitPlan p = choose_fp64_split(bits, bits, 16);
+        const size_t k = size_t{1}
+                         << (53 - p.a_plane_bits - p.b_plane_bits);
+        const SplitPlan deep = choose_fp64_split(bits, bits, k);
+        EXPECT_EQ(deep.a_plane_bits + deep.b_plane_bits +
+                      (k <= 1 ? 0 : bit_size(k - 1)),
+                  53)
+            << bits;
+        EXPECT_EQ(fp64_lanes_exact(deep, k, bits), bits <= 49) << bits;
+        const auto primes = generate_ntt_primes(bits, 5, 1 << 10);
+        const Modulus q(primes[0]);
+        const u64 top = q.value() - 1;
+        const Shape s{5, 19, k};
+        std::vector<u64> a(s.m * s.k, top), b(s.k * s.n, top);
+        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
+        scalar_mod_matmul(a.data(), b.data(), ref.data(), s.m, s.n, s.k, q);
+        // Per site: 11 sites (a ragged lane vector) over 5 moduli, each
+        // site's operands all q_s - 1 of its own modulus.
+        const std::vector<Modulus> mods(primes.begin(), primes.end());
+        const size_t sites = 11;
+        std::vector<u64> sa(sites * 2 * k), sb(sites * k * 3);
+        for (size_t site = 0; site < sites; ++site) {
+            const u64 t = mods[site % mods.size()].value() - 1;
+            std::fill(sa.begin() + site * 2 * k,
+                      sa.begin() + (site + 1) * 2 * k, t);
+            std::fill(sb.begin() + site * k * 3,
+                      sb.begin() + (site + 1) * k * 3, t);
+        }
+        std::vector<u64> sref(sites * 2 * 3), sgot(sites * 2 * 3);
+        scalar_matmul_sites(sa.data(), sb.data(), sref.data(), sites, 2, 3, k,
+                            mods);
         for_each_isa([&] {
-            fp64_sliced_matmul_sites(a.data(), b.data(), got.data(), sites,
-                                     s.m, s.n, s.k, mods);
-            EXPECT_EQ(got, ref) << sites << " sites of " << s;
-            int8_sliced_matmul_sites(a.data(), b.data(), got.data(), sites,
-                                     s.m, s.n, s.k, mods);
-            EXPECT_EQ(got, ref) << "int8 " << sites << " sites of " << s;
+            fp64_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n, s.k,
+                               q);
+            EXPECT_EQ(got, ref) << bits << "-bit " << s;
+            fp64_sliced_matmul_sites(sa.data(), sb.data(), sgot.data(), sites,
+                                     2, 3, k, mods);
+            EXPECT_EQ(sgot, sref) << bits << "-bit sites, K = " << k;
         });
     }
 }
