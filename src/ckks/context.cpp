@@ -1,7 +1,6 @@
 #include "ckks/context.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
@@ -67,8 +66,6 @@ CkksContext::CkksContext(const CkksParams &params)
 
     decode_basis_ = RnsBasis(generate_decode_primes(2, avoid));
 
-    static std::atomic<u64> next_uid{1};
-    uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
     precomp_ = std::make_unique<KeySwitchPrecomp>(*this);
 }
 

@@ -46,14 +46,6 @@ class CkksContext
     CkksContext(const CkksContext &) = delete;
     CkksContext &operator=(const CkksContext &) = delete;
 
-    /**
-     * Process-unique id of this context instance (monotonic counter).
-     * Caches outside the ckks layer (e.g. the pipeline's kernel cache)
-     * key on it instead of the address, so a context reallocated at a
-     * freed context's address can never alias its cached state.
-     */
-    u64 uid() const { return uid_; }
-
     /// Cached per-level key-switch invariants (bases, converters).
     const KeySwitchPrecomp &precomp() const { return *precomp_; }
 
@@ -128,7 +120,6 @@ class CkksContext
     NttTableSet t_tables_;
     size_t alpha_prime_ = 0;
     std::vector<DigitGroup> klss_key_partition_;
-    u64 uid_ = 0;
     std::unique_ptr<KeySwitchPrecomp> precomp_;
 };
 

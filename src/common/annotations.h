@@ -5,9 +5,9 @@
  * Neo's core invariant — bit-identical results at any thread/device
  * count — is enforced dynamically by the TSan legs and the determinism
  * suites, and *statically* by these annotations: every shared-state
- * module (ThreadPool, KeySwitchPrecomp, obs::Registry, pipeline
- * kernel caches, per-key operand caches) declares which capability
- * (lock) guards which member, and the clang `-Wthread-safety
+ * module (ThreadPool, KeySwitchPrecomp, obs::Registry, per-key
+ * operand caches) declares which capability (lock) guards which
+ * member, and the clang `-Wthread-safety
  * -Wthread-safety-beta -Werror` CI leg rejects any access that the
  * analysis cannot prove is protected. Under gcc (or any non-clang
  * compiler) every macro expands to nothing, so the annotations are
@@ -107,7 +107,7 @@
  * documented exceptions — leaked singletons and magic statics guarded
  * by function-local locks the attribute grammar cannot name. Every use
  * must carry a comment stating the invariant that makes it safe,
- * mirroring the 13 documented `neo-lint: allow(...)` exceptions.
+ * mirroring the documented `neo-lint: allow(...)` exceptions.
  */
 #define NEO_NO_THREAD_SAFETY_ANALYSIS \
     NEO_THREAD_ANNOTATION(no_thread_safety_analysis)

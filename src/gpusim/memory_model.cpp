@@ -1,7 +1,5 @@
 #include "gpusim/memory_model.h"
 
-#include "obs/obs.h"
-
 namespace neo::gpusim {
 
 double
@@ -62,20 +60,6 @@ MemoryModel::max_batch(const DeviceSpec &dev,
             best = bs;
     }
     return best;
-}
-
-void
-MemoryModel::record_gauges(size_t level) const
-{
-    obs::Registry *r = obs::current();
-    if (r == nullptr)
-        return;
-    r->set_gauge("hbm.modeled.working_set_bytes",
-                 keyswitch_working_set(level));
-    r->set_gauge("hbm.modeled.key_bytes", params_.klss.enabled()
-                                              ? klss_key_bytes()
-                                              : hybrid_key_bytes());
-    r->set_gauge("hbm.modeled.ciphertext_bytes", ciphertext_bytes(level));
 }
 
 } // namespace neo::gpusim

@@ -42,16 +42,6 @@ class MemoryModel
     size_t max_batch(const DeviceSpec &dev,
                      double reserve_fraction = 0.1) const;
 
-    /**
-     * Publish the modeled HBM footprint of a level-`level` keyswitch
-     * into the current obs sink (no-op when none is installed):
-     * `hbm.modeled.working_set_bytes`, `hbm.modeled.key_bytes` and
-     * `hbm.modeled.ciphertext_bytes` gauges. The pipeline calls this
-     * per run so serving-side exporters can track modeled device
-     * memory pressure next to the measured host-side gauges.
-     */
-    void record_gauges(size_t level) const;
-
   private:
     double limb_bytes() const
     {

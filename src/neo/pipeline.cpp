@@ -1,18 +1,13 @@
 #include "neo/pipeline.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
-#include "gpusim/memory_model.h"
 #include "gpusim/tcu_model.h"
 #include "neo/engine.h"
 #include "neo/kernel_model.h"
@@ -30,127 +25,34 @@ using ckks::KlssEvalKey;
 namespace {
 
 /**
- * Kernels and transforms that depend only on (context, level), cached
- * across keyswitch calls. Every one of these used to be rebuilt per
- * call — a MatrixNtt construction fills two twiddle matrices and a
- * BConvKernel construction is O(α·α') modular exponentiations, which
- * together dominated small-ring pipeline runs.
+ * The matrix NTTs and BConv kernels one keyswitch at @p level runs:
+ * radix-16 matrix NTTs over the α' T limbs and the l+1 Q limbs, one
+ * ModUp kernel per ciphertext digit and one Recover kernel per key
+ * digit. Built on every call, so the pipeline depends on nothing but
+ * its arguments; the build is a small fraction of the keyswitch it
+ * serves (EXPERIMENTS.md "Per-call pipeline kernels").
  */
 struct LevelKernels
 {
-    std::vector<BConvKernel> modup; ///< one per ciphertext digit
-    /// One per key digit; null when the group is empty at this level.
-    std::vector<std::unique_ptr<BConvKernel>> recover;
-};
-
-struct PipelineCache
-{
-    Mutex mu;
-    /// Per T limb (level-independent).
-    std::vector<MatrixNtt> t_ntt NEO_GUARDED_BY(mu);
-    /// Per q limb, lazy.
-    std::vector<std::unique_ptr<MatrixNtt>> qntt NEO_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<LevelKernels>> levels NEO_GUARDED_BY(mu);
-    /// LRU stamp — guarded by the *registry's* lock (reg_mu in
-    /// pipeline_cache_for), which neither the attribute grammar nor
-    /// the lint symbol table can name from here; never touched under
-    /// mu. neo-lint: allow(nonatomic-shared-counter)
-    u64 last_use = 0;
-
-    /// Post-ensure_level read access — documented analysis exception:
-    /// the vectors are sized once at construction, each slot is
-    /// published exactly once under mu by ensure_level, and callers
-    /// only read slots their own ensure_level call already built,
-    /// which are immutable from then on. The unlocked reads race with
-    /// nothing.
-    const std::vector<MatrixNtt> &
-    t_ntt_built() const NEO_NO_THREAD_SAFETY_ANALYSIS
+    LevelKernels(const CkksContext &ctx, size_t level)
     {
-        return t_ntt;
-    }
-    const MatrixNtt &
-    qntt_built(size_t i) const NEO_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return *qntt[i];
-    }
-};
-
-/**
- * Registry of pipeline caches keyed by CkksContext::uid() (never the
- * address — a context reallocated at a freed context's address must
- * not see its predecessor's kernels). Bounded to a small working set;
- * eviction is safe because callers hold a shared_ptr for the duration
- * of the call.
- */
-// Magic-static registry guarded by the function-local reg_mu — a
-// documented NEO_NO_THREAD_SAFETY_ANALYSIS exception (the attribute
-// grammar cannot name a function-local capability; every access to
-// tick/reg/last_use below happens under reg_mu).
-std::shared_ptr<PipelineCache>
-pipeline_cache_for(const CkksContext &ctx) NEO_NO_THREAD_SAFETY_ANALYSIS
-{
-    static Mutex reg_mu;
-    // tick and reg are only ever touched under reg_mu.
-    // neo-lint: allow(thread-unsafe-static)
-    static u64 tick = 0;
-    // neo-lint: allow(thread-unsafe-static)
-    static std::map<u64, std::shared_ptr<PipelineCache>> reg;
-    constexpr size_t kMaxContexts = 4;
-
-    LockGuard lock(reg_mu);
-    auto &slot = reg[ctx.uid()];
-    if (slot == nullptr) {
-        slot = std::make_shared<PipelineCache>();
-        slot->qntt.resize(ctx.max_level() + 1);
-        slot->levels.resize(ctx.max_level() + 1);
-    }
-    slot->last_use = ++tick;
-    auto out = slot;
-    while (reg.size() > kMaxContexts) {
-        auto victim = reg.begin();
-        for (auto it = reg.begin(); it != reg.end(); ++it)
-            if (it->second->last_use < victim->second->last_use)
-                victim = it;
-        reg.erase(victim);
-        obs::add_gauge("ks.cache.evictions", 1.0);
-    }
-    obs::set_gauge("ks.cache.contexts", static_cast<double>(reg.size()));
-    return out;
-}
-
-/// Build (on first use) everything this keyswitch level needs.
-LevelKernels &
-ensure_level(PipelineCache &pc, const CkksContext &ctx, size_t level)
-{
-    const size_t n = ctx.n();
-    const size_t k_special = ctx.p_basis().size();
-    const size_t alpha_p = ctx.alpha_prime();
-    const auto &lv = ctx.precomp().level(level);
-
-    LockGuard lock(pc.mu);
-    if (pc.t_ntt.empty()) {
-        pc.t_ntt.reserve(alpha_p);
-        for (size_t k = 0; k < alpha_p; ++k) {
-            pc.t_ntt.emplace_back(
-                ctx.t_tables().for_modulus(ctx.t_basis()[k]),
-                std::min<size_t>(16, n));
-        }
-    }
-    for (size_t i = 0; i <= level; ++i) {
-        if (pc.qntt[i] == nullptr)
-            pc.qntt[i] = std::make_unique<MatrixNtt>(
-                ctx.tables().for_modulus(ctx.q_basis()[i]),
-                std::min<size_t>(16, n));
-    }
-    if (pc.levels[level] == nullptr) {
-        auto lk = std::make_unique<LevelKernels>();
-        lk->modup.reserve(lv.groups.size());
+        const size_t radix = std::min<size_t>(16, ctx.n());
+        const auto &lv = ctx.precomp().level(level);
+        t_ntt.reserve(ctx.alpha_prime());
+        for (size_t k = 0; k < ctx.alpha_prime(); ++k)
+            t_ntt.emplace_back(ctx.t_tables().for_modulus(ctx.t_basis()[k]),
+                               radix);
+        q_ntt.reserve(level + 1);
+        for (size_t i = 0; i <= level; ++i)
+            q_ntt.emplace_back(ctx.tables().for_modulus(ctx.q_basis()[i]),
+                               radix);
+        modup.reserve(lv.groups.size());
         for (const auto &g : lv.groups)
-            lk->modup.emplace_back(ctx.q_basis().slice(g.first, g.count),
-                                   ctx.t_basis());
+            modup.emplace_back(ctx.q_basis().slice(g.first, g.count),
+                               ctx.t_basis());
         const auto &key_partition = ctx.klss_key_partition();
-        const size_t active = level + 1 + k_special;
-        lk->recover.resize(lv.beta_tilde);
+        const size_t active = level + 1 + ctx.p_basis().size();
+        recover.resize(lv.beta_tilde);
         for (size_t i = 0; i < lv.beta_tilde; ++i) {
             const auto &grp = key_partition[i];
             const size_t last = std::min(grp.first + grp.count, active);
@@ -159,13 +61,16 @@ ensure_level(PipelineCache &pc, const CkksContext &ctx, size_t level)
             std::vector<u64> grp_primes;
             for (size_t t = grp.first; t < last; ++t)
                 grp_primes.push_back(ctx.pq_ordered_mod(t).value());
-            lk->recover[i] = std::make_unique<BConvKernel>(
-                ctx.t_basis(), RnsBasis(grp_primes));
+            recover[i].emplace(ctx.t_basis(), RnsBasis(grp_primes));
         }
-        pc.levels[level] = std::move(lk);
     }
-    return *pc.levels[level];
-}
+
+    std::vector<MatrixNtt> t_ntt;   ///< per T limb
+    std::vector<MatrixNtt> q_ntt;   ///< per q limb, q_0..q_level
+    std::vector<BConvKernel> modup; ///< one per ciphertext digit
+    /// One per key digit; empty when the group is empty at this level.
+    std::vector<std::optional<BConvKernel>> recover;
+};
 
 /**
  * Resolved per-stage GEMM bindings of one pipeline run. A fixed
@@ -187,62 +92,12 @@ struct StageBindings
 std::pair<RnsPoly, RnsPoly>
 pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
              const CkksContext &ctx, const StageBindings &eng, bool fuse,
-             const model::ModelConfig &mcfg)
+             size_t devices)
 {
     NEO_ASSERT(d2.form() == PolyForm::eval, "expects eval form");
     obs::Span pipeline_span("keyswitch_klss_pipeline", obs::cat::stage);
     if (auto *r = obs::current()) {
         r->add("pipeline.keyswitch");
-        // Modeled device time of the same KeySwitch on the simulated
-        // A100, accumulated next to the wall-clock span so exporters
-        // can report modeled-vs-measured side by side — total plus the
-        // per-kernel roofline attribution (modeled.kernel.*). The
-        // config mirrors the run's ExecPolicy, so an autotuned run's
-        // modeled cost prices the per-stage engines it dispatched.
-        model::KernelModel model(ctx.params(), mcfg);
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(d2.limbs() - 1));
-        if (mcfg.devices > 1) {
-            // Sharded run: the modeled cost is the multi-device
-            // makespan (compute + collectives overlapping), with
-            // comm.* rows and counters recorded next to the kernels
-            // so exporters and --diff see communication the same way
-            // they see kernels.
-            const auto sc = shard::model_sharded_keyswitch(
-                ctx.params(), d2.limbs() - 1, mcfg);
-            r->add_value("modeled.keyswitch.s", sc.seconds);
-            r->add_value("modeled.keyswitch.single_device.s",
-                         sc.single_seconds);
-            for (const auto &row : sc.kernels)
-                r->add_modeled_cost(row.name, row.modeled_s,
-                                    row.compute_s, row.memory_s,
-                                    row.launch_s, row.bytes, row.calls);
-            r->add_value("comm.bytes.allgather",
-                         sc.plan.allgather_bytes());
-            r->add_value("comm.bytes.reducescatter",
-                         sc.plan.reducescatter_bytes());
-            r->add_value("comm.bytes.total", sc.plan.total_bytes());
-            r->add_value("comm.modeled.s", sc.comm_s);
-            for (const auto &lk : sc.links) {
-                std::string key = "comm.link.";
-                key += std::to_string(lk.link);
-                r->set_gauge(key + ".utilization", lk.utilization);
-                r->set_gauge(key + ".bytes", lk.bytes);
-            }
-            r->set_gauge("shard.devices",
-                         static_cast<double>(mcfg.devices));
-        } else {
-            r->add_value("modeled.keyswitch.s", att.seconds);
-            for (const auto &row : att.kernels)
-                r->add_modeled_cost(row.name, row.modeled_s,
-                                    row.compute_s, row.memory_s,
-                                    row.launch_s, row.bytes, row.calls);
-        }
-        // Modeled HBM telemetry: per-run DRAM traffic distribution
-        // plus the footprint gauges (working set, keys, ciphertext).
-        r->observe("work.keyswitch.hbm_bytes", att.schedule.bytes);
-        r->set_gauge("hbm.modeled.traffic_bytes", att.schedule.bytes);
-        gpusim::MemoryModel(ctx.params()).record_gauges(d2.limbs() - 1);
         // Work histogram: limb count per keyswitch — deterministic
         // (depends only on the op mix, never on timing or threads).
         r->observe("work.keyswitch.limbs",
@@ -261,13 +116,7 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
     NEO_CHECK(beta <= evk.beta_max && beta_tilde <= evk.beta_tilde_max,
               "evaluation key too small for this level");
 
-    // Cached kernels for this (context, level): radix-16 matrix NTTs
-    // over T and Q, ModUp and Recover BConv kernels. Holding the
-    // shared_ptr keeps the cache alive even if another thread evicts
-    // this context from the registry mid-call.
-    auto cache = pipeline_cache_for(ctx);
-    LevelKernels &lk = ensure_level(*cache, ctx, level);
-    const std::vector<MatrixNtt> &t_ntt = cache->t_ntt_built();
+    const LevelKernels lk(ctx, level);
 
     RnsPoly d2c = d2;
     {
@@ -290,7 +139,7 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
     // writes its own disjoint slice of digits_t — the sharded
     // schedule is the single-device schedule re-grouped, so results
     // are bit-identical for every device count.
-    const size_t dev_count = std::max<size_t>(size_t{1}, mcfg.devices);
+    const size_t dev_count = std::max<size_t>(size_t{1}, devices);
     for (size_t dev = 0; dev < dev_count; ++dev) {
         const auto sr = shard::shard_range(beta, dev_count, dev);
         if (sr.count == 0)
@@ -305,8 +154,9 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
                         digits_t + j * alpha_p * n, *eng.modup);
                     // --- NTT over T (ten-step on the emulated TCU). --
                     for (size_t k = 0; k < alpha_p; ++k) {
-                        t_ntt[k].forward(digits_t + (j * alpha_p + k) * n,
-                                         *eng.ntt_t, fuse);
+                        lk.t_ntt[k].forward(
+                            digits_t + (j * alpha_p + k) * n, *eng.ntt_t,
+                            fuse);
                     }
                 }
             },
@@ -354,8 +204,8 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
                 sr.first * alpha_p, (sr.first + sr.count) * alpha_p,
                 [&](size_t b, size_t e) {
                     for (size_t s = b; s < e; ++s) {
-                        t_ntt[s % alpha_p].inverse(s_data[c] + s * n,
-                                                   *eng.intt_t, fuse);
+                        lk.t_ntt[s % alpha_p].inverse(
+                            s_data[c] + s * n, *eng.intt_t, fuse);
                     }
                 },
                 1);
@@ -421,8 +271,8 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
                 sr.first, sr.first + sr.count,
                 [&](size_t ib, size_t ie) {
                     for (size_t i = ib; i < ie; ++i)
-                        cache->qntt_built(i).forward(p->limb(i),
-                                                     *eng.ntt_q, fuse);
+                        lk.q_ntt[i].forward(p->limb(i), *eng.ntt_q,
+                                            fuse);
                 },
                 1);
         }
@@ -544,7 +394,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
         &EngineRegistry::engines(e_recover).per_column,
         &EngineRegistry::engines(e_ntt_q).same_mod};
     return pipeline_run(d2, evk, ctx, bindings, policy.fuse,
-                        model_config(policy, pp));
+                        policy.devices);
 }
 
 std::function<std::pair<RnsPoly, RnsPoly>(

@@ -71,8 +71,11 @@ struct PipelineEngines
  *   passes fold into the matrix-NTT gathers/writebacks and the
  *   ModDown scalar fix folds into its BConv epilogue. Bit-identical
  *   either way (tests/fusion_test.cpp is the differential proof).
- * - policy.graph: forwarded to the modeled-cost span so the recorded
- *   `modeled.keyswitch.s` prices the captured schedule.
+ * - policy.devices: the stage loops run in device-major shard order
+ *   (shard::shard_range); bit-identical for every device count.
+ * - policy.graph and policy.interconnect: cost-model options only.
+ *   The run prices nothing; neo-prof prices the captured or sharded
+ *   schedule through model_config.
  */
 std::pair<RnsPoly, RnsPoly>
 keyswitch_klss_pipeline(const RnsPoly &d2, const ckks::KlssEvalKey &evk,
@@ -91,9 +94,8 @@ klss_keyswitch_fn(ExecPolicy policy);
 /**
  * The cost-model configuration matching @p policy for @p params:
  * engine / fuse_elementwise / graph_capture, plus a per-stage engine
- * hook when the policy autotunes — so modeled costs (the pipeline's
- * modeled.keyswitch.s span, neo-prof artifacts) price exactly the
- * engines the policy dispatches.
+ * hook when the policy autotunes — so neo-prof's modeled costs price
+ * exactly the engines the policy dispatches.
  */
 model::ModelConfig model_config(const ExecPolicy &policy,
                                 const ckks::CkksParams &params);

@@ -252,21 +252,6 @@ Registry::add_gemm(size_t m, size_t n, size_t k)
 }
 
 void
-Registry::add_modeled_cost(std::string_view kernel, double total_s,
-                           double compute_s, double memory_s,
-                           double launch_s, double bytes, u64 invocations)
-{
-    const std::string base = "modeled.kernel." + std::string(kernel);
-    LockGuard lock(mu_);
-    values_[base + ".s"] += total_s;
-    values_[base + ".compute.s"] += compute_s;
-    values_[base + ".memory.s"] += memory_s;
-    values_[base + ".launch.s"] += launch_s;
-    values_[base + ".bytes"] += bytes;
-    counters_[base + ".calls"] += invocations;
-}
-
-void
 Registry::record_event(std::string_view name, const char *cat, u32 tid,
                        i64 ts_ns, i64 dur_ns)
 {

@@ -181,22 +181,6 @@ class Registry
     /// One modular GEMM call of shape m×n×k: bumps gemm.calls,
     /// gemm.flops (2mnk) and the shape histogram.
     void add_gemm(size_t m, size_t n, size_t k);
-    /**
-     * Roofline attribution of one modeled kernel (or one aggregated
-     * kernel row): accumulates
-     *   modeled.kernel.<name>.s            max(compute,memory)+launch
-     *   modeled.kernel.<name>.compute.s
-     *   modeled.kernel.<name>.memory.s
-     *   modeled.kernel.<name>.launch.s
-     *   modeled.kernel.<name>.bytes
-     * plus the counter modeled.kernel.<name>.calls. Takes plain
-     * doubles (not a gpusim type) so obs stays below gpusim in the
-     * layering; callers pass CostBreakdown / KernelAttribution fields.
-     */
-    void add_modeled_cost(std::string_view kernel, double total_s,
-                          double compute_s, double memory_s,
-                          double launch_s, double bytes,
-                          u64 invocations = 1);
     /// Record a finished span: bumps `span.<cat>` and `wall.<cat>.ns`,
     /// feeds the `lat.<cat>.ns` latency histogram (per-name
     /// `lat.<cat>.<name>.ns` for op/stage spans) and (when events are

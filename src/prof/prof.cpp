@@ -179,17 +179,6 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
             r.spans[name] = count;
     }
 
-    // Sharded runs: the pipeline records comm.* byte/time values and
-    // per-link gauges; surface them as gate-able metrics (additive —
-    // single-device artifacts never see these keys). Snapshot before
-    // the extra sample runs, like the counters above: the byte values
-    // accumulate per keyswitch, and the gated figure is one run's.
-    if (policy.devices > 1) {
-        for (const auto &[name, v] : scope.registry().values())
-            if (name.rfind("comm.", 0) == 0)
-                r.metrics[name] = v;
-    }
-
     if (repeat > 1) {
         std::vector<double> samples(repeat);
         for (auto &s : samples)
@@ -238,7 +227,14 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
         r.graph_launches = att.schedule.graph_launches *
                            static_cast<double>(policy.devices);
         r.fused_kernels = att.fused_kernels;
+        // Gate-able comm.* metrics (additive — single-device artifacts
+        // never see these keys): one keyswitch's collective bytes from
+        // the shard plan and the modeled collective time.
         r.metrics["modeled.single_device.s"] = sc.single_seconds;
+        r.metrics["comm.bytes.allgather"] = sc.plan.allgather_bytes();
+        r.metrics["comm.bytes.reducescatter"] =
+            sc.plan.reducescatter_bytes();
+        r.metrics["comm.bytes.total"] = sc.plan.total_bytes();
         r.metrics["comm.modeled.s"] = sc.comm_s;
         for (const auto &dv : sc.per_device)
             r.per_device.push_back(

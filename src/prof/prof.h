@@ -171,10 +171,10 @@ const std::vector<std::string> &workload_names();
  * @p repeat controls wall-clock sampling for functional workloads:
  * with repeat == 1 the single (cold) traced run is timed, matching the
  * historical behaviour; with repeat > 1 the traced run doubles as a
- * warmup that fills the hot-path caches (key-switch precomp, pipeline
- * kernels, key operands, workspace arenas) and wall_s is the
- * median of @p repeat steady-state samples. Span counters always come
- * from exactly one run. Modeled workloads ignore @p repeat.
+ * warmup that fills the hot-path caches (key-switch precomp, key
+ * operands, workspace arenas) and wall_s is the median of @p repeat
+ * steady-state samples. Span counters always come from exactly one
+ * run. Modeled workloads ignore @p repeat.
  *
  * Throws std::invalid_argument for unknown names.
  */

@@ -3,8 +3,10 @@
  * Concurrency stress suite (ctest label `concurrency`).
  *
  * Hammers every process-wide shared-state module from NTHREADS threads
- * at once. Under a plain build these tests check the functional
- * contracts (stable references, exact merge totals); their real value
+ * at once, and the keyswitch pipeline from as many callers sharing a
+ * context and a key. Under a plain build these tests check the
+ * functional contracts (stable references, exact merge totals,
+ * bit-exact keyswitch outputs); their real value
  * is under `-DNEO_SANITIZE=ON` with ThreadSanitizer, where any locking
  * hole in the annotated modules becomes a hard failure. Together with the clang `-Wthread-safety`
  * CI leg this gives both static and dynamic coverage of the same
@@ -13,16 +15,22 @@
  * Every test joins all threads before asserting, so failures are
  * deterministic even though the interleavings are not.
  */
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ckks/context.h"
+#include "ckks/keygen.h"
+#include "ckks/keyswitch.h"
 #include "ckks/ks_precomp.h"
 #include "ckks/params.h"
+#include "common/random.h"
 #include "common/types.h"
+#include "neo/pipeline.h"
 #include "obs/obs.h"
 
 using namespace neo;
@@ -53,6 +61,17 @@ hammer(Fn fn)
     go.store(true);
     for (auto &th : pool)
         th.join();
+}
+
+bool
+poly_eq(const RnsPoly &a, const RnsPoly &b)
+{
+    if (a.n() != b.n() || a.limbs() != b.limbs())
+        return false;
+    for (size_t i = 0; i < a.limbs(); ++i)
+        if (!std::equal(a.limb(i), a.limb(i) + a.n(), b.limb(i)))
+            return false;
+    return true;
 }
 
 } // namespace
@@ -139,4 +158,71 @@ TEST(Concurrency, RegistryMergeFromShards)
     });
 
     EXPECT_EQ(root.counter("shard.ops"), u64(NTHREADS) * ITERS);
+}
+
+// ---------------------------------------------------------------------
+// keyswitch_klss_pipeline: many callers on shared contexts and keys
+// ---------------------------------------------------------------------
+
+TEST(Concurrency, PipelineKeyswitchesFromManyCallers)
+{
+    // Each call builds its own kernels. What callers share is the
+    // context's lazily built precomp levels and the key's IP-operand
+    // cache; fresh contexts and keys make this their first, contended
+    // use.
+    struct Set
+    {
+        Set(size_t levels, size_t d_num, u64 seed)
+            : ctx(CkksParams::test_params(256, levels, d_num)),
+              rlk(relin_key(ctx, seed))
+        {
+        }
+
+        static KlssEvalKey
+        relin_key(const CkksContext &ctx, u64 seed)
+        {
+            KeyGenerator keygen(ctx, seed);
+            return keygen.to_klss(keygen.relin_key(keygen.secret_key()));
+        }
+
+        CkksContext ctx;
+        KlssEvalKey rlk;
+    };
+    const Set a(5, 2, 303);
+    const Set b(4, 4, 404);
+
+    struct Case
+    {
+        const Set *set;
+        RnsPoly d2;
+    };
+    std::vector<Case> cases;
+    for (const Set *s : {&a, &b}) {
+        for (size_t level : {s->ctx.max_level(), s->ctx.max_level() - 1}) {
+            Rng rng(9600 + cases.size());
+            RnsPoly d2(s->ctx.n(), s->ctx.active_mods(level),
+                       PolyForm::eval);
+            for (size_t i = 0; i < d2.limbs(); ++i)
+                for (size_t l = 0; l < d2.n(); ++l)
+                    d2.limb(i)[l] = rng.uniform(d2.modulus(i).value());
+            cases.push_back({s, std::move(d2)});
+        }
+    }
+
+    const ExecPolicy policy = ExecPolicy::fixed(EngineId::fp64_tcu, true);
+    std::vector<std::pair<RnsPoly, RnsPoly>> got(NTHREADS);
+    hammer([&](int t) {
+        const Case &c = cases[t % cases.size()];
+        got[t] =
+            keyswitch_klss_pipeline(c.d2, c.set->rlk, c.set->ctx, policy);
+    });
+
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+        const Case &c = cases[ci];
+        const auto want = keyswitch_klss(c.d2, c.set->rlk, c.set->ctx);
+        for (size_t t = ci; t < NTHREADS; t += cases.size()) {
+            EXPECT_TRUE(poly_eq(got[t].first, want.first)) << t;
+            EXPECT_TRUE(poly_eq(got[t].second, want.second)) << t;
+        }
+    }
 }

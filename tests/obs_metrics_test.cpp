@@ -279,7 +279,8 @@ TEST(ObsDeterminism, KeyswitchWorkHistogramsIdenticalAcrossThreads)
     for (size_t i = 0; i < d2.limbs(); ++i)
         for (size_t l = 0; l < d2.n(); ++l)
             d2.limb(i)[l] = rng.uniform(d2.modulus(i).value());
-    // Warm hot-path caches so every measured run is steady-state.
+    // Warm the key's IP operands and the level's precomp so every
+    // measured run is steady-state.
     (void)keyswitch_klss_pipeline(d2, rlk, ctx);
 
     std::vector<std::map<std::string, HistogramSnapshot, std::less<>>>

@@ -261,14 +261,13 @@ TEST_F(ObsPipeline, TracedPipelineMatchesAnalyticCounts)
         // its shape.
         EXPECT_EQ(scope.counter("gemm.calls"), want.gemm) << level;
         EXPECT_EQ(scope.counter("pipeline.keyswitch"), 1u);
-        EXPECT_GT(scope.registry().value("modeled.keyswitch.s"), 0.0);
     }
 }
 
 TEST_F(ObsPipeline, CountersDeterministicAcrossThreadCounts)
 {
     RnsPoly d2 = random_eval_poly(5, 77);
-    // Warm the hot-path caches (pipeline kernels, key operands) so both
+    // Warm the key's IP operands and the level's precomp so both
     // measured runs are steady-state and count the same work.
     (void)keyswitch_klss_pipeline(d2, *klss_rlk_, *ctx_);
     std::map<std::string, u64, std::less<>> totals[2];

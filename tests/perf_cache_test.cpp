@@ -1,9 +1,9 @@
 /**
  * Hot-path precomputation caches — differential correctness suite.
  *
- * The caches of the steady-state key-switch path (the pipeline's
- * per-context kernels, ckks::KeySwitchPrecomp, the per-key operand
- * caches, and the per-thread Workspace arena) are pure memoization:
+ * The caches of the steady-state key-switch path
+ * (ckks::KeySwitchPrecomp, the per-key operand caches, and the
+ * per-thread Workspace arena) are pure memoization:
  * they must never change a single output bit. These tests pin that
  * down two ways:
  *

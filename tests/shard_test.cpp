@@ -15,8 +15,10 @@
  *      engine) configurations and 1/2/7/16 worker threads;
  *   3. ckks::mod_down is bit-identical under device-sharded limb
  *      loops, fused and unfused;
- *   4. the comm.* counters a sharded profile records equal the
- *      analytic limb-partition formulas, byte for byte;
+ *   4. the comm.* metrics of a sharded neo-prof keyswitch artifact
+ *      equal the analytic limb-partition formulas, byte for byte,
+ *      and the pipeline itself records no modeled.*, comm.* or hbm.*
+ *      series at any device count (only neo-prof prices the model);
  *   5. the modeled crossover exists: at paper scale, a ≥2-device
  *      NVLink shard beats the single-device schedule, while the PCIe
  *      ring does not enjoy the same gain (the fig_multi_device
@@ -38,6 +40,7 @@
 #include "neo/pipeline.h"
 #include "neo/shard.h"
 #include "obs/obs.h"
+#include "prof/prof.h"
 #include "rns/partition.h"
 
 namespace neo {
@@ -318,18 +321,18 @@ TEST_F(Shard, ModDownBitIdenticalUnderSharding)
 
 TEST_F(Shard, CommCountersMatchAnalyticFormula)
 {
+    // neo-prof's primitive workloads run at set A's parameters
+    // (test_params(256, 5, 2)), so the analytic formula takes set A's.
     auto &s = *set_a_;
     const size_t level = s.ctx.max_level();
-    const auto d2 = random_eval_poly(s.ctx, level, 9400);
     for (size_t devices : {2u, 4u}) {
         SCOPED_TRACE(::testing::Message() << "devices=" << devices);
-        obs::Scope scope;
-        (void)keyswitch_klss_pipeline(d2, s.klss_rlk, s.ctx,
-                                      policy("fp64_tcu", devices));
-        const auto vals = scope.registry().values();
-        const auto get = [&vals](const char *k) {
-            const auto it = vals.find(k);
-            return it == vals.end() ? -1.0 : it->second;
+        const auto metrics =
+            prof::profile("keyswitch", policy("fp64_tcu", devices), level)
+                .metrics;
+        const auto get = [&metrics](const char *k) {
+            const auto it = metrics.find(k);
+            return it == metrics.end() ? -1.0 : it->second;
         };
         const auto expect = analytic_bytes(s.params, level, devices);
         EXPECT_DOUBLE_EQ(get("comm.bytes.allgather"), expect.allgather);
@@ -340,16 +343,34 @@ TEST_F(Shard, CommCountersMatchAnalyticFormula)
     }
 }
 
-TEST_F(Shard, SingleDeviceRecordsNoCommCounters)
+TEST_F(Shard, PipelineRecordsNoModeledCost)
 {
+    // The pipeline is the functional proof; pricing the model is
+    // neo-prof's job. No registry series of the modeled families may
+    // appear from a keyswitch, sharded or not.
     auto &s = *set_a_;
     const auto d2 =
         random_eval_poly(s.ctx, s.ctx.max_level(), 9500);
-    obs::Scope scope;
-    (void)keyswitch_klss_pipeline(d2, s.klss_rlk, s.ctx,
-                                  policy("fp64_tcu", 1));
-    for (const auto &[k, v] : scope.registry().values())
-        EXPECT_NE(k.substr(0, 5), "comm.") << k << "=" << v;
+    const auto modeled = [](const std::string &k) {
+        for (const char *prefix : {"modeled.", "comm.", "hbm."})
+            if (k.rfind(prefix, 0) == 0)
+                return true;
+        return false;
+    };
+    for (size_t devices : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "devices=" << devices);
+        obs::Scope scope;
+        (void)keyswitch_klss_pipeline(d2, s.klss_rlk, s.ctx,
+                                      policy("fp64_tcu", devices));
+        const auto &reg = scope.registry();
+        EXPECT_EQ(reg.counter("pipeline.keyswitch"), 1u);
+        for (const auto &[k, v] : reg.values())
+            EXPECT_FALSE(modeled(k)) << k << "=" << v;
+        for (const auto &[k, v] : reg.counters())
+            EXPECT_FALSE(modeled(k)) << k << "=" << v;
+        for (const auto &[k, g] : reg.gauges())
+            EXPECT_FALSE(modeled(k)) << k << "=" << g.current;
+    }
 }
 
 TEST(ShardPlan, CommPlanMatchesAnalyticFormulaAcrossParams)
