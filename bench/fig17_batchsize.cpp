@@ -7,6 +7,7 @@
 #include "apps/schedules.h"
 #include "baselines/backends.h"
 #include "bench_util.h"
+#include "gpusim/memory_model.h"
 
 using namespace neo;
 
@@ -47,8 +48,17 @@ main(int argc, char **argv)
         report.metric(strfmt("%s.bs128.total_s", app.name), ref);
     }
     t.print();
+
+    // The cap itself: the largest BatchSize whose Set-C keyswitch
+    // working set fits the device (§6.3).
+    const auto neo_c = baselines::make_neo('C');
+    const size_t max_batch =
+        gpusim::MemoryModel(neo_c.params).max_batch(neo_c.cfg.device);
+    report.metric("vram.max_batch", static_cast<double>(max_batch));
     std::printf("\nPaper reference: per-batch time decreases monotonically "
-                "with BatchSize; 128 is the default (VRAM limit).\n");
+                "with BatchSize; 128 is the default.\n"
+                "VRAM model: BatchSize <= %zu fits the %.0f GB device.\n",
+                max_batch, neo_c.cfg.device.vram_bytes / 1e9);
     report.write();
     return 0;
 }

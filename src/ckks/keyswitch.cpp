@@ -42,6 +42,18 @@ ks_count(std::string_view name, u64 delta)
 
 } // namespace
 
+void
+check_keyswitch_operand(const RnsPoly &d2, const CkksContext &ctx)
+{
+    NEO_CHECK(d2.form() == PolyForm::eval, "keyswitch expects eval form");
+    NEO_CHECK(d2.n() == ctx.n(), "keyswitch operand is over another ring");
+    NEO_CHECK(d2.limbs() >= 1 && d2.limbs() <= ctx.q_basis().size(),
+              "keyswitch operand has no level of this modulus chain");
+    for (size_t i = 0; i < d2.limbs(); ++i)
+        NEO_CHECK(d2.modulus(i) == ctx.q_basis()[i],
+                  "keyswitch operand is over another modulus chain");
+}
+
 RnsPoly
 mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
          bool fuse, size_t devices)
@@ -144,7 +156,7 @@ std::pair<RnsPoly, RnsPoly>
 keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
                  const CkksContext &ctx)
 {
-    NEO_ASSERT(d2.form() == PolyForm::eval, "expects eval form");
+    check_keyswitch_operand(d2, ctx);
     obs::Span span("keyswitch_hybrid", obs::cat::op);
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;
@@ -222,7 +234,7 @@ std::pair<RnsPoly, RnsPoly>
 keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
                const CkksContext &ctx)
 {
-    NEO_ASSERT(d2.form() == PolyForm::eval, "expects eval form");
+    check_keyswitch_operand(d2, ctx);
     obs::Span span("keyswitch_klss", obs::cat::op);
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;

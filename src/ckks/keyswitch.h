@@ -24,6 +24,13 @@
 namespace neo::ckks {
 
 /**
+ * Throw std::invalid_argument unless @p d2 is a keyswitch operand of
+ * @p ctx: eval form, degree ctx.n() and moduli q_0..q_level of ctx.
+ * Every keyswitch entry point calls it before any kernel runs.
+ */
+void check_keyswitch_operand(const RnsPoly &d2, const CkksContext &ctx);
+
+/**
  * Hybrid key switch of @p d2 (eval form over q_0..q_level) under
  * @p evk. Returns (k0, k1) in eval form at the same level with
  * k0 + k1·s ≈ d2·s'. Work counts flow to the active neo::obs sink

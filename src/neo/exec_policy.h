@@ -22,27 +22,9 @@
 
 #include "gpusim/topology.h"
 #include "neo/engine.h"
+#include "neo/stage.h"
 
 namespace neo {
-
-/**
- * Stage names of the keyswitch pipeline's engine-dispatched GEMM
- * sites. These are the cost model's NamedKernel names, the obs span
- * names' suffixes and the tuning table's `stage` keys — one shared
- * vocabulary across the functional pipeline, the model and the tuner.
- */
-namespace stage {
-inline constexpr const char *intt_q = "intt_q";
-inline constexpr const char *modup_bconv = "modup_bconv";
-inline constexpr const char *ntt_t = "ntt_t";
-inline constexpr const char *ip = "ip";
-inline constexpr const char *intt_t = "intt_t";
-inline constexpr const char *recover_bconv = "recover_bconv";
-inline constexpr const char *moddown_bconv = "moddown_bconv";
-inline constexpr const char *ntt_q = "ntt_q";
-inline constexpr const char *rescale_intt = "rescale_intt";
-inline constexpr const char *rescale_ntt = "rescale_ntt";
-} // namespace stage
 
 /** How a policy chooses the GEMM engine. */
 enum class EngineSelect {

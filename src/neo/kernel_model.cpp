@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "neo/stage.h"
 #include "poly/matrix_ntt.h"
 #include "tensor/bitslice.h"
 
@@ -12,6 +13,19 @@ namespace neo::model {
 
 using gpusim::KernelCost;
 using gpusim::TcuModel;
+
+namespace {
+
+/// NTT and INTT rows: the stages over Q and T, and the hybrid's
+/// ntt_qp / intt_qp.
+bool
+is_ntt_row(const char *name)
+{
+    return std::strncmp(name, "ntt", 3) == 0 ||
+           std::strncmp(name, "intt", 4) == 0;
+}
+
+} // namespace
 
 KernelModel::KernelModel(const ckks::CkksParams &params,
                          const ModelConfig &cfg)
@@ -178,7 +192,7 @@ KernelModel::ip_engine(size_t level) const
 {
     if (!cfg_.matmul_dataflow)
         return MatMulEngine::cuda_cores;
-    const MatMulEngine eng = engine_for_stage("ip", level);
+    const MatMulEngine eng = engine_for_stage(stage::ip, level);
     if (eng != MatMulEngine::tcu_fp64)
         return eng;
     const size_t beta = params_.beta(level);
@@ -303,7 +317,7 @@ KernelModel::keyswitch_kernels_named(size_t level) const
     };
 
     // INTT of the input (l+1 limbs).
-    ks.push_back({"intt_q", ntt(l + 1, w, eng("intt_q"))});
+    ks.push_back({stage::intt_q, ntt(l + 1, w, eng(stage::intt_q))});
 
     if (cfg_.use_klss) {
         const size_t ap = params_.klss_alpha_prime();
@@ -311,31 +325,32 @@ KernelModel::keyswitch_kernels_named(size_t level) const
         const int wt = params_.klss.word_size_t;
         // Mod Up: β exact BConv(α -> α').
         for (size_t j = 0; j < beta; ++j)
-            ks.push_back({"modup_bconv",
-                          bconv(alpha, ap, w, wt, eng("modup_bconv"))});
+            ks.push_back({stage::modup_bconv,
+                          bconv(alpha, ap, w, wt, eng(stage::modup_bconv))});
         // NTT over T.
-        ks.push_back({"ntt_t", ntt(beta * ap, wt, eng("ntt_t"))});
+        ks.push_back({stage::ntt_t, ntt(beta * ap, wt, eng(stage::ntt_t))});
         // IP over T.
-        ks.push_back({"ip", ip(beta, bt, ap, wt, eng("ip"))});
+        ks.push_back({stage::ip, ip(beta, bt, ap, wt, eng(stage::ip))});
         // INTT over T (both components).
-        ks.push_back({"intt_t", ntt(2 * bt * ap, wt, eng("intt_t"))});
+        ks.push_back(
+            {stage::intt_t, ntt(2 * bt * ap, wt, eng(stage::intt_t))});
         // Recover Limbs: exact BConv(α' -> ext), both components.
-        ks.push_back({"recover_bconv",
-                      bconv(ap, ext, wt, w, eng("recover_bconv"))});
-        ks.push_back({"recover_bconv",
-                      bconv(ap, ext, wt, w, eng("recover_bconv"))});
+        for (int comp = 0; comp < 2; ++comp)
+            ks.push_back({stage::recover_bconv,
+                          bconv(ap, ext, wt, w, eng(stage::recover_bconv))});
     } else {
         // Hybrid: ModUp per digit (α -> ext-α), NTT, IP over Q·P.
         for (size_t j = 0; j < beta; ++j)
-            ks.push_back({"modup_bconv", bconv(alpha, ext - alpha, w, w,
-                                               eng("modup_bconv"))});
+            ks.push_back({stage::modup_bconv, bconv(alpha, ext - alpha, w, w,
+                                               eng(stage::modup_bconv))});
         ks.push_back({"ntt_qp", ntt(beta * ext, w, eng("ntt_qp"))});
-        ks.push_back({"ip", ip(beta, 1, ext, w, eng("ip"))});
+        ks.push_back({stage::ip, ip(beta, 1, ext, w, eng(stage::ip))});
         // before ModDown
         ks.push_back({"intt_qp", ntt(2 * ext, w, eng("intt_qp"))});
     }
 
     // ModDown: BConv(P -> Q) + scalar fix, both components.
+    const MatMulEngine md = eng(stage::moddown_bconv);
     if (cfg_.fuse_elementwise) {
         // The scalar fix rides in the BConv epilogue: the conversion
         // result never round-trips through DRAM, and the fix kernel's
@@ -343,31 +358,26 @@ KernelModel::keyswitch_kernels_named(size_t level) const
         // modmuls remain on top of the BConv cost.
         const double fix_elems =
             static_cast<double>(l + 1) * params_.batch * params_.n;
-        // The fused kernel keys off "moddown_bconv" so the per-stage
-        // decision is independent of the fuse axis.
-        const MatMulEngine md = eng("moddown_bconv");
         for (int comp = 0; comp < 2; ++comp) {
             KernelCost c = bconv(k_special, l + 1, w, w, md);
             c.cuda_modmul += fix_elems;
             c.cuda_modadd += fix_elems; // the (src - corr) subtraction
             c.bytes_read += fix_elems * 8.0;
-            ks.push_back({"moddown_fused", c, 1});
+            ks.push_back({stage::moddown_bconv, c, 1});
         }
     } else {
-        ks.push_back({"moddown_bconv",
-                      bconv(k_special, l + 1, w, w, eng("moddown_bconv"))});
-        ks.push_back({"moddown_bconv",
-                      bconv(k_special, l + 1, w, w, eng("moddown_bconv"))});
+        for (int comp = 0; comp < 2; ++comp)
+            ks.push_back({stage::moddown_bconv,
+                          bconv(k_special, l + 1, w, w, md)});
         ks.push_back({"moddown_fix", modmul(2 * (l + 1))});
     }
     // Final NTT back to eval form.
-    ks.push_back({"ntt_q", ntt(2 * (l + 1), w, eng("ntt_q"))});
+    ks.push_back({stage::ntt_q, ntt(2 * (l + 1), w, eng(stage::ntt_q))});
     if (cfg_.fuse_elementwise && cfg_.tcu_ntt) {
         // Mark the NTT kernels whose twiddle-scale pass was folded
         // into the GEMM (the byte fold happens inside ntt()).
         for (auto &nk : ks)
-            if (std::strncmp(nk.name, "ntt", 3) == 0 ||
-                std::strncmp(nk.name, "intt", 4) == 0)
+            if (is_ntt_row(nk.name))
                 nk.fused = 1;
     }
     return ks;
@@ -576,13 +586,13 @@ KernelModel::rescale_kernels_named(size_t level) const
 {
     const int w = params_.word_size;
     std::vector<NamedKernel> ks;
-    ks.push_back({"rescale_intt",
+    ks.push_back({stage::rescale_intt,
                   ntt(2 * (level + 1), w,
-                      engine_for_stage("rescale_intt", level))});
+                      engine_for_stage(stage::rescale_intt, level))});
     ks.push_back({"rescale_fix", modmul(2 * level)});
-    ks.push_back({"rescale_ntt",
+    ks.push_back({stage::rescale_ntt,
                   ntt(2 * level, w,
-                      engine_for_stage("rescale_ntt", level))});
+                      engine_for_stage(stage::rescale_ntt, level))});
     return ks;
 }
 
@@ -591,13 +601,13 @@ KernelModel::double_rescale_kernels_named(size_t level) const
 {
     const int w = params_.word_size;
     std::vector<NamedKernel> ks;
-    ks.push_back({"rescale_intt",
+    ks.push_back({stage::rescale_intt,
                   ntt(2 * (level + 1), w,
-                      engine_for_stage("rescale_intt", level))});
+                      engine_for_stage(stage::rescale_intt, level))});
     ks.push_back({"rescale_fix", modmul(4 * level - 2)});
-    ks.push_back({"rescale_ntt",
+    ks.push_back({stage::rescale_ntt,
                   ntt(2 * (level - 1), w,
-                      engine_for_stage("rescale_ntt", level))});
+                      engine_for_stage(stage::rescale_ntt, level))});
     return ks;
 }
 
@@ -622,45 +632,23 @@ KernelModel::double_rescale_time(size_t level) const
 KernelModel::KeySwitchTraffic
 KernelModel::keyswitch_traffic(size_t level) const
 {
-    const size_t l = level;
-    const size_t alpha = params_.alpha();
-    const size_t k_special = params_.special_primes();
-    const size_t ext = l + 1 + k_special;
-    const size_t beta = params_.beta(l);
-    const int w = params_.word_size;
-
+    // Bytes are integer-valued doubles far below 2^53, so the family
+    // sums are exact in any order.
     KeySwitchTraffic t;
-    t.ntt += ntt(l + 1, w).bytes();
-    if (cfg_.use_klss) {
-        const size_t ap = params_.klss_alpha_prime();
-        const size_t bt = params_.beta_tilde(l);
-        const int wt = params_.klss.word_size_t;
-        for (size_t j = 0; j < beta; ++j)
-            t.bconv += bconv(alpha, ap, w, wt).bytes();
-        t.ntt += ntt(beta * ap, wt).bytes();
-        t.ip += ip(beta, bt, ap, wt).bytes();
-        t.ntt += ntt(2 * bt * ap, wt).bytes();
-        t.bconv += 2 * bconv(ap, ext, wt, w).bytes();
-    } else {
-        for (size_t j = 0; j < beta; ++j)
-            t.bconv += bconv(alpha, ext - alpha, w, w).bytes();
-        t.ntt += ntt(beta * ext, w).bytes();
-        t.ip += ip(beta, 1, ext, w).bytes();
-        t.ntt += ntt(2 * ext, w).bytes();
+    for (const auto &nk : keyswitch_kernels_named(level)) {
+        const std::string_view name = nk.name;
+        const double bytes = nk.cost.bytes();
+        if (name == stage::ip)
+            t.ip += bytes;
+        else if (is_ntt_row(nk.name))
+            t.ntt += bytes;
+        else if (name == stage::modup_bconv ||
+                 name == stage::recover_bconv ||
+                 name == stage::moddown_bconv)
+            t.bconv += bytes;
+        else
+            t.other += bytes; // the unfused ModDown fix
     }
-    if (cfg_.fuse_elementwise) {
-        // Fused ModDown: the fix's only surviving traffic is the
-        // Q-part source read, charged to the BConv family it fused
-        // into (mirrors keyswitch_kernels_named).
-        const double fix_elems =
-            static_cast<double>(l + 1) * params_.batch * params_.n;
-        t.bconv += 2 * (bconv(k_special, l + 1, w, w).bytes() +
-                        fix_elems * 8.0);
-    } else {
-        t.bconv += 2 * bconv(k_special, l + 1, w, w).bytes();
-        t.other += modmul(2 * (l + 1)).bytes();
-    }
-    t.ntt += ntt(2 * (l + 1), w).bytes();
     return t;
 }
 

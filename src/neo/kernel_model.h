@@ -144,10 +144,11 @@ class KernelModel
     // ---- Composite costs ----------------------------------------------
 
     /**
-     * One kernel of a composite operation, tagged with the stage name
-     * used by the profiler and the obs attribution sink ("intt_q",
-     * "modup_bconv", "ip", ...). Names are stable across engines so
-     * baselines compare like-for-like.
+     * One kernel of a composite operation. Stage kernels carry their
+     * neo::kStages name, the pipeline's span name; other rows
+     * ("moddown_fix", the hybrid's "ntt_qp", ...) name their kernel.
+     * Names are stable across engines so baselines compare
+     * like-for-like.
      */
     struct NamedKernel
     {

@@ -1,20 +1,24 @@
 /**
  * @file
- * The Neo execution pipeline: a functional KLSS KeySwitch whose every
- * stage runs through the paper's optimized kernels —
+ * The Neo execution pipeline: a functional KLSS KeySwitch run as the
+ * eight keyswitch stages of neo/stage.h, in table order —
  *
- *   Mod Up        → BConvKernel::run_matmul_exact (Alg 2 + exactness)
- *   NTT / INTT    → MatrixNtt radix-16 (ten-step, §4.4)
- *   IP            → IpKernel::run_matmul (Alg 4)
- *   Recover Limbs → BConvKernel::run_matmul_exact per key-digit group
- *   Mod Down      → shared with the reference implementation
+ *   intt_q        → reference radix-2 INTT over Q
+ *   modup_bconv   → BConvKernel::run_matmul_exact (Alg 2 + exactness)
+ *   ntt_t, intt_t → MatrixNtt radix-16 over T (ten-step, §4.4)
+ *   ip            → IpKernel::run_matmul_reordered (Alg 4)
+ *   recover_bconv → BConvKernel::run_matmul_exact per key-digit group
+ *   moddown_bconv → ckks::mod_down, shared with the reference
+ *   ntt_q         → MatrixNtt radix-16 over Q
  *
- * with all matrix multiplications executed by an *emulated tensor
- * core* (or the scalar reference engine), selected per run — or per
- * kernel site — by a neo::ExecPolicy. The output is required to be
- * bit-identical to the reference keyswitch_klss for every policy —
- * the strongest functional statement of the paper's claim that the
- * TCU mapping is exact, not approximate.
+ * each under one obs stage span named by its stage, so a traced run's
+ * `lat.stage.<stage>.ns` lines up with neo-prof's
+ * `modeled.kernel.<stage>.s`. The matrix stages run on an *emulated
+ * tensor core* (or the scalar reference engine), selected per run —
+ * or per stage — by a neo::ExecPolicy. The output is bit-identical to
+ * the reference keyswitch_klss for every policy — the strongest
+ * functional statement of the paper's claim that the TCU mapping is
+ * exact, not approximate.
  */
 #pragma once
 

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "gpusim/event_sim.h"
+#include "neo/stage.h"
 #include "rns/partition.h"
 
 namespace neo::shard {
@@ -88,23 +89,6 @@ scale_cost(KernelCost c, double f)
     return c;
 }
 
-/// The partition axis of a named keyswitch stage: items(total) the
-/// axis splits. Q-limb stages shard by l+1, ModUp-side stages by β,
-/// key-digit stages by β̃.
-size_t
-stage_axis_total(std::string_view stage, size_t q_limbs, size_t beta,
-                 size_t beta_tilde)
-{
-    if (stage == "modup_bconv" || stage == "ntt_t")
-        return beta;
-    if (stage == "ip" || stage == "intt_t" || stage == "recover_bconv")
-        return beta_tilde;
-    // intt_q, moddown_bconv, moddown_fused, moddown_fix, ntt_q —
-    // everything keyed to the Q basis.
-    (void)stage;
-    return q_limbs;
-}
-
 } // namespace
 
 ShardedCost
@@ -117,12 +101,7 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
 
     KernelModel model(params, cfg);
     const auto named = model.keyswitch_kernels_named(level);
-    {
-        std::vector<KernelCost> costs;
-        for (const auto &nk : named)
-            costs.push_back(nk.cost);
-        out.single_seconds = model.run(costs);
-    }
+    out.single_seconds = model.keyswitch_time(level);
 
     const Topology topo =
         cfg.devices <= 1
@@ -134,6 +113,16 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     const size_t beta = params.beta(level);
     const size_t beta_tilde = params.beta_tilde(level);
     const size_t d_count = cfg.devices;
+    // Items a row's work splits over: its kStages shard axis. Rows
+    // that name no stage (the unfused moddown_fix) are Q-limb work.
+    const auto axis_items = [&](std::string_view name) {
+        const size_t rank = stage_rank(name);
+        const ShardAxis axis =
+            rank < kStages.size() ? kStages[rank].axis : ShardAxis::q_limbs;
+        return axis == ShardAxis::digits       ? beta
+               : axis == ShardAxis::key_digits ? beta_tilde
+                                               : q_limbs;
+    };
 
     // --- Build the sharded schedule for event_sim. --------------------
     // Each device runs the full kernel sequence over its own shard on
@@ -194,22 +183,21 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
                 const std::string_view st(nk.name);
                 // Collectives precede the stage that consumes them.
                 if (d_count > 1) {
-                    if (st == "modup_bconv" &&
+                    if (st == stage::modup_bconv &&
                         (entries.empty() ||
-                         entries.back().name != "modup_bconv"))
+                         entries.back().name != stage::modup_bconv))
                         push_comm("comm.allgather.src",
                                   out.plan.ag_src.time_s, stream);
-                    if (st == "ip")
+                    if (st == stage::ip)
                         push_comm("comm.allgather.digits",
                                   out.plan.ag_digits.time_s, stream);
-                    if (st == "ntt_q")
+                    if (st == stage::ntt_q)
                         push_comm("comm.reducescatter.fix",
                                   2 * out.plan.rs_fix.time_s, stream);
                 }
-                const double frac = shard_fraction(
-                    stage_axis_total(st, q_limbs, beta, beta_tilde),
-                    d_count);
-                push_compute(nk, stream, frac, chain_head);
+                push_compute(nk, stream,
+                             shard_fraction(axis_items(st), d_count),
+                             chain_head);
                 chain_head = false;
             }
         }

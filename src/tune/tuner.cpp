@@ -1,7 +1,7 @@
 #include "tune/tuner.h"
 
-#include <map>
-#include <string>
+#include <array>
+#include <vector>
 
 #include "common/check.h"
 #include "gpusim/tcu_model.h"
@@ -15,27 +15,8 @@ namespace {
 /// double rounding noise.
 constexpr double kTol = 1e-15;
 
-const std::vector<std::string_view> &
-keyswitch_stages()
-{
-    // neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> s = {
-        stage::intt_q, stage::modup_bconv,   stage::ntt_t,
-        stage::ip,     stage::intt_t,        stage::recover_bconv,
-        stage::moddown_bconv, stage::ntt_q};
-    return s;
-}
-
-const std::vector<std::string_view> &
-rescale_stages()
-{
-    // neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> s = {stage::rescale_intt,
-                                                    stage::rescale_ntt};
-    return s;
-}
-
-using Assignment = std::map<std::string, EngineId, std::less<>>;
+/// One engine per kStages row.
+using Assignment = std::array<EngineId, kStages.size()>;
 
 /**
  * The operation set scored at one level: every composite operation
@@ -48,9 +29,9 @@ op_times(const ckks::CkksParams &params, const model::ModelConfig &base,
 {
     model::ModelConfig cfg = base;
     cfg.stage_engine = [&assign](std::string_view st, size_t) {
-        const auto it = assign.find(st);
-        NEO_ASSERT(it != assign.end(), "untuned stage queried");
-        return EngineRegistry::model_engine(it->second);
+        const size_t rank = stage_rank(st);
+        NEO_ASSERT(rank < assign.size(), "untuned stage queried");
+        return EngineRegistry::model_engine(assign[rank]);
     };
     const model::KernelModel m(params, cfg);
     std::vector<double> t;
@@ -106,19 +87,6 @@ accepts(const std::vector<double> &cand_v, double cand_sum,
 
 } // namespace
 
-const std::vector<std::string_view> &
-tuned_stages()
-{
-    // neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> all = [] {
-        std::vector<std::string_view> s = keyswitch_stages();
-        for (auto st : rescale_stages())
-            s.push_back(st);
-        return s;
-    }();
-    return all;
-}
-
 void
 Tuner::tune_level(const ckks::CkksParams &params, size_t level,
                   TuningTable &out) const
@@ -127,10 +95,9 @@ Tuner::tune_level(const ckks::CkksParams &params, size_t level,
 
     // 1. Uniform baselines and the per-operation targets.
     std::vector<std::vector<double>> uniform(engines.size());
-    Assignment assign;
+    Assignment assign{};
     for (size_t e = 0; e < engines.size(); ++e) {
-        for (auto st : tuned_stages())
-            assign[std::string(st)] = engines[e];
+        assign.fill(engines[e]);
         uniform[e] = op_times(params, cfg_.base, assign, level);
     }
     std::vector<double> targets = uniform[0];
@@ -147,8 +114,7 @@ Tuner::tune_level(const ckks::CkksParams &params, size_t level,
              sum(uniform[e]) < sum(uniform[start]) - kTol))
             start = e;
     }
-    for (auto st : tuned_stages())
-        assign[std::string(st)] = engines[start];
+    assign.fill(engines[start]);
     std::vector<double> cur = uniform[start];
     std::vector<double> cur_v = violations(cur, targets);
     double cur_sum = sum(cur);
@@ -157,14 +123,13 @@ Tuner::tune_level(const ckks::CkksParams &params, size_t level,
     // engines in registry order, vector acceptance.
     for (size_t pass = 0; pass < cfg_.max_passes; ++pass) {
         bool changed = false;
-        for (auto st : tuned_stages()) {
-            const auto slot = assign.find(st);
-            const EngineId before = slot->second;
+        for (EngineId &slot : assign) {
+            const EngineId before = slot;
             EngineId best = before;
             for (EngineId cand : engines) {
                 if (cand == best)
                     continue;
-                slot->second = cand;
+                slot = cand;
                 const auto t = op_times(params, cfg_.base, assign, level);
                 const auto v = violations(t, targets);
                 const double s = sum(t);
@@ -174,7 +139,7 @@ Tuner::tune_level(const ckks::CkksParams &params, size_t level,
                     cur_v = v;
                     cur_sum = s;
                 }
-                slot->second = best;
+                slot = best;
             }
             changed = changed || best != before;
         }
@@ -186,27 +151,23 @@ Tuner::tune_level(const ckks::CkksParams &params, size_t level,
     // operation-set total with only that stage's engine swapped).
     const double valid = gpusim::TcuModel::valid_proportion_fp64(
         params.batch, params.beta_tilde(level), params.beta(level));
-    for (auto st : tuned_stages()) {
-        const bool rescale_only =
-            st == std::string_view(stage::rescale_intt) ||
-            st == std::string_view(stage::rescale_ntt);
-        if (rescale_only && level < 1)
+    for (size_t i = 0; i < kStages.size(); ++i) {
+        if (kStages[i].rescale && level < 1)
             continue; // no rescale operation exists at level 0
         SiteDecision d;
-        d.stage = std::string(st);
+        d.stage = kStages[i].name;
         d.level = level;
         d.d_num = params.d_num;
         d.n = params.n;
         d.valid = valid;
-        auto slot = assign.find(st);
-        d.engine = slot->second;
-        const EngineId chosen = slot->second;
+        const EngineId chosen = assign[i];
+        d.engine = chosen;
         for (EngineId e : engines) {
-            slot->second = e;
+            assign[i] = e;
             d.scores.push_back(
                 {e, sum(op_times(params, cfg_.base, assign, level))});
         }
-        slot->second = chosen;
+        assign[i] = chosen;
         out.add(std::move(d));
     }
 }

@@ -32,9 +32,6 @@
  */
 #pragma once
 
-#include <string_view>
-#include <vector>
-
 #include "ckks/params.h"
 #include "neo/kernel_model.h"
 #include "tune/tuning_table.h"
@@ -76,11 +73,5 @@ class Tuner
 
     TunerConfig cfg_;
 };
-
-/**
- * The stage names the tuner decides, in its coordinate (pipeline)
- * order: the keyswitch stages, then the rescale stages.
- */
-const std::vector<std::string_view> &tuned_stages();
 
 } // namespace neo::tune

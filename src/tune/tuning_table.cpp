@@ -11,19 +11,6 @@ namespace neo::tune {
 
 namespace {
 
-const std::vector<std::string_view> &
-canonical_stages()
-{
-    // Pipeline execution order; doubles as the tuner's coordinate
-    // order. neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> order = {
-        stage::intt_q,  stage::modup_bconv,   stage::ntt_t,
-        stage::ip,      stage::intt_t,        stage::recover_bconv,
-        stage::moddown_bconv, stage::ntt_q,   stage::rescale_intt,
-        stage::rescale_ntt};
-    return order;
-}
-
 /// Canonical sort key: (n, d_num, level, stage rank, stage name).
 auto
 order_key(const SiteDecision &d)
@@ -43,16 +30,6 @@ same_site(const SiteDecision &d, std::string_view stage, size_t level,
 }
 
 } // namespace
-
-size_t
-stage_rank(std::string_view stage)
-{
-    const auto &order = canonical_stages();
-    for (size_t i = 0; i < order.size(); ++i)
-        if (order[i] == stage)
-            return i;
-    return order.size();
-}
 
 void
 TuningTable::add(SiteDecision d)

@@ -121,11 +121,4 @@ class TuningTable
     std::vector<SiteDecision> entries_; ///< kept in canonical order
 };
 
-/**
- * Canonical rank of a stage name in the pipeline's execution order
- * (unknown stages sort after the known ones, alphabetically). Used
- * for the table's entry ordering.
- */
-size_t stage_rank(std::string_view stage);
-
 } // namespace neo::tune

@@ -10,7 +10,8 @@
  *
  *   1. keyswitch_klss_pipeline with fuse on is bit-identical to the
  *      unfused pipeline and to the reference ckks::keyswitch_klss
- *      across 21 (level, d_num, engine) configurations;
+ *      across 21 (level, d_num, engine) configurations at every GEMM
+ *      ISA level;
  *   2. the same holds under 1 / 2 / 7 / 16 worker threads;
  *   3. the obs counters prove the element-wise passes really moved:
  *      a fused run records only "fuse.*" counters (and fewer stage
@@ -36,6 +37,7 @@
 #include "neo/kernel_model.h"
 #include "neo/pipeline.h"
 #include "obs/obs.h"
+#include "tensor/gemm.h"
 
 namespace neo {
 namespace {
@@ -137,27 +139,35 @@ TEST_F(Fusion, FusedKeyswitchBitIdenticalAcrossConfigs)
 {
     const auto cfgs = configs();
     ASSERT_GE(cfgs.size(), 20u);
-    for (const auto &cfg : cfgs) {
-        SCOPED_TRACE(::testing::Message()
-                     << cfg.engine << " d_num="
-                     << cfg.set->params.d_num << " level=" << cfg.level);
-        const EngineId engine = EngineRegistry::parse(cfg.engine);
-        RnsPoly d2 = random_eval_poly(cfg.set->ctx, cfg.level,
-                                      5000 + cfg.level);
-        const auto ref =
-            keyswitch_klss(d2, cfg.set->klss_rlk, cfg.set->ctx);
-        const auto unfused = keyswitch_klss_pipeline(
-            d2, cfg.set->klss_rlk, cfg.set->ctx,
-            ExecPolicy::fixed(engine, /*fuse=*/false));
-        const auto fused = keyswitch_klss_pipeline(
-            d2, cfg.set->klss_rlk, cfg.set->ctx,
-            ExecPolicy::fixed(engine, /*fuse=*/true));
-        EXPECT_TRUE(poly_eq(unfused.first, ref.first));
-        EXPECT_TRUE(poly_eq(unfused.second, ref.second));
-        EXPECT_TRUE(poly_eq(fused.first, ref.first));
-        EXPECT_TRUE(poly_eq(fused.second, ref.second));
-        EXPECT_TRUE(poly_eq(fused.first, unfused.first));
-        EXPECT_TRUE(poly_eq(fused.second, unfused.second));
+    // At every GEMM ISA level the host supports.
+    const GemmIsa top = gemm_isa_supported();
+    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
+        const GemmIsa isa = static_cast<GemmIsa>(lvl);
+        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+        for (const auto &cfg : cfgs) {
+            SCOPED_TRACE(::testing::Message()
+                         << cfg.engine << " d_num="
+                         << cfg.set->params.d_num << " level=" << cfg.level
+                         << " isa=" << gemm_isa_name(isa));
+            const EngineId engine = EngineRegistry::parse(cfg.engine);
+            RnsPoly d2 = random_eval_poly(cfg.set->ctx, cfg.level,
+                                          5000 + cfg.level);
+            const auto ref =
+                keyswitch_klss(d2, cfg.set->klss_rlk, cfg.set->ctx);
+            const auto unfused = keyswitch_klss_pipeline(
+                d2, cfg.set->klss_rlk, cfg.set->ctx,
+                ExecPolicy::fixed(engine, /*fuse=*/false));
+            const auto fused = keyswitch_klss_pipeline(
+                d2, cfg.set->klss_rlk, cfg.set->ctx,
+                ExecPolicy::fixed(engine, /*fuse=*/true));
+            EXPECT_TRUE(poly_eq(unfused.first, ref.first));
+            EXPECT_TRUE(poly_eq(unfused.second, ref.second));
+            EXPECT_TRUE(poly_eq(fused.first, ref.first));
+            EXPECT_TRUE(poly_eq(fused.second, ref.second));
+            EXPECT_TRUE(poly_eq(fused.first, unfused.first));
+            EXPECT_TRUE(poly_eq(fused.second, unfused.second));
+        }
+        force_gemm_isa_for_testing(prev);
     }
 }
 

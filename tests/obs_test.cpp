@@ -10,13 +10,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ckks/keygen.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "neo/pipeline.h"
+#include "neo/stage.h"
 #include "obs/obs.h"
 
 namespace neo {
@@ -313,10 +317,54 @@ TEST_F(ObsPipeline, PipelineTraceExportsWellFormedJson)
     EXPECT_TRUE(json_balanced(json));
     for (const char *needle :
          {"\"traceEvents\"", "\"keyswitch_klss_pipeline\"",
-          "\"pipeline_modup\"", "\"mntt_fwd\"", "\"neoCounters\"",
+          "\"modup_bconv\"", "\"mntt_fwd\"", "\"neoCounters\"",
           "\"neoGemmShapes\""})
         EXPECT_NE(json.find(needle), std::string::npos) << needle;
     EXPECT_EQ(scope.registry().dropped_events(), 0u);
+}
+
+TEST_F(ObsPipeline, StageSpansAreTheModelRows)
+{
+    // One stage vocabulary: the pipeline's stage spans are the eight
+    // kStages keyswitch stages, once each and in table order, and they
+    // are the rows the cost model prices for the same policy.
+    obs::Scope::Options so;
+    so.registry.record_events = true;
+    obs::Scope scope(so);
+    const size_t level = 5;
+    const ExecPolicy policy =
+        ExecPolicy::fixed(EngineId::fp64_tcu, /*fuse=*/true);
+    (void)keyswitch_klss_pipeline(random_eval_poly(level, 23), *klss_rlk_,
+                                  *ctx_, policy);
+
+    std::vector<std::string> keyswitch_stages;
+    for (const auto &st : kStages)
+        if (!st.rescale)
+            keyswitch_stages.push_back(st.name);
+
+    auto events = scope.registry().events();
+    std::stable_sort(events.begin(), events.end(),
+                     [](const obs::TraceEvent &a, const obs::TraceEvent &b) {
+                         return a.ts_ns < b.ts_ns;
+                     });
+    std::vector<std::string> spans;
+    for (const auto &e : events)
+        if (std::string_view(e.cat) == obs::cat::stage &&
+            stage_rank(e.name) < kStages.size())
+            spans.push_back(e.name);
+    EXPECT_EQ(spans, keyswitch_stages);
+
+    for (const auto &st : keyswitch_stages)
+        EXPECT_EQ(scope.registry().histogram("lat.stage." + st + ".ns").count,
+                  1u)
+            << st;
+
+    const model::KernelModel model(*params_, model_config(policy, *params_));
+    std::vector<std::string> rows;
+    for (const auto &nk : model.keyswitch_kernels_named(level))
+        if (std::find(rows.begin(), rows.end(), nk.name) == rows.end())
+            rows.push_back(nk.name);
+    EXPECT_EQ(rows, keyswitch_stages);
 }
 
 } // namespace

@@ -129,6 +129,38 @@ TEST_F(PipelineFixture, HmultThroughPipelineDecryptsCorrectly)
         EXPECT_LT(std::abs(got[i] - a[i] * b[i]), 1e-4) << "slot " << i;
 }
 
+TEST(Pipeline, RejectsOperandFromAnotherContext)
+{
+    // An operand over another ring, or over another modulus chain, is
+    // rejected before any kernel reads the key or a pool worker meets
+    // a shape it cannot handle.
+    const CkksParams params = CkksParams::test_params(256, 5, 2);
+    const CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 5);
+    const SecretKey sk = keygen.secret_key();
+    const EvalKey rlk = keygen.relin_key(sk);
+    const KlssEvalKey klss_rlk = keygen.to_klss(rlk);
+
+    std::vector<RnsPoly> operands;
+    for (size_t other_n : {512u, 128u}) {
+        const CkksContext other(CkksParams::test_params(other_n, 5, 2));
+        operands.emplace_back(other.n(), other.active_mods(5),
+                              PolyForm::eval);
+    }
+    std::vector<Modulus> swapped = ctx.active_mods(5);
+    std::swap(swapped[0], swapped[1]);
+    operands.emplace_back(ctx.n(), swapped, PolyForm::eval);
+
+    for (const RnsPoly &d2 : operands) {
+        SCOPED_TRACE(::testing::Message() << "n=" << d2.n());
+        EXPECT_THROW(keyswitch_klss_pipeline(d2, klss_rlk, ctx),
+                     std::invalid_argument);
+        EXPECT_THROW(keyswitch_klss(d2, klss_rlk, ctx),
+                     std::invalid_argument);
+        EXPECT_THROW(keyswitch_hybrid(d2, rlk, ctx), std::invalid_argument);
+    }
+}
+
 TEST(BConvExact, MatmulExactMatchesBaseConverter)
 {
     auto p1 = generate_ntt_primes(36, 3, 1 << 10);

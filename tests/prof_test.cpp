@@ -178,8 +178,9 @@ TEST(ProfOptions, FusedProfileFoldsModdownRows)
     };
     EXPECT_TRUE(has_row(off, "moddown_fix"));
     EXPECT_TRUE(has_row(off, "moddown_bconv"));
-    EXPECT_FALSE(has_row(off, "moddown_fused"));
-    EXPECT_TRUE(has_row(on, "moddown_fused"));
+    // Fused, the fix folds into the moddown_bconv row: one row fewer.
+    EXPECT_TRUE(has_row(on, "moddown_bconv"));
+    EXPECT_EQ(on.kernels.size() + 1, off.kernels.size());
     EXPECT_FALSE(has_row(on, "moddown_fix"));
 
     EXPECT_EQ(off.fused_kernels, 0u);
@@ -431,9 +432,9 @@ TEST(ProfDiff, SelfDiffIsCleanAndFullyAttributed)
 
 TEST(ProfDiff, AttributesDeltaAcrossKernelUnion)
 {
-    // fuse off vs on changes the kernel set (moddown_fix/_bconv fold
-    // into moddown_fused): the diff must cover the union and its
-    // kernel shares must decompose the total movement exactly.
+    // fuse off vs on changes the kernel set (moddown_fix folds into
+    // moddown_bconv): the diff must cover the union and its kernel
+    // shares must decompose the total movement exactly.
     const auto base = artifact(prof::profile(
         "keyswitch", ExecPolicy::fixed(EngineId::fp64_tcu)));
     const auto cur = artifact(prof::profile(
@@ -445,7 +446,7 @@ TEST(ProfDiff, AttributesDeltaAcrossKernelUnion)
     bool fused = false, fix = false;
     double share_sum = 0;
     for (const auto &k : d.kernels) {
-        fused |= k.name == "moddown_fused";
+        fused |= k.name == "moddown_bconv";
         fix |= k.name == "moddown_fix";
         share_sum += k.share;
     }
@@ -456,8 +457,8 @@ TEST(ProfDiff, AttributesDeltaAcrossKernelUnion)
     for (size_t i = 1; i < d.kernels.size(); ++i)
         EXPECT_GE(std::abs(d.kernels[i - 1].delta),
                   std::abs(d.kernels[i].delta));
-    // The fused run is faster, but fusion renames kernel rows — the
-    // gate still fires on the dropped modeled.kernel.moddown_* keys
+    // The fused run is faster, but fusion drops a kernel row — the
+    // gate still fires on the dropped modeled.kernel.moddown_fix key
     // (ratio 0 marks a dropped metric, not a slowdown), preserving
     // compare()'s renames-can't-drop-coverage contract.
     EXPECT_TRUE(d.gated());

@@ -5,9 +5,9 @@
  *  - tuning is deterministic across repeated runs and worker-thread
  *    counts (the table is model-driven, never wall-clock-driven),
  *  - an autotuned pipeline run is bit-identical to every fixed engine
- *    and to the reference keyswitch (the tuner only chooses which
- *    correct engine runs), and records its per-site decisions as
- *    tune.site.* counters,
+ *    and to the reference keyswitch at every GEMM ISA level (the
+ *    tuner only chooses which correct engine runs), and records its
+ *    per-site decisions as tune.site.* counters,
  *  - the tuned mix dominates: modeled keyswitch time at every level
  *    is never slower than the best uniform engine (the neo.bench/1
  *    gate's invariant),
@@ -32,6 +32,7 @@
 #include "neo/pipeline.h"
 #include "obs/obs.h"
 #include "prof/prof.h"
+#include "tensor/gemm.h"
 #include "tune/tuner.h"
 #include "tune/tuning_table.h"
 
@@ -194,28 +195,36 @@ TEST(TuneDifferential, AutoBitIdenticalToFixedAndReference)
     ASSERT_TRUE(auto_policy.is_auto());
     ASSERT_TRUE(auto_policy.site_engine != nullptr);
 
-    for (size_t level : {5u, 3u, 1u}) {
-        RnsPoly d2 = random_eval_poly(ctx, level, 9000 + level);
-        const auto ref = keyswitch_klss(d2, rlk, ctx);
-        for (size_t threads : {1u, 2u, 7u, 16u}) {
-            ThreadPool::set_global_threads(threads);
-            const auto got =
-                keyswitch_klss_pipeline(d2, rlk, ctx, auto_policy);
-            EXPECT_TRUE(poly_eq(got.first, ref.first))
-                << "level=" << level << " threads=" << threads;
-            EXPECT_TRUE(poly_eq(got.second, ref.second))
-                << "level=" << level << " threads=" << threads;
-            for (const EngineId id : EngineRegistry::ids()) {
-                const auto fixed = keyswitch_klss_pipeline(
-                    d2, rlk, ctx, ExecPolicy::fixed(id));
-                EXPECT_TRUE(poly_eq(fixed.first, got.first))
-                    << EngineRegistry::name(id) << " level=" << level
-                    << " threads=" << threads;
-                EXPECT_TRUE(poly_eq(fixed.second, got.second))
-                    << EngineRegistry::name(id) << " level=" << level
-                    << " threads=" << threads;
+    // At every GEMM ISA level the host supports.
+    const GemmIsa top = gemm_isa_supported();
+    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
+        const GemmIsa isa = static_cast<GemmIsa>(lvl);
+        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+        SCOPED_TRACE(gemm_isa_name(isa));
+        for (size_t level : {5u, 3u, 1u}) {
+            RnsPoly d2 = random_eval_poly(ctx, level, 9000 + level);
+            const auto ref = keyswitch_klss(d2, rlk, ctx);
+            for (size_t threads : {1u, 2u, 7u, 16u}) {
+                ThreadPool::set_global_threads(threads);
+                const auto got =
+                    keyswitch_klss_pipeline(d2, rlk, ctx, auto_policy);
+                EXPECT_TRUE(poly_eq(got.first, ref.first))
+                    << "level=" << level << " threads=" << threads;
+                EXPECT_TRUE(poly_eq(got.second, ref.second))
+                    << "level=" << level << " threads=" << threads;
+                for (const EngineId id : EngineRegistry::ids()) {
+                    const auto fixed = keyswitch_klss_pipeline(
+                        d2, rlk, ctx, ExecPolicy::fixed(id));
+                    EXPECT_TRUE(poly_eq(fixed.first, got.first))
+                        << EngineRegistry::name(id) << " level=" << level
+                        << " threads=" << threads;
+                    EXPECT_TRUE(poly_eq(fixed.second, got.second))
+                        << EngineRegistry::name(id) << " level=" << level
+                        << " threads=" << threads;
+                }
             }
         }
+        force_gemm_isa_for_testing(prev);
     }
     ThreadPool::set_global_threads(0);
 }
