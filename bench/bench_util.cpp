@@ -56,10 +56,9 @@ Options::parse(int argc, char **argv)
         } else if (std::strcmp(a, "--engine") == 0) {
             const char *name = next("--engine");
             if (std::strcmp(name, "auto") == 0) {
-                o.policy.select = EngineSelect::autotune;
+                o.engine.reset();
             } else if (auto id = EngineRegistry::try_parse(name)) {
-                o.policy.select = EngineSelect::fixed;
-                o.policy.engine = *id;
+                o.engine = *id;
             } else {
                 std::fprintf(stderr,
                              "unknown engine '%s' (valid: %s | auto)\n",

@@ -4,18 +4,19 @@
  * binary regenerates one table or figure of the paper, prints the
  * paper's published values next to the model's, and (with `--json
  * <path>`) writes a schema-versioned `neo.bench/1` artifact whose
- * flat `metrics` map the `neo-prof --baseline` compare mode can gate
- * on — the same machinery CI uses for the profiler artifacts.
+ * flat `metrics` map `neo-prof --diff` can gate on — the same
+ * machinery CI uses for the profiler artifacts.
  */
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/table.h"
 #include "common/types.h"
-#include "neo/exec_policy.h"
+#include "neo/engine.h"
 
 namespace neo::bench {
 
@@ -52,9 +53,8 @@ struct Options
     std::string json_path;
     size_t threads = 0;
     size_t repeat = 1;
-    /// Typed form of --engine: fixed fp64_tcu unless overridden,
-    /// select == autotune for --engine auto.
-    ExecPolicy policy;
+    /// Parsed --engine: fp64_tcu unless overridden, empty for "auto".
+    std::optional<EngineId> engine = EngineId::fp64_tcu;
 
     static Options parse(int argc, char **argv);
 };

@@ -50,7 +50,7 @@ main(int argc, char **argv)
             params.batch, beta_tilde, beta);
         t.row({strfmt("%zu", l), strfmt("%5.1f%%", 100 * ntt),
                strfmt("%5.1f%%", 100 * bconv), strfmt("%5.1f%%", 100 * ip),
-               model.ip_engine(l) == model::MatMulEngine::tcu_fp64
+               model.ip_engine(l) == EngineId::fp64_tcu
                    ? "TCU FP64"
                    : "CUDA cores"});
     }

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     model::ModelConfig opt;
     model::ModelConfig orig;
     orig.matmul_dataflow = false;
-    orig.engine = model::MatMulEngine::tcu_int8;
+    orig.engine = EngineId::int8_tcu;
     model::KernelModel m_opt(params, opt);
     model::KernelModel m_orig(params, orig);
 

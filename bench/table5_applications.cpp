@@ -3,12 +3,10 @@
  * PackBootstrap, HELR (one iteration), ResNet-20/32/56, for CPU,
  * TensorFHE (SS / A / B / C), HEonGPU, Neo (C / D) and Neo_SS.
  */
-#include <memory>
-
 #include "apps/schedules.h"
 #include "baselines/backends.h"
 #include "bench_util.h"
-#include "neo/engine.h"
+#include "neo/pipeline.h"
 #include "tune/tuner.h"
 
 using namespace neo;
@@ -77,23 +75,17 @@ main(int argc, char **argv)
     add_row(t, baselines::make_neo('D'), &neo_d);
 
     // Autotuned Neo: the Set-C model with the tuner's per-site engine
-    // decisions dispatched through ModelConfig::stage_engine. No paper
+    // decisions, resolved through the table's policy. No paper
     // column — the paper's Neo rows are fixed-engine.
     auto neo_auto = baselines::make_neo('C');
+    neo_auto.name = "Neo (C, auto)";
     {
         tune::TunerConfig tcfg;
         tcfg.base = neo_auto.cfg;
-        const auto table = std::make_shared<const tune::TuningTable>(
-            tune::Tuner(tcfg).tune(neo_auto.params));
-        const size_t d_num = neo_auto.params.d_num;
-        const size_t n = neo_auto.params.n;
-        const model::MatMulEngine fallback = neo_auto.cfg.engine;
-        neo_auto.name = "Neo (C, auto)";
+        const ExecPolicy tuned =
+            tune::Tuner(tcfg).tune(neo_auto.params).policy();
         neo_auto.cfg.stage_engine =
-            [table, d_num, n, fallback](std::string_view st, size_t lvl) {
-                const auto id = table->lookup(st, lvl, d_num, n);
-                return id ? EngineRegistry::model_engine(*id) : fallback;
-            };
+            model_config(tuned, neo_auto.params).stage_engine;
     }
     add_row(t, neo_auto, nullptr);
     t.print();

@@ -35,20 +35,17 @@ main(int argc, char **argv)
     // --engine overrides the Neo column's GEMM engine; "auto" prices
     // each kernel under every registry engine and keeps the fastest
     // (the per-site decision the tuner would make for that shape).
-    if (!opts.policy.is_auto())
-        neo.cfg.engine = EngineRegistry::model_engine(opts.policy.engine);
-    report.note("neo_engine", std::string(opts.policy.engine_name()));
+    report.note("neo_engine", opts.engine
+                                  ? EngineRegistry::name(*opts.engine)
+                                  : "auto");
     model::KernelModel m_t(tfhe.params, tfhe.cfg);
     const auto &dev = tfhe.cfg.device;
 
     std::vector<model::KernelModel> neo_models;
-    if (opts.policy.is_auto()) {
-        for (const EngineId id : EngineRegistry::ids()) {
-            auto cfg = neo.cfg;
-            cfg.engine = EngineRegistry::model_engine(id);
-            neo_models.emplace_back(neo.params, cfg);
-        }
-    } else {
+    for (const EngineId id : EngineRegistry::ids()) {
+        if (opts.engine && id != *opts.engine)
+            continue;
+        neo.cfg.engine = id;
         neo_models.emplace_back(neo.params, neo.cfg);
     }
     // Price one kernel under the active policy: the fixed model, or

@@ -2,7 +2,6 @@
 
 namespace neo::baselines {
 
-using model::MatMulEngine;
 using model::ModelConfig;
 
 namespace {
@@ -15,7 +14,7 @@ neo_config()
     cfg.matmul_dataflow = true;
     cfg.radix16_ntt = true;
     cfg.tcu_ntt = true;
-    cfg.engine = MatMulEngine::tcu_fp64;
+    cfg.engine = EngineId::fp64_tcu;
     cfg.kernel_fusion = true;
     cfg.multistream = true;
     return cfg;
@@ -29,7 +28,7 @@ tensorfhe_config()
     cfg.matmul_dataflow = false; // element-wise BConv / IP
     cfg.radix16_ntt = false;     // four-step 256x256
     cfg.tcu_ntt = true;
-    cfg.engine = MatMulEngine::tcu_int8;
+    cfg.engine = EngineId::int8_tcu;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     return cfg;
@@ -72,7 +71,7 @@ make_heongpu()
     cfg.matmul_dataflow = false;
     cfg.radix16_ntt = false;
     cfg.tcu_ntt = false; // butterfly NTT on CUDA cores
-    cfg.engine = MatMulEngine::cuda_cores;
+    cfg.engine = EngineId::scalar;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     cfg.batched_pipeline = false; // parallelises within one ciphertext
@@ -110,7 +109,7 @@ make_cpu()
     cfg.matmul_dataflow = false;
     cfg.radix16_ntt = false;
     cfg.tcu_ntt = false;
-    cfg.engine = MatMulEngine::cuda_cores;
+    cfg.engine = EngineId::scalar;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     cfg.batched_pipeline = false;
@@ -154,7 +153,7 @@ ablation_ladder()
     {
         Backend b = ladder.back();
         b.name = "+FP64 TCU";
-        b.cfg.engine = MatMulEngine::tcu_fp64;
+        b.cfg.engine = EngineId::fp64_tcu;
         b.cfg.multistream = true;
         ladder.push_back(b);
     }

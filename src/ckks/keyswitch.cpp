@@ -54,6 +54,35 @@ check_keyswitch_operand(const RnsPoly &d2, const CkksContext &ctx)
                   "keyswitch operand is over another modulus chain");
 }
 
+void
+check_keyswitch_key(const EvalKey &evk, const CkksContext &ctx)
+{
+    const auto &q = ctx.q_basis().mods();
+    const auto &p = ctx.p_basis().mods();
+    for (const auto &pair : evk.parts) {
+        for (const RnsPoly &part : pair) {
+            const auto &m = part.mods();
+            const bool same_basis =
+                m.size() == q.size() + p.size() &&
+                std::equal(q.begin(), q.end(), m.begin()) &&
+                std::equal(p.begin(), p.end(), m.begin() + q.size());
+            NEO_CHECK(part.n() == ctx.n() && same_basis,
+                      "evaluation key is over another ring or basis");
+        }
+    }
+}
+
+void
+check_keyswitch_key(const KlssEvalKey &evk, const CkksContext &ctx)
+{
+    NEO_CHECK(evk.parts.size() == 2 * evk.beta_max * evk.beta_tilde_max,
+              "KLSS evaluation key has the wrong number of parts");
+    const auto &t = ctx.t_basis().mods();
+    for (const RnsPoly &part : evk.parts)
+        NEO_CHECK(part.n() == ctx.n() && part.mods() == t,
+                  "KLSS evaluation key is over another ring or basis");
+}
+
 RnsPoly
 mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
          bool fuse, size_t devices)
@@ -157,6 +186,7 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
                  const CkksContext &ctx)
 {
     check_keyswitch_operand(d2, ctx);
+    check_keyswitch_key(evk, ctx);
     obs::Span span("keyswitch_hybrid", obs::cat::op);
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;
@@ -235,6 +265,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
                const CkksContext &ctx)
 {
     check_keyswitch_operand(d2, ctx);
+    check_keyswitch_key(evk, ctx);
     obs::Span span("keyswitch_klss", obs::cat::op);
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;

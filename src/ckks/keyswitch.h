@@ -31,6 +31,20 @@ namespace neo::ckks {
 void check_keyswitch_operand(const RnsPoly &d2, const CkksContext &ctx);
 
 /**
+ * Throw std::invalid_argument unless @p evk is a hybrid key of
+ * @p ctx: every part of degree ctx.n() over q_0..q_L, then P. Compares
+ * moduli only; no coefficient is read.
+ */
+void check_keyswitch_key(const EvalKey &evk, const CkksContext &ctx);
+
+/**
+ * Throw std::invalid_argument unless @p evk is a KLSS key of @p ctx:
+ * 2·beta_max·beta_tilde_max parts, each of degree ctx.n() over
+ * ctx.t_basis(). A key over another Q/P chain that shares T passes.
+ */
+void check_keyswitch_key(const KlssEvalKey &evk, const CkksContext &ctx);
+
+/**
  * Hybrid key switch of @p d2 (eval form over q_0..q_level) under
  * @p evk. Returns (k0, k1) in eval form at the same level with
  * k0 + k1·s ≈ d2·s'. Work counts flow to the active neo::obs sink

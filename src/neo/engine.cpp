@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "neo/kernel_model.h"
 #include "neo/pipeline.h"
 
 namespace neo {
@@ -61,17 +60,6 @@ EngineRegistry::help_list(std::string_view sep)
         out += name(id);
     }
     return out;
-}
-
-model::MatMulEngine
-EngineRegistry::model_engine(EngineId id)
-{
-    switch (id) {
-      case EngineId::fp64_tcu: return model::MatMulEngine::tcu_fp64;
-      case EngineId::scalar: return model::MatMulEngine::cuda_cores;
-      case EngineId::int8_tcu: return model::MatMulEngine::tcu_int8;
-    }
-    throw std::invalid_argument("invalid EngineId");
 }
 
 const PipelineEngines &

@@ -20,15 +20,12 @@ namespace neo {
 
 struct PipelineEngines;
 
-namespace model {
-enum class MatMulEngine;
-} // namespace model
-
 /**
- * One bit-exact GEMM engine of the functional pipeline. The numeric
- * order is the registry's canonical (and serialization) order; it
- * doubles as the deterministic tie-break when the tuner scores two
- * engines equal.
+ * One bit-exact GEMM engine: the pipe a kernel's GEMM runs on, in the
+ * functional pipeline and in the cost model alike (scalar is the
+ * CUDA-core path). The numeric order is the registry's canonical
+ * (and serialization) order; it doubles as the deterministic
+ * tie-break when the tuner scores two engines equal.
  */
 enum class EngineId {
     fp64_tcu = 0, ///< emulated FP64 tensor core (bit-sliced doubles)
@@ -57,9 +54,6 @@ class EngineRegistry
 
     /// " | "-joined name list for CLI help text.
     static std::string help_list(std::string_view sep = " | ");
-
-    /// The cost-model engine this functional engine is priced as.
-    static model::MatMulEngine model_engine(EngineId id);
 
     /// The functional GEMM bundle (shared immutable instance).
     static const PipelineEngines &engines(EngineId id);

@@ -5,9 +5,10 @@
  * One struct replaces the positional knobs that used to sprawl across
  * keyswitch_klss_pipeline / Evaluator::set_klss_keyswitch / neo-prof /
  * the benches (`const PipelineEngines &engines, bool fuse`, per-call
- * engine strings): which GEMM engine runs (a fixed EngineId, or
- * per-site autotuned decisions), whether element-wise fusion and
- * graph capture are on, and where the tuning table came from.
+ * engine strings): which GEMM engine runs (a fixed EngineId, or a
+ * per-site resolver built by tune::TuningTable::policy), whether
+ * element-wise fusion and graph capture are on, and how many devices
+ * the keyswitch shards over.
  *
  * Engine selection never changes results: every engine is bit-exact,
  * so a policy only picks *which* correct engine executes each site.
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <string_view>
 
 #include "gpusim/topology.h"
@@ -25,12 +25,6 @@
 #include "neo/stage.h"
 
 namespace neo {
-
-/** How a policy chooses the GEMM engine. */
-enum class EngineSelect {
-    fixed,    ///< one engine for every site (the historical behaviour)
-    autotune, ///< per-site decisions from a tuning table / resolver
-};
 
 /**
  * One kernel site of the keyswitch pipeline: the shape coordinates
@@ -42,11 +36,6 @@ struct SiteKey
     size_t level = 0;       ///< ciphertext level
     size_t d_num = 0;       ///< gadget digit count of the parameter set
     size_t n = 0;           ///< polynomial degree N
-    double valid = 0;       ///< FP64 fragment valid proportion (§4.5.3)
-    /// Devices the run shards over (1 = single device). Tuning-table
-    /// entries may pin a decision to a device count; device-agnostic
-    /// entries match any.
-    size_t devices = 1;
 };
 
 /// Per-site engine resolver an autotune policy dispatches through.
@@ -55,7 +44,6 @@ using SiteEngineFn = std::function<EngineId(const SiteKey &)>;
 /** Typed execution policy for one pipeline / profile / bench run. */
 struct ExecPolicy
 {
-    EngineSelect select = EngineSelect::fixed;
     /// The fixed engine; also the fallback for sites an autotune
     /// resolver has no decision for.
     EngineId engine = EngineId::fp64_tcu;
@@ -64,11 +52,9 @@ struct ExecPolicy
     bool fuse = false;
     /// CUDA-graph capture/replay in the cost model.
     bool graph = false;
-    /// Provenance: path of the tuning table backing an autotune
-    /// policy (informational; carried into artifacts).
-    std::string tuning_table;
-    /// Resolver for autotune mode. Empty + autotune means "resolve at
-    /// profile time" (load tuning_table, or tune in-memory).
+    /// Per-site resolver (tune::TuningTable::policy builds it). A
+    /// policy autotunes exactly when it carries one; empty runs
+    /// `engine` at every site.
     SiteEngineFn site_engine;
     /**
      * Devices the keyswitch shards across (neo::shard). 1 — the
@@ -91,14 +77,12 @@ struct ExecPolicy
         return p;
     }
 
-    bool is_auto() const { return select == EngineSelect::autotune; }
+    bool is_auto() const { return static_cast<bool>(site_engine); }
 
     /// The engine this policy runs @p site with.
     EngineId engine_at(const SiteKey &site) const
     {
-        if (is_auto() && site_engine)
-            return site_engine(site);
-        return engine;
+        return is_auto() ? site_engine(site) : engine;
     }
 
     /// "auto" or the fixed engine's registry name (for reports).

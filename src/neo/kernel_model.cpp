@@ -37,17 +37,17 @@ KernelModel::KernelModel(const ckks::CkksParams &params,
 
 KernelCost
 KernelModel::gemm(size_t m, size_t n, size_t k, int wa, int wb,
-                  MatMulEngine engine) const
+                  EngineId engine) const
 {
     KernelCost c;
     c.launches = 0; // priced by the owning kernel
     const double mn = static_cast<double>(m) * n;
     switch (engine) {
-      case MatMulEngine::cuda_cores:
+      case EngineId::scalar:
         c.cuda_modmul += mn * k;
         c.cuda_modadd += mn * k;
         break;
-      case MatMulEngine::tcu_fp64: {
+      case EngineId::fp64_tcu: {
         const SplitPlan plan =
             choose_fp64_split(std::max(wa, 1), std::max(wb, 1), k);
         const u64 padded =
@@ -61,7 +61,7 @@ KernelModel::gemm(size_t m, size_t n, size_t k, int wa, int wb,
             cfg_.device.int_ops_per_merge * plan.products() * mn;
         break;
       }
-      case MatMulEngine::tcu_int8: {
+      case EngineId::int8_tcu: {
         const SplitPlan plan =
             choose_int8_split(std::max(wa, 1), std::max(wb, 1), k);
         u64 best = ~0ULL;
@@ -85,7 +85,7 @@ KernelModel::ntt(size_t limbs, int word_bits) const
 }
 
 KernelCost
-KernelModel::ntt(size_t limbs, int word_bits, MatMulEngine engine) const
+KernelModel::ntt(size_t limbs, int word_bits, EngineId engine) const
 {
     const double batch = static_cast<double>(params_.batch);
     const double n = static_cast<double>(params_.n);
@@ -111,11 +111,8 @@ KernelModel::ntt(size_t limbs, int word_bits, MatMulEngine engine) const
     // Matrix products: one batched GEMM per stage; M is the batched
     // row count (always fragment-aligned at FHE sizes).
     const double per_limb_macs = static_cast<double>(cx.matmul_macs);
-    MatMulEngine eng = engine;
-    KernelCost g =
-        gemm(static_cast<size_t>(lb * per_limb_macs / (radix * radix)),
-             radix, radix, word_bits, word_bits, eng);
-    c += g;
+    c += gemm(static_cast<size_t>(lb * per_limb_macs / (radix * radix)),
+              radix, radix, word_bits, word_bits, engine);
     // Twists and reorders run on CUDA cores.
     c.cuda_modmul += lb * static_cast<double>(cx.twist_muls);
     c.cuda_int_ops += 2.0 * lb * static_cast<double>(cx.reorder_elems);
@@ -144,7 +141,7 @@ KernelModel::bconv(size_t in_limbs, size_t out_limbs, int word_in,
 
 KernelCost
 KernelModel::bconv(size_t in_limbs, size_t out_limbs, int word_in,
-                   int word_out, MatMulEngine engine) const
+                   int word_out, EngineId engine) const
 {
     const double batch = static_cast<double>(params_.batch);
     const double n = static_cast<double>(params_.n);
@@ -180,27 +177,27 @@ KernelModel::bconv(size_t in_limbs, size_t out_limbs, int word_in,
     return c;
 }
 
-MatMulEngine
+EngineId
 KernelModel::engine_for_stage(std::string_view stage, size_t level) const
 {
     return cfg_.stage_engine ? cfg_.stage_engine(stage, level)
                              : cfg_.engine;
 }
 
-MatMulEngine
+EngineId
 KernelModel::ip_engine(size_t level) const
 {
     if (!cfg_.matmul_dataflow)
-        return MatMulEngine::cuda_cores;
-    const MatMulEngine eng = engine_for_stage(stage::ip, level);
-    if (eng != MatMulEngine::tcu_fp64)
+        return EngineId::scalar;
+    const EngineId eng = engine_for_stage(stage::ip, level);
+    if (eng != EngineId::fp64_tcu)
         return eng;
     const size_t beta = params_.beta(level);
     const size_t beta_tilde = params_.beta_tilde(level);
     const double valid = TcuModel::valid_proportion_fp64(
         params_.batch, beta_tilde, beta);
-    return valid > cfg_.ip_tcu_threshold ? MatMulEngine::tcu_fp64
-                                         : MatMulEngine::cuda_cores;
+    return valid > cfg_.ip_tcu_threshold ? EngineId::fp64_tcu
+                                         : EngineId::scalar;
 }
 
 KernelCost
@@ -212,7 +209,7 @@ KernelModel::ip(size_t beta, size_t beta_tilde, size_t limbs,
 
 KernelCost
 KernelModel::ip(size_t beta, size_t beta_tilde, size_t limbs,
-                int word_bits, MatMulEngine engine) const
+                int word_bits, EngineId engine) const
 {
     const double batch = static_cast<double>(params_.batch);
     const double n = static_cast<double>(params_.n);
@@ -242,12 +239,12 @@ KernelModel::ip(size_t beta, size_t beta_tilde, size_t limbs,
     c.bytes_read = 2.0 * (ct_elems + key_elems) * 8.0;
     c.bytes_written = 2.0 * out_elems * 8.0;
     c.cuda_int_ops = 2.0 * 2.0 * (ct_elems + out_elems); // reorders
-    MatMulEngine eng = engine;
-    if (eng == MatMulEngine::tcu_fp64) {
+    EngineId eng = engine;
+    if (eng == EngineId::fp64_tcu) {
         const double valid = TcuModel::valid_proportion_fp64(
             params_.batch, beta_tilde, beta);
         if (valid <= cfg_.ip_tcu_threshold)
-            eng = MatMulEngine::cuda_cores;
+            eng = EngineId::scalar;
     }
     KernelCost g = gemm(params_.batch, beta_tilde, beta, word_bits,
                         word_bits, eng);
@@ -350,7 +347,7 @@ KernelModel::keyswitch_kernels_named(size_t level) const
     }
 
     // ModDown: BConv(P -> Q) + scalar fix, both components.
-    const MatMulEngine md = eng(stage::moddown_bconv);
+    const EngineId md = eng(stage::moddown_bconv);
     if (cfg_.fuse_elementwise) {
         // The scalar fix rides in the BConv epilogue: the conversion
         // result never round-trips through DRAM, and the fix kernel's

@@ -24,11 +24,9 @@
 #include "gpusim/kernel_cost.h"
 #include "gpusim/tcu_model.h"
 #include "gpusim/topology.h"
+#include "neo/engine.h"
 
 namespace neo::model {
-
-/** Which execution engine a matrix multiplication is mapped to. */
-enum class MatMulEngine { cuda_cores, tcu_fp64, tcu_int8 };
 
 /** Algorithm/mapping switches (Fig 14 axes + baseline choices). */
 struct ModelConfig
@@ -39,7 +37,7 @@ struct ModelConfig
     bool matmul_dataflow = true; ///< BConv/IP as matmul (Algs 2/4)
     bool radix16_ntt = true;     ///< ten-step NTT vs four-step
     bool tcu_ntt = true;         ///< NTT matmuls on the TCU at all
-    MatMulEngine engine = MatMulEngine::tcu_fp64; ///< GEMM engine
+    EngineId engine = EngineId::fp64_tcu; ///< GEMM engine
     bool kernel_fusion = true;   ///< §4.6 fusion
     bool multistream = true;     ///< §4.6 multi-stream overlap
     /**
@@ -78,7 +76,7 @@ struct ModelConfig
      * the model (neo::model_config wires it). Unset means uniform
      * `engine`, the historical behaviour.
      */
-    std::function<MatMulEngine(std::string_view stage, size_t level)>
+    std::function<EngineId(std::string_view stage, size_t level)>
         stage_engine;
 };
 
@@ -97,7 +95,7 @@ class KernelModel
     gpusim::KernelCost ntt(size_t limbs, int word_bits) const;
     /// Same, with the GEMM engine chosen per call (autotuned sites).
     gpusim::KernelCost ntt(size_t limbs, int word_bits,
-                           MatMulEngine engine) const;
+                           EngineId engine) const;
 
     /**
      * BConv of @p in_limbs batched input limbs to @p out_limbs output
@@ -108,7 +106,7 @@ class KernelModel
     /// Same, with the GEMM engine chosen per call.
     gpusim::KernelCost bconv(size_t in_limbs, size_t out_limbs,
                              int word_in, int word_out,
-                             MatMulEngine engine) const;
+                             EngineId engine) const;
 
     /**
      * IP over @p limbs auxiliary limbs with β input digits and β̃
@@ -118,11 +116,12 @@ class KernelModel
                           int word_bits) const;
     /**
      * Same, with the GEMM engine chosen per call. The §4.5.3
-     * valid-proportion gate still downgrades FP64-TCU to CUDA cores
-     * when the fragment utilisation is below ip_tcu_threshold.
+     * valid-proportion gate still downgrades fp64_tcu to scalar (the
+     * CUDA cores) when the fragment utilisation is below
+     * ip_tcu_threshold.
      */
     gpusim::KernelCost ip(size_t beta, size_t beta_tilde, size_t limbs,
-                          int word_bits, MatMulEngine engine) const;
+                          int word_bits, EngineId engine) const;
 
     /// Element-wise modular multiply of @p limbs batched limbs.
     gpusim::KernelCost modmul(size_t limbs) const;
@@ -132,14 +131,14 @@ class KernelModel
     gpusim::KernelCost auto_kernel(size_t limbs) const;
 
     /// The GEMM engine IP actually uses at level @p level (§4.5.3).
-    MatMulEngine ip_engine(size_t level) const;
+    EngineId ip_engine(size_t level) const;
 
     /**
      * The engine pricing @p stage at @p level: the config's
      * stage_engine hook when set, otherwise the uniform engine.
      */
-    MatMulEngine engine_for_stage(std::string_view stage,
-                                  size_t level) const;
+    EngineId engine_for_stage(std::string_view stage,
+                              size_t level) const;
 
     // ---- Composite costs ----------------------------------------------
 
@@ -264,7 +263,7 @@ class KernelModel
   private:
     /// Cost of an integer GEMM on the configured engine.
     gpusim::KernelCost gemm(size_t m, size_t n, size_t k, int wa, int wb,
-                            MatMulEngine engine) const;
+                            EngineId engine) const;
 
     ckks::CkksParams params_;
     ModelConfig cfg_;

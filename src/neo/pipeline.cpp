@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
-#include "gpusim/tcu_model.h"
 #include "neo/engine.h"
 #include "neo/kernel_model.h"
 #include "neo/kernels.h"
@@ -126,22 +125,19 @@ model::ModelConfig
 model_config(const ExecPolicy &policy, const ckks::CkksParams &params)
 {
     model::ModelConfig cfg;
-    cfg.engine = EngineRegistry::model_engine(policy.engine);
+    cfg.engine = policy.engine;
     cfg.fuse_elementwise = policy.fuse;
     cfg.graph_capture = policy.graph;
     cfg.devices = policy.devices;
     cfg.interconnect = policy.interconnect;
-    if (policy.is_auto() && policy.site_engine) {
+    if (policy.is_auto()) {
         // Per-stage hook: the model prices each named keyswitch stage
         // with the engine the policy would dispatch at that site.
-        cfg.stage_engine = [policy, params](std::string_view st,
-                                            size_t level) {
-            const double valid = gpusim::TcuModel::valid_proportion_fp64(
-                params.batch, params.beta_tilde(level),
-                params.beta(level));
-            return EngineRegistry::model_engine(policy.engine_at(
-                {st, level, params.d_num, params.n, valid,
-                 policy.devices}));
+        cfg.stage_engine = [resolve = policy.site_engine,
+                            d_num = params.d_num,
+                            n = params.n](std::string_view st,
+                                          size_t level) {
+            return resolve({st, level, d_num, n});
         };
     }
     return cfg;
@@ -186,6 +182,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
                         const CkksContext &ctx, const ExecPolicy &policy)
 {
     ckks::check_keyswitch_operand(d2, ctx);
+    ckks::check_keyswitch_key(evk, ctx);
     obs::Span pipeline_span("keyswitch_klss_pipeline", obs::cat::stage);
     if (auto *r = obs::current()) {
         r->add("pipeline.keyswitch");
@@ -207,9 +204,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     NEO_CHECK(beta <= evk.beta_max && beta_tilde <= evk.beta_tilde_max,
               "evaluation key too small for this level");
     const size_t devices = std::max<size_t>(1, policy.devices);
-    const double valid = gpusim::TcuModel::valid_proportion_fp64(
-        pp.batch, pp.beta_tilde(level), pp.beta(level));
-    const SiteKey site{{}, level, pp.d_num, pp.n, valid, policy.devices};
+    const SiteKey site{{}, level, pp.d_num, pp.n};
 
     const LevelKernels lk(ctx, level);
     Workspace::Frame frame;

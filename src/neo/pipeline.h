@@ -64,12 +64,12 @@ struct PipelineEngines
  * @p policy. Same contract as ckks::keyswitch_klss; bit-identical
  * output for every policy.
  *
- * - policy.engine / policy.select: which bit-exact GEMM engine runs
- *   each matrix stage. With EngineSelect::autotune and a site_engine
- *   resolver (see tune::TuningTable::policy), each dispatched stage
+ * - policy.engine / policy.site_engine: which bit-exact GEMM engine
+ *   runs each matrix stage. A policy with a site_engine resolver
+ *   (see tune::TuningTable::policy) autotunes: each dispatched stage
  *   (modup_bconv, ntt_t, ip, intt_t, recover_bconv, ntt_q) resolves
- *   its engine from the (stage, level, d_num, N, valid) site key, and
- *   the run records one `tune.site.<stage>.<engine>` obs counter per
+ *   its engine from the (stage, level, d_num, N) site key, and the
+ *   run records one `tune.site.<stage>.<engine>` obs counter per
  *   decision so tests can prove which engine executed.
  * - policy.fuse: cross-kernel element-wise fusion — the NTT twiddle
  *   passes fold into the matrix-NTT gathers/writebacks and the

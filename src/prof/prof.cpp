@@ -38,7 +38,6 @@ stamp_policy(Result &r, const ExecPolicy &policy)
     r.engine = std::string(policy.engine_name());
     r.options.fuse = policy.fuse;
     r.options.graph = policy.graph;
-    r.tuning_table = policy.tuning_table;
     r.devices = policy.devices;
     if (policy.devices > 1)
         r.topology = gpusim::interconnect_name(policy.interconnect);
@@ -386,28 +385,18 @@ Result
 profile(const std::string &workload, const ExecPolicy &policy,
         size_t level, size_t repeat)
 {
-    // Complete an unresolved autotune policy: load the named table,
-    // or tune the canonical one in-memory.
-    ExecPolicy p = policy;
-    if (p.is_auto() && !p.site_engine) {
-        const tune::TuningTable table =
-            p.tuning_table.empty()
-                ? tuning_table_for_workloads()
-                : tune::TuningTable::load_file(p.tuning_table);
-        p = table.policy(p);
-    }
     if (repeat == 0)
         repeat = 1;
-    if (p.devices > 1 && workload != "keyswitch")
+    if (policy.devices > 1 && workload != "keyswitch")
         throw std::invalid_argument(
             "--devices > 1 is only modeled for the keyswitch workload");
     if (workload == "keyswitch")
-        return profile_keyswitch(p, level, repeat);
+        return profile_keyswitch(policy, level, repeat);
     if (workload == "mul" || workload == "rotate")
-        return profile_primitive(workload, p, level);
+        return profile_primitive(workload, policy, level);
     for (const auto &n : workload_names())
         if (n == workload)
-            return profile_app(workload, p);
+            return profile_app(workload, policy);
     std::string msg = "unknown workload '" + workload + "' (valid:";
     for (const auto &n : workload_names()) {
         msg += ' ';
@@ -423,10 +412,7 @@ print_report(const Result &r, std::ostream &out)
     out << "neo-prof — workload '" << r.workload << "', engine '"
         << r.engine << "' (" << r.mode << ", level " << r.level
         << ", fuse " << (r.options.fuse ? "on" : "off") << ", graph "
-        << (r.options.graph ? "on" : "off");
-    if (!r.tuning_table.empty())
-        out << ", table " << r.tuning_table;
-    out << ")\n";
+        << (r.options.graph ? "on" : "off") << ")\n";
     out << "  modeled total: " << format_time(r.modeled_total_s);
     if (r.wall_s > 0)
         out << "   wall: " << format_time(r.wall_s);
@@ -505,10 +491,6 @@ to_json(const Result &r)
     w.key("options").begin_object();
     w.key("fuse").value(r.options.fuse);
     w.key("graph").value(r.options.graph);
-    // Auto-run provenance only; fixed-engine artifacts keep the
-    // historical key set (golden files compare it exactly).
-    if (!r.tuning_table.empty())
-        w.key("tuning_table").value(r.tuning_table);
     w.end_object();
 
     w.key("totals").begin_object();

@@ -95,9 +95,6 @@ struct Result
     std::string mode;   ///< "functional" | "modeled"
     size_t level = 0;   ///< ciphertext level the workload ran at
     ProfileOptions options; ///< ablation switches this run used
-    /// Tuning-table path backing an auto run ("" = tuned in-memory /
-    /// fixed engine). Provenance only; carried into the artifact.
-    std::string tuning_table;
     /// Devices the keyswitch sharded over (1 = single device; the
     /// historical artifacts). Serialized only when > 1.
     size_t devices = 1;
@@ -161,12 +158,10 @@ const std::vector<std::string> &workload_names();
  * Application workloads price their full schedule and ignore @p level.
  *
  * Engine selection comes from the policy: a fixed policy reproduces
- * the historical single-engine runs; an autotune policy dispatches
- * per site. An autotune policy with no resolver is completed here —
- * policy.tuning_table (when set) is loaded, otherwise the canonical
- * table is tuned in-memory (tuning_table_for_workloads()). Functional
- * auto runs record one `tune.site.<stage>.<engine>` span per site
- * decision.
+ * the historical single-engine runs; an autotune policy (for example
+ * tuning_table_for_workloads().policy()) dispatches per site.
+ * Functional auto runs record one `tune.site.<stage>.<engine>` span
+ * per site decision.
  *
  * @p repeat controls wall-clock sampling for functional workloads:
  * with repeat == 1 the single (cold) traced run is timed, matching the
@@ -184,8 +179,10 @@ Result profile(const std::string &workload, const ExecPolicy &policy,
 /**
  * The canonical tuning table: every site of the parameter sets
  * neo-prof's workloads run at (the functional test-scale set and the
- * paper's Set C). Deterministic — the checked-in neo.tune.json is
- * exactly this table, and CI regenerates it to prove freshness.
+ * paper's Set C). Deterministic and tuned in memory on every call —
+ * `neo-prof --engine auto` runs under its policy(), and the
+ * checked-in neo.tune.json is exactly this table written out (CI
+ * regenerates it to prove freshness).
  */
 tune::TuningTable tuning_table_for_workloads();
 

@@ -31,7 +31,7 @@ op_times(const ckks::CkksParams &params, const model::ModelConfig &base,
     cfg.stage_engine = [&assign](std::string_view st, size_t) {
         const size_t rank = stage_rank(st);
         NEO_ASSERT(rank < assign.size(), "untuned stage queried");
-        return EngineRegistry::model_engine(assign[rank]);
+        return assign[rank];
     };
     const model::KernelModel m(params, cfg);
     std::vector<double> t;

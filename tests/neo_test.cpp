@@ -175,7 +175,7 @@ TEST(KernelModel, Fp64TcuBeatsCudaCoresOnNttMatmuls)
 {
     auto m = make_model();
     auto cfg_cuda = m.config();
-    cfg_cuda.engine = model::MatMulEngine::cuda_cores;
+    cfg_cuda.engine = EngineId::scalar;
     model::KernelModel cuda(m.params(), cfg_cuda);
     const auto &dev = m.config().device;
     EXPECT_LT(m.ntt(36, 36).time(dev), cuda.ntt(36, 36).time(dev));
@@ -214,9 +214,9 @@ TEST(KernelModel, IpEngineGateFollowsValidProportion)
             m.params().beta(level));
         const auto engine = m.ip_engine(level);
         if (valid > 0.8) {
-            EXPECT_EQ(engine, model::MatMulEngine::tcu_fp64);
+            EXPECT_EQ(engine, EngineId::fp64_tcu);
         } else {
-            EXPECT_EQ(engine, model::MatMulEngine::cuda_cores);
+            EXPECT_EQ(engine, EngineId::scalar);
         }
     }
 }

@@ -161,6 +161,36 @@ TEST(Pipeline, RejectsOperandFromAnotherContext)
     }
 }
 
+TEST(Pipeline, RejectsKeyFromAnotherContext)
+{
+    // A key over another ring, or a hybrid key over another modulus
+    // chain, is rejected before any kernel reads key material. A KLSS
+    // key carries only T, which the 36- and 40-bit chains share.
+    const CkksParams params = CkksParams::test_params(256, 5, 2);
+    const CkksContext ctx(params);
+    const RnsPoly d2(ctx.n(), ctx.active_mods(5), PolyForm::eval);
+
+    for (size_t other_n : {128u, 512u}) {
+        SCOPED_TRACE(::testing::Message() << "key n=" << other_n);
+        const CkksContext other(CkksParams::test_params(other_n, 5, 2));
+        KeyGenerator keygen(other, 6);
+        const EvalKey rlk = keygen.relin_key(keygen.secret_key());
+        const KlssEvalKey klss_rlk = keygen.to_klss(rlk);
+        EXPECT_THROW(keyswitch_klss_pipeline(d2, klss_rlk, ctx),
+                     std::invalid_argument);
+        EXPECT_THROW(keyswitch_klss(d2, klss_rlk, ctx),
+                     std::invalid_argument);
+        EXPECT_THROW(keyswitch_hybrid(d2, rlk, ctx), std::invalid_argument);
+    }
+
+    CkksParams wide = params;
+    wide.word_size = 40;
+    const CkksContext other(wide);
+    KeyGenerator keygen(other, 7);
+    const EvalKey rlk = keygen.relin_key(keygen.secret_key());
+    EXPECT_THROW(keyswitch_hybrid(d2, rlk, ctx), std::invalid_argument);
+}
+
 TEST(BConvExact, MatmulExactMatchesBaseConverter)
 {
     auto p1 = generate_ntt_primes(36, 3, 1 << 10);

@@ -1,13 +1,14 @@
 /**
  * neo::tune — the per-site engine autotuner's contracts:
- *  - the `neo.tune/1` document round-trips (to_json -> parse ->
- *    to_json byte-identical) and matches the committed golden file,
+ *  - every `neo.tune/1` entry carries a score per engine,
  *  - tuning is deterministic across repeated runs and worker-thread
  *    counts (the table is model-driven, never wall-clock-driven),
  *  - an autotuned pipeline run is bit-identical to every fixed engine
  *    and to the reference keyswitch at every GEMM ISA level (the
  *    tuner only chooses which correct engine runs), and records its
  *    per-site decisions as tune.site.* counters,
+ *  - each dispatched stage runs the engine the model prices it on
+ *    (one resolver: TuningTable::policy, then model_config),
  *  - the tuned mix dominates: modeled keyswitch time at every level
  *    is never slower than the best uniform engine (the neo.bench/1
  *    gate's invariant),
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,21 +55,6 @@ tuned_table()
     return tune::Tuner().tune(test_params());
 }
 
-/// ModelConfig that dispatches stages through @p table (fallback
-/// @p fb), mirroring what neo::model_config builds for an auto policy.
-model::ModelConfig
-auto_config(const tune::TuningTable &table, const CkksParams &params,
-            model::MatMulEngine fb)
-{
-    model::ModelConfig cfg;
-    cfg.stage_engine = [&table, d_num = params.d_num, n = params.n,
-                        fb](std::string_view st, size_t lvl) {
-        const auto id = table.lookup(st, lvl, d_num, n);
-        return id ? EngineRegistry::model_engine(*id) : fb;
-    };
-    return cfg;
-}
-
 std::string
 read_file(const std::string &path)
 {
@@ -100,24 +87,8 @@ poly_eq(const RnsPoly &a, const RnsPoly &b)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Serialization
+// Table contents
 // ---------------------------------------------------------------------
-
-TEST(TuneTable, JsonRoundTripIsByteIdentical)
-{
-    const auto table = tuned_table();
-    ASSERT_FALSE(table.empty());
-    const std::string doc = table.to_json();
-    const auto reparsed = tune::TuningTable::from_json(doc);
-    EXPECT_EQ(reparsed.size(), table.size());
-    EXPECT_EQ(reparsed.to_json(), doc);
-    // Lookups survive the round trip.
-    for (const auto &e : table.entries()) {
-        const auto got = reparsed.lookup(e.stage, e.level, e.d_num, e.n);
-        ASSERT_TRUE(got.has_value()) << e.stage << " L" << e.level;
-        EXPECT_EQ(*got, e.engine) << e.stage << " L" << e.level;
-    }
-}
 
 TEST(TuneTable, EntriesCarryScoresForEveryEngine)
 {
@@ -134,32 +105,6 @@ TEST(TuneTable, EntriesCarryScoresForEveryEngine)
         }
         EXPECT_TRUE(found) << e.stage << " L" << e.level;
     }
-}
-
-TEST(TuneTable, RejectsWrongSchemaAndBadEngine)
-{
-    EXPECT_THROW(tune::TuningTable::from_json(
-                     "{\"schema\":\"neo.tune/2\",\"entries\":[]}"),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        tune::TuningTable::from_json(
-            "{\"schema\":\"neo.tune/1\",\"entries\":[{\"stage\":\"ip\","
-            "\"level\":0,\"d_num\":2,\"n\":256,\"engine\":\"warp\"}]}"),
-        std::invalid_argument);
-}
-
-TEST(TuneTable, MatchesGoldenFile)
-{
-    // The committed golden pins the serialized form: field names,
-    // ordering, number formatting and the tuner's decisions at the
-    // functional test-scale parameters. When a model change moves a
-    // decision on purpose, regenerate by writing
-    // tune::Tuner().tune(CkksParams::test_params(256, 5, 2)) to the
-    // golden path (see EXPERIMENTS.md).
-    const std::string golden =
-        read_file(std::string(NEO_TEST_DATA_DIR) +
-                  "/tune_table_golden.json");
-    EXPECT_EQ(tuned_table().to_json() + "\n", golden);
 }
 
 // ---------------------------------------------------------------------
@@ -193,7 +138,6 @@ TEST(TuneDifferential, AutoBitIdenticalToFixedAndReference)
     const auto table = tuned_table();
     const ExecPolicy auto_policy = table.policy();
     ASSERT_TRUE(auto_policy.is_auto());
-    ASSERT_TRUE(auto_policy.site_engine != nullptr);
 
     // At every GEMM ISA level the host supports.
     const GemmIsa top = gemm_isa_supported();
@@ -257,6 +201,43 @@ TEST(TuneDifferential, AutoRunRecordsSiteCountersFixedRunDoesNot)
         EXPECT_NE(name.rfind("tune.site.", 0), 0u) << name;
 }
 
+TEST(TuneDifferential, PipelineRunsTheEngineTheModelPrices)
+{
+    // One resolver: at every level, each engine-dispatched stage runs
+    // the engine model_config prices it on. The tuned table at these
+    // parameters holds scalar decisions as well as tensor-core ones.
+    const CkksParams params = test_params();
+    CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 17);
+    const SecretKey sk = keygen.secret_key();
+    const KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
+    const ExecPolicy policy = tuned_table().policy();
+    const auto priced = model_config(policy, params).stage_engine;
+    ASSERT_TRUE(priced != nullptr);
+
+    size_t scalar_sites = 0;
+    for (size_t level = 0; level <= params.max_level; ++level) {
+        std::map<std::string, u64> want;
+        for (const char *st : {stage::modup_bconv, stage::ntt_t, stage::ip,
+                               stage::intt_t, stage::recover_bconv,
+                               stage::ntt_q}) {
+            const EngineId e = priced(st, level);
+            scalar_sites += e == EngineId::scalar;
+            want[std::string("tune.site.") + st + "." +
+                 std::string(EngineRegistry::name(e))] += 1;
+        }
+        RnsPoly d2 = random_eval_poly(ctx, level, 700 + level);
+        obs::Scope scope;
+        (void)keyswitch_klss_pipeline(d2, rlk, ctx, policy);
+        std::map<std::string, u64> got;
+        for (const auto &[name, value] : scope.registry().counters())
+            if (name.rfind("tune.site.", 0) == 0)
+                got[name] = value;
+        EXPECT_EQ(got, want) << "level=" << level;
+    }
+    EXPECT_GT(scalar_sites, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Dominance: the bench gate's invariant, checked per level
 // ---------------------------------------------------------------------
@@ -266,14 +247,13 @@ TEST(TuneDominance, TunedKeyswitchNeverSlowerThanBestUniform)
     for (const CkksParams &params :
          {test_params(), baselines::make_neo('C').params}) {
         const auto table = tune::Tuner().tune(params);
-        const auto cfg =
-            auto_config(table, params, model::MatMulEngine::tcu_fp64);
-        const model::KernelModel tuned(params, cfg);
+        const model::KernelModel tuned(
+            params, model_config(table.policy(), params));
         for (size_t level = 0; level <= params.max_level; ++level) {
             double best_uniform = std::numeric_limits<double>::max();
             for (const EngineId id : EngineRegistry::ids()) {
                 model::ModelConfig ucfg;
-                ucfg.engine = EngineRegistry::model_engine(id);
+                ucfg.engine = id;
                 best_uniform = std::min(
                     best_uniform,
                     model::KernelModel(params, ucfg)
@@ -290,85 +270,11 @@ TEST(TuneDominance, TunedKeyswitchNeverSlowerThanBestUniform)
 // Freshness: the checked-in table is what the tuner emits today
 // ---------------------------------------------------------------------
 
-#ifdef NEO_TUNE_TABLE
 TEST(TuneFreshness, CheckedInTableMatchesTunerOutput)
 {
     const std::string checked_in = read_file(NEO_TUNE_TABLE);
     EXPECT_EQ(prof::tuning_table_for_workloads().to_json() + "\n",
               checked_in)
-        << "neo.tune.json is stale; regenerate with "
-           "`neo-prof --tune --tuning-table neo.tune.json`";
+        << "neo.tune.json is stale; regenerate with `neo-prof --tune` "
+           "from the repository root";
 }
-#endif
-
-// ---------------------------------------------------------------------
-// Device-pinned decisions (multi-device sharding)
-// ---------------------------------------------------------------------
-
-TEST(TuneDevices, PinnedEntriesWinOverAgnosticAndRoundTrip)
-{
-    tune::TuningTable table;
-    tune::SiteDecision agnostic;
-    agnostic.stage = "ip";
-    agnostic.level = 4;
-    agnostic.d_num = 2;
-    agnostic.n = 256;
-    agnostic.engine = EngineId::fp64_tcu;
-    table.add(agnostic);
-    tune::SiteDecision pinned = agnostic;
-    pinned.devices = 2;
-    pinned.engine = EngineId::int8_tcu;
-    table.add(pinned);
-
-    // Historical lookups (devices omitted) see only the agnostic
-    // entry; a 2-device run sees its pinned decision; a 4-device run
-    // falls back to agnostic.
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256), EngineId::fp64_tcu);
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256, 2), EngineId::int8_tcu);
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256, 4), EngineId::fp64_tcu);
-
-    // The `devices` key serializes only when nonzero, and survives a
-    // round trip with the same semantics.
-    const std::string doc = table.to_json();
-    EXPECT_NE(doc.find("\"devices\": 2"), std::string::npos);
-    const auto reparsed = tune::TuningTable::from_json(doc);
-    EXPECT_EQ(reparsed.to_json(), doc);
-    EXPECT_EQ(reparsed.lookup("ip", 4, 2, 256, 2), EngineId::int8_tcu);
-    EXPECT_EQ(reparsed.lookup("ip", 4, 2, 256), EngineId::fp64_tcu);
-}
-
-TEST(TuneDevices, AgnosticTablesAreUnchangedOnDisk)
-{
-    // A table with no pinned entries must serialize exactly as before
-    // the devices field existed (no "devices" key anywhere): the
-    // checked-in neo.tune.json and its golden stay byte-identical.
-    const auto table = tuned_table();
-    for (const auto &e : table.entries())
-        EXPECT_EQ(e.devices, 0u);
-    EXPECT_EQ(table.to_json().find("\"devices\""), std::string::npos);
-}
-
-TEST(TuneDevices, PolicyResolvesPerDeviceCount)
-{
-    tune::TuningTable table;
-    tune::SiteDecision pinned;
-    pinned.stage = "ip";
-    pinned.level = 4;
-    pinned.d_num = 2;
-    pinned.n = 256;
-    pinned.devices = 2;
-    pinned.engine = EngineId::scalar;
-    table.add(pinned);
-
-    ExecPolicy base;
-    base.engine = EngineId::fp64_tcu;
-    base.devices = 2;
-    const auto policy = table.policy(base);
-    SiteKey site{"ip", 4, 2, 256, 0.0, 2};
-    EXPECT_EQ(policy.engine_at(site), EngineId::scalar);
-    // The same site on one device misses the pinned entry and falls
-    // back to the base engine.
-    site.devices = 1;
-    EXPECT_EQ(policy.engine_at(site), EngineId::fp64_tcu);
-}
-

@@ -3,27 +3,24 @@
  *
  *   neo-prof <workload> [--engine E] [--level N] [--repeat N]
  *            [--fuse on|off] [--graph on|off]
- *            [--devices N] [--topology nvlink|pcie]
- *            [--tuning-table PATH]
- *            [--json PATH] [--baseline PATH] [--threshold F]
- *            [--gate-wall]
- *   neo-prof --tune [--tuning-table PATH]
+ *            [--devices N] [--topology nvlink|pcie] [--json PATH]
+ *   neo-prof --tune [--json PATH]
  *   neo-prof --diff BASE.json CUR.json [--threshold F] [--gate-wall]
  *            [--json PATH]
  *   neo-prof --list
  *
  * Runs one named workload under the chosen execution policy, prints
- * the per-kernel roofline attribution report, optionally writes the
- * schema-versioned artifact (BENCH_<workload>.json by convention) and
- * optionally compares the run against a baseline artifact.
- * `--engine auto` dispatches each kernel site through the tuning
- * table (`--tuning-table`, or tuned in-memory); `--tune` writes the
- * canonical `neo.tune/1` table and exits; `--diff` compares two
- * existing neo.bench/1 artifacts offline, attributing the delta per
- * kernel / span / metric and applying the same regression gate.
+ * the per-kernel roofline attribution report and optionally writes
+ * the schema-versioned artifact (BENCH_<workload>.json by
+ * convention). `--engine auto` dispatches each kernel site through
+ * the canonical tuning table, tuned in memory; `--tune` writes that
+ * table as `neo.tune/1` and exits; `--diff` compares two neo.bench/1
+ * artifacts, attributing the delta per kernel / span / metric and
+ * applying the regression gate.
  *
  * Exit codes: 0 ok, 1 at least one metric regressed past the
- * threshold, 2 usage / runtime error — so CI can gate on the result.
+ * threshold (--diff), 2 usage / runtime error — so CI can gate on the
+ * result.
  */
 #include <cstdio>
 #include <cstring>
@@ -46,7 +43,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s <workload> [options]\n"
-        "       %s --tune [--tuning-table PATH]\n"
+        "       %s --tune [--json PATH]\n"
         "       %s --diff BASE.json CUR.json [--threshold F]"
         " [--gate-wall] [--json PATH]\n"
         "       %s --list\n"
@@ -73,21 +70,14 @@ usage(const char *argv0)
         "  --topology T    interconnect preset with --devices >= 2:"
         " nvlink\n"
         "                  (default) or pcie\n"
-        "  --tuning-table PATH\n"
-        "                  with --engine auto: load per-site decisions"
-        " from PATH\n"
-        "                  (default: tune in-memory); with --tune:"
-        " output path\n"
-        "                  (default neo.tune.json)\n"
-        "  --tune          write the canonical neo.tune/1 table and"
-        " exit\n"
+        "  --tune          write the canonical neo.tune/1 table to"
+        " --json PATH\n"
+        "                  (default neo.tune.json) and exit\n"
         "  --json PATH     write the neo.bench/1 artifact to PATH\n"
-        "  --baseline B    compare against artifact B; exit 1 on"
-        " regression\n"
-        "  --threshold F   relative regression threshold (default"
-        " 0.10)\n"
-        "  --gate-wall     also gate machine-dependent wall-clock"
-        " metrics\n"
+        "  --threshold F   --diff: relative regression threshold"
+        " (default 0.10)\n"
+        "  --gate-wall     --diff: also gate machine-dependent"
+        " wall-clock metrics\n"
         "  --diff B C      compare artifacts B (baseline) and C:"
         " per-kernel\n"
         "                  delta attribution + regression gate; with"
@@ -103,8 +93,8 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    std::string workload, engine = "fp64_tcu", json_path, baseline_path;
-    std::string tuning_table, diff_base, diff_cur;
+    std::string workload, engine = "fp64_tcu", json_path;
+    std::string diff_base, diff_cur;
     bool tune_mode = false, diff_mode = false;
     size_t devices = 1;
     bool topology_set = false;
@@ -169,8 +159,6 @@ main(int argc, char **argv)
                 return 2;
             }
             topology_set = true;
-        } else if (a == "--tuning-table") {
-            tuning_table = next("--tuning-table");
         } else if (a == "--tune") {
             tune_mode = true;
         } else if (a == "--diff") {
@@ -179,8 +167,6 @@ main(int argc, char **argv)
             diff_cur = next("--diff");
         } else if (a == "--json") {
             json_path = next("--json");
-        } else if (a == "--baseline") {
-            baseline_path = next("--baseline");
         } else if (a == "--threshold") {
             copts.threshold = std::atof(next("--threshold"));
         } else if (a == "--gate-wall") {
@@ -242,7 +228,7 @@ main(int argc, char **argv)
             return 2;
         }
         const std::string out =
-            tuning_table.empty() ? "neo.tune.json" : tuning_table;
+            json_path.empty() ? "neo.tune.json" : json_path;
         try {
             const neo::tune::TuningTable table =
                 neo::prof::tuning_table_for_workloads();
@@ -273,47 +259,17 @@ main(int argc, char **argv)
     policy.devices = devices;
 
     try {
-        if (engine == "auto") {
-            policy.select = neo::EngineSelect::autotune;
-            policy.tuning_table = tuning_table;
-        } else {
+        if (engine == "auto")
+            policy =
+                neo::prof::tuning_table_for_workloads().policy(policy);
+        else
             policy.engine = neo::EngineRegistry::parse(engine);
-            if (!tuning_table.empty()) {
-                std::fprintf(stderr, "--tuning-table requires "
-                                     "--engine auto\n");
-                return 2;
-            }
-        }
         const neo::prof::Result r =
             neo::prof::profile(workload, policy, level, repeat);
         neo::prof::print_report(r, std::cout);
         if (!json_path.empty()) {
             neo::prof::write_json(r, json_path);
             std::printf("\nwrote %s\n", json_path.c_str());
-        }
-        if (!baseline_path.empty()) {
-            const neo::json::Value base =
-                neo::json::Value::parse_file(baseline_path);
-            const neo::json::Value cur =
-                neo::json::Value::parse(neo::prof::to_json(r));
-            const auto regressions = neo::prof::compare(base, cur, copts);
-            if (regressions.empty()) {
-                std::printf("\nbaseline compare vs %s: OK "
-                            "(threshold %.0f%%)\n",
-                            baseline_path.c_str(),
-                            100.0 * copts.threshold);
-                return 0;
-            }
-            std::printf("\nbaseline compare vs %s: %zu metric(s) "
-                        "regressed past %.0f%%:\n",
-                        baseline_path.c_str(), regressions.size(),
-                        100.0 * copts.threshold);
-            for (const auto &reg : regressions) {
-                std::printf("  %-36s %12g -> %-12g (%.2fx)\n",
-                            reg.metric.c_str(), reg.baseline,
-                            reg.current, reg.ratio);
-            }
-            return 1;
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "neo-prof: %s\n", e.what());
