@@ -10,6 +10,7 @@
 #include "bench_util.h"
 
 using namespace neo;
+using model::Op;
 
 int
 main(int argc, char **argv)
@@ -60,8 +61,8 @@ main(int argc, char **argv)
     double base_time = 0;
     for (const auto &v : variants) {
         model::KernelModel m(base.params, v.cfg);
-        const double ks = m.keyswitch_time(base.params.max_level);
-        const double hm = m.hmult_time(base.params.max_level);
+        const double ks = m.time(Op::keyswitch, base.params.max_level);
+        const double hm = m.time(Op::hmult, base.params.max_level);
         const double boot =
             apps::run_schedule(apps::pack_bootstrap(base.params), m);
         if (base_time == 0) {
@@ -79,7 +80,7 @@ main(int argc, char **argv)
     // individually vs with a shared ModUp.
     model::KernelModel m(base.params, base.cfg);
     const size_t l = base.params.max_level;
-    const double individual = 16 * m.hrotate_time(l);
+    const double individual = 16 * m.time(Op::hrotate, l);
     const double hoisted = m.hrotate_hoisted_time(l, 16);
     std::printf("\nHoisting (16 rotations at l=%zu): individual %s vs "
                 "hoisted %s (%.2fx)\n",
@@ -91,12 +92,15 @@ main(int argc, char **argv)
     // streams: cross-checks the aggregate multi-stream model on the
     // real KeySwitch kernel sequence.
     {
-        auto kernels = m.keyswitch_kernels(l);
+        std::vector<gpusim::KernelCost> kernels;
+        for (const auto &nk : m.kernels(Op::keyswitch, l))
+            kernels.push_back(nk.cost);
         gpusim::EventSimulator sim(base.cfg.device);
         const double fluid =
             sim.run_queues({kernels, kernels}).makespan;
         const double serial =
-            2 * gpusim::run_schedule(kernels, base.cfg.device, false)
+            2 * gpusim::run_schedule(kernels, base.cfg.device,
+                                     gpusim::SchedulePolicy{false, false})
                     .seconds;
         std::printf("\nFluid stream simulation (2 batch-halves, 2 "
                     "streams): %s vs %s serial (%.2fx overlap gain)\n",

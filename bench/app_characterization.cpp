@@ -20,14 +20,14 @@ characterize(const char *name, const Schedule &s,
     std::printf("%s (embedded bootstraps: %.0f)\n", name, s.bootstraps);
     struct Kind
     {
-        OpKind op;
+        model::Op op;
         const char *label;
     };
     const Kind kinds[] = {
-        {OpKind::hmult, "HMULT"},     {OpKind::hrotate, "HROTATE"},
-        {OpKind::pmult, "PMULT"},     {OpKind::hadd, "HADD"},
-        {OpKind::padd, "PADD"},       {OpKind::rescale, "Rescale"},
-        {OpKind::double_rescale, "DS"},
+        {model::Op::hmult, "HMULT"},   {model::Op::hrotate, "HROTATE"},
+        {model::Op::pmult, "PMULT"},   {model::Op::hadd, "HADD"},
+        {model::Op::padd, "PADD"},     {model::Op::rescale, "Rescale"},
+        {model::Op::double_rescale, "DS"},
     };
     TextTable t;
     t.header({"op", "count", "share of time"});
@@ -38,31 +38,7 @@ characterize(const char *name, const Schedule &s,
             if (o.op != k.op)
                 continue;
             cnt += o.count;
-            double per = 0;
-            switch (o.op) {
-              case OpKind::hmult:
-                per = m.hmult_time(o.level);
-                break;
-              case OpKind::hrotate:
-                per = m.hrotate_time(o.level);
-                break;
-              case OpKind::pmult:
-                per = m.pmult_time(o.level);
-                break;
-              case OpKind::hadd:
-                per = m.hadd_time(o.level);
-                break;
-              case OpKind::padd:
-                per = m.padd_time(o.level);
-                break;
-              case OpKind::rescale:
-                per = m.rescale_time(o.level);
-                break;
-              case OpKind::double_rescale:
-                per = m.double_rescale_time(o.level);
-                break;
-            }
-            time += per * o.count;
+            time += m.time(o.op, o.level) * o.count;
         }
         if (cnt > 0)
             t.row({k.label, strfmt("%.0f", cnt),

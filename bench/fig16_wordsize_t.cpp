@@ -29,7 +29,8 @@ main(int argc, char **argv)
     model::ModelConfig hybrid_cfg = neo_cfg;
     hybrid_cfg.use_klss = false;
     model::KernelModel hybrid(base, hybrid_cfg);
-    const double t_hybrid = hybrid.keyswitch_time(base.max_level);
+    const double t_hybrid =
+        hybrid.time(model::Op::keyswitch, base.max_level);
     t.row({"Hybrid", "-", "-", format_time(t_hybrid), "1.00x"});
     report.metric("hybrid.keyswitch_s", t_hybrid);
 
@@ -38,7 +39,7 @@ main(int argc, char **argv)
         p.klss.word_size_t = wst;
         p.klss.alpha_tilde = 5;
         model::KernelModel klss(p, neo_cfg);
-        const double s = klss.keyswitch_time(p.max_level);
+        const double s = klss.time(model::Op::keyswitch, p.max_level);
         t.row({"KLSS", strfmt("%d", wst),
                strfmt("%zu", p.klss_alpha_prime()), format_time(s),
                strfmt("%.2fx", t_hybrid / s)});

@@ -7,6 +7,7 @@
 #include "bench_util.h"
 
 using namespace neo;
+using model::Op;
 
 namespace {
 
@@ -14,10 +15,11 @@ void
 add_row(TextTable &t, const baselines::Backend &b, size_t level)
 {
     auto m = b.model();
-    auto us = [](double s) { return strfmt("%10.1f", s * 1e6); };
-    t.row({b.name, us(m.hmult_time(level)), us(m.hrotate_time(level)),
-           us(m.pmult_time(level)), us(m.hadd_time(level)),
-           us(m.padd_time(level)), us(m.rescale_time(level))});
+    auto us = [&](Op op) {
+        return strfmt("%10.1f", m.time(op, level) * 1e6);
+    };
+    t.row({b.name, us(Op::hmult), us(Op::hrotate), us(Op::pmult),
+           us(Op::hadd), us(Op::padd), us(Op::rescale)});
 }
 
 } // namespace
@@ -44,9 +46,9 @@ main(int argc, char **argv)
         "/ 32523.6; HEonGPU = 8172.6; Neo = 3472.5; CPU HMult = 2.6 s.\n");
     {
         auto m = baselines::make_neo('C').model();
-        report.metric("neo_c.hmult_s", m.hmult_time(35));
-        report.metric("neo_c.hrotate_s", m.hrotate_time(35));
-        report.metric("neo_c.rescale_s", m.rescale_time(35));
+        report.metric("neo_c.hmult_s", m.time(Op::hmult, 35));
+        report.metric("neo_c.hrotate_s", m.time(Op::hrotate, 35));
+        report.metric("neo_c.rescale_s", m.time(Op::rescale, 35));
     }
     report.write();
     return 0;

@@ -34,7 +34,8 @@ main(int argc, char **argv)
             p.klss.word_size_t = 48;
             p.klss.alpha_tilde = at;
             model::KernelModel m(p, cfg);
-            const double ms = m.keyswitch_time(p.max_level) * 1e3;
+            const double ms =
+                m.time(model::Op::keyswitch, p.max_level) * 1e3;
             if (ms < best) {
                 best = ms;
                 best_d = d;

@@ -11,6 +11,7 @@
 #include "common/table.h"
 
 using namespace neo;
+using model::Op;
 
 int
 main(int argc, char **argv)
@@ -35,9 +36,9 @@ main(int argc, char **argv)
     std::printf("KeySwitch kernel walk at l = %zu:\n", p.max_level);
     TextTable kt;
     kt.header({"#", "cuda", "tcu", "mem", "kernel time"});
-    auto kernels = m.keyswitch_kernels(p.max_level);
     int idx = 0;
-    for (const auto &k : kernels) {
+    for (const auto &nk : m.kernels(Op::keyswitch, p.max_level)) {
+        const auto &k = nk.cost;
         kt.row({strfmt("%d", idx++), format_time(k.cuda_time(dev)),
                 format_time(k.tcu_time(dev)),
                 format_time(k.mem_time(dev)),
@@ -45,17 +46,18 @@ main(int argc, char **argv)
     }
     kt.print();
     std::printf("KeySwitch total (amortized per batched ct): %s\n\n",
-                format_time(m.keyswitch_time(p.max_level)).c_str());
+                format_time(m.time(Op::keyswitch, p.max_level)).c_str());
 
     // Operation costs across levels.
     std::printf("Operation costs by level:\n");
     TextTable ot;
     ot.header({"l", "HMULT", "HROTATE", "PMULT", "Rescale"});
     for (i64 l = static_cast<i64>(p.max_level); l >= 5; l -= 10) {
-        ot.row({strfmt("%lld", static_cast<long long>(l)), format_time(m.hmult_time(l)),
-                format_time(m.hrotate_time(l)),
-                format_time(m.pmult_time(l)),
-                format_time(m.rescale_time(l))});
+        ot.row({strfmt("%lld", static_cast<long long>(l)),
+                format_time(m.time(Op::hmult, l)),
+                format_time(m.time(Op::hrotate, l)),
+                format_time(m.time(Op::pmult, l)),
+                format_time(m.time(Op::rescale, l))});
     }
     ot.print();
 

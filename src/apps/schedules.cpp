@@ -6,6 +6,8 @@
 
 namespace neo::apps {
 
+using model::Op;
+
 namespace {
 
 /// Clamp a level into the valid [1, L] range of the parameter set.
@@ -17,7 +19,7 @@ lvl(const ckks::CkksParams &p, i64 level)
 }
 
 void
-push(Schedule &s, OpKind op, size_t level, double count)
+push(Schedule &s, Op op, size_t level, double count)
 {
     if (count > 0)
         s.ops.push_back({op, level, count});
@@ -26,7 +28,7 @@ push(Schedule &s, OpKind op, size_t level, double count)
 } // namespace
 
 double
-Schedule::total(OpKind k) const
+Schedule::total(Op k) const
 {
     double c = 0;
     for (const auto &o : ops) {
@@ -49,12 +51,12 @@ pack_bootstrap(const ckks::CkksParams &p)
     // real/imag parts at the end.
     for (int stage = 0; stage < 3; ++stage) {
         const size_t at = lvl(p, top - stage);
-        push(s, OpKind::hrotate, at, 16);
-        push(s, OpKind::pmult, at, 63);
-        push(s, OpKind::hadd, at, 63);
-        push(s, OpKind::rescale, at, 1);
+        push(s, Op::hrotate, at, 16);
+        push(s, Op::pmult, at, 63);
+        push(s, Op::hadd, at, 63);
+        push(s, Op::rescale, at, 1);
     }
-    push(s, OpKind::hrotate, lvl(p, top - 3), 1); // conjugation
+    push(s, Op::hrotate, lvl(p, top - 3), 1); // conjugation
 
     // EvalMod: degree-63 Chebyshev of the scaled sine plus 2
     // double-angle steps — 12 non-scalar multiplications and their
@@ -62,22 +64,22 @@ pack_bootstrap(const ckks::CkksParams &p)
     const bool use_ds = p.word_size < 40;
     for (int m = 0; m < 12; ++m) {
         const size_t at = lvl(p, top - 4 - m);
-        push(s, OpKind::hmult, at, 1);
-        push(s, use_ds && m % 2 == 0 ? OpKind::double_rescale
-                                     : OpKind::rescale,
+        push(s, Op::hmult, at, 1);
+        push(s, use_ds && m % 2 == 0 ? Op::double_rescale
+                                     : Op::rescale,
              at, 1);
     }
-    push(s, OpKind::pmult, lvl(p, top - 8), 26);
-    push(s, OpKind::padd, lvl(p, top - 8), 26);
-    push(s, OpKind::hadd, lvl(p, top - 8), 12);
+    push(s, Op::pmult, lvl(p, top - 8), 26);
+    push(s, Op::padd, lvl(p, top - 8), 26);
+    push(s, Op::hadd, lvl(p, top - 8), 12);
 
     // SlotToCoeff: 3 more BSGS stages at the lower levels.
     for (int stage = 0; stage < 3; ++stage) {
         const size_t at = lvl(p, top - 17 - stage);
-        push(s, OpKind::hrotate, at, 16);
-        push(s, OpKind::pmult, at, 63);
-        push(s, OpKind::hadd, at, 63);
-        push(s, OpKind::rescale, at, 1);
+        push(s, Op::hrotate, at, 16);
+        push(s, Op::pmult, at, 63);
+        push(s, Op::hadd, at, 63);
+        push(s, Op::rescale, at, 1);
     }
     return s;
 }
@@ -91,23 +93,23 @@ helr_iteration(const ckks::CkksParams &p)
 
     // X·w: rotate-and-sum over the 196-feature dimension packed into
     // slot groups (log2(256) = 8 rotations), one PMULT per block.
-    push(s, OpKind::hrotate, lvl(p, top), 8);
-    push(s, OpKind::pmult, lvl(p, top), 4);
-    push(s, OpKind::hmult, lvl(p, top), 2);
-    push(s, OpKind::rescale, lvl(p, top), 2);
+    push(s, Op::hrotate, lvl(p, top), 8);
+    push(s, Op::pmult, lvl(p, top), 4);
+    push(s, Op::hmult, lvl(p, top), 2);
+    push(s, Op::rescale, lvl(p, top), 2);
 
     // Degree-3 sigmoid approximation.
-    push(s, OpKind::hmult, lvl(p, top - 1), 2);
-    push(s, OpKind::rescale, lvl(p, top - 1), 2);
-    push(s, OpKind::pmult, lvl(p, top - 1), 3);
-    push(s, OpKind::padd, lvl(p, top - 1), 3);
+    push(s, Op::hmult, lvl(p, top - 1), 2);
+    push(s, Op::rescale, lvl(p, top - 1), 2);
+    push(s, Op::pmult, lvl(p, top - 1), 3);
+    push(s, Op::padd, lvl(p, top - 1), 3);
 
     // Gradient: X^T·(σ(z) - y) by rotate-and-sum, then the update.
-    push(s, OpKind::hrotate, lvl(p, top - 2), 8);
-    push(s, OpKind::hmult, lvl(p, top - 2), 1);
-    push(s, OpKind::rescale, lvl(p, top - 2), 1);
-    push(s, OpKind::pmult, lvl(p, top - 3), 2);
-    push(s, OpKind::hadd, lvl(p, top - 3), 4);
+    push(s, Op::hrotate, lvl(p, top - 2), 8);
+    push(s, Op::hmult, lvl(p, top - 2), 1);
+    push(s, Op::rescale, lvl(p, top - 2), 1);
+    push(s, Op::pmult, lvl(p, top - 3), 2);
+    push(s, Op::hadd, lvl(p, top - 3), 4);
 
     // One refresh bootstrap per iteration keeps the budget positive
     // across the 32 training iterations.
@@ -136,17 +138,17 @@ resnet(const ckks::CkksParams &p, int layers)
         const double conv_rot = 28.0 + 6.0 * std::min(stage, 2);
         const double conv_pmult = 30.0 + 6.0 * std::min(stage, 2);
         const size_t at = lvl(p, top - (layer % 6));
-        push(s, OpKind::hrotate, at, conv_rot);
-        push(s, OpKind::pmult, at, conv_pmult);
-        push(s, OpKind::hadd, at, conv_pmult);
-        push(s, OpKind::rescale, at, 2);
-        push(s, OpKind::hmult, lvl(p, at - 1), relu_mult);
-        push(s, OpKind::rescale, lvl(p, at - 1), relu_mult);
+        push(s, Op::hrotate, at, conv_rot);
+        push(s, Op::pmult, at, conv_pmult);
+        push(s, Op::hadd, at, conv_pmult);
+        push(s, Op::rescale, at, 2);
+        push(s, Op::hmult, lvl(p, at - 1), relu_mult);
+        push(s, Op::rescale, lvl(p, at - 1), relu_mult);
     }
     // Final average-pool + fully connected layer.
-    push(s, OpKind::hrotate, lvl(p, 4), 16);
-    push(s, OpKind::pmult, lvl(p, 4), 10);
-    push(s, OpKind::hadd, lvl(p, 4), 16);
+    push(s, Op::hrotate, lvl(p, 4), 16);
+    push(s, Op::pmult, lvl(p, 4), 10);
+    push(s, Op::hadd, lvl(p, 4), 16);
 
     s.bootstraps = layers; // one refresh per layer block
     return s;
@@ -156,33 +158,8 @@ double
 run_schedule(const Schedule &s, const model::KernelModel &m)
 {
     double t = 0;
-    for (const auto &o : s.ops) {
-        double per = 0;
-        switch (o.op) {
-          case OpKind::hmult:
-            per = m.hmult_time(o.level);
-            break;
-          case OpKind::hrotate:
-            per = m.hrotate_time(o.level);
-            break;
-          case OpKind::pmult:
-            per = m.pmult_time(o.level);
-            break;
-          case OpKind::hadd:
-            per = m.hadd_time(o.level);
-            break;
-          case OpKind::padd:
-            per = m.padd_time(o.level);
-            break;
-          case OpKind::rescale:
-            per = m.rescale_time(o.level);
-            break;
-          case OpKind::double_rescale:
-            per = m.double_rescale_time(o.level);
-            break;
-        }
-        t += per * o.count;
-    }
+    for (const auto &o : s.ops)
+        t += m.time(o.op, o.level) * o.count;
     if (s.bootstraps > 0) {
         const Schedule bs = pack_bootstrap(m.params());
         t += s.bootstraps * run_schedule(bs, m);

@@ -33,22 +33,10 @@
 
 namespace neo::apps {
 
-/** Primitive operation kinds a schedule is made of. */
-enum class OpKind
-{
-    hmult,
-    hrotate,
-    pmult,
-    hadd,
-    padd,
-    rescale,
-    double_rescale,
-};
-
 /** One schedule entry: @p count ops of kind @p op at level @p level. */
 struct OpCount
 {
-    OpKind op;
+    model::Op op;
     size_t level;
     double count;
 };
@@ -61,7 +49,7 @@ struct Schedule
     double bootstraps = 0; ///< embedded PackBootstrap invocations
 
     /// Total count of one op kind (for reporting).
-    double total(OpKind k) const;
+    double total(model::Op k) const;
 };
 
 /// Bootstrapping of one batch of ciphertexts.

@@ -208,6 +208,9 @@ KeyGenerator::to_klss(const EvalKey &evk) const
     KlssEvalKey out;
     out.beta_max = evk.parts.size();
     out.beta_tilde_max = partition.size();
+    out.qp_mods = ctx_.q_basis().mods();
+    out.qp_mods.insert(out.qp_mods.end(), ctx_.p_basis().mods().begin(),
+                       ctx_.p_basis().mods().end());
     out.parts.reserve(out.beta_max * out.beta_tilde_max * 2);
 
     for (size_t i = 0; i < out.beta_tilde_max; ++i) {

@@ -115,6 +115,9 @@ struct KlssEvalKey
     size_t beta_tilde_max = 0; ///< key digits (i index)
     /// parts[(i*beta_max + j)*2 + c], each an RnsPoly over T.
     std::vector<RnsPoly> parts;
+    /// The chain the key was lifted from: q_0..q_L, then P. The parts
+    /// alone do not name it, since chains can share T.
+    std::vector<Modulus> qp_mods;
 
     const RnsPoly &
     part(size_t i, size_t j, size_t c) const

@@ -31,6 +31,17 @@ slice_key_part(const RnsPoly &full, size_t level, size_t max_level,
     return out;
 }
 
+/// True when @p m is q_0..q_L of @p ctx, then P.
+bool
+is_qp_chain(const std::vector<Modulus> &m, const CkksContext &ctx)
+{
+    const auto &q = ctx.q_basis().mods();
+    const auto &p = ctx.p_basis().mods();
+    return m.size() == q.size() + p.size() &&
+           std::equal(q.begin(), q.end(), m.begin()) &&
+           std::equal(p.begin(), p.end(), m.begin() + q.size());
+}
+
 /// Table 2 accounting counter ("ks.*" namespace): one relaxed load
 /// when observability is off.
 void
@@ -57,19 +68,10 @@ check_keyswitch_operand(const RnsPoly &d2, const CkksContext &ctx)
 void
 check_keyswitch_key(const EvalKey &evk, const CkksContext &ctx)
 {
-    const auto &q = ctx.q_basis().mods();
-    const auto &p = ctx.p_basis().mods();
-    for (const auto &pair : evk.parts) {
-        for (const RnsPoly &part : pair) {
-            const auto &m = part.mods();
-            const bool same_basis =
-                m.size() == q.size() + p.size() &&
-                std::equal(q.begin(), q.end(), m.begin()) &&
-                std::equal(p.begin(), p.end(), m.begin() + q.size());
-            NEO_CHECK(part.n() == ctx.n() && same_basis,
+    for (const auto &pair : evk.parts)
+        for (const RnsPoly &part : pair)
+            NEO_CHECK(part.n() == ctx.n() && is_qp_chain(part.mods(), ctx),
                       "evaluation key is over another ring or basis");
-        }
-    }
 }
 
 void
@@ -81,6 +83,8 @@ check_keyswitch_key(const KlssEvalKey &evk, const CkksContext &ctx)
     for (const RnsPoly &part : evk.parts)
         NEO_CHECK(part.n() == ctx.n() && part.mods() == t,
                   "KLSS evaluation key is over another ring or basis");
+    NEO_CHECK(is_qp_chain(evk.qp_mods, ctx),
+              "KLSS evaluation key was built over another modulus chain");
 }
 
 RnsPoly

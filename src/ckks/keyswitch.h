@@ -40,7 +40,8 @@ void check_keyswitch_key(const EvalKey &evk, const CkksContext &ctx);
 /**
  * Throw std::invalid_argument unless @p evk is a KLSS key of @p ctx:
  * 2·beta_max·beta_tilde_max parts, each of degree ctx.n() over
- * ctx.t_basis(). A key over another Q/P chain that shares T passes.
+ * ctx.t_basis(), lifted from q_0..q_L, then P of ctx. Compares moduli
+ * only; no coefficient is read.
  */
 void check_keyswitch_key(const KlssEvalKey &evk, const CkksContext &ctx);
 

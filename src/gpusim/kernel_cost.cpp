@@ -16,10 +16,9 @@ bound_name(Bound b)
 }
 
 Bound
-CostBreakdown::bound() const
+roofline_bound(double compute_s, double memory_s, double launch_s)
 {
-    const double roof = std::max(compute_s, memory_s);
-    if (launch_s > roof)
+    if (launch_s > std::max(compute_s, memory_s))
         return Bound::launch;
     return compute_s >= memory_s ? Bound::compute : Bound::memory;
 }
@@ -87,15 +86,6 @@ double
 KernelCost::time(const DeviceSpec &d, bool overlap_components) const
 {
     return breakdown(d, overlap_components).total_s();
-}
-
-Bound
-ScheduleResult::bound() const
-{
-    const double roof = std::max(compute_s, memory_s);
-    if (launch_s > roof)
-        return Bound::launch;
-    return compute_s >= memory_s ? Bound::compute : Bound::memory;
 }
 
 ScheduleResult

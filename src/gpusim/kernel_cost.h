@@ -37,6 +37,14 @@ enum class Bound { compute, memory, launch };
 const char *bound_name(Bound b);
 
 /**
+ * The resource that bounds max(compute_s, memory_s) + launch_s:
+ * `launch` when the launch term exceeds both roofline terms, else
+ * whichever of compute/memory forms the max (ties break to compute).
+ * Every bound() in the cost model is this rule.
+ */
+Bound roofline_bound(double compute_s, double memory_s, double launch_s);
+
+/**
  * Full roofline decomposition of one kernel (or one schedule) under a
  * DeviceSpec. All fields are non-negative; the invariant
  *
@@ -60,12 +68,11 @@ struct CostBreakdown
         return (compute_s > memory_s ? compute_s : memory_s) + launch_s;
     }
 
-    /**
-     * The resource that bounds total_s(): `launch` when the fixed
-     * overhead exceeds both roofline terms, else whichever of
-     * compute/memory forms the max (ties break to compute).
-     */
-    Bound bound() const;
+    /// The resource that bounds total_s() (roofline_bound).
+    Bound bound() const
+    {
+        return roofline_bound(compute_s, memory_s, launch_s);
+    }
 };
 
 /** Work placed on each GPU resource by one kernel (or fused kernel). */
@@ -156,22 +163,16 @@ struct ScheduleResult
     double memory_s = 0;
     double launch_s = 0;
 
-    /// Dominant resource across the schedule (same rule as
-    /// CostBreakdown::bound()).
-    Bound bound() const;
+    /// Dominant resource across the schedule (roofline_bound).
+    Bound bound() const
+    {
+        return roofline_bound(compute_s, memory_s, launch_s);
+    }
 };
 
 /** Execute a kernel sequence under the device model. */
 ScheduleResult run_schedule(const std::vector<KernelCost> &kernels,
                             const DeviceSpec &d,
                             const SchedulePolicy &policy);
-
-/// Back-compat shim: @p multistream only, graph capture off.
-inline ScheduleResult
-run_schedule(const std::vector<KernelCost> &kernels, const DeviceSpec &d,
-             bool multistream)
-{
-    return run_schedule(kernels, d, SchedulePolicy{multistream, false});
-}
 
 } // namespace neo::gpusim

@@ -185,19 +185,23 @@ KernelModel::engine_for_stage(std::string_view stage, size_t level) const
 }
 
 EngineId
-KernelModel::ip_engine(size_t level) const
+KernelModel::ip_gate(EngineId engine, size_t beta, size_t beta_tilde) const
 {
-    if (!cfg_.matmul_dataflow)
-        return EngineId::scalar;
-    const EngineId eng = engine_for_stage(stage::ip, level);
-    if (eng != EngineId::fp64_tcu)
-        return eng;
-    const size_t beta = params_.beta(level);
-    const size_t beta_tilde = params_.beta_tilde(level);
+    if (engine != EngineId::fp64_tcu)
+        return engine;
     const double valid = TcuModel::valid_proportion_fp64(
         params_.batch, beta_tilde, beta);
     return valid > cfg_.ip_tcu_threshold ? EngineId::fp64_tcu
                                          : EngineId::scalar;
+}
+
+EngineId
+KernelModel::ip_engine(size_t level) const
+{
+    if (!cfg_.matmul_dataflow)
+        return EngineId::scalar;
+    return ip_gate(engine_for_stage(stage::ip, level), params_.beta(level),
+                   params_.beta_tilde(level));
 }
 
 KernelCost
@@ -239,15 +243,8 @@ KernelModel::ip(size_t beta, size_t beta_tilde, size_t limbs,
     c.bytes_read = 2.0 * (ct_elems + key_elems) * 8.0;
     c.bytes_written = 2.0 * out_elems * 8.0;
     c.cuda_int_ops = 2.0 * 2.0 * (ct_elems + out_elems); // reorders
-    EngineId eng = engine;
-    if (eng == EngineId::fp64_tcu) {
-        const double valid = TcuModel::valid_proportion_fp64(
-            params_.batch, beta_tilde, beta);
-        if (valid <= cfg_.ip_tcu_threshold)
-            eng = EngineId::scalar;
-    }
     KernelCost g = gemm(params_.batch, beta_tilde, beta, word_bits,
-                        word_bits, eng);
+                        word_bits, ip_gate(engine, beta, beta_tilde));
     // One such GEMM per coefficient site per limb, both components.
     const double sites = 2.0 * n * static_cast<double>(limbs);
     c.cuda_modmul += g.cuda_modmul * sites;
@@ -296,15 +293,10 @@ KernelModel::auto_kernel(size_t limbs) const
 }
 
 std::vector<KernelModel::NamedKernel>
-KernelModel::keyswitch_kernels_named(size_t level) const
+KernelModel::kernels(Op op, size_t level) const
 {
     const size_t l = level;
-    const size_t alpha = params_.alpha();
-    const size_t k_special = params_.special_primes();
-    const size_t ext = l + 1 + k_special;
-    const size_t beta = params_.beta(l);
     const int w = params_.word_size;
-    std::vector<NamedKernel> ks;
     // Each named stage is priced with the engine the config's
     // stage_engine hook resolves for it (uniform cfg_.engine when the
     // hook is unset) — the model-side mirror of the pipeline's
@@ -312,114 +304,148 @@ KernelModel::keyswitch_kernels_named(size_t level) const
     const auto eng = [&](const char *st) {
         return engine_for_stage(st, l);
     };
+    std::vector<NamedKernel> ks;
+    switch (op) {
+    case Op::keyswitch: {
+        const size_t alpha = params_.alpha();
+        const size_t k_special = params_.special_primes();
+        const size_t ext = l + 1 + k_special;
+        const size_t beta = params_.beta(l);
 
-    // INTT of the input (l+1 limbs).
-    ks.push_back({stage::intt_q, ntt(l + 1, w, eng(stage::intt_q))});
+        // INTT of the input (l+1 limbs).
+        ks.push_back({stage::intt_q, ntt(l + 1, w, eng(stage::intt_q))});
 
-    if (cfg_.use_klss) {
-        const size_t ap = params_.klss_alpha_prime();
-        const size_t bt = params_.beta_tilde(l);
-        const int wt = params_.klss.word_size_t;
-        // Mod Up: β exact BConv(α -> α').
-        for (size_t j = 0; j < beta; ++j)
-            ks.push_back({stage::modup_bconv,
-                          bconv(alpha, ap, w, wt, eng(stage::modup_bconv))});
-        // NTT over T.
-        ks.push_back({stage::ntt_t, ntt(beta * ap, wt, eng(stage::ntt_t))});
-        // IP over T.
-        ks.push_back({stage::ip, ip(beta, bt, ap, wt, eng(stage::ip))});
-        // INTT over T (both components).
-        ks.push_back(
-            {stage::intt_t, ntt(2 * bt * ap, wt, eng(stage::intt_t))});
-        // Recover Limbs: exact BConv(α' -> ext), both components.
-        for (int comp = 0; comp < 2; ++comp)
-            ks.push_back({stage::recover_bconv,
-                          bconv(ap, ext, wt, w, eng(stage::recover_bconv))});
-    } else {
-        // Hybrid: ModUp per digit (α -> ext-α), NTT, IP over Q·P.
-        for (size_t j = 0; j < beta; ++j)
-            ks.push_back({stage::modup_bconv, bconv(alpha, ext - alpha, w, w,
-                                               eng(stage::modup_bconv))});
-        ks.push_back({"ntt_qp", ntt(beta * ext, w, eng("ntt_qp"))});
-        ks.push_back({stage::ip, ip(beta, 1, ext, w, eng(stage::ip))});
-        // before ModDown
-        ks.push_back({"intt_qp", ntt(2 * ext, w, eng("intt_qp"))});
-    }
-
-    // ModDown: BConv(P -> Q) + scalar fix, both components.
-    const EngineId md = eng(stage::moddown_bconv);
-    if (cfg_.fuse_elementwise) {
-        // The scalar fix rides in the BConv epilogue: the conversion
-        // result never round-trips through DRAM, and the fix kernel's
-        // launch disappears. Only the Q-part source read and the fix
-        // modmuls remain on top of the BConv cost.
-        const double fix_elems =
-            static_cast<double>(l + 1) * params_.batch * params_.n;
-        for (int comp = 0; comp < 2; ++comp) {
-            KernelCost c = bconv(k_special, l + 1, w, w, md);
-            c.cuda_modmul += fix_elems;
-            c.cuda_modadd += fix_elems; // the (src - corr) subtraction
-            c.bytes_read += fix_elems * 8.0;
-            ks.push_back({stage::moddown_bconv, c, 1});
+        if (cfg_.use_klss) {
+            const size_t ap = params_.klss_alpha_prime();
+            const size_t bt = params_.beta_tilde(l);
+            const int wt = params_.klss.word_size_t;
+            // Mod Up: β exact BConv(α -> α').
+            for (size_t j = 0; j < beta; ++j)
+                ks.push_back(
+                    {stage::modup_bconv,
+                     bconv(alpha, ap, w, wt, eng(stage::modup_bconv))});
+            // NTT over T.
+            ks.push_back(
+                {stage::ntt_t, ntt(beta * ap, wt, eng(stage::ntt_t))});
+            // IP over T.
+            ks.push_back({stage::ip, ip(beta, bt, ap, wt, eng(stage::ip))});
+            // INTT over T (both components).
+            ks.push_back(
+                {stage::intt_t, ntt(2 * bt * ap, wt, eng(stage::intt_t))});
+            // Recover Limbs: exact BConv(α' -> ext), both components.
+            for (int comp = 0; comp < 2; ++comp)
+                ks.push_back(
+                    {stage::recover_bconv,
+                     bconv(ap, ext, wt, w, eng(stage::recover_bconv))});
+        } else {
+            // Hybrid: ModUp per digit (α -> ext-α), NTT, IP over Q·P.
+            for (size_t j = 0; j < beta; ++j)
+                ks.push_back({stage::modup_bconv,
+                              bconv(alpha, ext - alpha, w, w,
+                                    eng(stage::modup_bconv))});
+            ks.push_back({"ntt_qp", ntt(beta * ext, w, eng("ntt_qp"))});
+            ks.push_back({stage::ip, ip(beta, 1, ext, w, eng(stage::ip))});
+            // before ModDown
+            ks.push_back({"intt_qp", ntt(2 * ext, w, eng("intt_qp"))});
         }
-    } else {
-        for (int comp = 0; comp < 2; ++comp)
-            ks.push_back({stage::moddown_bconv,
-                          bconv(k_special, l + 1, w, w, md)});
-        ks.push_back({"moddown_fix", modmul(2 * (l + 1))});
+
+        // ModDown: BConv(P -> Q) + scalar fix, both components.
+        const EngineId md = eng(stage::moddown_bconv);
+        if (cfg_.fuse_elementwise) {
+            // The scalar fix rides in the BConv epilogue: the
+            // conversion result never round-trips through DRAM, and the
+            // fix kernel's launch disappears. Only the Q-part source
+            // read and the fix modmuls remain on top of the BConv cost.
+            const double fix_elems =
+                static_cast<double>(l + 1) * params_.batch * params_.n;
+            for (int comp = 0; comp < 2; ++comp) {
+                KernelCost c = bconv(k_special, l + 1, w, w, md);
+                c.cuda_modmul += fix_elems;
+                c.cuda_modadd += fix_elems; // the (src - corr) subtraction
+                c.bytes_read += fix_elems * 8.0;
+                ks.push_back({stage::moddown_bconv, c, 1});
+            }
+        } else {
+            for (int comp = 0; comp < 2; ++comp)
+                ks.push_back({stage::moddown_bconv,
+                              bconv(k_special, l + 1, w, w, md)});
+            ks.push_back({"moddown_fix", modmul(2 * (l + 1))});
+        }
+        // Final NTT back to eval form.
+        ks.push_back({stage::ntt_q, ntt(2 * (l + 1), w, eng(stage::ntt_q))});
+        if (cfg_.fuse_elementwise && cfg_.tcu_ntt) {
+            // Mark the NTT kernels whose twiddle-scale pass was folded
+            // into the GEMM (the byte fold happens inside ntt()).
+            for (auto &nk : ks)
+                if (is_ntt_row(nk.name))
+                    nk.fused = 1;
+        }
+        break;
     }
-    // Final NTT back to eval form.
-    ks.push_back({stage::ntt_q, ntt(2 * (l + 1), w, eng(stage::ntt_q))});
-    if (cfg_.fuse_elementwise && cfg_.tcu_ntt) {
-        // Mark the NTT kernels whose twiddle-scale pass was folded
-        // into the GEMM (the byte fold happens inside ntt()).
-        for (auto &nk : ks)
-            if (is_ntt_row(nk.name))
-                nk.fused = 1;
+    case Op::hmult:
+        // KeySwitch + tensor-product fixups: d0, d1, d2 take four
+        // limb-wise multiplies and one add, then the switched d2 folds
+        // back with two adds.
+        ks = kernels(Op::keyswitch, l);
+        ks.push_back({"tensor_modmul", modmul(4 * (l + 1))});
+        ks.push_back({"tensor_modadd", modadd(3 * (l + 1))});
+        break;
+    case Op::hrotate:
+        // KeySwitch + automorphism + accumulate.
+        ks = kernels(Op::keyswitch, l);
+        ks.push_back({"auto", auto_kernel(2 * (l + 1))});
+        ks.push_back({"rotate_modadd", modadd(l + 1)});
+        break;
+    case Op::pmult:
+        ks.push_back({"pmult", modmul(2 * (l + 1))});
+        break;
+    case Op::hadd:
+        ks.push_back({"hadd", modadd(2 * (l + 1))});
+        break;
+    case Op::padd:
+        ks.push_back({"padd", modadd(l + 1)});
+        break;
+    case Op::rescale:
+        // INTT + scalar fix + NTT.
+        ks.push_back({stage::rescale_intt,
+                      ntt(2 * (l + 1), w, eng(stage::rescale_intt))});
+        ks.push_back({"rescale_fix", modmul(2 * l)});
+        ks.push_back(
+            {stage::rescale_ntt, ntt(2 * l, w, eng(stage::rescale_ntt))});
+        break;
+    case Op::double_rescale:
+        // Fused double rescale: one INTT/NTT pair drops two limbs.
+        ks.push_back({stage::rescale_intt,
+                      ntt(2 * (l + 1), w, eng(stage::rescale_intt))});
+        ks.push_back({"rescale_fix", modmul(4 * l - 2)});
+        ks.push_back({stage::rescale_ntt,
+                      ntt(2 * (l - 1), w, eng(stage::rescale_ntt))});
+        break;
     }
     return ks;
 }
 
 std::vector<KernelModel::NamedKernel>
-KernelModel::hmult_kernels_named(size_t level) const
+KernelModel::keyswitch_kernels_named(size_t level) const
 {
-    auto ks = keyswitch_kernels_named(level);
-    // d0, d1, d2: four limb-wise multiplies and one add, then the
-    // switched d2 folds back with two adds.
-    ks.push_back({"tensor_modmul", modmul(4 * (level + 1))});
-    ks.push_back({"tensor_modadd", modadd(3 * (level + 1))});
-    return ks;
+    return kernels(Op::keyswitch, level);
 }
 
-std::vector<KernelModel::NamedKernel>
-KernelModel::hrotate_kernels_named(size_t level) const
+gpusim::ScheduleResult
+KernelModel::schedule(const std::vector<KernelCost> &kernels) const
 {
-    auto ks = keyswitch_kernels_named(level);
-    ks.push_back({"auto", auto_kernel(2 * (level + 1))});
-    ks.push_back({"rotate_modadd", modadd(level + 1)});
-    return ks;
-}
-
-std::vector<KernelCost>
-KernelModel::keyswitch_kernels(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : keyswitch_kernels_named(level))
-        ks.push_back(nk.cost);
-    return ks;
+    return gpusim::run_schedule(
+        kernels, cfg_.device,
+        gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture});
 }
 
 double
-KernelModel::run(const std::vector<KernelCost> &kernels) const
+KernelModel::per_ciphertext(const gpusim::ScheduleResult &s) const
 {
     // Kernels process the whole batch; the paper reports the average
     // time per batched ciphertext ("average time per batch", §6), so
     // fixed costs amortize across the BatchSize ciphertexts.
-    double seconds =
-        gpusim::run_schedule(
-            kernels, cfg_.device,
-            gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture})
-            .seconds;
+    double seconds = s.seconds;
     if (cfg_.batched_pipeline) {
         // Batched pipelines draw their SM occupancy from the batch
         // dimension (Fig 17): derate at small BatchSize.
@@ -429,14 +455,13 @@ KernelModel::run(const std::vector<KernelCost> &kernels) const
     return seconds / static_cast<double>(params_.batch);
 }
 
-gpusim::Bound
-KernelModel::KernelAttribution::bound() const
+double
+KernelModel::time(Op op, size_t level) const
 {
-    const double roof = std::max(compute_s, memory_s);
-    if (launch_s > roof)
-        return gpusim::Bound::launch;
-    return compute_s >= memory_s ? gpusim::Bound::compute
-                                 : gpusim::Bound::memory;
+    std::vector<KernelCost> costs;
+    for (const auto &nk : kernels(op, level))
+        costs.push_back(nk.cost);
+    return per_ciphertext(schedule(costs));
 }
 
 KernelModel::AttributedSchedule
@@ -447,10 +472,8 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
     costs.reserve(kernels.size());
     for (const auto &nk : kernels)
         costs.push_back(nk.cost);
-    out.schedule = gpusim::run_schedule(
-        costs, cfg_.device,
-        gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture});
-    out.seconds = run(costs);
+    out.schedule = schedule(costs);
+    out.seconds = per_ciphertext(out.schedule);
     for (const auto &nk : kernels)
         out.fused_kernels += nk.fused;
 
@@ -473,9 +496,9 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
         raw_sum += raw.back().total_s();
     }
     // Distribute the schedule total (which includes cross-kernel
-    // overlap gains and the occupancy/batch scaling of run())
-    // proportionally over the kernels, so row times sum to
-    // out.seconds exactly — the artifact's tested invariant.
+    // overlap gains and the occupancy/batch scaling of
+    // per_ciphertext) proportionally over the kernels, so row times
+    // sum to out.seconds exactly — the artifact's tested invariant.
     const double f = raw_sum > 0 ? out.seconds / raw_sum : 0;
 
     for (size_t i = 0; i < kernels.size(); ++i) {
@@ -506,30 +529,6 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
 }
 
 double
-KernelModel::keyswitch_time(size_t level) const
-{
-    return run(keyswitch_kernels(level));
-}
-
-double
-KernelModel::hmult_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : hmult_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
-}
-
-double
-KernelModel::hrotate_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : hrotate_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
-}
-
-double
 KernelModel::hrotate_hoisted_time(size_t level, size_t count) const
 {
     NEO_CHECK(count >= 1, "need at least one rotation");
@@ -557,73 +556,7 @@ KernelModel::hrotate_hoisted_time(size_t level, size_t count) const
         ks.push_back(ntt(2 * (l + 1), w));
         ks.push_back(modadd(l + 1));
     }
-    return run(ks);
-}
-
-double
-KernelModel::pmult_time(size_t level) const
-{
-    return run({modmul(2 * (level + 1))});
-}
-
-double
-KernelModel::hadd_time(size_t level) const
-{
-    return run({modadd(2 * (level + 1))});
-}
-
-double
-KernelModel::padd_time(size_t level) const
-{
-    return run({modadd(level + 1)});
-}
-
-std::vector<KernelModel::NamedKernel>
-KernelModel::rescale_kernels_named(size_t level) const
-{
-    const int w = params_.word_size;
-    std::vector<NamedKernel> ks;
-    ks.push_back({stage::rescale_intt,
-                  ntt(2 * (level + 1), w,
-                      engine_for_stage(stage::rescale_intt, level))});
-    ks.push_back({"rescale_fix", modmul(2 * level)});
-    ks.push_back({stage::rescale_ntt,
-                  ntt(2 * level, w,
-                      engine_for_stage(stage::rescale_ntt, level))});
-    return ks;
-}
-
-std::vector<KernelModel::NamedKernel>
-KernelModel::double_rescale_kernels_named(size_t level) const
-{
-    const int w = params_.word_size;
-    std::vector<NamedKernel> ks;
-    ks.push_back({stage::rescale_intt,
-                  ntt(2 * (level + 1), w,
-                      engine_for_stage(stage::rescale_intt, level))});
-    ks.push_back({"rescale_fix", modmul(4 * level - 2)});
-    ks.push_back({stage::rescale_ntt,
-                  ntt(2 * (level - 1), w,
-                      engine_for_stage(stage::rescale_ntt, level))});
-    return ks;
-}
-
-double
-KernelModel::rescale_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : rescale_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
-}
-
-double
-KernelModel::double_rescale_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : double_rescale_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
+    return per_ciphertext(schedule(ks));
 }
 
 KernelModel::KeySwitchTraffic
@@ -632,7 +565,7 @@ KernelModel::keyswitch_traffic(size_t level) const
     // Bytes are integer-valued doubles far below 2^53, so the family
     // sums are exact in any order.
     KeySwitchTraffic t;
-    for (const auto &nk : keyswitch_kernels_named(level)) {
+    for (const auto &nk : kernels(Op::keyswitch, level)) {
         const std::string_view name = nk.name;
         const double bytes = nk.cost.bytes();
         if (name == stage::ip)

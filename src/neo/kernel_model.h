@@ -80,6 +80,23 @@ struct ModelConfig
         stage_engine;
 };
 
+/**
+ * The CKKS operations the model prices: Table 6's six, the keyswitch
+ * inside HMULT and HROTATE, and the double rescale of WordSize-36
+ * bootstrapping.
+ */
+enum class Op
+{
+    keyswitch,
+    hmult,
+    hrotate,
+    pmult,
+    hadd,
+    padd,
+    rescale,
+    double_rescale,
+};
+
 /** Per-kernel and per-operation cost calculator. */
 class KernelModel
 {
@@ -181,14 +198,17 @@ class KernelModel
         double int_ops = 0;    ///< plain INT32 ops (whole batch)
         u64 fused = 0;         ///< element-wise stages folded in
 
-        /// Bottleneck class of this row (largest scaled phase).
-        gpusim::Bound bound() const;
+        /// Bottleneck class of this row (gpusim::roofline_bound).
+        gpusim::Bound bound() const
+        {
+            return gpusim::roofline_bound(compute_s, memory_s, launch_s);
+        }
     };
 
-    /** run() result with its per-kernel roofline attribution. */
+    /** A schedule's time with its per-kernel roofline attribution. */
     struct AttributedSchedule
     {
-        /// Per-batched-ciphertext schedule time; == run(same kernels).
+        /// Per-batched-ciphertext schedule time.
         double seconds = 0;
         /// Raw whole-batch schedule totals (before occupancy/batch).
         gpusim::ScheduleResult schedule;
@@ -199,28 +219,20 @@ class KernelModel
         std::vector<KernelAttribution> kernels;
     };
 
-    /// Kernel sequence of one KeySwitch at @p level.
-    std::vector<gpusim::KernelCost> keyswitch_kernels(size_t level) const;
+    /// The operation's kernels at @p level, in schedule order. The
+    /// only place an operation's kernel list is written.
+    std::vector<NamedKernel> kernels(Op op, size_t level) const;
 
-    /// KeySwitch kernels with stage names (superset of
-    /// keyswitch_kernels: same costs, same order).
+    /// kernels(Op::keyswitch, level), under the name perfbench's
+    /// replay compiles against.
     std::vector<NamedKernel> keyswitch_kernels_named(size_t level) const;
-    /// HMULT = KeySwitch + tensor-product fixups.
-    std::vector<NamedKernel> hmult_kernels_named(size_t level) const;
-    /// HROTATE = KeySwitch + automorphism + accumulate.
-    std::vector<NamedKernel> hrotate_kernels_named(size_t level) const;
-    /// Rescale = INTT + scalar fix + NTT, with stage names.
-    std::vector<NamedKernel> rescale_kernels_named(size_t level) const;
-    /// Fused double rescale (PR 4), with stage names.
-    std::vector<NamedKernel>
-    double_rescale_kernels_named(size_t level) const;
 
-    /// Wall time of one KeySwitch at @p level.
-    double keyswitch_time(size_t level) const;
-
-    /// Operation wall times at @p level (per batch).
-    double hmult_time(size_t level) const;
-    double hrotate_time(size_t level) const;
+    /**
+     * Wall time of one @p op at @p level, per batched ciphertext: the
+     * schedule of kernels(op, level), equal to
+     * run_attributed(kernels(op, level)).seconds bit for bit.
+     */
+    double time(Op op, size_t level) const;
 
     /**
      * Time for @p count rotations of the same ciphertext with a
@@ -228,18 +240,10 @@ class KernelModel
      * functional counterpart). Only the Hybrid path hoists here.
      */
     double hrotate_hoisted_time(size_t level, size_t count) const;
-    double pmult_time(size_t level) const;
-    double hadd_time(size_t level) const;
-    double padd_time(size_t level) const;
-    double rescale_time(size_t level) const;
-    double double_rescale_time(size_t level) const;
-
-    /// Total time of a kernel list under this config's scheduling.
-    double run(const std::vector<gpusim::KernelCost> &kernels) const;
 
     /**
-     * run() plus per-kernel roofline attribution. The invariant
-     * `sum(row.modeled_s) == result.seconds == run(costs)` is the
+     * The schedule of @p kernels with its per-kernel roofline
+     * attribution. `sum(row.modeled_s) == result.seconds` is the
      * contract the profiler's JSON artifact is tested against.
      */
     AttributedSchedule
@@ -264,6 +268,16 @@ class KernelModel
     /// Cost of an integer GEMM on the configured engine.
     gpusim::KernelCost gemm(size_t m, size_t n, size_t k, int wa, int wb,
                             EngineId engine) const;
+    /// @p engine after the §4.5.3 gate: fp64_tcu falls back to the
+    /// CUDA cores when a β̃×β IP fragment is at most ip_tcu_threshold
+    /// valid.
+    EngineId ip_gate(EngineId engine, size_t beta,
+                     size_t beta_tilde) const;
+    /// @p kernels dispatched as one schedule under this config.
+    gpusim::ScheduleResult
+    schedule(const std::vector<gpusim::KernelCost> &kernels) const;
+    /// Whole-batch schedule time -> time per batched ciphertext.
+    double per_ciphertext(const gpusim::ScheduleResult &s) const;
 
     ckks::CkksParams params_;
     ModelConfig cfg_;

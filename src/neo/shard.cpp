@@ -15,6 +15,7 @@ using gpusim::KernelCost;
 using gpusim::SimKernel;
 using gpusim::Topology;
 using model::KernelModel;
+using model::Op;
 
 ShardRange
 shard_range(size_t total, size_t devices, size_t d)
@@ -100,8 +101,8 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     out.devices = cfg.devices;
 
     KernelModel model(params, cfg);
-    const auto named = model.keyswitch_kernels_named(level);
-    out.single_seconds = model.keyswitch_time(level);
+    const auto named = model.kernels(Op::keyswitch, level);
+    out.single_seconds = model.time(Op::keyswitch, level);
 
     const Topology topo =
         cfg.devices <= 1
@@ -220,8 +221,8 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
             std::max(raw_makespan, sim_dev.run(mine).makespan);
     }
 
-    // Normalize exactly like KernelModel::run(): occupancy derate for
-    // batched pipelines, then per-batched-ciphertext.
+    // Normalize like KernelModel::time(): occupancy derate for batched
+    // pipelines, then per-batched-ciphertext.
     double norm = 1.0;
     if (cfg.batched_pipeline) {
         const double b = static_cast<double>(params.batch);
@@ -231,7 +232,7 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     // devices == 1 degenerates to the single-device schedule exactly:
     // the serial event-sim chain cannot overlap compute-bound kernels
     // with memory-bound neighbours the way the aggregate multistream
-    // model does, so the established run() figure is the one to keep
+    // model does, so the established time() figure is the one to keep
     // (it is also what every profile reports for unsharded runs).
     out.seconds =
         d_count == 1 ? out.single_seconds : raw_makespan * norm;

@@ -104,9 +104,9 @@ struct ShardedCost
     size_t devices = 1;
     /// Per-batched-ciphertext makespan of the sharded schedule
     /// (compute and collectives overlapping per event_sim), normalized
-    /// exactly like KernelModel::run() so it compares directly.
+    /// like KernelModel::time() so it compares directly.
     double seconds = 0;
-    /// KernelModel::run() of the same schedule on one device.
+    /// KernelModel::time(Op::keyswitch) on one device.
     double single_seconds = 0;
     double compute_s = 0; ///< normalized serial compute share
     double comm_s = 0;    ///< normalized serial collective share

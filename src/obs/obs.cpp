@@ -913,9 +913,6 @@ struct EnvBootstrap {
 void
 init_from_env()
 {
-#ifdef NEO_OBS_DISABLE
-    return;
-#else
     // init_from_env runs at process start, before any worker threads
     // exist. neo-lint: allow(thread-unsafe-static)
     static bool done = false;
@@ -960,7 +957,6 @@ init_from_env()
     g.registry = new Registry(opts);
     detail::g_current.store(g.registry, std::memory_order_release);
     std::atexit(export_global_at_exit);
-#endif
 }
 
 } // namespace neo::obs

@@ -32,10 +32,6 @@
  * switch intended for top-level phases — install from the driving
  * thread before fanning out, not concurrently from workers. Worker
  * threads only read the pointer.
- *
- * Compile-time kill switch: configure with -DNEO_OBS=OFF to define
- * NEO_OBS_DISABLE, which turns every probe into a no-op (current()
- * returns nullptr unconditionally).
  */
 #include <atomic>
 #include <cstdint>
@@ -257,11 +253,7 @@ extern std::atomic<Registry *> g_current;
 inline Registry *
 current()
 {
-#ifdef NEO_OBS_DISABLE
-    return nullptr;
-#else
     return detail::g_current.load(std::memory_order_acquire);
-#endif
 }
 
 /// Small dense index for the calling thread (0 = first thread that

@@ -28,6 +28,7 @@ using ckks::CkksContext;
 using ckks::CkksParams;
 using model::KernelModel;
 using model::ModelConfig;
+using model::Op;
 
 namespace {
 
@@ -49,8 +50,11 @@ void
 accumulate_rows(Result &r, const KernelModel::AttributedSchedule &att,
                 double mult)
 {
+    const auto times = [mult](u64 n) {
+        return static_cast<u64>(std::llround(mult * static_cast<double>(n)));
+    };
     for (const auto &row : att.kernels) {
-        KernelRow *dst = nullptr;
+        KernelModel::KernelAttribution *dst = nullptr;
         for (auto &k : r.kernels)
             if (k.name == row.name)
                 dst = &k;
@@ -59,42 +63,36 @@ accumulate_rows(Result &r, const KernelModel::AttributedSchedule &att,
             dst = &r.kernels.back();
             dst->name = row.name;
         }
-        dst->calls += static_cast<u64>(
-            std::llround(mult * static_cast<double>(row.calls)));
+        dst->calls += times(row.calls);
+        dst->fused += times(row.fused);
         dst->modeled_s += row.modeled_s * mult;
         dst->compute_s += row.compute_s * mult;
         dst->memory_s += row.memory_s * mult;
         dst->launch_s += row.launch_s * mult;
         dst->bytes += row.bytes * mult;
+        dst->macs += row.macs * mult;
+        dst->mod_ops += row.mod_ops * mult;
+        dst->int_ops += row.int_ops * mult;
     }
     r.bytes += att.schedule.bytes * mult;
     r.launches += att.schedule.launches * mult;
     r.graph_launches += att.schedule.graph_launches * mult;
-    r.fused_kernels += static_cast<u64>(
-        std::llround(mult * static_cast<double>(att.fused_kernels)));
+    r.fused_kernels += times(att.fused_kernels);
 }
 
-/// Re-derive fractions and bound strings once all rows are in.
+/// Re-derive fractions and the workload's bound once all rows are in.
 void
 finalize_rows(Result &r)
 {
+    double c = 0, m = 0, l = 0;
     for (auto &k : r.kernels) {
         k.fraction = r.modeled_total_s > 0 ? k.modeled_s / r.modeled_total_s
                                            : 0;
-        const double roof = std::max(k.compute_s, k.memory_s);
-        k.bound = k.launch_s > roof
-                      ? "launch"
-                      : (k.compute_s >= k.memory_s ? "compute" : "memory");
-    }
-    // Schedule-level bound from the summed phases.
-    double c = 0, m = 0, l = 0;
-    for (const auto &k : r.kernels) {
         c += k.compute_s;
         m += k.memory_s;
         l += k.launch_s;
     }
-    r.bound = l > std::max(c, m) ? "launch"
-                                 : (c >= m ? "compute" : "memory");
+    r.bound = gpusim::bound_name(gpusim::roofline_bound(c, m, l));
 }
 
 void
@@ -207,20 +205,11 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
         const auto sc =
             shard::model_sharded_keyswitch(params, level, mcfg);
         r.modeled_total_s = sc.seconds;
-        for (const auto &row : sc.kernels) {
-            KernelRow k;
-            k.name = row.name;
-            k.calls = row.calls;
-            k.modeled_s = row.modeled_s;
-            k.compute_s = row.compute_s;
-            k.memory_s = row.memory_s;
-            k.launch_s = row.launch_s;
-            k.bytes = row.bytes;
-            r.kernels.push_back(std::move(k));
+        r.kernels = sc.kernels;
+        for (const auto &row : sc.kernels)
             r.bytes += row.bytes;
-        }
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(level));
+        const auto att =
+            model.run_attributed(model.kernels(Op::keyswitch, level));
         r.launches =
             att.schedule.launches * static_cast<double>(policy.devices);
         r.graph_launches = att.schedule.graph_launches *
@@ -242,8 +231,8 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
             r.links.push_back(
                 {lk.link, lk.bytes, lk.busy_s, lk.utilization});
     } else {
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(level));
+        const auto att =
+            model.run_attributed(model.kernels(Op::keyswitch, level));
         r.modeled_total_s = att.seconds;
         accumulate_rows(r, att, 1.0);
     }
@@ -270,10 +259,8 @@ profile_primitive(const std::string &workload, const ExecPolicy &policy,
     stamp_policy(r, policy);
 
     KernelModel model(params, model_config(policy, params));
-    const auto kernels = workload == "mul"
-                             ? model.hmult_kernels_named(level)
-                             : model.hrotate_kernels_named(level);
-    const auto att = model.run_attributed(kernels);
+    const auto att = model.run_attributed(model.kernels(
+        workload == "mul" ? Op::hmult : Op::hrotate, level));
     r.modeled_total_s = att.seconds;
     accumulate_rows(r, att, 1.0);
     r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
@@ -283,37 +270,16 @@ profile_primitive(const std::string &workload, const ExecPolicy &policy,
     return r;
 }
 
-/// Mirror of apps::run_schedule with per-kernel attribution: each
-/// op's named kernel list reprices to exactly the op's *_time(), so
-/// the accumulated total matches run_schedule bit for bit.
+/// apps::run_schedule with per-kernel attribution: each op's rows
+/// come from the model's kernel list for it, whose schedule is the
+/// op's price.
 double
 accumulate_schedule(Result &r, const apps::Schedule &s,
                     const KernelModel &m, double mult)
 {
     double total = 0;
     for (const auto &o : s.ops) {
-        std::vector<KernelModel::NamedKernel> ks;
-        const size_t l = o.level;
-        switch (o.op) {
-        case apps::OpKind::hmult: ks = m.hmult_kernels_named(l); break;
-        case apps::OpKind::hrotate: ks = m.hrotate_kernels_named(l); break;
-        case apps::OpKind::pmult:
-            ks.push_back({"pmult", m.modmul(2 * (l + 1))});
-            break;
-        case apps::OpKind::hadd:
-            ks.push_back({"hadd", m.modadd(2 * (l + 1))});
-            break;
-        case apps::OpKind::padd:
-            ks.push_back({"padd", m.modadd(l + 1)});
-            break;
-        case apps::OpKind::rescale:
-            ks = m.rescale_kernels_named(l);
-            break;
-        case apps::OpKind::double_rescale:
-            ks = m.double_rescale_kernels_named(l);
-            break;
-        }
-        const auto att = m.run_attributed(ks);
+        const auto att = m.run_attributed(m.kernels(o.op, o.level));
         accumulate_rows(r, att, mult * o.count);
         total += att.seconds * o.count;
     }
@@ -436,7 +402,8 @@ print_report(const Result &r, std::ostream &out)
                format_time(k.modeled_s),
                strfmt("%6.2f%%", 100.0 * k.fraction),
                format_time(k.compute_s), format_time(k.memory_s),
-               format_time(k.launch_s), format_bytes(k.bytes), k.bound});
+               format_time(k.launch_s), format_bytes(k.bytes),
+               gpusim::bound_name(k.bound())});
     }
     out << t.str();
 
@@ -518,7 +485,7 @@ to_json(const Result &r)
         w.key("memory_s").value(k.memory_s);
         w.key("launch_s").value(k.launch_s);
         w.key("bytes").value(k.bytes);
-        w.key("bound").value(k.bound);
+        w.key("bound").value(gpusim::bound_name(k.bound()));
         w.end_object();
     }
     w.end_array();

@@ -38,26 +38,13 @@
 #include "common/json.h"
 #include "common/types.h"
 #include "neo/exec_policy.h"
+#include "neo/kernel_model.h"
 #include "tune/tuning_table.h"
 
 namespace neo::prof {
 
 /// Artifact schema identifier; bump on breaking layout changes.
 inline constexpr const char *kSchema = "neo.bench/1";
-
-/** One aggregated kernel row of the attribution report. */
-struct KernelRow
-{
-    std::string name;
-    u64 calls = 0;
-    double modeled_s = 0; ///< share of totals.modeled_s (rows sum to it)
-    double fraction = 0;  ///< modeled_s / totals.modeled_s
-    double compute_s = 0;
-    double memory_s = 0;
-    double launch_s = 0;
-    double bytes = 0;
-    std::string bound; ///< "compute" | "memory" | "launch"
-};
 
 /**
  * Ablation switches for one profile run — the `--fuse` / `--graph`
@@ -112,7 +99,9 @@ struct Result
     std::string bound;            ///< schedule-level bottleneck class
     double ip_valid_proportion = 0; ///< §4.5.3 gate input at this level
 
-    std::vector<KernelRow> kernels;
+    /// The model's attribution rows, summed over the workload's
+    /// operations; modeled_s sums to modeled_total_s.
+    std::vector<model::KernelModel::KernelAttribution> kernels;
     /// Per-device compute/communication split of the sharded makespan.
     /// Populated (and serialized) only when devices > 1.
     struct DeviceRow

@@ -34,14 +34,16 @@ op_times(const ckks::CkksParams &params, const model::ModelConfig &base,
         return assign[rank];
     };
     const model::KernelModel m(params, cfg);
+    using model::Op;
     std::vector<double> t;
-    t.push_back(m.keyswitch_time(level));
-    t.push_back(m.hmult_time(level));
-    t.push_back(m.hrotate_time(level));
-    if (level >= 1)
-        t.push_back(m.rescale_time(level));
-    if (level >= 2)
-        t.push_back(m.double_rescale_time(level));
+    for (const Op op : {Op::keyswitch, Op::hmult, Op::hrotate, Op::rescale,
+                        Op::double_rescale}) {
+        // A rescale needs a limb to drop, a double rescale two.
+        if ((op == Op::rescale && level < 1) ||
+            (op == Op::double_rescale && level < 2))
+            continue;
+        t.push_back(m.time(op, level));
+    }
     return t;
 }
 

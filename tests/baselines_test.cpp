@@ -6,6 +6,8 @@
 namespace neo::baselines {
 namespace {
 
+using model::Op;
+
 TEST(PaperParams, Table4Derivations)
 {
     auto a = ckks::paper_set('A');
@@ -33,16 +35,16 @@ TEST(Backends, OperationOrderingMatchesTable6)
     auto tfhe_c = make_tensorfhe('C').model();
     auto cpu = make_cpu().model();
 
-    const double t_neo = neo.hmult_time(35);
-    const double t_heon = heon.hmult_time(35);
-    const double t_tfhe = tfhe_a.hmult_time(35);
+    const double t_neo = neo.time(Op::hmult, 35);
+    const double t_heon = heon.time(Op::hmult, 35);
+    const double t_tfhe = tfhe_a.time(Op::hmult, 35);
     EXPECT_LT(t_neo, t_heon);
     EXPECT_LT(t_heon, t_tfhe);
-    EXPECT_LT(t_tfhe, cpu.hmult_time(44));
+    EXPECT_LT(t_tfhe, cpu.time(Op::hmult, 44));
 
     // TensorFHE degrades from Set-A to Set-C (larger d_num), as in
     // Table 6's 15.3 -> 32.5 ms progression.
-    EXPECT_LT(tfhe_a.hmult_time(35), tfhe_c.hmult_time(35));
+    EXPECT_LT(tfhe_a.time(Op::hmult, 35), tfhe_c.time(Op::hmult, 35));
 
     // Magnitudes within 3x of the published values (3472 us / 8172 us
     // / 15304 us — our substrate is a model, shapes matter).
@@ -60,9 +62,10 @@ TEST(Backends, NeoSpeedupOverTensorFheInPaperRange)
     double best_tfhe = 1e9;
     for (char set : {'A', 'B', 'C'}) {
         best_tfhe =
-            std::min(best_tfhe, make_tensorfhe(set).model().hmult_time(35));
+            std::min(best_tfhe,
+                     make_tensorfhe(set).model().time(Op::hmult, 35));
     }
-    const double speedup = best_tfhe / neo.hmult_time(35);
+    const double speedup = best_tfhe / neo.time(Op::hmult, 35);
     EXPECT_GT(speedup, 2.0);
     EXPECT_LT(speedup, 16.0);
 }
@@ -98,18 +101,20 @@ TEST(Backends, CpuDeviceHasNoTensorCores)
 namespace neo::apps {
 namespace {
 
+using model::Op;
+
 TEST(Schedules, BootstrapShape)
 {
     auto p = ckks::paper_set('C');
     auto s = pack_bootstrap(p);
     // 6 BSGS stages with 16 rotations each, plus one conjugation.
-    EXPECT_DOUBLE_EQ(s.total(OpKind::hrotate), 97);
-    EXPECT_DOUBLE_EQ(s.total(OpKind::hmult), 12);
-    EXPECT_GT(s.total(OpKind::pmult), 300);
+    EXPECT_DOUBLE_EQ(s.total(Op::hrotate), 97);
+    EXPECT_DOUBLE_EQ(s.total(Op::hmult), 12);
+    EXPECT_GT(s.total(Op::pmult), 300);
     // DS appears when WordSize < 40 (§2.1: essential below 36 bits).
-    EXPECT_GT(s.total(OpKind::double_rescale), 0);
+    EXPECT_GT(s.total(Op::double_rescale), 0);
     auto p60 = ckks::paper_set('E');
-    EXPECT_DOUBLE_EQ(pack_bootstrap(p60).total(OpKind::double_rescale), 0);
+    EXPECT_DOUBLE_EQ(pack_bootstrap(p60).total(Op::double_rescale), 0);
 }
 
 TEST(Schedules, ResNetScalesLinearlyInLayers)
@@ -133,7 +138,7 @@ TEST(Schedules, HelrembedsOneBootstrap)
     auto p = ckks::paper_set('C');
     auto s = helr_iteration(p);
     EXPECT_DOUBLE_EQ(s.bootstraps, 1);
-    EXPECT_GT(s.total(OpKind::hrotate), 10);
+    EXPECT_GT(s.total(Op::hrotate), 10);
     auto m = baselines::make_neo('C').model();
     // HELR > bare bootstrap, < 2x bootstrap (Table 5: 0.22 vs 0.24 —
     // the iteration is bootstrap-dominated).

@@ -17,6 +17,7 @@ using namespace neo;
 using gpusim::Bound;
 using gpusim::CostBreakdown;
 using gpusim::KernelCost;
+using gpusim::SchedulePolicy;
 
 namespace {
 
@@ -154,7 +155,8 @@ TEST(RunSchedule, SerialSecondsAreSumOfPerKernelTimes)
     const auto d = dev();
     std::vector<KernelCost> ks = {sample_kernel(1), sample_kernel(2),
                                   sample_kernel(0.5)};
-    const auto r = gpusim::run_schedule(ks, d, false);
+    const auto r =
+        gpusim::run_schedule(ks, d, SchedulePolicy{false, false});
     double expect = 0, bytes = 0, launches = 0;
     for (const auto &k : ks) {
         expect += k.time(d, false);
@@ -174,20 +176,24 @@ TEST(RunSchedule, MultistreamObeysScheduleLevelRoofline)
 {
     const auto d = dev();
     std::vector<KernelCost> ks = {sample_kernel(1), sample_kernel(3)};
-    const auto r = gpusim::run_schedule(ks, d, true);
+    const auto r =
+        gpusim::run_schedule(ks, d, SchedulePolicy{true, false});
     EXPECT_DOUBLE_EQ(r.seconds,
                      std::max(r.compute_s, r.memory_s) + r.launch_s);
     // Launch overhead is amortised across the two streams.
     EXPECT_DOUBLE_EQ(r.launch_s, r.launches * d.kernel_launch_s * 0.5);
     // Overlap can only help.
-    EXPECT_LE(r.seconds, gpusim::run_schedule(ks, d, false).seconds);
+    const auto serial =
+        gpusim::run_schedule(ks, d, SchedulePolicy{false, false});
+    EXPECT_LE(r.seconds, serial.seconds);
 }
 
 TEST(RunSchedule, EmptyScheduleIsFree)
 {
     const auto d = dev();
     for (bool ms : {false, true}) {
-        const auto r = gpusim::run_schedule({}, d, ms);
+        const auto r =
+            gpusim::run_schedule({}, d, SchedulePolicy{ms, false});
         EXPECT_EQ(r.seconds, 0.0);
         EXPECT_EQ(r.bytes, 0.0);
         EXPECT_EQ(r.launches, 0.0);
@@ -198,7 +204,8 @@ TEST(RunSchedule, ScheduleBoundMatchesBreakdownRule)
 {
     const auto d = dev();
     std::vector<KernelCost> ks = {sample_kernel(1)};
-    const auto r = gpusim::run_schedule(ks, d, true);
+    const auto r =
+        gpusim::run_schedule(ks, d, SchedulePolicy{true, false});
     CostBreakdown b;
     b.compute_s = r.compute_s;
     b.memory_s = r.memory_s;
@@ -296,9 +303,9 @@ TEST(GraphCapture, MonotoneOverTable7KernelMixes)
     };
     for (size_t level : {params.max_level, size_t{20}, size_t{5}}) {
         const std::vector<std::vector<KernelCost>> mixes = {
-            m.keyswitch_kernels(level),
-            named_costs(m.hmult_kernels_named(level)),
-            named_costs(m.hrotate_kernels_named(level)),
+            named_costs(m.kernels(model::Op::keyswitch, level)),
+            named_costs(m.kernels(model::Op::hmult, level)),
+            named_costs(m.kernels(model::Op::hrotate, level)),
         };
         for (size_t i = 0; i < mixes.size(); ++i) {
             for (bool ms : {false, true}) {

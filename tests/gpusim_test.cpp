@@ -120,8 +120,8 @@ TEST(RunSchedule, MultistreamOverlapsResources)
     tcu_kernel.tcu_fp64_macs = 5e9;
     std::vector<KernelCost> ks = {cuda_kernel, tcu_kernel};
 
-    auto serial = run_schedule(ks, d, false);
-    auto streamed = run_schedule(ks, d, true);
+    auto serial = run_schedule(ks, d, SchedulePolicy{false, false});
+    auto streamed = run_schedule(ks, d, SchedulePolicy{true, false});
     EXPECT_LT(streamed.seconds, serial.seconds);
     EXPECT_DOUBLE_EQ(serial.bytes, streamed.bytes);
     EXPECT_DOUBLE_EQ(serial.launches, 2);
@@ -202,8 +202,10 @@ TEST(EventSim, BracketsAggregateModel)
         costs.push_back(k);
     }
     auto fluid = sim.run(ks).makespan;
-    auto serial = run_schedule(costs, d, false).seconds;
-    auto ideal = run_schedule(costs, d, true).seconds;
+    auto serial =
+        run_schedule(costs, d, SchedulePolicy{false, false}).seconds;
+    auto ideal =
+        run_schedule(costs, d, SchedulePolicy{true, false}).seconds;
     EXPECT_LE(fluid, serial * 1.0001);
     EXPECT_GE(fluid, ideal * 0.9999);
 }
@@ -220,7 +222,7 @@ TEST(EventSim, RejectsBadDependencyIndex)
 TEST(RunSchedule, EmptyScheduleIsFree)
 {
     auto d = DeviceSpec::a100();
-    auto r = run_schedule({}, d, true);
+    auto r = run_schedule({}, d, SchedulePolicy{true, false});
     EXPECT_DOUBLE_EQ(r.seconds, 0);
     EXPECT_DOUBLE_EQ(r.bytes, 0);
 }

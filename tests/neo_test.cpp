@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "baselines/backends.h"
 #include "common/random.h"
 #include "neo/kernel_model.h"
 #include "neo/kernels.h"
@@ -7,6 +8,8 @@
 
 namespace neo {
 namespace {
+
+using model::Op;
 
 class BConvKernelTest : public ::testing::TestWithParam<
                             std::tuple<size_t, size_t, size_t, size_t>>
@@ -187,21 +190,22 @@ TEST(KernelModel, KlssKeySwitchFasterThanHybridAtSameParams)
     // everything else fixed.
     auto klss = make_model(true);
     auto hybrid = make_model(false);
-    EXPECT_LT(klss.keyswitch_time(35), hybrid.keyswitch_time(35));
+    EXPECT_LT(klss.time(Op::keyswitch, 35),
+              hybrid.time(Op::keyswitch, 35));
 }
 
 TEST(KernelModel, KeySwitchDominatesHmult)
 {
     auto m = make_model();
-    EXPECT_GT(m.keyswitch_time(35) / m.hmult_time(35), 0.8);
+    EXPECT_GT(m.time(Op::keyswitch, 35) / m.time(Op::hmult, 35), 0.8);
 }
 
 TEST(KernelModel, OpTimesScaleWithLevel)
 {
     auto m = make_model();
-    EXPECT_LT(m.hmult_time(11), m.hmult_time(35));
-    EXPECT_LT(m.hrotate_time(11), m.hrotate_time(35));
-    EXPECT_LT(m.rescale_time(11), m.rescale_time(35));
+    EXPECT_LT(m.time(Op::hmult, 11), m.time(Op::hmult, 35));
+    EXPECT_LT(m.time(Op::hrotate, 11), m.time(Op::hrotate, 35));
+    EXPECT_LT(m.time(Op::rescale, 11), m.time(Op::rescale, 35));
 }
 
 TEST(KernelModel, IpEngineGateFollowsValidProportion)
@@ -237,18 +241,19 @@ TEST(KernelModel, MultistreamNeverSlower)
     auto cfg_serial = m.config();
     cfg_serial.multistream = false;
     model::KernelModel serial(m.params(), cfg_serial);
-    EXPECT_LE(m.keyswitch_time(35), serial.keyswitch_time(35) * 1.001);
+    EXPECT_LE(m.time(Op::keyswitch, 35),
+              serial.time(Op::keyswitch, 35) * 1.001);
 }
 
 TEST(KernelModel, HoistedRotationsCheaperThanIndividual)
 {
     auto m = make_model(false); // hybrid path hoists
-    const double individual = 16 * m.hrotate_time(35);
+    const double individual = 16 * m.time(Op::hrotate, 35);
     const double hoisted = m.hrotate_hoisted_time(35, 16);
     EXPECT_LT(hoisted, individual);
     // One rotation gains nothing (same kernel sequence).
-    EXPECT_NEAR(m.hrotate_hoisted_time(35, 1), m.hrotate_time(35),
-                m.hrotate_time(35) * 0.2);
+    EXPECT_NEAR(m.hrotate_hoisted_time(35, 1), m.time(Op::hrotate, 35),
+                m.time(Op::hrotate, 35) * 0.2);
     EXPECT_THROW(m.hrotate_hoisted_time(35, 0), std::invalid_argument);
 }
 
@@ -261,6 +266,53 @@ TEST(KernelModel, FusionReducesLaunchesAndTraffic)
     EXPECT_LT(m.bconv(4, 8, 36, 48).launches,
               nf.bconv(4, 8, 36, 48).launches);
     EXPECT_LT(m.bconv(4, 8, 36, 48).bytes(), nf.bconv(4, 8, 36, 48).bytes());
+}
+
+TEST(KernelModel, OperationTimeIsItsAttributedTotal)
+{
+    // time() and run_attributed() schedule the one kernel list of an
+    // operation the same way, so the price neo-prof attributes is the
+    // price the apps schedules and the tuner sum, bit for bit.
+    std::vector<baselines::Backend> backends = {
+        baselines::make_neo('C'), baselines::make_neo('C'),
+        baselines::make_tensorfhe('A'), baselines::make_heongpu(),
+        baselines::make_cpu()};
+    backends[1].name += " (fused, graph)";
+    backends[1].cfg.fuse_elementwise = true;
+    backends[1].cfg.graph_capture = true;
+    const auto same_cost = [](const gpusim::KernelCost &a,
+                              const gpusim::KernelCost &b) {
+        return a.cuda_modmul == b.cuda_modmul &&
+               a.cuda_modadd == b.cuda_modadd &&
+               a.cuda_int_ops == b.cuda_int_ops &&
+               a.tcu_fp64_macs == b.tcu_fp64_macs &&
+               a.tcu_int8_macs == b.tcu_int8_macs &&
+               a.bytes_read == b.bytes_read &&
+               a.bytes_written == b.bytes_written &&
+               a.launches == b.launches;
+    };
+    for (const auto &b : backends) {
+        const auto m = b.model();
+        const size_t top = b.params.max_level;
+        for (const size_t level : {top, top / 2, size_t{2}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << b.name << " level " << level);
+            for (const Op op :
+                 {Op::keyswitch, Op::hmult, Op::hrotate, Op::pmult,
+                  Op::hadd, Op::padd, Op::rescale, Op::double_rescale})
+                EXPECT_EQ(m.time(op, level),
+                          m.run_attributed(m.kernels(op, level)).seconds)
+                    << "op " << static_cast<int>(op);
+            const auto ks = m.kernels(Op::keyswitch, level);
+            const auto named = m.keyswitch_kernels_named(level);
+            ASSERT_EQ(ks.size(), named.size());
+            for (size_t i = 0; i < ks.size(); ++i) {
+                EXPECT_STREQ(ks[i].name, named[i].name);
+                EXPECT_TRUE(same_cost(ks[i].cost, named[i].cost));
+                EXPECT_EQ(ks[i].fused, named[i].fused);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -163,9 +163,10 @@ TEST(Pipeline, RejectsOperandFromAnotherContext)
 
 TEST(Pipeline, RejectsKeyFromAnotherContext)
 {
-    // A key over another ring, or a hybrid key over another modulus
-    // chain, is rejected before any kernel reads key material. A KLSS
-    // key carries only T, which the 36- and 40-bit chains share.
+    // A key over another ring or another modulus chain is rejected
+    // before any kernel reads key material. The 36- and 40-bit chains
+    // share T, so a KLSS key is told apart by the Q·P chain it was
+    // lifted from.
     const CkksParams params = CkksParams::test_params(256, 5, 2);
     const CkksContext ctx(params);
     const RnsPoly d2(ctx.n(), ctx.active_mods(5), PolyForm::eval);
@@ -189,6 +190,10 @@ TEST(Pipeline, RejectsKeyFromAnotherContext)
     KeyGenerator keygen(other, 7);
     const EvalKey rlk = keygen.relin_key(keygen.secret_key());
     EXPECT_THROW(keyswitch_hybrid(d2, rlk, ctx), std::invalid_argument);
+    const KlssEvalKey klss_rlk = keygen.to_klss(rlk);
+    EXPECT_THROW(keyswitch_klss_pipeline(d2, klss_rlk, ctx),
+                 std::invalid_argument);
+    EXPECT_THROW(keyswitch_klss(d2, klss_rlk, ctx), std::invalid_argument);
 }
 
 TEST(BConvExact, MatmulExactMatchesBaseConverter)

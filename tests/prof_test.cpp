@@ -24,7 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/schedules.h"
+#include "baselines/backends.h"
 #include "common/json.h"
+#include "neo/pipeline.h"
 #include "prof/prof.h"
 
 using namespace neo;
@@ -60,20 +63,38 @@ metric_map(const json::Value &doc)
 
 TEST(ProfModel, RowsSumToModeledTotal)
 {
-    for (const char *workload : {"mul", "rotate", "bootstrap"}) {
+    // The app workloads' totals are apps::run_schedule's, bit for bit:
+    // both price each operation from the model's one kernel list.
+    const baselines::Backend neo = baselines::make_neo('C');
+    const std::map<std::string, apps::Schedule> apps_schedules = {
+        {"bootstrap", apps::pack_bootstrap(neo.params)},
+        {"helr", apps::helr_iteration(neo.params)},
+        {"resnet20", apps::resnet(neo.params, 20)}};
+    for (const char *workload :
+         {"mul", "rotate", "bootstrap", "helr", "resnet20"}) {
         for (const EngineId engine : EngineRegistry::ids()) {
             const auto name = EngineRegistry::name(engine);
-            const auto r =
-                prof::profile(workload, ExecPolicy::fixed(engine));
+            const auto policy = ExecPolicy::fixed(engine);
+            const auto r = prof::profile(workload, policy);
             ASSERT_FALSE(r.kernels.empty()) << workload << "/" << name;
             EXPECT_NEAR(rows_sum(r), r.modeled_total_s,
                         1e-9 * r.modeled_total_s)
                 << workload << "/" << name;
+            if (const auto it = apps_schedules.find(workload);
+                it != apps_schedules.end()) {
+                model::ModelConfig cfg = model_config(policy, neo.params);
+                cfg.device = neo.cfg.device;
+                const model::KernelModel m(neo.params, cfg);
+                EXPECT_EQ(r.modeled_total_s,
+                          apps::run_schedule(it->second, m))
+                    << workload << "/" << name;
+            }
             double frac = 0;
             for (const auto &k : r.kernels) {
                 frac += k.fraction;
-                EXPECT_TRUE(k.bound == "compute" || k.bound == "memory" ||
-                            k.bound == "launch")
+                const std::string bound = gpusim::bound_name(k.bound());
+                EXPECT_TRUE(bound == "compute" || bound == "memory" ||
+                            bound == "launch")
                     << k.name;
             }
             EXPECT_NEAR(frac, 1.0, 1e-9);

@@ -511,7 +511,7 @@ TEST(ShardModel, DevicesOneDegeneratesToSingleSchedule)
     const auto sc = shard::model_sharded_keyswitch(
         params, params.max_level, cfg);
     // One device is *exactly* the single-device schedule — the same
-    // run() figure every unsharded profile reports.
+    // time() figure every unsharded profile reports.
     EXPECT_GT(sc.seconds, 0.0);
     EXPECT_DOUBLE_EQ(sc.seconds, sc.single_seconds);
     EXPECT_DOUBLE_EQ(sc.speedup(), 1.0);

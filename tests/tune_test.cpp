@@ -257,9 +257,9 @@ TEST(TuneDominance, TunedKeyswitchNeverSlowerThanBestUniform)
                 best_uniform = std::min(
                     best_uniform,
                     model::KernelModel(params, ucfg)
-                        .keyswitch_time(level));
+                        .time(model::Op::keyswitch, level));
             }
-            const double t = tuned.keyswitch_time(level);
+            const double t = tuned.time(model::Op::keyswitch, level);
             EXPECT_LE(t, best_uniform * (1.0 + 1e-9))
                 << "N=" << params.n << " level=" << level;
         }
