@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,16 +44,25 @@ Options::parse(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto positive = [&](const char *flag) -> size_t {
+            const char *v = next(flag);
+            char *end = nullptr;
+            errno = 0;
+            const long long n = std::strtoll(v, &end, 10);
+            if (end == v || *end != '\0' || errno == ERANGE || n < 1) {
+                std::fprintf(stderr,
+                             "%s takes a positive integer, got '%s'\n",
+                             flag, v);
+                std::exit(2);
+            }
+            return static_cast<size_t>(n);
+        };
         if (std::strcmp(a, "--json") == 0) {
             o.json_path = next("--json");
         } else if (std::strcmp(a, "--threads") == 0) {
-            o.threads = static_cast<size_t>(
-                std::atoll(next("--threads")));
+            o.threads = positive("--threads");
         } else if (std::strcmp(a, "--repeat") == 0) {
-            o.repeat = static_cast<size_t>(
-                std::atoll(next("--repeat")));
-            if (o.repeat == 0)
-                o.repeat = 1;
+            o.repeat = positive("--repeat");
         } else if (std::strcmp(a, "--engine") == 0) {
             const char *name = next("--engine");
             if (std::strcmp(name, "auto") == 0) {

@@ -38,7 +38,7 @@ std::string vs_paper(double ours, double paper);
 /**
  * Command-line options shared by every figure/table binary:
  *   --json PATH    write the neo.bench/1 artifact to PATH
- *   --threads N    size the global thread pool
+ *   --threads N    size the global thread pool (ThreadPool caps it)
  *   --repeat N     warmup once, then report the median of N timed
  *                  runs (benchmarks that measure wall time honour it;
  *                  purely modeled ones ignore it)
@@ -46,7 +46,8 @@ std::string vs_paper(double ours, double paper);
  *                  "auto" for per-site tuned dispatch (benchmarks
  *                  that price GEMM kernels honour it; names are
  *                  validated against neo::EngineRegistry)
- * parse() exits 2 on unknown arguments (and 0 after --help).
+ * parse() exits 2 on unknown arguments or a --threads / --repeat that
+ * is not a positive integer (and 0 after --help).
  */
 struct Options
 {

@@ -21,7 +21,7 @@ print_method(const char *label, const ckks::CkksParams &params, bool klss,
     model::ModelConfig cfg;
     cfg.use_klss = klss;
     cfg.matmul_dataflow = false; // motivate: original kernels
-    cfg.engine = EngineId::int8_tcu;
+    cfg.policy.engine = EngineId::int8_tcu;
     cfg.radix16_ntt = false;
     model::KernelModel m(params, cfg);
 

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     model::ModelConfig opt;
     model::ModelConfig orig;
     orig.matmul_dataflow = false;
-    orig.engine = EngineId::int8_tcu;
+    orig.policy.engine = EngineId::int8_tcu;
     model::KernelModel m_opt(params, opt);
     model::KernelModel m_orig(params, orig);
 
@@ -90,8 +90,8 @@ main(int argc, char **argv)
     for (const bool fuse : {false, true}) {
         for (const bool graph : {false, true}) {
             model::ModelConfig cfg;
-            cfg.fuse_elementwise = fuse;
-            cfg.graph_capture = graph;
+            cfg.policy.fuse = fuse;
+            cfg.policy.graph = graph;
             model::KernelModel m(params, cfg);
             const auto att = m.run_attributed(
                 m.keyswitch_kernels_named(params.max_level));

@@ -46,14 +46,14 @@ main(int argc, char **argv)
                 continue;
             }
             model::ModelConfig cfg;
-            cfg.interconnect = ic;
+            cfg.policy.interconnect = ic;
             std::vector<std::string> cells;
             cells.push_back(std::string(1, set));
             double single = 0;
             double best = 0;
             double comm2 = 0;
             for (const size_t d : device_counts) {
-                cfg.devices = d;
+                cfg.policy.devices = d;
                 const auto sc = shard::model_sharded_keyswitch(
                     params, params.max_level, cfg);
                 if (d == 1)

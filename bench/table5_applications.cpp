@@ -6,7 +6,6 @@
 #include "apps/schedules.h"
 #include "baselines/backends.h"
 #include "bench_util.h"
-#include "neo/pipeline.h"
 #include "tune/tuner.h"
 
 using namespace neo;
@@ -82,10 +81,8 @@ main(int argc, char **argv)
     {
         tune::TunerConfig tcfg;
         tcfg.base = neo_auto.cfg;
-        const ExecPolicy tuned =
-            tune::Tuner(tcfg).tune(neo_auto.params).policy();
-        neo_auto.cfg.stage_engine =
-            model_config(tuned, neo_auto.params).stage_engine;
+        neo_auto.cfg.policy = tune::Tuner(tcfg).tune(neo_auto.params).policy(
+            neo_auto.cfg.policy);
     }
     add_row(t, neo_auto, nullptr);
     t.print();

@@ -45,7 +45,7 @@ main(int argc, char **argv)
     for (const EngineId id : EngineRegistry::ids()) {
         if (opts.engine && id != *opts.engine)
             continue;
-        neo.cfg.engine = id;
+        neo.cfg.policy.engine = id;
         neo_models.emplace_back(neo.params, neo.cfg);
     }
     // Price one kernel under the active policy: the fixed model, or

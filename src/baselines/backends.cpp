@@ -14,7 +14,7 @@ neo_config()
     cfg.matmul_dataflow = true;
     cfg.radix16_ntt = true;
     cfg.tcu_ntt = true;
-    cfg.engine = EngineId::fp64_tcu;
+    cfg.policy.engine = EngineId::fp64_tcu;
     cfg.kernel_fusion = true;
     cfg.multistream = true;
     return cfg;
@@ -28,7 +28,7 @@ tensorfhe_config()
     cfg.matmul_dataflow = false; // element-wise BConv / IP
     cfg.radix16_ntt = false;     // four-step 256x256
     cfg.tcu_ntt = true;
-    cfg.engine = EngineId::int8_tcu;
+    cfg.policy.engine = EngineId::int8_tcu;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     return cfg;
@@ -71,7 +71,7 @@ make_heongpu()
     cfg.matmul_dataflow = false;
     cfg.radix16_ntt = false;
     cfg.tcu_ntt = false; // butterfly NTT on CUDA cores
-    cfg.engine = EngineId::scalar;
+    cfg.policy.engine = EngineId::scalar;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     cfg.batched_pipeline = false; // parallelises within one ciphertext
@@ -109,7 +109,7 @@ make_cpu()
     cfg.matmul_dataflow = false;
     cfg.radix16_ntt = false;
     cfg.tcu_ntt = false;
-    cfg.engine = EngineId::scalar;
+    cfg.policy.engine = EngineId::scalar;
     cfg.kernel_fusion = true;
     cfg.multistream = false;
     cfg.batched_pipeline = false;
@@ -153,7 +153,7 @@ ablation_ladder()
     {
         Backend b = ladder.back();
         b.name = "+FP64 TCU";
-        b.cfg.engine = EngineId::fp64_tcu;
+        b.cfg.policy.engine = EngineId::fp64_tcu;
         b.cfg.multistream = true;
         ladder.push_back(b);
     }
@@ -163,7 +163,7 @@ ablation_ladder()
     {
         Backend b = ladder.back();
         b.name = "+kernel fusion (elementwise)";
-        b.cfg.fuse_elementwise = true;
+        b.cfg.policy.fuse = true;
         ladder.push_back(b);
     }
     // Rung 6: +graph capture — the whole kernel DAG replays with one
@@ -171,7 +171,7 @@ ablation_ladder()
     {
         Backend b = ladder.back();
         b.name = "+graph capture";
-        b.cfg.graph_capture = true;
+        b.cfg.policy.graph = true;
         ladder.push_back(b);
     }
     return ladder;

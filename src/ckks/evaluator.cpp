@@ -7,9 +7,8 @@
 
 namespace neo::ckks {
 
-Evaluator::Evaluator(const CkksContext &ctx, KeySwitchMethod method,
-                     obs::Scope *scope)
-    : ctx_(ctx), method_(method), scope_(scope)
+Evaluator::Evaluator(const CkksContext &ctx, KeySwitchMethod method)
+    : ctx_(ctx), method_(method)
 {
     if (method_ == KeySwitchMethod::klss)
         NEO_CHECK(ctx.params().klss.enabled(),
@@ -37,15 +36,9 @@ op_count(std::string_view name)
 
 } // namespace
 
-/// Routes this evaluator's records into its bound scope, if any.
-#define NEO_EVAL_SINK()                                                   \
-    obs::Activate neo_eval_sink_(                                         \
-        scope_ != nullptr ? &scope_->registry() : nullptr)
-
 Ciphertext
 Evaluator::add(const Ciphertext &a, const Ciphertext &b) const
 {
-    NEO_EVAL_SINK();
     op_count("op.hadd");
     check_compatible(a, b);
     Ciphertext out = a;
@@ -57,7 +50,6 @@ Evaluator::add(const Ciphertext &a, const Ciphertext &b) const
 Ciphertext
 Evaluator::sub(const Ciphertext &a, const Ciphertext &b) const
 {
-    NEO_EVAL_SINK();
     op_count("op.hsub");
     check_compatible(a, b);
     Ciphertext out = a;
@@ -78,7 +70,6 @@ Evaluator::negate(const Ciphertext &a) const
 Ciphertext
 Evaluator::add_plain(const Ciphertext &a, const Plaintext &pt) const
 {
-    NEO_EVAL_SINK();
     op_count("op.padd");
     NEO_CHECK(pt.poly.limbs() == a.level + 1, "plaintext level mismatch");
     NEO_CHECK(std::abs(a.scale - pt.scale) <=
@@ -92,7 +83,6 @@ Evaluator::add_plain(const Ciphertext &a, const Plaintext &pt) const
 Ciphertext
 Evaluator::mul_plain(const Ciphertext &a, const Plaintext &pt) const
 {
-    NEO_EVAL_SINK();
     op_count("op.pmult");
     NEO_CHECK(pt.poly.limbs() == a.level + 1, "plaintext level mismatch");
     Ciphertext out = a;
@@ -149,7 +139,6 @@ Ciphertext
 Evaluator::mul(const Ciphertext &a, const Ciphertext &b,
                const EvalKeyBundle &keys) const
 {
-    NEO_EVAL_SINK();
     return mul_impl(a, b, &keys.rlk, keys.klss());
 }
 
@@ -178,7 +167,6 @@ Ciphertext
 Evaluator::rotate(const Ciphertext &a, i64 steps,
                   const EvalKeyBundle &keys) const
 {
-    NEO_EVAL_SINK();
     return rotate_impl(a, steps, keys.galois);
 }
 
@@ -205,14 +193,12 @@ Evaluator::conjugate_impl(const Ciphertext &a, const GaloisKeys &gk) const
 Ciphertext
 Evaluator::conjugate(const Ciphertext &a, const EvalKeyBundle &keys) const
 {
-    NEO_EVAL_SINK();
     return conjugate_impl(a, keys.galois);
 }
 
 Ciphertext
 Evaluator::rescale_by(const Ciphertext &a, size_t count) const
 {
-    NEO_EVAL_SINK();
     obs::Span span("rescale", obs::cat::op);
     op_count("op.rescale");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));

@@ -17,10 +17,6 @@
 #include "ckks/keys.h"
 #include "ckks/keyswitch.h"
 
-namespace neo::obs {
-class Scope;
-} // namespace neo::obs
-
 namespace neo::ckks {
 
 /** Which KeySwitch implementation the evaluator routes through. */
@@ -30,16 +26,8 @@ enum class KeySwitchMethod { hybrid, klss };
 class Evaluator
 {
   public:
-    /**
-     * @param scope  optional observability sink: when set, every
-     *               operation on this evaluator records its spans and
-     *               counters into @p scope's registry (activated for
-     *               the duration of the call) instead of the ambient
-     *               one. The scope must outlive the evaluator's use.
-     */
     Evaluator(const CkksContext &ctx,
-              KeySwitchMethod method = KeySwitchMethod::hybrid,
-              obs::Scope *scope = nullptr);
+              KeySwitchMethod method = KeySwitchMethod::hybrid);
 
     KeySwitchMethod method() const { return method_; }
 
@@ -116,7 +104,6 @@ class Evaluator
 
     const CkksContext &ctx_;
     KeySwitchMethod method_;
-    obs::Scope *scope_;
     KlssKeySwitchFn klss_keyswitch_;
 };
 

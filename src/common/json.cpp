@@ -377,8 +377,15 @@ class Parser
     {
         skip_ws();
         switch (peek()) {
-        case '{': return parse_object();
-        case '[': return parse_array();
+        case '{':
+        case '[': {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+            ++depth_;
+            Value v = peek() == '{' ? parse_object() : parse_array();
+            --depth_;
+            return v;
+        }
         case '"': return Value::make_string(parse_string());
         case 't':
             if (consume_literal("true"))
@@ -514,6 +521,7 @@ class Parser
 
     std::string_view text_;
     size_t pos_ = 0;
+    size_t depth_ = 0; ///< arrays/objects open at pos_
 };
 
 } // namespace

@@ -79,6 +79,11 @@ class Writer
     bool key_pending_ = false; // key() emitted, awaiting its value
 };
 
+/// Deepest array/object nesting Value::parse accepts. The parser
+/// recurses once per level, so the cap bounds its stack; the
+/// project's artifacts nest 4 levels deep.
+inline constexpr size_t kMaxDepth = 256;
+
 /** Parsed JSON value (tree form). */
 class Value
 {
@@ -110,7 +115,8 @@ class Value
 
     /**
      * Parse a complete JSON document. Throws std::invalid_argument
-     * (via NEO_CHECK) on syntax errors, with byte offset.
+     * (via NEO_CHECK) on syntax errors, with byte offset, and on
+     * nesting deeper than kMaxDepth.
      */
     static Value parse(std::string_view text);
     /// Parse the contents of `path`; throws if unreadable.

@@ -18,6 +18,14 @@ namespace {
 /// from such a thread runs inline instead of re-entering the pool.
 thread_local bool tls_inside_pool = false;
 
+/// The executor count a pool asked for @p threads runs.
+size_t
+pool_size(size_t threads)
+{
+    return std::min(threads == 0 ? ThreadPool::env_threads() : threads,
+                    ThreadPool::kMaxThreads);
+}
+
 } // namespace
 
 struct ThreadPool::Impl
@@ -95,11 +103,8 @@ struct ThreadPool::Impl
     }
 };
 
-ThreadPool::ThreadPool(size_t threads)
-    : n_threads_(threads == 0 ? env_threads() : threads)
+ThreadPool::ThreadPool(size_t threads) : n_threads_(pool_size(threads))
 {
-    if (n_threads_ < 1)
-        n_threads_ = 1;
     if (n_threads_ == 1)
         return;
     impl_ = std::make_unique<Impl>();
@@ -202,7 +207,7 @@ ThreadPool::set_global_threads(size_t threads) NEO_NO_THREAD_SAFETY_ANALYSIS
     static Mutex g_m; // distinct lock: guards the swap below
     LockGuard l(g_m);
     ThreadPool &g = global();
-    const size_t want = threads == 0 ? env_threads() : threads;
+    const size_t want = pool_size(threads);
     if (g.n_threads_ == want)
         return;
     // Rebuild in place: join old workers, spawn the new complement.
@@ -218,7 +223,7 @@ ThreadPool::env_threads()
         char *endp = nullptr;
         const long v = std::strtol(env, &endp, 10);
         if (endp != env && *endp == '\0' && v > 0)
-            return std::min<long>(v, 1024);
+            return std::min(static_cast<size_t>(v), kMaxThreads);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

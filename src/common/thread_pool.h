@@ -22,9 +22,11 @@
  *    the degenerate 1-thread (inline) execution.
  *
  * Thread count comes from the NEO_NUM_THREADS environment variable
- * (default: hardware concurrency). Nested `parallel_for` calls run
- * inline on the calling worker, so recursive kernels (radix-16 NTT
- * inside a per-digit fan-out) cannot deadlock the pool.
+ * (default: hardware concurrency); every count, explicit or from the
+ * environment, is capped at ThreadPool::kMaxThreads. Nested
+ * `parallel_for` calls run inline on the calling worker, so recursive
+ * kernels (radix-16 NTT inside a per-digit fan-out) cannot deadlock
+ * the pool.
  *
  * Bodies must not throw: an exception escaping a worker thread would
  * terminate the process. Validate preconditions before going parallel.
@@ -43,10 +45,14 @@ class ThreadPool
     /// Body of a parallel loop: operates on indices [begin, end).
     using RangeFn = std::function<void(size_t begin, size_t end)>;
 
+    /// Most executors a pool runs, whatever count it is asked for.
+    static constexpr size_t kMaxThreads = 1024;
+
     /**
      * Create a pool with @p threads total executors (the submitting
-     * thread counts as one; @p threads - 1 workers are spawned).
-     * 0 means "read NEO_NUM_THREADS / hardware concurrency".
+     * thread counts as one; @p threads - 1 workers are spawned),
+     * capped at kMaxThreads. 0 means "read NEO_NUM_THREADS / hardware
+     * concurrency".
      */
     explicit ThreadPool(size_t threads = 0);
     ~ThreadPool();
@@ -70,14 +76,15 @@ class ThreadPool
     static ThreadPool &global();
 
     /**
-     * Resize the process-wide pool (joins the old workers first).
-     * @p threads = 0 re-reads NEO_NUM_THREADS. Not safe to call while
-     * parallel work is in flight.
+     * Resize the process-wide pool (joins the old workers first),
+     * capped at kMaxThreads. @p threads = 0 re-reads NEO_NUM_THREADS.
+     * Not safe to call while parallel work is in flight.
      */
     static void set_global_threads(size_t threads);
 
-    /// NEO_NUM_THREADS if set to a positive integer, else
-    /// std::thread::hardware_concurrency() (at least 1).
+    /// NEO_NUM_THREADS if set to a positive integer (at most
+    /// kMaxThreads), else std::thread::hardware_concurrency() (at
+    /// least 1).
     static size_t env_threads();
 
     /// True when a parallel_for on the global pool would actually fan

@@ -8,7 +8,10 @@
  * engine strings): which GEMM engine runs (a fixed EngineId, or a
  * per-site resolver built by tune::TuningTable::policy), whether
  * element-wise fusion and graph capture are on, and how many devices
- * the keyswitch shards over.
+ * the keyswitch shards over. It is the only copy of these choices:
+ * the pipeline runs it, and the cost model prices it (as
+ * model::ModelConfig::policy, for the tuner, the benches and
+ * neo-prof alike), each resolving a site's engine through engine_at.
  *
  * Engine selection never changes results: every engine is bit-exact,
  * so a policy only picks *which* correct engine executes each site.
@@ -47,10 +50,21 @@ struct ExecPolicy
     /// The fixed engine; also the fallback for sites an autotune
     /// resolver has no decision for.
     EngineId engine = EngineId::fp64_tcu;
-    /// Cross-kernel element-wise fusion (PR 6); bit-identical either
-    /// way.
+    /**
+     * Cross-kernel element-wise fusion: fold the ModDown scalar fix
+     * into the ModDown BConv epilogue and the twiddle-scale passes
+     * into the NTT GEMM epilogues. Bit-identical either way. In the
+     * cost model each fold removes a kernel launch and the DRAM round
+     * trip of the intermediate (the Theodosian rule: fuse where it
+     * also cuts bytes). Off by default — this is the --fuse ablation
+     * axis, not a baseline design choice.
+     */
     bool fuse = false;
-    /// CUDA-graph capture/replay in the cost model.
+    /**
+     * CUDA-graph-style capture of the whole operation DAG, a cost
+     * model axis only: one amortized host dispatch replays every
+     * kernel (DeviceSpec::graph_launch_s). The --graph ablation axis.
+     */
     bool graph = false;
     /// Per-site resolver (tune::TuningTable::policy builds it). A
     /// policy autotunes exactly when it carries one; empty runs
@@ -58,9 +72,10 @@ struct ExecPolicy
     SiteEngineFn site_engine;
     /**
      * Devices the keyswitch shards across (neo::shard). 1 — the
-     * default — is the single-device pipeline. N > 1 runs the same
-     * kernels device-major over per-device limb/digit ranges
-     * (bit-identical) and prices collectives on `interconnect`.
+     * default and every baseline — is the single-device pipeline.
+     * N > 1 runs the same kernels device-major over per-device
+     * limb/digit ranges (bit-identical) and prices collectives on
+     * `interconnect`.
      */
     size_t devices = 1;
     /// Fabric preset the cost model prices when devices > 1.

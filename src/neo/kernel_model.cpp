@@ -81,7 +81,7 @@ KernelModel::gemm(size_t m, size_t n, size_t k, int wa, int wb,
 KernelCost
 KernelModel::ntt(size_t limbs, int word_bits) const
 {
-    return ntt(limbs, word_bits, cfg_.engine);
+    return ntt(limbs, word_bits, cfg_.policy.engine);
 }
 
 KernelCost
@@ -116,7 +116,7 @@ KernelModel::ntt(size_t limbs, int word_bits, EngineId engine) const
     // Twists and reorders run on CUDA cores.
     c.cuda_modmul += lb * static_cast<double>(cx.twist_muls);
     c.cuda_int_ops += 2.0 * lb * static_cast<double>(cx.reorder_elems);
-    if (cfg_.fuse_elementwise) {
+    if (cfg_.policy.fuse) {
         // The twiddle-scale pass is folded into the GEMM prologue/
         // epilogue (MatrixNtt fused mode): the modmuls stay, but the
         // standalone streaming pass over the limb data disappears.
@@ -136,7 +136,8 @@ KernelCost
 KernelModel::bconv(size_t in_limbs, size_t out_limbs, int word_in,
                    int word_out) const
 {
-    return bconv(in_limbs, out_limbs, word_in, word_out, cfg_.engine);
+    return bconv(in_limbs, out_limbs, word_in, word_out,
+                 cfg_.policy.engine);
 }
 
 KernelCost
@@ -178,10 +179,9 @@ KernelModel::bconv(size_t in_limbs, size_t out_limbs, int word_in,
 }
 
 EngineId
-KernelModel::engine_for_stage(std::string_view stage, size_t level) const
+KernelModel::engine_at(std::string_view stage, size_t level) const
 {
-    return cfg_.stage_engine ? cfg_.stage_engine(stage, level)
-                             : cfg_.engine;
+    return cfg_.policy.engine_at({stage, level, params_.d_num, params_.n});
 }
 
 EngineId
@@ -200,7 +200,7 @@ KernelModel::ip_engine(size_t level) const
 {
     if (!cfg_.matmul_dataflow)
         return EngineId::scalar;
-    return ip_gate(engine_for_stage(stage::ip, level), params_.beta(level),
+    return ip_gate(engine_at(stage::ip, level), params_.beta(level),
                    params_.beta_tilde(level));
 }
 
@@ -208,7 +208,7 @@ KernelCost
 KernelModel::ip(size_t beta, size_t beta_tilde, size_t limbs,
                 int word_bits) const
 {
-    return ip(beta, beta_tilde, limbs, word_bits, cfg_.engine);
+    return ip(beta, beta_tilde, limbs, word_bits, cfg_.policy.engine);
 }
 
 KernelCost
@@ -297,13 +297,9 @@ KernelModel::kernels(Op op, size_t level) const
 {
     const size_t l = level;
     const int w = params_.word_size;
-    // Each named stage is priced with the engine the config's
-    // stage_engine hook resolves for it (uniform cfg_.engine when the
-    // hook is unset) — the model-side mirror of the pipeline's
-    // per-site dispatch.
-    const auto eng = [&](const char *st) {
-        return engine_for_stage(st, l);
-    };
+    // Each named stage is priced with the engine the policy runs it
+    // on: the pipeline's own engine_at call.
+    const auto eng = [&](const char *st) { return engine_at(st, l); };
     std::vector<NamedKernel> ks;
     switch (op) {
     case Op::keyswitch: {
@@ -351,7 +347,7 @@ KernelModel::kernels(Op op, size_t level) const
 
         // ModDown: BConv(P -> Q) + scalar fix, both components.
         const EngineId md = eng(stage::moddown_bconv);
-        if (cfg_.fuse_elementwise) {
+        if (cfg_.policy.fuse) {
             // The scalar fix rides in the BConv epilogue: the
             // conversion result never round-trips through DRAM, and the
             // fix kernel's launch disappears. Only the Q-part source
@@ -373,7 +369,7 @@ KernelModel::kernels(Op op, size_t level) const
         }
         // Final NTT back to eval form.
         ks.push_back({stage::ntt_q, ntt(2 * (l + 1), w, eng(stage::ntt_q))});
-        if (cfg_.fuse_elementwise && cfg_.tcu_ntt) {
+        if (cfg_.policy.fuse && cfg_.tcu_ntt) {
             // Mark the NTT kernels whose twiddle-scale pass was folded
             // into the GEMM (the byte fold happens inside ntt()).
             for (auto &nk : ks)
@@ -436,7 +432,7 @@ KernelModel::schedule(const std::vector<KernelCost> &kernels) const
 {
     return gpusim::run_schedule(
         kernels, cfg_.device,
-        gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture});
+        gpusim::SchedulePolicy{cfg_.multistream, cfg_.policy.graph});
 }
 
 double
@@ -464,6 +460,18 @@ KernelModel::time(Op op, size_t level) const
     return per_ciphertext(schedule(costs));
 }
 
+KernelModel::KernelAttribution &
+KernelModel::row_named(std::vector<KernelAttribution> &rows,
+                       std::string_view name)
+{
+    for (auto &r : rows)
+        if (r.name == name)
+            return r;
+    rows.emplace_back();
+    rows.back().name = name;
+    return rows.back();
+}
+
 KernelModel::AttributedSchedule
 KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
 {
@@ -485,7 +493,7 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
     // over the captured kernel nodes — per-row bounds then reflect
     // the captured schedule, and the sum invariant below still holds.
     gpusim::DeviceSpec rowdev = cfg_.device;
-    if (cfg_.graph_capture && out.schedule.captured_launches > 0)
+    if (cfg_.policy.graph && out.schedule.captured_launches > 0)
         rowdev.kernel_launch_s =
             out.schedule.launch_s / out.schedule.captured_launches;
     double raw_sum = 0;
@@ -502,26 +510,18 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
     const double f = raw_sum > 0 ? out.seconds / raw_sum : 0;
 
     for (size_t i = 0; i < kernels.size(); ++i) {
-        KernelAttribution *row = nullptr;
-        for (auto &r : out.kernels)
-            if (r.name == kernels[i].name)
-                row = &r;
-        if (row == nullptr) {
-            out.kernels.emplace_back();
-            row = &out.kernels.back();
-            row->name = kernels[i].name;
-        }
+        KernelAttribution &row = row_named(out.kernels, kernels[i].name);
         const auto &b = raw[i];
-        row->calls += 1;
-        row->fused += kernels[i].fused;
-        row->modeled_s += b.total_s() * f;
-        row->compute_s += b.compute_s * f;
-        row->memory_s += b.memory_s * f;
-        row->launch_s += b.launch_s * f;
-        row->bytes += b.bytes;
-        row->macs += b.macs;
-        row->mod_ops += b.mod_ops;
-        row->int_ops += b.int_ops;
+        row.calls += 1;
+        row.fused += kernels[i].fused;
+        row.modeled_s += b.total_s() * f;
+        row.compute_s += b.compute_s * f;
+        row.memory_s += b.memory_s * f;
+        row.launch_s += b.launch_s * f;
+        row.bytes += b.bytes;
+        row.macs += b.macs;
+        row.mod_ops += b.mod_ops;
+        row.int_ops += b.int_ops;
     }
     for (auto &r : out.kernels)
         r.fraction = out.seconds > 0 ? r.modeled_s / out.seconds : 0;

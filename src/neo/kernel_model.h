@@ -16,15 +16,15 @@
  */
 #pragma once
 
-#include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "ckks/params.h"
 #include "gpusim/kernel_cost.h"
 #include "gpusim/tcu_model.h"
-#include "gpusim/topology.h"
 #include "neo/engine.h"
+#include "neo/exec_policy.h"
 
 namespace neo::model {
 
@@ -37,47 +37,19 @@ struct ModelConfig
     bool matmul_dataflow = true; ///< BConv/IP as matmul (Algs 2/4)
     bool radix16_ntt = true;     ///< ten-step NTT vs four-step
     bool tcu_ntt = true;         ///< NTT matmuls on the TCU at all
-    EngineId engine = EngineId::fp64_tcu; ///< GEMM engine
     bool kernel_fusion = true;   ///< §4.6 fusion
     bool multistream = true;     ///< §4.6 multi-stream overlap
-    /**
-     * Cross-kernel element-wise fusion: fold the ModDown scalar fix
-     * into the ModDown BConv epilogue and the twiddle-scale passes
-     * into the NTT GEMM epilogues. Each fold removes a kernel launch
-     * and the DRAM round trip of the intermediate (the Theodosian
-     * rule: fuse where it also cuts bytes). Off by default — this is
-     * the --fuse ablation axis, not a baseline design choice.
-     */
-    bool fuse_elementwise = false;
-    /**
-     * CUDA-graph-style capture of the whole operation DAG: one
-     * amortized host dispatch replays every kernel
-     * (DeviceSpec::graph_launch_s). The --graph ablation axis.
-     */
-    bool graph_capture = false;
     double ip_tcu_threshold = 0.80; ///< §4.5.3 valid-proportion gate
     /// Kernel grids sized by the ciphertext batch (TensorFHE/Neo
     /// style); unbatched systems parallelise within one ciphertext.
     bool batched_pipeline = true;
     /**
-     * Devices the keyswitch shards across (neo::shard). 1 — the
-     * default and every baseline — keeps the single-device schedule;
-     * N > 1 partitions limbs/digits per device and prices the
-     * collectives on the selected interconnect.
+     * The execution policy priced: each stage's GEMM engine (fixed,
+     * or per site through the policy's resolver), element-wise
+     * fusion, graph capture, and the devices and interconnect
+     * neo::shard prices. The same struct the pipeline runs.
      */
-    size_t devices = 1;
-    /// Fabric preset used when devices > 1.
-    gpusim::Interconnect interconnect = gpusim::Interconnect::nvlink;
-    /**
-     * Per-stage engine override for the named composite schedules
-     * (keyswitch/hmult/hrotate/rescale). When set, every named stage
-     * is priced with stage_engine(stage, level) instead of `engine` —
-     * this is how an autotune ExecPolicy's per-site decisions reach
-     * the model (neo::model_config wires it). Unset means uniform
-     * `engine`, the historical behaviour.
-     */
-    std::function<EngineId(std::string_view stage, size_t level)>
-        stage_engine;
+    ExecPolicy policy;
 };
 
 /**
@@ -151,11 +123,11 @@ class KernelModel
     EngineId ip_engine(size_t level) const;
 
     /**
-     * The engine pricing @p stage at @p level: the config's
-     * stage_engine hook when set, otherwise the uniform engine.
+     * The engine pricing @p stage at @p level: the policy's
+     * ExecPolicy::engine_at for this parameter set's site, the call
+     * the pipeline makes to pick the engine it runs.
      */
-    EngineId engine_for_stage(std::string_view stage,
-                              size_t level) const;
+    EngineId engine_at(std::string_view stage, size_t level) const;
 
     // ---- Composite costs ----------------------------------------------
 
@@ -171,7 +143,7 @@ class KernelModel
         const char *name;
         gpusim::KernelCost cost;
         /// Element-wise stages folded into this kernel by
-        /// ModelConfig::fuse_elementwise (0 when unfused).
+        /// ExecPolicy::fuse (0 when unfused).
         u64 fused = 0;
     };
 
@@ -204,6 +176,15 @@ class KernelModel
             return gpusim::roofline_bound(compute_s, memory_s, launch_s);
         }
     };
+
+    /**
+     * The row of @p rows named @p name, appended zeroed when absent,
+     * so rows sum per kernel name in first-appearance order. The
+     * schedule, shard and profile attributions all collect rows
+     * through it.
+     */
+    static KernelAttribution &
+    row_named(std::vector<KernelAttribution> &rows, std::string_view name);
 
     /** A schedule's time with its per-kernel roofline attribution. */
     struct AttributedSchedule

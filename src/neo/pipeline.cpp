@@ -103,7 +103,7 @@ for_each_shard(size_t total, size_t inner, size_t devices,
  * prove which engine executed.
  */
 const PipelineEngines &
-stage_engines(const ExecPolicy &policy, SiteKey site, const char *st)
+engines_at(const ExecPolicy &policy, SiteKey site, const char *st)
 {
     site.stage = st;
     const EngineId id = policy.engine_at(site);
@@ -122,24 +122,10 @@ stage_engines(const ExecPolicy &policy, SiteKey site, const char *st)
 } // namespace
 
 model::ModelConfig
-model_config(const ExecPolicy &policy, const ckks::CkksParams &params)
+model_config(const ExecPolicy &policy, const ckks::CkksParams &)
 {
     model::ModelConfig cfg;
-    cfg.engine = policy.engine;
-    cfg.fuse_elementwise = policy.fuse;
-    cfg.graph_capture = policy.graph;
-    cfg.devices = policy.devices;
-    cfg.interconnect = policy.interconnect;
-    if (policy.is_auto()) {
-        // Per-stage hook: the model prices each named keyswitch stage
-        // with the engine the policy would dispatch at that site.
-        cfg.stage_engine = [resolve = policy.site_engine,
-                            d_num = params.d_num,
-                            n = params.n](std::string_view st,
-                                          size_t level) {
-            return resolve({st, level, d_num, n});
-        };
-    }
+    cfg.policy = policy;
     return cfg;
 }
 
@@ -221,7 +207,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     span.emplace(stage::modup_bconv, obs::cat::stage);
     u64 *digits_t = frame.alloc<u64>(beta * alpha_p * n);
     const auto &modup_mm =
-        stage_engines(policy, site, stage::modup_bconv).per_column;
+        engines_at(policy, site, stage::modup_bconv).per_column;
     for_each_shard(beta, 1, devices, [&](size_t j) {
         lk.modup[j].run_matmul_exact(d2c.limb(groups[j].first), 1, n,
                                      digits_t + j * alpha_p * n, modup_mm);
@@ -229,7 +215,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
 
     // NTT over T: one ten-step transform per (digit, T limb).
     span.emplace(stage::ntt_t, obs::cat::stage);
-    const auto &ntt_t_mm = stage_engines(policy, site, stage::ntt_t).same_mod;
+    const auto &ntt_t_mm = engines_at(policy, site, stage::ntt_t).same_mod;
     for_each_shard(beta, alpha_p, devices, [&](size_t s) {
         lk.t_ntt[s % alpha_p].forward(digits_t + s * n, ntt_t_mm, policy.fuse);
     });
@@ -260,7 +246,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     NEO_ASSERT(key_ops.beta == beta && key_ops.beta_tilde == beta_tilde,
                "cached IP operands shape mismatch");
     const IpKernel ip(ctx.t_basis().mods(), beta, beta_tilde);
-    const auto &ip_mm = stage_engines(policy, site, stage::ip).per_site;
+    const auto &ip_mm = engines_at(policy, site, stage::ip).per_site;
     u64 *s_data[2];
     for (size_t c = 0; c < 2; ++c) {
         s_data[c] = frame.alloc<u64>(beta_tilde * alpha_p * n);
@@ -271,7 +257,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     // INTT over T: one transform per (key digit, T limb).
     span.emplace(stage::intt_t, obs::cat::stage);
     const auto &intt_t_mm =
-        stage_engines(policy, site, stage::intt_t).same_mod;
+        engines_at(policy, site, stage::intt_t).same_mod;
     for (u64 *sc : s_data)
         for_each_shard(beta_tilde, alpha_p, devices, [&](size_t s) {
             lk.t_ntt[s % alpha_p].inverse(sc + s * n, intt_t_mm, policy.fuse);
@@ -285,7 +271,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     RnsPoly acc0(n, lv.extended, PolyForm::coeff);
     RnsPoly acc1(n, lv.extended, PolyForm::coeff);
     const auto &recover_mm =
-        stage_engines(policy, site, stage::recover_bconv).per_column;
+        engines_at(policy, site, stage::recover_bconv).per_column;
     for_each_shard(beta_tilde, 1, devices, [&](size_t i) {
         if (!lk.recover[i])
             return; // the digit's group holds no prime at this level
@@ -314,7 +300,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
 
     // NTT back to eval form over q_0..q_level.
     span.emplace(stage::ntt_q, obs::cat::stage);
-    const auto &ntt_q_mm = stage_engines(policy, site, stage::ntt_q).same_mod;
+    const auto &ntt_q_mm = engines_at(policy, site, stage::ntt_q).same_mod;
     for (RnsPoly *p : {&result.first, &result.second}) {
         for_each_shard(level + 1, 1, devices, [&](size_t i) {
             lk.q_ntt[i].forward(p->limb(i), ntt_q_mm, policy.fuse);

@@ -68,9 +68,11 @@ struct PipelineEngines
  *   runs each matrix stage. A policy with a site_engine resolver
  *   (see tune::TuningTable::policy) autotunes: each dispatched stage
  *   (modup_bconv, ntt_t, ip, intt_t, recover_bconv, ntt_q) resolves
- *   its engine from the (stage, level, d_num, N) site key, and the
- *   run records one `tune.site.<stage>.<engine>` obs counter per
- *   decision so tests can prove which engine executed.
+ *   its engine through ExecPolicy::engine_at from the (stage, level,
+ *   d_num, N) site key — the call model::KernelModel::engine_at makes
+ *   to price it — and the run records one
+ *   `tune.site.<stage>.<engine>` obs counter per decision so tests
+ *   can prove which engine executed.
  * - policy.fuse: cross-kernel element-wise fusion — the NTT twiddle
  *   passes fold into the matrix-NTT gathers/writebacks and the
  *   ModDown scalar fix folds into its BConv epilogue. Bit-identical
@@ -79,7 +81,7 @@ struct PipelineEngines
  *   (shard::shard_range); bit-identical for every device count.
  * - policy.graph and policy.interconnect: cost-model options only.
  *   The run prices nothing; neo-prof prices the captured or sharded
- *   schedule through model_config.
+ *   schedule with the same policy in ModelConfig::policy.
  */
 std::pair<RnsPoly, RnsPoly>
 keyswitch_klss_pipeline(const RnsPoly &d2, const ckks::KlssEvalKey &evk,
@@ -96,10 +98,10 @@ std::function<std::pair<RnsPoly, RnsPoly>(
 klss_keyswitch_fn(ExecPolicy policy);
 
 /**
- * The cost-model configuration matching @p policy for @p params:
- * engine / fuse_elementwise / graph_capture, plus a per-stage engine
- * hook when the policy autotunes — so neo-prof's modeled costs price
- * exactly the engines the policy dispatches.
+ * A default cost-model configuration carrying @p policy; @p params is
+ * unused. It stays only because perfbench/harness/replay.cpp compiles
+ * against it; no code in this repository calls it. Set
+ * ModelConfig::policy directly instead.
  */
 model::ModelConfig model_config(const ExecPolicy &policy,
                                 const ckks::CkksParams &params);

@@ -96,24 +96,26 @@ ShardedCost
 model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
                         const model::ModelConfig &cfg)
 {
-    NEO_CHECK(cfg.devices >= 1, "devices must be positive");
+    const ExecPolicy &policy = cfg.policy;
+    NEO_CHECK(policy.devices >= 1, "devices must be positive");
     ShardedCost out;
-    out.devices = cfg.devices;
+    out.devices = policy.devices;
 
     KernelModel model(params, cfg);
     const auto named = model.kernels(Op::keyswitch, level);
     out.single_seconds = model.time(Op::keyswitch, level);
 
     const Topology topo =
-        cfg.devices <= 1
+        policy.devices <= 1
             ? Topology::single(cfg.device)
-            : Topology::preset(cfg.interconnect, cfg.devices, cfg.device);
+            : Topology::preset(policy.interconnect, policy.devices,
+                               cfg.device);
     out.plan = comm_plan(params, level, topo);
 
     const size_t q_limbs = level + 1;
     const size_t beta = params.beta(level);
     const size_t beta_tilde = params.beta_tilde(level);
-    const size_t d_count = cfg.devices;
+    const size_t d_count = policy.devices;
     // Items a row's work splits over: its kStages shard axis. Rows
     // that name no stage (the unfused moddown_fix) are Q-limb work.
     const auto axis_items = [&](std::string_view name) {
@@ -152,7 +154,7 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     for (const auto &nk : named)
         chain_launches += nk.cost.launches;
     const double graph_units =
-        cfg.graph_capture && cfg.device.kernel_launch_s > 0
+        policy.graph && cfg.device.kernel_launch_s > 0
             ? cfg.device.graph_launch_s(chain_launches) /
                   cfg.device.kernel_launch_s
             : -1;
@@ -247,29 +249,21 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
         raw_sum > 0 ? out.seconds / raw_sum : 0;
     for (size_t i = 0; i < entries.size(); ++i) {
         const auto &e = entries[i];
-        KernelModel::KernelAttribution *row = nullptr;
-        for (auto &r : out.kernels)
-            if (r.name == e.name)
-                row = &r;
-        if (row == nullptr) {
-            out.kernels.emplace_back();
-            row = &out.kernels.back();
-            row->name = e.name;
-        }
-        row->calls += 1;
-        row->modeled_s += e.raw_s * f;
+        auto &row = KernelModel::row_named(out.kernels, e.name);
+        row.calls += 1;
+        row.modeled_s += e.raw_s * f;
         if (e.comm) {
             out.comm_s += e.raw_s * norm;
         } else {
             const auto b =
                 sim[i].cost.breakdown(cfg.device, cfg.multistream);
-            row->compute_s += b.compute_s * f;
-            row->memory_s += b.memory_s * f;
-            row->launch_s += b.launch_s * f;
-            row->bytes += b.bytes;
-            row->macs += b.macs;
-            row->mod_ops += b.mod_ops;
-            row->int_ops += b.int_ops;
+            row.compute_s += b.compute_s * f;
+            row.memory_s += b.memory_s * f;
+            row.launch_s += b.launch_s * f;
+            row.bytes += b.bytes;
+            row.macs += b.macs;
+            row.mod_ops += b.mod_ops;
+            row.int_ops += b.int_ops;
             out.compute_s += e.raw_s * norm;
         }
     }

@@ -125,8 +125,9 @@ struct ShardedCost
 
 /**
  * Price one keyswitch at @p level sharded over the topology that
- * @p cfg.devices / @p cfg.interconnect select. devices == 1
- * degenerates to the single-device schedule with zero comm.
+ * @p cfg.policy's devices and interconnect select, each stage on the
+ * engine the policy runs it on. devices == 1 degenerates to the
+ * single-device schedule with zero comm.
  */
 ShardedCost model_sharded_keyswitch(const ckks::CkksParams &params,
                                     size_t level,

@@ -32,18 +32,6 @@ using model::Op;
 
 namespace {
 
-/// Stamp the policy-derived identity fields of a result.
-void
-stamp_policy(Result &r, const ExecPolicy &policy)
-{
-    r.engine = std::string(policy.engine_name());
-    r.options.fuse = policy.fuse;
-    r.options.graph = policy.graph;
-    r.devices = policy.devices;
-    if (policy.devices > 1)
-        r.topology = gpusim::interconnect_name(policy.interconnect);
-}
-
 /// Fold one attributed schedule, weighted by @p mult invocations,
 /// into the result's kernel rows.
 void
@@ -54,25 +42,17 @@ accumulate_rows(Result &r, const KernelModel::AttributedSchedule &att,
         return static_cast<u64>(std::llround(mult * static_cast<double>(n)));
     };
     for (const auto &row : att.kernels) {
-        KernelModel::KernelAttribution *dst = nullptr;
-        for (auto &k : r.kernels)
-            if (k.name == row.name)
-                dst = &k;
-        if (dst == nullptr) {
-            r.kernels.emplace_back();
-            dst = &r.kernels.back();
-            dst->name = row.name;
-        }
-        dst->calls += times(row.calls);
-        dst->fused += times(row.fused);
-        dst->modeled_s += row.modeled_s * mult;
-        dst->compute_s += row.compute_s * mult;
-        dst->memory_s += row.memory_s * mult;
-        dst->launch_s += row.launch_s * mult;
-        dst->bytes += row.bytes * mult;
-        dst->macs += row.macs * mult;
-        dst->mod_ops += row.mod_ops * mult;
-        dst->int_ops += row.int_ops * mult;
+        auto &dst = KernelModel::row_named(r.kernels, row.name);
+        dst.calls += times(row.calls);
+        dst.fused += times(row.fused);
+        dst.modeled_s += row.modeled_s * mult;
+        dst.compute_s += row.compute_s * mult;
+        dst.memory_s += row.memory_s * mult;
+        dst.launch_s += row.launch_s * mult;
+        dst.bytes += row.bytes * mult;
+        dst.macs += row.macs * mult;
+        dst.mod_ops += row.mod_ops * mult;
+        dst.int_ops += row.int_ops * mult;
     }
     r.bytes += att.schedule.bytes * mult;
     r.launches += att.schedule.launches * mult;
@@ -117,27 +97,21 @@ primitive_params()
     return CkksParams::test_params(256, 5, 2);
 }
 
-Result
-profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
+/**
+ * Run the keyswitch at the result's level through the pipeline under
+ * the result's policy: wall time, span counters and the analytic
+ * counts the spans must equal.
+ */
+void
+run_keyswitch(Result &r, const CkksParams &params, size_t repeat)
 {
-    CkksParams params = primitive_params();
-    if (level == 0)
-        level = params.max_level;
-    NEO_CHECK(level <= params.max_level, "level above parameter set's L");
-
-    Result r;
-    r.workload = "keyswitch";
-    r.mode = "functional";
-    r.level = level;
-    stamp_policy(r, policy);
-
     CkksContext ctx(params);
     ckks::KeyGenerator keygen(ctx, 17);
     ckks::SecretKey sk = keygen.secret_key();
     ckks::KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
 
-    Rng rng(40 + level);
-    RnsPoly d2(ctx.n(), ctx.active_mods(level), PolyForm::eval);
+    Rng rng(40 + r.level);
+    RnsPoly d2(ctx.n(), ctx.active_mods(r.level), PolyForm::eval);
     for (size_t i = 0; i < d2.limbs(); ++i)
         for (size_t j = 0; j < d2.n(); ++j)
             d2.limb(i)[j] = rng.uniform(d2.modulus(i).value());
@@ -155,7 +129,7 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
     obs::Scope scope(sopts);
     const auto run_once = [&] {
         const auto t0 = std::chrono::steady_clock::now();
-        (void)keyswitch_klss_pipeline(d2, rlk, ctx, policy);
+        (void)keyswitch_klss_pipeline(d2, rlk, ctx, r.policy);
         const auto t1 = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(t1 - t0).count();
     };
@@ -190,84 +164,46 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
     }
     if (ambient != nullptr)
         ambient->merge_from(scope.registry());
-    const auto want = keyswitch_pipeline_kernel_counts(ctx, level);
+    const auto want = keyswitch_pipeline_kernel_counts(ctx, r.level);
     r.expected_spans["gemm"] = want.gemm;
     r.expected_spans["ntt"] = want.ntt;
     r.expected_spans["bconv"] = want.bconv;
     r.expected_spans["ip"] = want.ip;
-
-    const ModelConfig mcfg = model_config(policy, params);
-    KernelModel model(params, mcfg);
-    if (policy.devices > 1) {
-        // Sharded schedule: rows come from the multi-device makespan
-        // attribution (kernel stages + comm.* rows, summing to the
-        // total exactly — the same invariant as run_attributed).
-        const auto sc =
-            shard::model_sharded_keyswitch(params, level, mcfg);
-        r.modeled_total_s = sc.seconds;
-        r.kernels = sc.kernels;
-        for (const auto &row : sc.kernels)
-            r.bytes += row.bytes;
-        const auto att =
-            model.run_attributed(model.kernels(Op::keyswitch, level));
-        r.launches =
-            att.schedule.launches * static_cast<double>(policy.devices);
-        r.graph_launches = att.schedule.graph_launches *
-                           static_cast<double>(policy.devices);
-        r.fused_kernels = att.fused_kernels;
-        // Gate-able comm.* metrics (additive — single-device artifacts
-        // never see these keys): one keyswitch's collective bytes from
-        // the shard plan and the modeled collective time.
-        r.metrics["modeled.single_device.s"] = sc.single_seconds;
-        r.metrics["comm.bytes.allgather"] = sc.plan.allgather_bytes();
-        r.metrics["comm.bytes.reducescatter"] =
-            sc.plan.reducescatter_bytes();
-        r.metrics["comm.bytes.total"] = sc.plan.total_bytes();
-        r.metrics["comm.modeled.s"] = sc.comm_s;
-        for (const auto &dv : sc.per_device)
-            r.per_device.push_back(
-                {dv.device, dv.compute_s, dv.comm_s});
-        for (const auto &lk : sc.links)
-            r.links.push_back(
-                {lk.link, lk.bytes, lk.busy_s, lk.utilization});
-    } else {
-        const auto att =
-            model.run_attributed(model.kernels(Op::keyswitch, level));
-        r.modeled_total_s = att.seconds;
-        accumulate_rows(r, att, 1.0);
-    }
-    r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
-        params.batch, params.beta_tilde(level), params.beta(level));
-    finalize_rows(r);
-    fill_metrics(r);
-    return r;
 }
 
-Result
-profile_primitive(const std::string &workload, const ExecPolicy &policy,
-                  size_t level)
+/**
+ * Price the keyswitch at the result's level sharded over the
+ * policy's devices: rows come from the multi-device makespan
+ * attribution (kernel stages + comm.* rows, summing to the total
+ * exactly — the same invariant as run_attributed).
+ */
+void
+accumulate_sharded(Result &r, const KernelModel &model)
 {
-    CkksParams params = primitive_params();
-    if (level == 0)
-        level = params.max_level;
-    NEO_CHECK(level <= params.max_level, "level above parameter set's L");
-
-    Result r;
-    r.workload = workload;
-    r.mode = "modeled";
-    r.level = level;
-    stamp_policy(r, policy);
-
-    KernelModel model(params, model_config(policy, params));
-    const auto att = model.run_attributed(model.kernels(
-        workload == "mul" ? Op::hmult : Op::hrotate, level));
-    r.modeled_total_s = att.seconds;
-    accumulate_rows(r, att, 1.0);
-    r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
-        params.batch, params.beta_tilde(level), params.beta(level));
-    finalize_rows(r);
-    fill_metrics(r);
-    return r;
+    const auto sc = shard::model_sharded_keyswitch(model.params(), r.level,
+                                                   model.config());
+    r.modeled_total_s = sc.seconds;
+    r.kernels = sc.kernels;
+    for (const auto &row : sc.kernels)
+        r.bytes += row.bytes;
+    const auto att =
+        model.run_attributed(model.kernels(Op::keyswitch, r.level));
+    r.launches =
+        att.schedule.launches * static_cast<double>(r.policy.devices);
+    r.graph_launches = att.schedule.graph_launches *
+                       static_cast<double>(r.policy.devices);
+    r.fused_kernels = att.fused_kernels;
+    // Gate-able comm.* metrics (additive — single-device artifacts
+    // never see these keys): one keyswitch's collective bytes from
+    // the shard plan and the modeled collective time.
+    r.metrics["modeled.single_device.s"] = sc.single_seconds;
+    r.metrics["comm.bytes.allgather"] = sc.plan.allgather_bytes();
+    r.metrics["comm.bytes.reducescatter"] =
+        sc.plan.reducescatter_bytes();
+    r.metrics["comm.bytes.total"] = sc.plan.total_bytes();
+    r.metrics["comm.modeled.s"] = sc.comm_s;
+    r.per_device = sc.per_device;
+    r.links = sc.links;
 }
 
 /// apps::run_schedule with per-kernel attribution: each op's rows
@@ -289,41 +225,6 @@ accumulate_schedule(Result &r, const apps::Schedule &s,
                  accumulate_schedule(r, bs, m, mult * s.bootstraps);
     }
     return total;
-}
-
-Result
-profile_app(const std::string &workload, const ExecPolicy &policy)
-{
-    baselines::Backend neo = baselines::make_neo('C');
-    ModelConfig cfg = model_config(policy, neo.params);
-    cfg.device = neo.cfg.device; // same A100 either way
-
-    Result r;
-    r.workload = workload;
-    r.mode = "modeled";
-    r.level = neo.params.max_level;
-    stamp_policy(r, policy);
-
-    KernelModel model(neo.params, cfg);
-    apps::Schedule sched;
-    if (workload == "bootstrap")
-        sched = apps::pack_bootstrap(neo.params);
-    else if (workload == "helr")
-        sched = apps::helr_iteration(neo.params);
-    else if (workload == "resnet20")
-        sched = apps::resnet(neo.params, 20);
-    else if (workload == "resnet32")
-        sched = apps::resnet(neo.params, 32);
-    else
-        sched = apps::resnet(neo.params, 56);
-
-    r.modeled_total_s = accumulate_schedule(r, sched, model, 1.0);
-    r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
-        neo.params.batch, neo.params.beta_tilde(r.level),
-        neo.params.beta(r.level));
-    finalize_rows(r);
-    fill_metrics(r);
-    return r;
 }
 
 } // namespace
@@ -356,38 +257,82 @@ profile(const std::string &workload, const ExecPolicy &policy,
     if (policy.devices > 1 && workload != "keyswitch")
         throw std::invalid_argument(
             "--devices > 1 is only modeled for the keyswitch workload");
-    if (workload == "keyswitch")
-        return profile_keyswitch(policy, level, repeat);
-    if (workload == "mul" || workload == "rotate")
-        return profile_primitive(workload, policy, level);
-    for (const auto &n : workload_names())
-        if (n == workload)
-            return profile_app(workload, policy);
-    std::string msg = "unknown workload '" + workload + "' (valid:";
-    for (const auto &n : workload_names()) {
-        msg += ' ';
-        msg += n;
+    const auto &names = workload_names();
+    if (std::find(names.begin(), names.end(), workload) == names.end()) {
+        std::string msg = "unknown workload '" + workload + "' (valid:";
+        for (const auto &n : names) {
+            msg += ' ';
+            msg += n;
+        }
+        msg += ')';
+        throw std::invalid_argument(msg);
     }
-    msg += ')';
-    throw std::invalid_argument(msg);
+
+    // The primitives are one-operation schedules at @p level of the
+    // test-scale set; the applications price their whole trace at
+    // Set C from its top level.
+    const bool primitive =
+        workload == "keyswitch" || workload == "mul" || workload == "rotate";
+    const CkksParams params =
+        primitive ? primitive_params() : baselines::make_neo('C').params;
+    apps::Schedule sched;
+    if (primitive) {
+        if (level == 0)
+            level = params.max_level;
+        NEO_CHECK(level <= params.max_level, "level above parameter set's L");
+        const Op op = workload == "keyswitch" ? Op::keyswitch
+                      : workload == "mul"     ? Op::hmult
+                                              : Op::hrotate;
+        sched.ops.push_back({op, level, 1.0});
+    } else {
+        level = params.max_level;
+        if (workload == "bootstrap")
+            sched = apps::pack_bootstrap(params);
+        else if (workload == "helr")
+            sched = apps::helr_iteration(params);
+        else // "resnet<layers>"
+            sched = apps::resnet(params, std::stoi(workload.substr(6)));
+    }
+
+    Result r;
+    r.workload = workload;
+    r.mode = workload == "keyswitch" ? "functional" : "modeled";
+    r.level = level;
+    r.policy = policy;
+    if (workload == "keyswitch")
+        run_keyswitch(r, params, repeat);
+
+    ModelConfig cfg;
+    cfg.policy = policy;
+    const KernelModel model(params, cfg);
+    if (policy.devices > 1)
+        accumulate_sharded(r, model);
+    else
+        r.modeled_total_s = accumulate_schedule(r, sched, model, 1.0);
+    r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
+        params.batch, params.beta_tilde(level), params.beta(level));
+    finalize_rows(r);
+    fill_metrics(r);
+    return r;
 }
 
 void
 print_report(const Result &r, std::ostream &out)
 {
+    const ExecPolicy &p = r.policy;
     out << "neo-prof — workload '" << r.workload << "', engine '"
-        << r.engine << "' (" << r.mode << ", level " << r.level
-        << ", fuse " << (r.options.fuse ? "on" : "off") << ", graph "
-        << (r.options.graph ? "on" : "off") << ")\n";
+        << p.engine_name() << "' (" << r.mode << ", level " << r.level
+        << ", fuse " << (p.fuse ? "on" : "off") << ", graph "
+        << (p.graph ? "on" : "off") << ")\n";
     out << "  modeled total: " << format_time(r.modeled_total_s);
     if (r.wall_s > 0)
         out << "   wall: " << format_time(r.wall_s);
     out << "   traffic: " << format_bytes(r.bytes)
         << "   launches: " << strfmt("%.0f", r.launches);
-    if (r.options.graph)
+    if (p.graph)
         out << " (graph replays: " << strfmt("%.0f", r.graph_launches)
             << ")";
-    if (r.options.fuse)
+    if (p.fuse)
         out << "   fused kernels: "
             << strfmt("%llu", (unsigned long long)r.fused_kernels);
     out << "   bound: " << r.bound
@@ -407,9 +352,9 @@ print_report(const Result &r, std::ostream &out)
     }
     out << t.str();
 
-    if (r.devices > 1) {
-        out << "\nsharded over " << r.devices << " devices ("
-            << r.topology << "):\n";
+    if (p.devices > 1) {
+        out << "\nsharded over " << p.devices << " devices ("
+            << gpusim::interconnect_name(p.interconnect) << "):\n";
         TextTable d;
         d.header({"device", "compute", "comm"});
         for (const auto &dv : r.per_device)
@@ -445,19 +390,20 @@ to_json(const Result &r)
     w.key("schema").value(kSchema);
     w.key("kind").value("profile");
     w.key("workload").value(r.workload);
-    w.key("engine").value(r.engine);
+    w.key("engine").value(r.policy.engine_name());
     w.key("mode").value(r.mode);
     w.key("level").value(static_cast<u64>(r.level));
     // Additive neo.bench/1 fields (multi-device sharding): absent from
     // single-device artifacts so historical goldens stay byte-exact.
-    if (r.devices > 1) {
-        w.key("devices").value(static_cast<u64>(r.devices));
-        w.key("topology").value(r.topology);
+    if (r.policy.devices > 1) {
+        w.key("devices").value(static_cast<u64>(r.policy.devices));
+        w.key("topology").value(
+            gpusim::interconnect_name(r.policy.interconnect));
     }
 
     w.key("options").begin_object();
-    w.key("fuse").value(r.options.fuse);
-    w.key("graph").value(r.options.graph);
+    w.key("fuse").value(r.policy.fuse);
+    w.key("graph").value(r.policy.graph);
     w.end_object();
 
     w.key("totals").begin_object();
@@ -493,7 +439,7 @@ to_json(const Result &r)
     // Additive neo.bench/1 arrays (multi-device sharding): per-device
     // compute/comm split and per-link traffic. Absent from
     // single-device artifacts so historical goldens stay byte-exact.
-    if (r.devices > 1) {
+    if (r.policy.devices > 1) {
         w.key("per_device").begin_array();
         for (const auto &dv : r.per_device) {
             w.begin_object();

@@ -13,16 +13,17 @@
  *    BENCH_<workload>.json) whose flat `metrics` map a baseline
  *    compare can gate on with per-metric relative thresholds.
  *
- * Workloads come in two modes:
- *  - functional ("keyswitch"): actually runs keyswitch_klss_pipeline
- *    on the emulated TCU under an obs::Scope, so the artifact carries
- *    real span counts (asserted equal to
- *    keyswitch_pipeline_kernel_counts) and wall time next to the
- *    modeled numbers;
- *  - modeled ("mul", "rotate", "bootstrap", "helr", "resnet20/32/56"):
- *    prices the operation/application schedule on the A100 model at
- *    paper-scale parameters (Set-C), where a functional run would be
- *    prohibitively slow on a CPU emulation.
+ * Every workload is priced one way: as an apps::Schedule on the A100
+ * model, attributed kernel by kernel. "keyswitch", "mul" and "rotate"
+ * are one-operation schedules at functional-test scale; "bootstrap",
+ * "helr" and "resnet20/32/56" are the application traces at the
+ * paper's Set C, where a functional run would be prohibitively slow
+ * on a CPU emulation. The keyswitch alone also runs functionally
+ * (mode "functional"): keyswitch_klss_pipeline executes on the
+ * emulated TCU under an obs::Scope, so the artifact carries real span
+ * counts (asserted equal to keyswitch_pipeline_kernel_counts) and
+ * wall time next to the modeled numbers, and with devices > 1 it is
+ * priced as the sharded schedule of neo::shard.
  *
  * The invariant the artifact is tested against: the per-kernel
  * `modeled_s` rows sum to `totals.modeled_s` (run_attributed's
@@ -39,28 +40,13 @@
 #include "common/types.h"
 #include "neo/exec_policy.h"
 #include "neo/kernel_model.h"
+#include "neo/shard.h"
 #include "tune/tuning_table.h"
 
 namespace neo::prof {
 
 /// Artifact schema identifier; bump on breaking layout changes.
 inline constexpr const char *kSchema = "neo.bench/1";
-
-/**
- * Ablation switches for one profile run — the `--fuse` / `--graph`
- * axes of neo-prof. Both default off so profile() without options
- * reproduces the historical artifact exactly.
- */
-struct ProfileOptions
-{
-    /// Fuse adjacent element-wise stages (ModDown fix into its BConv,
-    /// twiddle passes into the NTT GEMMs) in both the functional
-    /// pipeline and the cost model.
-    bool fuse = false;
-    /// Model CUDA-graph capture: the workload's kernel DAG replays
-    /// with one amortized launch.
-    bool graph = false;
-};
 
 /**
  * Distribution summary of repeated samples of one metric. Quantiles
@@ -78,15 +64,14 @@ struct Dist
 struct Result
 {
     std::string workload;
-    std::string engine; ///< a registry engine name, or "auto"
     std::string mode;   ///< "functional" | "modeled"
     size_t level = 0;   ///< ciphertext level the workload ran at
-    ProfileOptions options; ///< ablation switches this run used
-    /// Devices the keyswitch sharded over (1 = single device; the
-    /// historical artifacts). Serialized only when > 1.
-    size_t devices = 1;
-    /// Interconnect preset name ("nvlink"/"pcie") when devices > 1.
-    std::string topology;
+    /**
+     * The policy the run executed and priced under. The report and
+     * the artifact print its engine name, fuse and graph switches,
+     * and, when devices > 1, the device count and interconnect.
+     */
+    ExecPolicy policy;
 
     double modeled_total_s = 0; ///< per-batched-ciphertext model time
     double wall_s = 0;          ///< functional runs only, else 0
@@ -102,25 +87,11 @@ struct Result
     /// The model's attribution rows, summed over the workload's
     /// operations; modeled_s sums to modeled_total_s.
     std::vector<model::KernelModel::KernelAttribution> kernels;
-    /// Per-device compute/communication split of the sharded makespan.
-    /// Populated (and serialized) only when devices > 1.
-    struct DeviceRow
-    {
-        size_t device = 0;
-        double compute_s = 0;
-        double comm_s = 0;
-    };
-    std::vector<DeviceRow> per_device;
-    /// Per-link interconnect traffic and utilization over the modeled
-    /// makespan. Populated (and serialized) only when devices > 1.
-    struct LinkRow
-    {
-        size_t link = 0;
-        double bytes = 0;
-        double busy_s = 0;
-        double utilization = 0;
-    };
-    std::vector<LinkRow> links;
+    /// The sharded makespan's per-device compute/communication split
+    /// and per-link traffic. Populated (and serialized) only when
+    /// policy.devices > 1.
+    std::vector<shard::DeviceAttribution> per_device;
+    std::vector<shard::LinkAttribution> links;
     /// span.* / gemm.calls counters from the run's obs::Scope
     /// (functional mode only).
     std::map<std::string, u64> spans;

@@ -28,8 +28,8 @@ op_times(const ckks::CkksParams &params, const model::ModelConfig &base,
          const Assignment &assign, size_t level)
 {
     model::ModelConfig cfg = base;
-    cfg.stage_engine = [&assign](std::string_view st, size_t) {
-        const size_t rank = stage_rank(st);
+    cfg.policy.site_engine = [&assign](const SiteKey &site) {
+        const size_t rank = stage_rank(site.stage);
         NEO_ASSERT(rank < assign.size(), "untuned stage queried");
         return assign[rank];
     };

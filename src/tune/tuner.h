@@ -41,11 +41,8 @@ namespace neo::tune {
 /** Tuner knobs. */
 struct TunerConfig
 {
-    /**
-     * Model axes the tuned system runs under (device, fusion,
-     * multistream, graph capture...). The engine / stage_engine
-     * fields are ignored — choosing them is the tuner's job.
-     */
+    /// Model axes the tuned system runs under (device, fusion,
+    /// multistream, graph capture...).
     model::ModelConfig base;
     /// Coordinate-descent sweep limit (converges in 2-3 in practice).
     size_t max_passes = 8;

@@ -318,7 +318,7 @@ TEST_F(CkksFixture, KeySwitchCountersMatchComplexityFormulas)
 
     {
         obs::Scope scope;
-        Evaluator ev_h(*ctx_, KeySwitchMethod::hybrid, &scope);
+        Evaluator ev_h(*ctx_, KeySwitchMethod::hybrid);
         (void)ev_h.mul(ca, cb, *keys_);
         // ModUp: each digit converts its α limbs to the other ext-α
         // limbs.
@@ -334,7 +334,7 @@ TEST_F(CkksFixture, KeySwitchCountersMatchComplexityFormulas)
 
     {
         obs::Scope scope;
-        Evaluator ev_k(*ctx_, KeySwitchMethod::klss, &scope);
+        Evaluator ev_k(*ctx_, KeySwitchMethod::klss);
         (void)ev_k.mul(ca, cb, *keys_);
         const size_t alpha_p = ctx_->alpha_prime();
         const size_t beta_tilde = params_->beta_tilde(l);

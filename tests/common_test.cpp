@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/table.h"
@@ -125,6 +126,22 @@ TEST(Table, Formatters)
     EXPECT_EQ(format_time(12.0), "12.000 s");
     EXPECT_EQ(format_bytes(512), "512 B");
     EXPECT_EQ(format_bytes(2048), "2.0 KB");
+}
+
+TEST(Json, NestingIsCappedNotUnbounded)
+{
+    // The parser recurses per level: a hostile document must fail
+    // with NEO_CHECK long before it could exhaust the stack.
+    EXPECT_THROW(json::Value::parse(std::string(1000000, '[')),
+                 std::invalid_argument);
+    const std::string at_cap = std::string(json::kMaxDepth, '[') +
+                               std::string(json::kMaxDepth, ']');
+    const json::Value v = json::Value::parse(at_cap);
+    EXPECT_TRUE(v.is_array());
+    EXPECT_THROW(json::Value::parse("[" + at_cap + "]"),
+                 std::invalid_argument);
+    EXPECT_THROW(json::Value::parse(std::string(json::kMaxDepth + 1, '{')),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -17,9 +17,9 @@
  *      a fused run records only "fuse.*" counters (and fewer stage
  *      spans), an unfused run only "pass.*", while the per-category
  *      span totals for ntt / bconv / gemm / ip are identical;
- *   4. the cost model agrees: with fuse_elementwise the keyswitch
+ *   4. the cost model agrees: with ExecPolicy::fuse the keyswitch
  *      schedule has fewer kernels and launches, and with
- *      graph_capture on top the whole DAG replays with one launch.
+ *      ExecPolicy::graph on top the whole DAG replays with one launch.
  */
 #include <gtest/gtest.h>
 
@@ -270,7 +270,7 @@ TEST_F(Fusion, ModelSchedulesFewerKernelsAndLaunchesWhenFused)
     const auto params = ckks::paper_set('C');
     model::ModelConfig off;
     model::ModelConfig on;
-    on.fuse_elementwise = true;
+    on.policy.fuse = true;
     const model::KernelModel m_off(params, off);
     const model::KernelModel m_on(params, on);
 
@@ -296,11 +296,11 @@ TEST_F(Fusion, GraphCaptureReplaysScheduleWithOneLaunch)
 {
     const auto params = ckks::paper_set('C');
     model::ModelConfig cfg;
-    cfg.fuse_elementwise = true;
-    cfg.graph_capture = true;
+    cfg.policy.fuse = true;
+    cfg.policy.graph = true;
     const model::KernelModel m(params, cfg);
     model::ModelConfig nograph = cfg;
-    nograph.graph_capture = false;
+    nograph.policy.graph = false;
     const model::KernelModel m_ng(params, nograph);
 
     const auto att =

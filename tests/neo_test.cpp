@@ -178,7 +178,7 @@ TEST(KernelModel, Fp64TcuBeatsCudaCoresOnNttMatmuls)
 {
     auto m = make_model();
     auto cfg_cuda = m.config();
-    cfg_cuda.engine = EngineId::scalar;
+    cfg_cuda.policy.engine = EngineId::scalar;
     model::KernelModel cuda(m.params(), cfg_cuda);
     const auto &dev = m.config().device;
     EXPECT_LT(m.ntt(36, 36).time(dev), cuda.ntt(36, 36).time(dev));
@@ -278,8 +278,8 @@ TEST(KernelModel, OperationTimeIsItsAttributedTotal)
         baselines::make_tensorfhe('A'), baselines::make_heongpu(),
         baselines::make_cpu()};
     backends[1].name += " (fused, graph)";
-    backends[1].cfg.fuse_elementwise = true;
-    backends[1].cfg.graph_capture = true;
+    backends[1].cfg.policy.fuse = true;
+    backends[1].cfg.policy.graph = true;
     const auto same_cost = [](const gpusim::KernelCost &a,
                               const gpusim::KernelCost &b) {
         return a.cuda_modmul == b.cuda_modmul &&

@@ -359,7 +359,9 @@ TEST_F(ObsPipeline, StageSpansAreTheModelRows)
                   1u)
             << st;
 
-    const model::KernelModel model(*params_, model_config(policy, *params_));
+    model::ModelConfig cfg;
+    cfg.policy = policy;
+    const model::KernelModel model(*params_, cfg);
     std::vector<std::string> rows;
     for (const auto &nk : model.keyswitch_kernels_named(level))
         if (std::find(rows.begin(), rows.end(), nk.name) == rows.end())

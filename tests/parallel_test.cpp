@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -56,6 +57,16 @@ TEST(ThreadPool, EnvVariableControlsThreadCount)
     EXPECT_GE(ThreadPool::env_threads(), 1u);
     ::unsetenv("NEO_NUM_THREADS");
     EXPECT_GE(ThreadPool::env_threads(), 1u);
+}
+
+TEST(ThreadPool, ExplicitCountsShareTheEnvironmentCap)
+{
+    ::setenv("NEO_NUM_THREADS", "3000", 1);
+    EXPECT_EQ(ThreadPool::env_threads(), ThreadPool::kMaxThreads);
+    ::unsetenv("NEO_NUM_THREADS");
+    // `--threads -1` reaches the pool as SIZE_MAX.
+    ThreadPool pool(std::numeric_limits<size_t>::max());
+    EXPECT_EQ(pool.threads(), ThreadPool::kMaxThreads);
 }
 
 TEST(ThreadPool, ChunksTileTheRangeExactlyOnce)

@@ -82,8 +82,8 @@ TEST(ProfModel, RowsSumToModeledTotal)
                 << workload << "/" << name;
             if (const auto it = apps_schedules.find(workload);
                 it != apps_schedules.end()) {
-                model::ModelConfig cfg = model_config(policy, neo.params);
-                cfg.device = neo.cfg.device;
+                model::ModelConfig cfg = neo.cfg;
+                cfg.policy = policy;
                 const model::KernelModel m(neo.params, cfg);
                 EXPECT_EQ(r.modeled_total_s,
                           apps::run_schedule(it->second, m))
@@ -269,8 +269,8 @@ TEST(ProfSharded, ArtifactCarriesDevicesCommAndPerLinkRows)
     p.devices = 2;
     p.interconnect = gpusim::Interconnect::nvlink;
     const auto r = prof::profile("keyswitch", p);
-    EXPECT_EQ(r.devices, 2u);
-    EXPECT_EQ(r.topology, "nvlink");
+    EXPECT_EQ(r.policy.devices, 2u);
+    EXPECT_EQ(r.policy.interconnect, gpusim::Interconnect::nvlink);
     // Per-device rows: one per device, their compute+comm shares
     // matching the totals the metrics gate on.
     ASSERT_EQ(r.per_device.size(), 2u);

@@ -432,7 +432,7 @@ TEST(ShardModel, AttributionRowsSumToMakespan)
     const auto params = ckks::paper_set('C');
     for (size_t devices : {1u, 2u, 4u}) {
         model::ModelConfig cfg;
-        cfg.devices = devices;
+        cfg.policy.devices = devices;
         const auto sc = shard::model_sharded_keyswitch(
             params, params.max_level, cfg);
         double sum = 0;
@@ -469,8 +469,8 @@ TEST(ShardModel, NvlinkCrossoverExistsAtPaperScale)
     for (char set : {'C', 'D', 'G'}) {
         const auto params = ckks::paper_set(set);
         model::ModelConfig cfg;
-        cfg.devices = 2;
-        cfg.interconnect = gpusim::Interconnect::nvlink;
+        cfg.policy.devices = 2;
+        cfg.policy.interconnect = gpusim::Interconnect::nvlink;
         const auto sc = shard::model_sharded_keyswitch(
             params, params.max_level, cfg);
         EXPECT_GT(sc.seconds, 0.0);
@@ -489,10 +489,10 @@ TEST(ShardModel, PcieShardsSlowerThanNvlinkShards)
     // on the PCIe ring pays ≥ the NVLink fabric's collective bill.
     const auto params = ckks::paper_set('C');
     model::ModelConfig nv;
-    nv.devices = 4;
-    nv.interconnect = gpusim::Interconnect::nvlink;
+    nv.policy.devices = 4;
+    nv.policy.interconnect = gpusim::Interconnect::nvlink;
     model::ModelConfig pc = nv;
-    pc.interconnect = gpusim::Interconnect::pcie;
+    pc.policy.interconnect = gpusim::Interconnect::pcie;
     const auto a = shard::model_sharded_keyswitch(
         params, params.max_level, nv);
     const auto b = shard::model_sharded_keyswitch(
@@ -505,16 +505,43 @@ TEST(ShardModel, PcieShardsSlowerThanNvlinkShards)
 
 TEST(ShardModel, DevicesOneDegeneratesToSingleSchedule)
 {
-    const auto params = ckks::paper_set('C');
-    model::ModelConfig cfg;
-    cfg.devices = 1;
-    const auto sc = shard::model_sharded_keyswitch(
-        params, params.max_level, cfg);
     // One device is *exactly* the single-device schedule — the same
-    // time() figure every unsharded profile reports.
-    EXPECT_GT(sc.seconds, 0.0);
-    EXPECT_DOUBLE_EQ(sc.seconds, sc.single_seconds);
-    EXPECT_DOUBLE_EQ(sc.speedup(), 1.0);
+    // time() figure and rows every unsharded profile reports — under a
+    // fixed policy and under neo-prof's per-site autotune policy,
+    // whose engines the shard model resolves itself.
+    const ExecPolicy fixed;
+    const ExecPolicy tuned = prof::tuning_table_for_workloads().policy();
+    for (const CkksParams &params :
+         {CkksParams::test_params(256, 5, 2), ckks::paper_set('C')}) {
+        for (const ExecPolicy *policy : {&fixed, &tuned}) {
+            model::ModelConfig cfg;
+            cfg.policy = *policy;
+            const model::KernelModel m(params, cfg);
+            for (size_t l = 0; l <= params.max_level; ++l) {
+                SCOPED_TRACE(::testing::Message()
+                             << "N=" << params.n << " level=" << l
+                             << " policy=" << policy->engine_name());
+                const auto sc = shard::model_sharded_keyswitch(params, l, cfg);
+                const auto att =
+                    m.run_attributed(m.kernels(model::Op::keyswitch, l));
+                EXPECT_GT(sc.seconds, 0.0);
+                EXPECT_EQ(sc.seconds, sc.single_seconds);
+                EXPECT_EQ(sc.seconds, att.seconds);
+                EXPECT_DOUBLE_EQ(sc.speedup(), 1.0);
+                ASSERT_EQ(sc.kernels.size(), att.kernels.size());
+                for (size_t i = 0; i < att.kernels.size(); ++i) {
+                    const auto &got = sc.kernels[i];
+                    const auto &want = att.kernels[i];
+                    EXPECT_EQ(got.name, want.name);
+                    EXPECT_EQ(got.calls, want.calls) << want.name;
+                    EXPECT_EQ(got.bytes, want.bytes) << want.name;
+                    EXPECT_EQ(got.macs, want.macs) << want.name;
+                    EXPECT_EQ(got.mod_ops, want.mod_ops) << want.name;
+                    EXPECT_EQ(got.int_ops, want.int_ops) << want.name;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

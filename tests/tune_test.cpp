@@ -8,7 +8,8 @@
  *    tuner only chooses which correct engine runs), and records its
  *    per-site decisions as tune.site.* counters,
  *  - each dispatched stage runs the engine the model prices it on
- *    (one resolver: TuningTable::policy, then model_config),
+ *    (one resolver: ExecPolicy::engine_at, called by the pipeline
+ *    and by KernelModel::engine_at),
  *  - the tuned mix dominates: modeled keyswitch time at every level
  *    is never slower than the best uniform engine (the neo.bench/1
  *    gate's invariant),
@@ -204,7 +205,7 @@ TEST(TuneDifferential, AutoRunRecordsSiteCountersFixedRunDoesNot)
 TEST(TuneDifferential, PipelineRunsTheEngineTheModelPrices)
 {
     // One resolver: at every level, each engine-dispatched stage runs
-    // the engine model_config prices it on. The tuned table at these
+    // the engine the model prices it on. The tuned table at these
     // parameters holds scalar decisions as well as tensor-core ones.
     const CkksParams params = test_params();
     CkksContext ctx(params);
@@ -212,8 +213,9 @@ TEST(TuneDifferential, PipelineRunsTheEngineTheModelPrices)
     const SecretKey sk = keygen.secret_key();
     const KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
     const ExecPolicy policy = tuned_table().policy();
-    const auto priced = model_config(policy, params).stage_engine;
-    ASSERT_TRUE(priced != nullptr);
+    model::ModelConfig cfg;
+    cfg.policy = policy;
+    const model::KernelModel priced(params, cfg);
 
     size_t scalar_sites = 0;
     for (size_t level = 0; level <= params.max_level; ++level) {
@@ -221,7 +223,7 @@ TEST(TuneDifferential, PipelineRunsTheEngineTheModelPrices)
         for (const char *st : {stage::modup_bconv, stage::ntt_t, stage::ip,
                                stage::intt_t, stage::recover_bconv,
                                stage::ntt_q}) {
-            const EngineId e = priced(st, level);
+            const EngineId e = priced.engine_at(st, level);
             scalar_sites += e == EngineId::scalar;
             want[std::string("tune.site.") + st + "." +
                  std::string(EngineRegistry::name(e))] += 1;
@@ -246,14 +248,14 @@ TEST(TuneDominance, TunedKeyswitchNeverSlowerThanBestUniform)
 {
     for (const CkksParams &params :
          {test_params(), baselines::make_neo('C').params}) {
-        const auto table = tune::Tuner().tune(params);
-        const model::KernelModel tuned(
-            params, model_config(table.policy(), params));
+        model::ModelConfig cfg;
+        cfg.policy = tune::Tuner().tune(params).policy();
+        const model::KernelModel tuned(params, cfg);
         for (size_t level = 0; level <= params.max_level; ++level) {
             double best_uniform = std::numeric_limits<double>::max();
             for (const EngineId id : EngineRegistry::ids()) {
                 model::ModelConfig ucfg;
-                ucfg.engine = id;
+                ucfg.policy.engine = id;
                 best_uniform = std::min(
                     best_uniform,
                     model::KernelModel(params, ucfg)

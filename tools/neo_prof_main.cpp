@@ -22,7 +22,9 @@
  * threshold (--diff), 2 usage / runtime error — so CI can gate on the
  * result.
  */
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -127,6 +129,19 @@ main(int argc, char **argv)
                          v.c_str());
             std::exit(2);
         };
+        auto positive = [&](const char *flag) -> size_t {
+            const char *v = next(flag);
+            char *end = nullptr;
+            errno = 0;
+            const long long n = std::strtoll(v, &end, 10);
+            if (end == v || *end != '\0' || errno == ERANGE || n < 1) {
+                std::fprintf(stderr,
+                             "%s takes a positive integer, got '%s'\n",
+                             flag, v);
+                std::exit(2);
+            }
+            return static_cast<size_t>(n);
+        };
         if (a == "--list") {
             for (const auto &n : neo::prof::workload_names())
                 std::printf("%s\n", n.c_str());
@@ -136,7 +151,7 @@ main(int argc, char **argv)
         } else if (a == "--level") {
             level = static_cast<size_t>(std::atoll(next("--level")));
         } else if (a == "--repeat") {
-            repeat = static_cast<size_t>(std::atoll(next("--repeat")));
+            repeat = positive("--repeat");
         } else if (a == "--fuse") {
             policy.fuse = on_off("--fuse");
         } else if (a == "--graph") {
