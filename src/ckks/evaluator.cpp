@@ -26,20 +26,12 @@ check_compatible(const Ciphertext &a, const Ciphertext &b)
               "ciphertext scale mismatch");
 }
 
-/// Per-op counter in the ambient sink (one relaxed load when off).
-void
-op_count(std::string_view name)
-{
-    if (auto *r = obs::current())
-        r->add(name);
-}
-
 } // namespace
 
 Ciphertext
 Evaluator::add(const Ciphertext &a, const Ciphertext &b) const
 {
-    op_count("op.hadd");
+    obs::add("op.hadd");
     check_compatible(a, b);
     Ciphertext out = a;
     out.c0.add_inplace(b.c0);
@@ -50,7 +42,7 @@ Evaluator::add(const Ciphertext &a, const Ciphertext &b) const
 Ciphertext
 Evaluator::sub(const Ciphertext &a, const Ciphertext &b) const
 {
-    op_count("op.hsub");
+    obs::add("op.hsub");
     check_compatible(a, b);
     Ciphertext out = a;
     out.c0.sub_inplace(b.c0);
@@ -70,7 +62,7 @@ Evaluator::negate(const Ciphertext &a) const
 Ciphertext
 Evaluator::add_plain(const Ciphertext &a, const Plaintext &pt) const
 {
-    op_count("op.padd");
+    obs::add("op.padd");
     NEO_CHECK(pt.poly.limbs() == a.level + 1, "plaintext level mismatch");
     NEO_CHECK(std::abs(a.scale - pt.scale) <=
                   1e-9 * std::max(a.scale, pt.scale),
@@ -83,7 +75,7 @@ Evaluator::add_plain(const Ciphertext &a, const Plaintext &pt) const
 Ciphertext
 Evaluator::mul_plain(const Ciphertext &a, const Plaintext &pt) const
 {
-    op_count("op.pmult");
+    obs::add("op.pmult");
     NEO_CHECK(pt.poly.limbs() == a.level + 1, "plaintext level mismatch");
     Ciphertext out = a;
     out.c0.mul_inplace(pt.poly);
@@ -111,7 +103,7 @@ Evaluator::mul_impl(const Ciphertext &a, const Ciphertext &b,
                     const EvalKey *rlk, const KlssEvalKey *klss_rlk) const
 {
     obs::Span span("hmult", obs::cat::op);
-    op_count("op.hmult");
+    obs::add("op.hmult");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
     // Multiplication only needs matching levels: the scales multiply.
     NEO_CHECK(a.level == b.level, "ciphertext level mismatch");
@@ -147,7 +139,7 @@ Evaluator::rotate_impl(const Ciphertext &a, i64 steps,
                        const GaloisKeys &gk) const
 {
     obs::Span span("hrotate", obs::cat::op);
-    op_count("op.hrotate");
+    obs::add("op.hrotate");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
     const u64 g = ctx_.encoder().galois_element(steps);
     RnsPoly r0 = automorphism(a.c0, g);
@@ -174,7 +166,7 @@ Ciphertext
 Evaluator::conjugate_impl(const Ciphertext &a, const GaloisKeys &gk) const
 {
     obs::Span span("hconj", obs::cat::op);
-    op_count("op.hconj");
+    obs::add("op.hconj");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
     const u64 g = ctx_.encoder().galois_element(0, true);
     RnsPoly r0 = automorphism(a.c0, g);
@@ -200,7 +192,7 @@ Ciphertext
 Evaluator::rescale_by(const Ciphertext &a, size_t count) const
 {
     obs::Span span("rescale", obs::cat::op);
-    op_count("op.rescale");
+    obs::add("op.rescale");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
     NEO_CHECK(a.level >= count, "not enough levels to rescale");
     Ciphertext out = a;

@@ -12,8 +12,24 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
 {
     const size_t n = ct.c0.n();
     const size_t level = ct.level;
+    check_keyswitch_operand(ct.c1, ctx);
+    NEO_CHECK(ct.c1.limbs() == level + 1,
+              "ciphertext level does not match its limbs");
     const auto ext_mods = ctx.extended_mods(level);
     const auto groups = ctx.digit_partition(level);
+
+    // Every step's key is checked before any of them is read.
+    std::vector<std::pair<u64, const EvalKey *>> keys;
+    keys.reserve(steps.size());
+    for (i64 step : steps) {
+        const u64 g = ctx.encoder().galois_element(step);
+        auto it = gk.hybrid.find(g);
+        NEO_CHECK(it != gk.hybrid.end(), "missing Galois key for step");
+        check_keyswitch_key(it->second, ctx);
+        NEO_CHECK(groups.size() <= it->second.digit_count(),
+                  "evaluation key has too few digits");
+        keys.emplace_back(g, &it->second);
+    }
 
     // --- Shared ModUp of c1: once for all rotations. -----------------
     RnsPoly d2c = ct.c1;
@@ -54,14 +70,8 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
     // that rotation's key, ModDown. ------------------------------------
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
-    for (i64 step : steps) {
-        const u64 g = ctx.encoder().galois_element(step);
-        auto it = gk.hybrid.find(g);
-        NEO_CHECK(it != gk.hybrid.end(), "missing Galois key for step");
-        const EvalKey &evk = it->second;
-        NEO_CHECK(groups.size() <= evk.digit_count(),
-                  "evaluation key has too few digits");
-
+    for (const auto &[g, key] : keys) {
+        const EvalKey &evk = *key;
         RnsPoly acc0(n, ext_mods, PolyForm::eval);
         RnsPoly acc1(n, ext_mods, PolyForm::eval);
         for (size_t j = 0; j < groups.size(); ++j) {

@@ -42,15 +42,6 @@ is_qp_chain(const std::vector<Modulus> &m, const CkksContext &ctx)
            std::equal(p.begin(), p.end(), m.begin() + q.size());
 }
 
-/// Table 2 accounting counter ("ks.*" namespace): one relaxed load
-/// when observability is off.
-void
-ks_count(std::string_view name, u64 delta)
-{
-    if (auto *r = obs::current())
-        r->add(name, delta);
-}
-
 } // namespace
 
 void
@@ -152,23 +143,22 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
             }
         }
         }
-        ks_count("ks.moddown_products", k_special * (level + 1));
+        obs::add("ks.moddown_products", k_special * (level + 1));
         if (devices > 1)
-            ks_count("ks.moddown.shards", devices);
+            obs::add("ks.moddown.shards", devices);
         return out;
     }
 
     u64 *corr = frame.alloc<u64>((level + 1) * n);
     lv.p_to_q->convert_approx(p_part, n, corr);
-    ks_count("ks.moddown_products", k_special * (level + 1));
+    obs::add("ks.moddown_products", k_special * (level + 1));
 
     // (c - corr) * P^{-1} mod q_i — a standalone element-wise kernel
     // in the unfused mapping, hence its own span and pass counter.
     obs::Span fix_span("moddown_fix", obs::cat::stage);
-    if (auto *r = obs::current())
-        r->add("pass.moddown_fix");
+    obs::add("pass.moddown_fix");
     if (devices > 1)
-        ks_count("ks.moddown.shards", devices);
+        obs::add("ks.moddown.shards", devices);
     for (const auto &shard : make_even_partition(level + 1, devices)) {
     for (size_t i = shard.first; i < shard.first + shard.count; ++i) {
         const Modulus &qi = lv.active[i];
@@ -216,7 +206,7 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
 
     RnsPoly d2c = d2;
     ctx.tables().to_coeff(d2c);
-    ks_count("ks.intt_limbs", level + 1);
+    obs::add("ks.intt_limbs", level + 1);
 
     RnsPoly acc0(n, ext_mods, PolyForm::eval);
     RnsPoly acc1(n, ext_mods, PolyForm::eval);
@@ -230,7 +220,7 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
         u64 *converted = frame.alloc<u64>(other_count * n);
         lv.digits[j].to_other->convert_approx(d2c.limb(g.first), n,
                                               converted);
-        ks_count("ks.bconv_products", g.count * other_count);
+        obs::add("ks.bconv_products", g.count * other_count);
 
         RnsPoly up(n, ext_mods, PolyForm::coeff);
         size_t src = 0;
@@ -244,23 +234,23 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
             }
         }
         ctx.tables().to_eval(up);
-        ks_count("ks.ntt_limbs", ext_mods.size());
+        obs::add("ks.ntt_limbs", ext_mods.size());
 
         // --- Inner product with this digit's (cached) key slice.
         acc0.add_product(up, slices.parts[j][0]);
         acc1.add_product(up, slices.parts[j][1]);
-        ks_count("ks.ip_mul_limbs", 2 * ext_mods.size());
+        obs::add("ks.ip_mul_limbs", 2 * ext_mods.size());
     }
 
     // --- ModDown.
     ctx.tables().to_coeff(acc0);
     ctx.tables().to_coeff(acc1);
-    ks_count("ks.intt_limbs", 2 * ext_mods.size());
+    obs::add("ks.intt_limbs", 2 * ext_mods.size());
     RnsPoly k0 = mod_down(acc0, level, ctx);
     RnsPoly k1 = mod_down(acc1, level, ctx);
     ctx.tables().to_eval(k0);
     ctx.tables().to_eval(k1);
-    ks_count("ks.ntt_limbs", 2 * (level + 1));
+    obs::add("ks.ntt_limbs", 2 * (level + 1));
     return {std::move(k0), std::move(k1)};
 }
 
@@ -288,7 +278,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
 
     RnsPoly d2c = d2;
     ctx.tables().to_coeff(d2c);
-    ks_count("ks.intt_limbs", level + 1);
+    obs::add("ks.intt_limbs", level + 1);
 
     // --- Mod Up: exact lift of each ciphertext digit into T.
     std::vector<RnsPoly> digits_t;
@@ -298,10 +288,10 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
         RnsPoly dt(n, ctx.t_basis().mods(), PolyForm::coeff);
         lv.digits[j].to_t->convert_exact(d2c.limb(g.first), n,
                                          dt.data());
-        ks_count("ks.bconv_products", g.count * alpha_p);
+        obs::add("ks.bconv_products", g.count * alpha_p);
         // --- NTT over T.
         ctx.t_tables().to_eval(dt);
-        ks_count("ks.ntt_limbs", alpha_p);
+        obs::add("ks.ntt_limbs", alpha_p);
         digits_t.push_back(std::move(dt));
     }
 
@@ -312,7 +302,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
             s[i][c] = RnsPoly(n, ctx.t_basis().mods(), PolyForm::eval);
             for (size_t j = 0; j < groups.size(); ++j) {
                 s[i][c].add_product(digits_t[j], evk.part(i, j, c));
-                ks_count("ks.ip_mul_limbs", alpha_p);
+                obs::add("ks.ip_mul_limbs", alpha_p);
             }
         }
     }
@@ -321,7 +311,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
     for (size_t i = 0; i < beta_tilde; ++i) {
         for (size_t c = 0; c < 2; ++c) {
             ctx.t_tables().to_coeff(s[i][c]);
-            ks_count("ks.intt_limbs", alpha_p);
+            obs::add("ks.intt_limbs", alpha_p);
         }
     }
 
@@ -339,7 +329,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
         const BaseConverter &conv = ctx.precomp().t_to_pq(pq_idx);
         conv.convert_exact(s[grp][0].data(), n, acc0.limb(store_idx));
         conv.convert_exact(s[grp][1].data(), n, acc1.limb(store_idx));
-        ks_count("ks.recover_products", 2 * alpha_p);
+        obs::add("ks.recover_products", 2 * alpha_p);
     }
 
     // --- NTT over Q·P, then ModDown (shared with hybrid).
@@ -347,7 +337,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
     RnsPoly k1 = mod_down(acc1, level, ctx);
     ctx.tables().to_eval(k0);
     ctx.tables().to_eval(k1);
-    ks_count("ks.ntt_limbs", 2 * (level + 1));
+    obs::add("ks.ntt_limbs", 2 * (level + 1));
     return {std::move(k0), std::move(k1)};
 }
 

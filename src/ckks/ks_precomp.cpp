@@ -2,7 +2,6 @@
 
 #include "ckks/context.h"
 #include "common/check.h"
-#include "obs/obs.h"
 
 namespace neo::ckks {
 
@@ -70,10 +69,6 @@ KeySwitchPrecomp::level(size_t level) const
     }
 
     slot = std::move(lv);
-    // Occupancy telemetry: total levels built across contexts (each
-    // level is built at most once per context, so the gauge's
-    // high-water mark is the peak precomp population).
-    obs::add_gauge("ks.precomp.levels", 1.0);
     return *slot;
 }
 

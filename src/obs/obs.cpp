@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -110,22 +109,63 @@ HistogramSnapshot::percentile(double p) const
     return max; // unreachable when invariants hold
 }
 
+namespace {
+
+/// Add @p times to bucket @p idx, keeping the buckets sorted by index.
+void
+bump(std::vector<std::pair<i32, u64>> &buckets, i32 idx, u64 times)
+{
+    auto it = std::lower_bound(buckets.begin(), buckets.end(),
+                               std::pair<i32, u64>{idx, 0});
+    if (it == buckets.end() || it->first != idx)
+        it = buckets.insert(it, {idx, 0});
+    it->second += times;
+}
+
+/// The entry for @p name, inserted as @p init when missing: only a
+/// name's first record allocates its key.
+template <class Map>
+typename Map::mapped_type &
+entry(Map &map, std::string_view name, typename Map::mapped_type init = {})
+{
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.emplace(std::string(name), std::move(init)).first;
+    return it->second;
+}
+
+/// The value stored under @p name in a reader's snapshot, or zero.
+template <class Map>
+typename Map::mapped_type
+lookup(const Map &map, std::string_view name)
+{
+    auto it = map.find(name);
+    return it == map.end() ? typename Map::mapped_type{} : it->second;
+}
+
+} // namespace
+
+void
+HistogramSnapshot::record(double v, u64 times)
+{
+    if (times == 0)
+        return;
+    bump(buckets, bucket_index(v), times);
+    min = count == 0 ? v : std::min(min, v);
+    max = count == 0 ? v : std::max(max, v);
+    count += times;
+    sum += v * static_cast<double>(times);
+}
+
 void
 HistogramSnapshot::merge(const HistogramSnapshot &other)
 {
     if (other.count == 0)
         return;
-    std::map<i32, u64> merged(buckets.begin(), buckets.end());
     for (const auto &[idx, c] : other.buckets)
-        merged[idx] += c;
-    buckets.assign(merged.begin(), merged.end());
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-    }
+        bump(buckets, idx, c);
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
     count += other.count;
     sum += other.sum;
 }
@@ -148,107 +188,36 @@ void
 Registry::add(std::string_view name, u64 delta)
 {
     LockGuard lock(mu_);
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        counters_.emplace(std::string(name), delta);
-    else
-        it->second += delta;
+    entry(t_.counters, name) += delta;
 }
 
 void
 Registry::add_value(std::string_view name, double delta)
 {
     LockGuard lock(mu_);
-    auto it = values_.find(name);
-    if (it == values_.end())
-        values_.emplace(std::string(name), delta);
-    else
-        it->second += delta;
+    entry(t_.values, name) += delta;
 }
 
 void
 Registry::max_value(std::string_view name, double v)
 {
     LockGuard lock(mu_);
-    auto it = values_.find(name);
-    if (it == values_.end())
-        values_.emplace(std::string(name), v);
-    else
-        it->second = std::max(it->second, v);
-}
-
-void
-Registry::observe_locked(std::string_view name, double v)
-{
-    auto it = hists_.find(name);
-    if (it == hists_.end())
-        it = hists_.emplace(std::string(name), Hist{}).first;
-    Hist &h = it->second;
-    h.buckets[HistogramSnapshot::bucket_index(v)] += 1;
-    if (h.count == 0) {
-        h.min = v;
-        h.max = v;
-    } else {
-        h.min = std::min(h.min, v);
-        h.max = std::max(h.max, v);
-    }
-    ++h.count;
-    h.sum += v;
+    double &mark = entry(t_.marks, name, v);
+    mark = std::max(mark, v);
 }
 
 void
 Registry::observe(std::string_view name, double v)
 {
     LockGuard lock(mu_);
-    observe_locked(name, v);
-}
-
-void
-Registry::set_gauge(std::string_view name, double v)
-{
-    LockGuard lock(mu_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_.emplace(std::string(name), Gauge{}).first;
-    it->second.current = v;
-    it->second.high_water = std::max(it->second.high_water, v);
-}
-
-void
-Registry::add_gauge(std::string_view name, double delta)
-{
-    LockGuard lock(mu_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_.emplace(std::string(name), Gauge{}).first;
-    it->second.current += delta;
-    it->second.high_water =
-        std::max(it->second.high_water, it->second.current);
-}
-
-void
-Registry::max_gauge(std::string_view name, double v)
-{
-    LockGuard lock(mu_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_.emplace(std::string(name), Gauge{}).first;
-    it->second.current = std::max(it->second.current, v);
-    it->second.high_water =
-        std::max(it->second.high_water, it->second.current);
+    entry(t_.hists, name).record(v);
 }
 
 void
 Registry::add_gemm(size_t m, size_t n, size_t k)
 {
-    const u64 flops = 2ull * m * n * k;
     LockGuard lock(mu_);
-    counters_["gemm.calls"] += 1;
-    counters_["gemm.flops"] += flops;
-    gemm_shapes_[GemmShape{m, n, k}] += 1;
-    // Work histogram: per-call FLOP distribution. Deterministic across
-    // thread counts (depends only on the call mix, not timing).
-    observe_locked("work.gemm.flops", static_cast<double>(flops));
+    t_.gemm_shapes[GemmShape{m, n, k}] += 1;
 }
 
 void
@@ -256,120 +225,87 @@ Registry::record_event(std::string_view name, const char *cat, u32 tid,
                        i64 ts_ns, i64 dur_ns)
 {
     LockGuard lock(mu_);
-    {
-        std::string key = "span.";
-        key += cat;
-        counters_[key] += 1;
-        key += ".ns";
-        key.replace(0, 4, "wall");
-        values_[key] += static_cast<double>(dur_ns);
-    }
-    {
-        // Latency histograms: one per category, plus one per span
-        // name for the coarse-grained op/stage categories (kernel
-        // categories have too many call sites for per-name series).
-        std::string key = "lat.";
-        key += cat;
-        key += ".ns";
-        observe_locked(key, static_cast<double>(dur_ns));
-        if (std::strcmp(cat, cat::op) == 0 ||
-            std::strcmp(cat, cat::stage) == 0) {
-            std::string named = "lat.";
-            named += cat;
-            named += '.';
-            named += name;
-            named += ".ns";
-            observe_locked(named, static_cast<double>(dur_ns));
-        }
-    }
+    entry(entry(t_.spans, cat), name).record(static_cast<double>(dur_ns));
     if (!opts_.record_events)
         return;
-    if (events_.size() >= opts_.max_events) {
-        ++dropped_;
+    if (t_.events.size() >= opts_.max_events) {
+        ++t_.dropped;
         return;
     }
-    events_.push_back(TraceEvent{std::string(name), cat, tid, ts_ns, dur_ns});
-}
-
-u64
-Registry::counter(std::string_view name) const
-{
-    LockGuard lock(mu_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-double
-Registry::value(std::string_view name) const
-{
-    LockGuard lock(mu_);
-    auto it = values_.find(name);
-    return it == values_.end() ? 0.0 : it->second;
+    t_.events.push_back(TraceEvent{std::string(name), cat, tid, ts_ns, dur_ns});
 }
 
 std::map<std::string, u64, std::less<>>
 Registry::counters() const
 {
     LockGuard lock(mu_);
-    return counters_;
+    auto out = t_.counters;
+    for (const auto &[category, names] : t_.spans) {
+        u64 &spans = out["span." + category];
+        for (const auto &[name, h] : names)
+            spans += h.count;
+    }
+    for (const auto &[shape, calls] : t_.gemm_shapes) {
+        out["gemm.calls"] += calls;
+        out["gemm.flops"] += calls * shape.flops();
+    }
+    return out;
 }
 
 std::map<std::string, double, std::less<>>
 Registry::values() const
 {
     LockGuard lock(mu_);
-    return values_;
+    auto out = t_.values;
+    out.insert(t_.marks.begin(), t_.marks.end());
+    for (const auto &[category, names] : t_.spans) {
+        double &wall = out["wall." + category + ".ns"];
+        for (const auto &[name, h] : names)
+            wall += h.sum;
+    }
+    return out;
 }
 
-Registry::Gauge
-Registry::gauge(std::string_view name) const
+Registry::Histograms
+Registry::histograms() const
 {
     LockGuard lock(mu_);
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? Gauge{} : it->second;
+    auto out = t_.hists;
+    for (const auto &[category, names] : t_.spans) {
+        // Per-name latency series only for the coarse-grained op/stage
+        // categories: kernel categories have too many call sites.
+        const bool per_name = category == cat::op || category == cat::stage;
+        HistogramSnapshot &lat = out["lat." + category + ".ns"];
+        for (const auto &[name, h] : names) {
+            lat.merge(h);
+            if (per_name)
+                out["lat." + category + "." + name + ".ns"].merge(h);
+        }
+    }
+    // Per-call FLOP distribution: deterministic across thread counts
+    // (it depends only on the call mix, not on timing).
+    for (const auto &[shape, calls] : t_.gemm_shapes)
+        out["work.gemm.flops"].record(static_cast<double>(shape.flops()),
+                                      calls);
+    return out;
 }
 
-std::map<std::string, Registry::Gauge, std::less<>>
-Registry::gauges() const
+u64
+Registry::counter(std::string_view name) const
 {
-    LockGuard lock(mu_);
-    return gauges_;
+    return lookup(counters(), name);
 }
 
-/// Snapshot conversion (caller holds no lock; `h` is a stable copy).
-static HistogramSnapshot
-snapshot_hist(const std::map<i32, u64> &buckets, u64 count, double sum,
-              double min, double max)
+double
+Registry::value(std::string_view name) const
 {
-    HistogramSnapshot s;
-    s.buckets.assign(buckets.begin(), buckets.end());
-    s.count = count;
-    s.sum = sum;
-    s.min = min;
-    s.max = max;
-    return s;
+    return lookup(values(), name);
 }
 
 HistogramSnapshot
 Registry::histogram(std::string_view name) const
 {
-    LockGuard lock(mu_);
-    auto it = hists_.find(name);
-    if (it == hists_.end())
-        return HistogramSnapshot{};
-    const Hist &h = it->second;
-    return snapshot_hist(h.buckets, h.count, h.sum, h.min, h.max);
-}
-
-std::map<std::string, HistogramSnapshot, std::less<>>
-Registry::histograms() const
-{
-    LockGuard lock(mu_);
-    std::map<std::string, HistogramSnapshot, std::less<>> out;
-    for (const auto &[name, h] : hists_)
-        out.emplace(name,
-                    snapshot_hist(h.buckets, h.count, h.sum, h.min, h.max));
-    return out;
+    return lookup(histograms(), name);
 }
 
 void
@@ -377,56 +313,44 @@ Registry::merge_from(const Registry &other)
 {
     if (&other == this)
         return;
-    // Snapshot `other` under its own lock first, then lock ourselves:
-    // no thread ever holds both locks, so merges cannot deadlock.
-    const auto counters = other.counters();
-    const auto values = other.values();
-    const auto gauges = other.gauges();
-    const auto hists = other.histograms();
-    const auto shapes = other.gemm_shapes();
-    const auto events = other.events();
-    const u64 dropped = other.dropped_events();
+    // Copy `other`'s tables under its own lock first, then lock
+    // ourselves: no thread ever holds both locks, so merges cannot
+    // deadlock.
+    Tables src;
+    {
+        LockGuard lock(other.mu_);
+        src = other.t_;
+    }
     // Both epochs come from the same steady clock, so this shift
     // re-bases `other`'s event timestamps onto our epoch exactly.
     const i64 shift = other.epoch_ns_ - epoch_ns_;
 
     LockGuard lock(mu_);
-    for (const auto &[name, v] : counters)
-        counters_[name] += v;
-    for (const auto &[name, v] : values)
-        values_[name] += v;
-    for (const auto &[name, g] : gauges) {
-        Gauge &dst = gauges_[name];
-        dst.current = g.current; // the newer reading wins
-        dst.high_water = std::max(dst.high_water, g.high_water);
+    for (const auto &[name, v] : src.counters)
+        t_.counters[name] += v;
+    for (const auto &[name, v] : src.values)
+        t_.values[name] += v;
+    for (const auto &[name, v] : src.marks) {
+        double &mark = entry(t_.marks, name, v);
+        mark = std::max(mark, v);
     }
-    for (const auto &[name, s] : hists) {
-        Hist &h = hists_[name];
-        for (const auto &[idx, c] : s.buckets)
-            h.buckets[idx] += c;
-        if (h.count == 0) {
-            h.min = s.min;
-            h.max = s.max;
-        } else if (s.count != 0) {
-            h.min = std::min(h.min, s.min);
-            h.max = std::max(h.max, s.max);
+    for (const auto &[name, h] : src.hists)
+        t_.hists[name].merge(h);
+    for (const auto &[category, names] : src.spans)
+        for (const auto &[name, h] : names)
+            t_.spans[category][name].merge(h);
+    for (const auto &[shape, calls] : src.gemm_shapes)
+        t_.gemm_shapes[shape] += calls;
+    t_.dropped += src.dropped;
+    if (!opts_.record_events)
+        return;
+    for (TraceEvent &e : src.events) {
+        if (t_.events.size() >= opts_.max_events) {
+            ++t_.dropped;
+            continue;
         }
-        h.count += s.count;
-        h.sum += s.sum;
-    }
-    for (const auto &[shape, c] : shapes)
-        gemm_shapes_[shape] += c;
-    dropped_ += dropped;
-    if (opts_.record_events) {
-        for (const TraceEvent &e : events) {
-            if (events_.size() >= opts_.max_events) {
-                ++dropped_;
-                continue;
-            }
-            TraceEvent copy = e;
-            copy.ts_ns += shift;
-            events_.push_back(std::move(copy));
-        }
+        e.ts_ns += shift;
+        t_.events.push_back(std::move(e));
     }
 }
 
@@ -434,21 +358,21 @@ std::map<GemmShape, u64>
 Registry::gemm_shapes() const
 {
     LockGuard lock(mu_);
-    return gemm_shapes_;
+    return t_.gemm_shapes;
 }
 
 std::vector<TraceEvent>
 Registry::events() const
 {
     LockGuard lock(mu_);
-    return events_;
+    return t_.events;
 }
 
 u64
 Registry::dropped_events() const
 {
     LockGuard lock(mu_);
-    return dropped_;
+    return t_.dropped;
 }
 
 // ---------------------------------------------------------------------
@@ -489,33 +413,6 @@ Scope::~Scope()
 // Exporters
 // ---------------------------------------------------------------------
 
-/// JSON string escape (control chars, quote, backslash).
-static void
-json_escape(std::ostream &out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out << "\\\"";
-            break;
-        case '\\':
-            out << "\\\\";
-            break;
-        case '\n':
-            out << "\\n";
-            break;
-        case '\t':
-            out << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out << strfmt("\\u%04x", c);
-            else
-                out << c;
-        }
-    }
-}
-
 void
 export_chrome_json(const Registry &reg, std::ostream &out)
 {
@@ -540,9 +437,8 @@ export_chrome_json(const Registry &reg, std::ostream &out)
         if (!first)
             out << ",";
         first = false;
-        out << "\n{\"name\":\"";
-        json_escape(out, e.name);
-        out << "\",\"cat\":\"" << e.cat << "\",\"ph\":\"X\",\"pid\":1"
+        out << "\n{\"name\":" << json::escape(e.name) << ",\"cat\":\""
+            << e.cat << "\",\"ph\":\"X\",\"pid\":1"
             << ",\"tid\":" << e.tid
             << strfmt(",\"ts\":%.3f,\"dur\":%.3f}",
                       static_cast<double>(e.ts_ns) / 1e3,
@@ -554,9 +450,7 @@ export_chrome_json(const Registry &reg, std::ostream &out)
         if (!first)
             out << ",";
         first = false;
-        out << "\n\"";
-        json_escape(out, name);
-        out << "\":" << v;
+        out << "\n" << json::escape(name) << ":" << v;
     }
     out << "},\n\"neoValues\":{";
     first = true;
@@ -564,9 +458,7 @@ export_chrome_json(const Registry &reg, std::ostream &out)
         if (!first)
             out << ",";
         first = false;
-        out << "\n\"";
-        json_escape(out, name);
-        out << strfmt("\":%.6g", v);
+        out << "\n" << json::escape(name) << strfmt(":%.6g", v);
     }
     out << "},\n\"neoGemmShapes\":{";
     first = true;
@@ -584,6 +476,20 @@ export_chrome_json(const Registry &reg, std::ostream &out)
                   static_cast<unsigned long long>(reg.dropped_events()));
 }
 
+/// Human-readable metric value: time for .ns/.s series, bytes for
+/// byte series, %.6g otherwise.
+static std::string
+shown_metric(const std::string &name, double v)
+{
+    if (name.size() > 3 && name.compare(name.size() - 3, 3, ".ns") == 0)
+        return format_time(v / 1e9);
+    if (name.find("bytes") != std::string::npos)
+        return format_bytes(v);
+    if (name.size() > 2 && name.compare(name.size() - 2, 2, ".s") == 0)
+        return format_time(v);
+    return strfmt("%.6g", v);
+}
+
 void
 export_summary(const Registry &reg, std::ostream &out)
 {
@@ -598,42 +504,9 @@ export_summary(const Registry &reg, std::ostream &out)
     if (!values.empty()) {
         TextTable vt;
         vt.header({"value", "total"});
-        for (const auto &[name, v] : values) {
-            std::string shown;
-            if (name.size() > 3 && name.compare(name.size() - 3, 3, ".ns") == 0)
-                shown = format_time(v / 1e9);
-            else if (name.find("bytes") != std::string::npos)
-                shown = format_bytes(v);
-            else if (name.size() > 2 &&
-                     name.compare(name.size() - 2, 2, ".s") == 0)
-                shown = format_time(v);
-            else
-                shown = strfmt("%.6g", v);
-            vt.row({name, shown});
-        }
+        for (const auto &[name, v] : values)
+            vt.row({name, shown_metric(name, v)});
         out << "\n" << vt.str();
-    }
-
-    /// Human-readable metric value: time for .ns/.s series, bytes for
-    /// byte series, %.6g otherwise.
-    const auto shown_metric = [](const std::string &name, double v) {
-        if (name.size() > 3 && name.compare(name.size() - 3, 3, ".ns") == 0)
-            return format_time(v / 1e9);
-        if (name.find("bytes") != std::string::npos)
-            return format_bytes(v);
-        if (name.size() > 2 && name.compare(name.size() - 2, 2, ".s") == 0)
-            return format_time(v);
-        return strfmt("%.6g", v);
-    };
-
-    auto gauges = reg.gauges();
-    if (!gauges.empty()) {
-        TextTable gt;
-        gt.header({"gauge", "current", "high water"});
-        for (const auto &[name, g] : gauges)
-            gt.row({name, shown_metric(name, g.current),
-                    shown_metric(name, g.high_water)});
-        out << "\n" << gt.str();
     }
 
     auto hists = reg.histograms();
@@ -700,14 +573,6 @@ export_openmetrics(const Registry &reg, std::ostream &out)
         const std::string n = om_name(name);
         type_line(n, "gauge");
         out << n << ' ' << json::number_to_string(v) << '\n';
-    }
-    for (const auto &[name, g] : reg.gauges()) {
-        const std::string n = om_name(name);
-        type_line(n, "gauge");
-        out << n << ' ' << json::number_to_string(g.current) << '\n';
-        type_line(n + "_high_water", "gauge");
-        out << n << "_high_water "
-            << json::number_to_string(g.high_water) << '\n';
     }
     for (const auto &[name, h] : reg.histograms()) {
         const std::string n = om_name(name);
@@ -886,17 +751,8 @@ workspace_stats(size_t reused, size_t fresh, size_t high_water)
         r->add_value("ws.bytes_reused", static_cast<double>(reused));
     if (fresh != 0)
         r->add_value("ws.fresh_bytes", static_cast<double>(fresh));
-    if (high_water != 0) {
+    if (high_water != 0)
         r->max_value("ws.high_water_bytes", static_cast<double>(high_water));
-        // Arena gauges: aggregate peak across arenas plus one lane
-        // per thread index (arenas are thread-local, so the per-lane
-        // series is the per-thread peak the tid maps to).
-        const double hw = static_cast<double>(high_water);
-        r->max_gauge("ws.arena.peak_bytes", hw);
-        r->max_gauge("ws.arena.peak_bytes.t" +
-                         std::to_string(thread_index()),
-                     hw);
-    }
 }
 
 /// Runs init_from_env() before main() so NEO_TRACE needs no code hook.

@@ -3,15 +3,18 @@
  * neo::obs — low-overhead tracing + metrics layer.
  *
  * The layer is built around a Registry: a sink for named monotonic
- * counters, accumulated values (bytes, modeled seconds), deterministic
- * log-bucketed latency/work histograms, gauges with high-water marks,
- * a GEMM shape histogram and (optionally) timestamped trace events. A
- * process-wide "current" registry pointer selects the active sink:
+ * counters, accumulated values (bytes, modeled seconds), high-water
+ * marks, deterministic log-bucketed work histograms, span durations,
+ * a GEMM shape histogram and (optionally) timestamped trace events.
+ * Each probe stores its fact once; the span counters, wall totals,
+ * latency histograms and GEMM call/FLOP series are derived from the
+ * span and shape tables when the registry is read. A process-wide
+ * "current" registry pointer selects the active sink:
  *
  *  - When no registry is installed (the default), every probe —
- *    Span construction, counter adds, observe()/set_gauge() — reduces
- *    to one relaxed atomic load and a branch, so instrumented hot
- *    paths run at full speed.
+ *    Span construction, add(), observe() — reduces to one relaxed
+ *    atomic load and a branch, so instrumented hot paths run at full
+ *    speed.
  *  - `NEO_TRACE=summary|json|openmetrics|flamegraph[:path]` installs a
  *    process-global registry at startup and exports it at exit
  *    (plain-text summary table, chrome://tracing JSON loadable in
@@ -69,6 +72,12 @@ struct TraceEvent {
 /// GEMM shape key for the shape histogram.
 struct GemmShape {
     u64 m, n, k;
+    /// FLOPs of one call: one multiply and one add per term.
+    u64
+    flops() const
+    {
+        return 2 * m * n * k;
+    }
     bool
     operator<(const GemmShape &o) const
     {
@@ -81,7 +90,8 @@ struct GemmShape {
 };
 
 /**
- * Snapshot of a deterministic log-bucketed value histogram.
+ * Snapshot of a deterministic log-bucketed value histogram. The
+ * Registry also stores its histograms in this form.
  *
  * Bucket boundaries are fixed at compile time: every power-of-two
  * octave [2^e, 2^(e+1)) is split into four log-linear sub-buckets
@@ -130,6 +140,8 @@ struct HistogramSnapshot {
      */
     double percentile(double p) const;
 
+    /// Record @p times observations of value @p v.
+    void record(double v, u64 times = 1);
     /// Fold `other` into this snapshot (bucket-wise count addition).
     void merge(const HistogramSnapshot &other);
 };
@@ -148,13 +160,6 @@ class Registry
         size_t max_events = 1u << 20;
     };
 
-    /// Instantaneous level with a high-water mark (resident bytes,
-    /// cache occupancy). Unlike counters/values, a gauge can go down.
-    struct Gauge {
-        double current = 0;
-        double high_water = 0;
-    };
-
     Registry();
     explicit Registry(Options opts);
 
@@ -164,48 +169,44 @@ class Registry
     /// Record one observation into the named log-bucketed histogram
     /// (see HistogramSnapshot for the bucket scheme).
     void observe(std::string_view name, double v);
-    /// Set a gauge to an absolute level (high-water mark keeps max).
-    void set_gauge(std::string_view name, double v);
-    /// Adjust a gauge by a (possibly negative) delta.
-    void add_gauge(std::string_view name, double delta);
-    /// Raise a gauge to at least `v` (for peak-only reporters).
-    void max_gauge(std::string_view name, double v);
-    /// Keep the maximum of @p v and the stored value (for high-water
-    /// marks). Max is commutative/associative, so totals stay
-    /// deterministic across thread counts like the sum counters.
+    /// Keep the maximum of @p v and the stored mark (high-water
+    /// marks, read through values()). Max is commutative and
+    /// associative, so marks stay deterministic across thread counts
+    /// like the sum counters, and merge_from keeps the larger mark.
     void max_value(std::string_view name, double v);
-    /// One modular GEMM call of shape m×n×k: bumps gemm.calls,
-    /// gemm.flops (2mnk) and the shape histogram.
+    /// One modular GEMM call of shape m×n×k: one count in the shape
+    /// histogram, from which gemm.calls, gemm.flops (2mnk per call)
+    /// and the work.gemm.flops histogram are derived when read.
     void add_gemm(size_t m, size_t n, size_t k);
-    /// Record a finished span: bumps `span.<cat>` and `wall.<cat>.ns`,
-    /// feeds the `lat.<cat>.ns` latency histogram (per-name
-    /// `lat.<cat>.<name>.ns` for op/stage spans) and (when events are
-    /// on) appends a TraceEvent. Exposed so the golden-file test can
-    /// inject fixed-timestamp events.
+    /// Record a finished span: one duration into the histogram of its
+    /// (category, name) and, when events are on, one TraceEvent.
+    /// Readers derive `span.<cat>`, `wall.<cat>.ns` and `lat.<cat>.ns`
+    /// from every name of the category, and `lat.<cat>.<name>.ns` for
+    /// op/stage spans. Exposed so the golden-file test can inject
+    /// fixed-timestamp events.
     void record_event(std::string_view name, const char *cat, u32 tid,
                       i64 ts_ns, i64 dur_ns);
 
     /**
-     * Fold a snapshot of `other` into this registry: counters, values
-     * and histograms add; gauges take `other`'s current level (the
-     * newer reading) and the max of the high-water marks; trace events
-     * are appended with timestamps re-based onto this registry's epoch
-     * (both epochs come from the same steady clock). Used by neo-prof
-     * to publish a scoped profiling run into the ambient NEO_TRACE
-     * sink. Not an event re-record: span counters are merged from
-     * `other`'s counters, not re-derived.
+     * Fold `other` into this registry: sums, histograms, span
+     * durations and GEMM shapes add; high-water marks keep the
+     * larger; trace events are appended with timestamps re-based onto
+     * this registry's epoch (both epochs come from the same steady
+     * clock). Used by neo-prof to publish a scoped profiling run into
+     * the ambient NEO_TRACE sink.
      */
     void merge_from(const Registry &other);
 
     // -- reading -------------------------------------------------------
+    // The map readers return the stored series plus the derived ones;
+    // the single-name readers look a name up in those maps.
+    using Histograms = std::map<std::string, HistogramSnapshot, std::less<>>;
     u64 counter(std::string_view name) const;
     double value(std::string_view name) const;
-    Gauge gauge(std::string_view name) const;
     HistogramSnapshot histogram(std::string_view name) const;
     std::map<std::string, u64, std::less<>> counters() const;
     std::map<std::string, double, std::less<>> values() const;
-    std::map<std::string, Gauge, std::less<>> gauges() const;
-    std::map<std::string, HistogramSnapshot, std::less<>> histograms() const;
+    Histograms histograms() const;
     std::map<GemmShape, u64> gemm_shapes() const;
     std::vector<TraceEvent> events() const;
     u64 dropped_events() const;
@@ -219,29 +220,24 @@ class Registry
     i64 now_ns() const;
 
   private:
-    /// Internal histogram accumulator (sparse bucket map).
-    struct Hist {
-        std::map<i32, u64> buckets;
-        u64 count = 0;
-        double sum = 0;
-        double min = 0;
-        double max = 0;
+    /// Every stored fact; merge_from copies it whole.
+    struct Tables {
+        std::map<std::string, u64, std::less<>> counters;
+        std::map<std::string, double, std::less<>> values;
+        /// High-water marks: kept apart so merges take the max.
+        std::map<std::string, double, std::less<>> marks;
+        Histograms hists;
+        /// Span durations by category, then span name.
+        std::map<std::string, Histograms, std::less<>> spans;
+        std::map<GemmShape, u64> gemm_shapes;
+        std::vector<TraceEvent> events;
+        u64 dropped = 0;
     };
-
-    /// Record one observation; caller already holds mu_ (the batch
-    /// recorders fold several observations under one acquisition).
-    void observe_locked(std::string_view name, double v) NEO_REQUIRES(mu_);
 
     Options opts_;
     const i64 epoch_ns_; ///< steady_clock ns at construction
     mutable Mutex mu_;
-    std::map<std::string, u64, std::less<>> counters_ NEO_GUARDED_BY(mu_);
-    std::map<std::string, double, std::less<>> values_ NEO_GUARDED_BY(mu_);
-    std::map<std::string, Gauge, std::less<>> gauges_ NEO_GUARDED_BY(mu_);
-    std::map<std::string, Hist, std::less<>> hists_ NEO_GUARDED_BY(mu_);
-    std::map<GemmShape, u64> gemm_shapes_ NEO_GUARDED_BY(mu_);
-    std::vector<TraceEvent> events_ NEO_GUARDED_BY(mu_);
-    u64 dropped_ NEO_GUARDED_BY(mu_) = 0;
+    Tables t_ NEO_GUARDED_BY(mu_);
 };
 
 namespace detail {
@@ -353,36 +349,20 @@ class Span
 // Each reduces to one relaxed atomic load and a branch when no
 // registry is installed.
 
+/// Add to a counter in the current sink (if any).
+inline void
+add(std::string_view name, u64 delta = 1)
+{
+    if (Registry *r = current())
+        r->add(name, delta);
+}
+
 /// Record one histogram observation into the current sink (if any).
 inline void
 observe(std::string_view name, double v)
 {
     if (Registry *r = current())
         r->observe(name, v);
-}
-
-/// Set a gauge level in the current sink (if any).
-inline void
-set_gauge(std::string_view name, double v)
-{
-    if (Registry *r = current())
-        r->set_gauge(name, v);
-}
-
-/// Adjust a gauge in the current sink (if any).
-inline void
-add_gauge(std::string_view name, double delta)
-{
-    if (Registry *r = current())
-        r->add_gauge(name, delta);
-}
-
-/// Raise a gauge to at least `v` in the current sink (if any).
-inline void
-max_gauge(std::string_view name, double v)
-{
-    if (Registry *r = current())
-        r->max_gauge(name, v);
 }
 
 // -- exporters ---------------------------------------------------------
@@ -392,13 +372,13 @@ max_gauge(std::string_view name, double v)
 /// sorted by (tid, ts, name, dur) so the export is byte-stable at
 /// fixed inputs regardless of thread-index assignment order.
 void export_chrome_json(const Registry &reg, std::ostream &out);
-/// Plain-text summary table: counters, values, gauges, histogram
-/// percentiles, GEMM shape histogram.
+/// Plain-text summary table: counters, values, histogram percentiles,
+/// GEMM shape histogram.
 void export_summary(const Registry &reg, std::ostream &out);
 /**
  * OpenMetrics/Prometheus text exposition: counters as `<name>_total`,
- * values and gauges as gauges (`<name>_high_water` for marks),
- * histograms as cumulative `_bucket{le="..."}` series plus
+ * values (high-water marks included) as gauges, histograms as
+ * cumulative `_bucket{le="..."}` series plus
  * `_sum`/`_count` and derived `_p50/_p95/_p99/_max` gauges.
  * Metric names are `neo_` + the registry name with every
  * non-[a-zA-Z0-9_] byte mapped to '_'. Terminated by `# EOF`.

@@ -163,21 +163,6 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
         grain);
 }
 
-namespace {
-
-/// Fusion accounting: one tick per standalone twist pass executed
-/// ("pass.*") or folded into a neighbour ("fuse.*") — the counters
-/// tests/fusion_test.cpp uses to prove fused runs issue fewer
-/// element-wise kernels.
-void
-twist_count(const char *name)
-{
-    if (auto *r = obs::current())
-        r->add(name);
-}
-
-} // namespace
-
 void
 MatrixNtt::forward(u64 *a, const ModMatMulFn &mm, bool fuse) const
 {
@@ -185,13 +170,13 @@ MatrixNtt::forward(u64 *a, const ModMatMulFn &mm, bool fuse) const
     const size_t n = tables_.n();
     const u64 qv = tables_.modulus().value();
     if (fuse && n > radix_) {
-        twist_count("fuse.ntt_twist");
+        obs::add("fuse.ntt_twist");
         cyclic_batch(a, 1, n, false, mm, TopTwist::psi_fwd);
         return;
     }
     {
         obs::Span twist("ntt_twist", obs::cat::stage);
-        twist_count("pass.ntt_twist");
+        obs::add("pass.ntt_twist");
         parallel_for(
             0, n,
             [&](size_t b, size_t e) {
@@ -211,13 +196,13 @@ MatrixNtt::inverse(u64 *a, const ModMatMulFn &mm, bool fuse) const
     const size_t n = tables_.n();
     const u64 qv = tables_.modulus().value();
     if (fuse && n > radix_) {
-        twist_count("fuse.ntt_twist");
+        obs::add("fuse.ntt_twist");
         cyclic_batch(a, 1, n, true, mm, TopTwist::psi_inv);
         return;
     }
     cyclic_batch(a, 1, n, true, mm);
     obs::Span twist("ntt_twist", obs::cat::stage);
-    twist_count("pass.ntt_twist");
+    obs::add("pass.ntt_twist");
     const u64 ninv = tables_.n_inv();
     const u64 ninv_shoup = shoup_precompute(ninv, qv);
     parallel_for(

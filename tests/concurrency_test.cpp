@@ -121,14 +121,19 @@ TEST(Concurrency, RegistrySharedWritersExactTotals)
             reg.add("stress.ops");
             reg.add_value("stress.bytes", 8.0);
             reg.observe("stress.lat_us", double(t * ITERS + i));
-            reg.set_gauge("stress.last_thread", double(t));
-            reg.add_gauge("stress.inflight", (i % 2 == 0) ? 1.0 : -1.0);
+            reg.max_value("stress.peak", double(t * ITERS + i));
+            reg.add_gemm(16, 16, 1 + i % 2);
+            reg.record_event("stress", obs::cat::gemm, u32(t), 0, 1);
             // Concurrent reads while writers are active.
             (void)reg.counter("stress.ops");
         }
     });
 
-    EXPECT_EQ(reg.counter("stress.ops"), u64(NTHREADS) * ITERS);
+    const u64 total = u64(NTHREADS) * ITERS;
+    EXPECT_EQ(reg.counter("stress.ops"), total);
+    EXPECT_EQ(reg.value("stress.peak"), double(total - 1));
+    EXPECT_EQ(reg.counter("gemm.calls"), total);
+    EXPECT_EQ(reg.counter("span.gemm"), total);
 }
 
 TEST(Concurrency, RegistryMergeFromShards)

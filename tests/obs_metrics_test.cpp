@@ -1,7 +1,8 @@
 /**
- * neo::obs telemetry suite (PR 8): histogram bucket scheme and
- * percentile semantics, gauges with high-water marks, cross-registry
- * merge, and the two new exporters against golden files.
+ * neo::obs telemetry suite: histogram bucket scheme and percentile
+ * semantics, the series derived from spans and GEMM shapes,
+ * cross-registry merge, and the OpenMetrics and flamegraph exporters
+ * against golden files.
  *
  * The load-bearing assertions are the determinism tests: the same
  * observation multiset must produce bit-identical bucket counts and
@@ -143,38 +144,121 @@ TEST(ObsHistogram, SnapshotMergeMatchesCombinedRecording)
 }
 
 // ---------------------------------------------------------------------
-// Gauges
+// Derived series
 // ---------------------------------------------------------------------
 
-TEST(ObsGauges, SetAddMaxAndHighWater)
-{
-    obs::Registry reg;
-    reg.set_gauge("g", 10);
-    reg.add_gauge("g", 5);
-    EXPECT_EQ(reg.gauge("g").current, 15);
-    EXPECT_EQ(reg.gauge("g").high_water, 15);
-    reg.add_gauge("g", -12);
-    EXPECT_EQ(reg.gauge("g").current, 3);
-    EXPECT_EQ(reg.gauge("g").high_water, 15); // marks never fall
-    reg.max_gauge("g", 8);
-    EXPECT_EQ(reg.gauge("g").current, 8);
-    reg.max_gauge("g", 2); // below current: no-op
-    EXPECT_EQ(reg.gauge("g").current, 8);
-    EXPECT_EQ(reg.gauge("g").high_water, 15);
-    reg.set_gauge("g", 1);
-    EXPECT_EQ(reg.gauge("g").current, 1);
-}
-
-TEST(ObsGauges, FreeProbesAreNoOpsWithoutSink)
+TEST(ObsRegistry, FreeProbesAreNoOpsWithoutSink)
 {
     // Must not crash or leak state into a later scope.
+    obs::add("nosink.c");
     obs::observe("nosink.h", 1.0);
-    obs::set_gauge("nosink.g", 1.0);
-    obs::add_gauge("nosink.g", 1.0);
-    obs::max_gauge("nosink.g", 1.0);
     obs::Scope scope;
-    EXPECT_EQ(scope.registry().gauges().count("nosink.g"), 0u);
+    EXPECT_EQ(scope.registry().counters().count("nosink.c"), 0u);
     EXPECT_EQ(scope.registry().histograms().count("nosink.h"), 0u);
+    // With a sink installed the same probes land in it.
+    obs::add("nosink.c", 3);
+    obs::observe("nosink.h", 1.0);
+    EXPECT_EQ(scope.counter("nosink.c"), 3u);
+    EXPECT_EQ(scope.registry().histogram("nosink.h").count, 1u);
+}
+
+TEST(ObsRegistry, DerivedSeriesFollowFromSpansAndShapes)
+{
+    // Every span is stored once, under its (category, name); every
+    // GEMM once, under its shape. The span counters, wall totals,
+    // latency histograms and GEMM call/FLOP series are derived when
+    // read, so check each against a histogram built from the same
+    // durations by hand.
+    struct Closed {
+        const char *name;
+        const char *cat;
+        i64 dur_ns;
+    };
+    const std::vector<Closed> dst_spans = {
+        {"tile", obs::cat::gemm, 250},    {"tile", obs::cat::gemm, 300},
+        {"plane", obs::cat::gemm, 4000},  {"ntt_fwd", obs::cat::ntt, 900},
+        {"ntt_inv", obs::cat::ntt, 1100}, {"intt_q", obs::cat::stage, 5000},
+        {"ip", obs::cat::stage, 7000},
+    };
+    const std::vector<Closed> src_spans = {
+        {"tile", obs::cat::gemm, 260},
+        {"mntt_fwd", obs::cat::ntt, 12000},
+        {"intt_q", obs::cat::stage, 5200},
+        {"ntt_q", obs::cat::stage, 64},
+    };
+    obs::Registry dst, src;
+    for (const Closed &sp : dst_spans)
+        dst.record_event(sp.name, sp.cat, 0, 0, sp.dur_ns);
+    for (const Closed &sp : src_spans)
+        src.record_event(sp.name, sp.cat, 1, 0, sp.dur_ns);
+    dst.add_gemm(256, 16, 16);
+    dst.add_gemm(256, 16, 16);
+    src.add_gemm(256, 16, 16);
+    src.add_gemm(64, 8, 4);
+    dst.merge_from(src);
+
+    std::map<std::string, HistogramSnapshot> by_cat, by_name;
+    for (const auto *list : {&dst_spans, &src_spans})
+        for (const Closed &sp : *list) {
+            by_cat[sp.cat].record(static_cast<double>(sp.dur_ns));
+            by_name[std::string(sp.cat) + "." + sp.name].record(
+                static_cast<double>(sp.dur_ns));
+        }
+
+    const auto counters = dst.counters();
+    const auto values = dst.values();
+    const auto hists = dst.histograms();
+    for (const char *cat : {obs::cat::gemm, obs::cat::ntt, obs::cat::stage}) {
+        SCOPED_TRACE(cat);
+        const HistogramSnapshot &want = by_cat.at(cat);
+        const std::string c(cat);
+        EXPECT_EQ(counters.at("span." + c), want.count);
+        EXPECT_EQ(values.at("wall." + c + ".ns"), want.sum);
+        const HistogramSnapshot &lat = hists.at("lat." + c + ".ns");
+        EXPECT_EQ(lat.buckets, want.buckets);
+        EXPECT_EQ(lat.count, want.count);
+        EXPECT_EQ(lat.sum, want.sum);
+        EXPECT_EQ(lat.min, want.min);
+        EXPECT_EQ(lat.max, want.max);
+        // The single-name readers resolve the same derived series.
+        EXPECT_EQ(dst.counter("span." + c), want.count);
+        EXPECT_EQ(dst.value("wall." + c + ".ns"), want.sum);
+        EXPECT_EQ(dst.histogram("lat." + c + ".ns").count, want.count);
+    }
+    EXPECT_EQ(counters.count("span.bconv"), 0u);
+
+    // Per-name latency series exist for stage spans only.
+    for (const char *name : {"intt_q", "ip", "ntt_q"}) {
+        const auto &want = by_name.at(std::string("stage.") + name);
+        const auto &got = hists.at(std::string("lat.stage.") + name + ".ns");
+        EXPECT_EQ(got.buckets, want.buckets) << name;
+        EXPECT_EQ(got.count, want.count) << name;
+        EXPECT_EQ(got.sum, want.sum) << name;
+    }
+    for (const char *name : {"tile", "plane"})
+        EXPECT_EQ(hists.count(std::string("lat.gemm.") + name + ".ns"), 0u)
+            << name;
+    for (const char *name : {"ntt_fwd", "ntt_inv", "mntt_fwd"})
+        EXPECT_EQ(hists.count(std::string("lat.ntt.") + name + ".ns"), 0u)
+            << name;
+
+    // GEMM series from the two shapes: 3 calls of 256x16x16 and one
+    // of 64x8x4.
+    const u64 big = 2ull * 256 * 16 * 16, small = 2ull * 64 * 8 * 4;
+    EXPECT_EQ(counters.at("gemm.calls"), 4u);
+    EXPECT_EQ(counters.at("gemm.flops"), 3 * big + small);
+    HistogramSnapshot want_flops;
+    want_flops.record(static_cast<double>(big), 3);
+    want_flops.record(static_cast<double>(small));
+    const HistogramSnapshot &flops = hists.at("work.gemm.flops");
+    EXPECT_EQ(flops.buckets, want_flops.buckets);
+    EXPECT_EQ(flops.count, 4u);
+    EXPECT_EQ(flops.sum, static_cast<double>(3 * big + small));
+    EXPECT_EQ(flops.min, static_cast<double>(small));
+    EXPECT_EQ(flops.max, static_cast<double>(big));
+    const auto shapes = dst.gemm_shapes();
+    ASSERT_EQ(shapes.size(), 2u);
+    EXPECT_EQ((shapes.at(obs::GemmShape{256, 16, 16})), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -191,8 +275,6 @@ TEST(ObsMerge, MergeFromFoldsEverySeries)
     src.add_value("v", 1.5);
     dst.observe("h", 2.0);
     src.observe("h", 3.0);
-    dst.set_gauge("g", 50);
-    src.set_gauge("g", 10); // newer level, lower mark
     src.add_gemm(16, 16, 16);
     src.record_event("leaf", obs::cat::ntt, 0, 100, 10);
 
@@ -202,11 +284,25 @@ TEST(ObsMerge, MergeFromFoldsEverySeries)
     EXPECT_EQ(dst.histogram("h").count, 2u);
     EXPECT_EQ(dst.histogram("h").min, 2.0);
     EXPECT_EQ(dst.histogram("h").max, 3.0);
-    // Gauge: other's current level, max of the high-water marks.
-    EXPECT_EQ(dst.gauge("g").current, 10);
-    EXPECT_EQ(dst.gauge("g").high_water, 50);
     EXPECT_EQ(dst.gemm_shapes().size(), 1u);
     ASSERT_EQ(dst.events().size(), 1u); // src's leaf event came across
+}
+
+TEST(ObsMerge, MergeFromKeepsTheLargerHighWaterMark)
+{
+    // A high-water mark is a maximum, so merging takes the larger
+    // mark instead of adding the two.
+    obs::Registry dst, src;
+    dst.max_value("m", 50);
+    src.max_value("m", 10);
+    src.max_value("fresh", 7);
+    dst.merge_from(src);
+    EXPECT_EQ(dst.value("m"), 50);
+    EXPECT_EQ(dst.value("fresh"), 7);
+    obs::Registry up;
+    up.max_value("m", 80);
+    dst.merge_from(up);
+    EXPECT_EQ(dst.value("m"), 80);
 }
 
 TEST(ObsMerge, MergedEventsLandOnDestinationTimeline)
@@ -335,8 +431,6 @@ fill_metrics_golden(obs::Registry &reg)
     reg.observe("work.keyswitch.limbs", 6);
     reg.observe("work.keyswitch.limbs", 6);
     reg.observe("work.keyswitch.limbs", 3);
-    reg.set_gauge("plane_cache.resident_bytes", 8192);
-    reg.add_gauge("plane_cache.resident_bytes", -4096);
     reg.add_value("modeled.keyswitch.s", 0.25);
 }
 
@@ -362,9 +456,9 @@ TEST(ObsExporters, OpenMetricsMatchesGoldenFile)
          {"neo_ks_ntt_limbs_total 7", "# EOF",
           "neo_lat_stage_ns_bucket{le=", "neo_lat_stage_ns_p50",
           "neo_lat_stage_keyswitch_ns_p99",
-          "neo_work_keyswitch_limbs_count 3",
-          "neo_plane_cache_resident_bytes 4096",
-          "neo_plane_cache_resident_bytes_high_water 8192"})
+          "neo_work_keyswitch_limbs_count 3", "neo_span_stage_total 2",
+          "neo_wall_stage_ns 13000", "neo_gemm_calls_total 1",
+          "neo_work_gemm_flops_count 1"})
         EXPECT_NE(s.find(needle), std::string::npos) << needle;
 }
 
@@ -404,8 +498,6 @@ TEST(ObsExporters, ChromeExportByteStableUnderTidReorder)
     r.observe("work.keyswitch.limbs", 6);
     r.observe("work.keyswitch.limbs", 6);
     r.observe("work.keyswitch.limbs", 3);
-    r.set_gauge("plane_cache.resident_bytes", 8192);
-    r.add_gauge("plane_cache.resident_bytes", -4096);
     r.add_value("modeled.keyswitch.s", 0.25);
 
     std::ostringstream oa, ob;
@@ -425,7 +517,7 @@ TEST(ObsExporters, ChromeExportByteStableUnderTidReorder)
     EXPECT_EQ(o1.str(), o2.str());
 }
 
-TEST(ObsExporters, SummaryShowsGaugesAndHistograms)
+TEST(ObsExporters, SummaryShowsValuesAndHistograms)
 {
     obs::Registry reg(with_events());
     fill_metrics_golden(reg);
@@ -433,8 +525,8 @@ TEST(ObsExporters, SummaryShowsGaugesAndHistograms)
     obs::export_summary(reg, out);
     const std::string s = out.str();
     for (const char *needle :
-         {"plane_cache.resident_bytes", "high water",
-          "work.keyswitch.limbs", "p50", "p99"})
+         {"modeled.keyswitch.s", "wall.stage.ns", "work.keyswitch.limbs",
+          "p50", "p99"})
         EXPECT_NE(s.find(needle), std::string::npos) << needle;
 }
 

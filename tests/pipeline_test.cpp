@@ -2,6 +2,7 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "ckks/hoisting.h"
 #include "ckks/keygen.h"
 #include "common/random.h"
 #include "neo/kernels.h"
@@ -151,6 +152,9 @@ TEST(Pipeline, RejectsOperandFromAnotherContext)
     std::swap(swapped[0], swapped[1]);
     operands.emplace_back(ctx.n(), swapped, PolyForm::eval);
 
+    const u64 g = ctx.encoder().galois_element(1);
+    GaloisKeys gk;
+    gk.hybrid.emplace(g, keygen.galois_key(sk, g));
     for (const RnsPoly &d2 : operands) {
         SCOPED_TRACE(::testing::Message() << "n=" << d2.n());
         EXPECT_THROW(keyswitch_klss_pipeline(d2, klss_rlk, ctx),
@@ -158,7 +162,14 @@ TEST(Pipeline, RejectsOperandFromAnotherContext)
         EXPECT_THROW(keyswitch_klss(d2, klss_rlk, ctx),
                      std::invalid_argument);
         EXPECT_THROW(keyswitch_hybrid(d2, rlk, ctx), std::invalid_argument);
+        EXPECT_THROW(rotate_hoisted(Ciphertext{d2, d2, 5, 1.0}, {1}, gk, ctx),
+                     std::invalid_argument);
     }
+    // A hoisted rotation sizes its ModUp by the ciphertext's level, so
+    // a level that disagrees with the limbs is rejected too.
+    const RnsPoly low(ctx.n(), ctx.active_mods(3), PolyForm::eval);
+    EXPECT_THROW(rotate_hoisted(Ciphertext{low, low, 5, 1.0}, {1}, gk, ctx),
+                 std::invalid_argument);
 }
 
 TEST(Pipeline, RejectsKeyFromAnotherContext)
@@ -194,6 +205,24 @@ TEST(Pipeline, RejectsKeyFromAnotherContext)
     EXPECT_THROW(keyswitch_klss_pipeline(d2, klss_rlk, ctx),
                  std::invalid_argument);
     EXPECT_THROW(keyswitch_klss(d2, klss_rlk, ctx), std::invalid_argument);
+
+    // Hoisted rotations read the Galois keys by limb index, so they
+    // must run the same checks: a key over the 40-bit chain, and one
+    // over the N=128 ring, whose limbs are too short to copy.
+    const Ciphertext ct{d2, d2, 5, 1.0};
+    const std::vector<i64> steps = {1, 2};
+    const CkksContext narrow(CkksParams::test_params(128, 5, 2));
+    KeyGenerator narrow_keygen(narrow, 8);
+    for (KeyGenerator *kg : {&keygen, &narrow_keygen}) {
+        const SecretKey sk = kg->secret_key();
+        GaloisKeys gk;
+        for (i64 step : steps) {
+            const u64 g = ctx.encoder().galois_element(step);
+            gk.hybrid.emplace(g, kg->galois_key(sk, g));
+        }
+        EXPECT_THROW(rotate_hoisted(ct, steps, gk, ctx),
+                     std::invalid_argument);
+    }
 }
 
 TEST(BConvExact, MatmulExactMatchesBaseConverter)

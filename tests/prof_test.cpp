@@ -576,4 +576,21 @@ TEST(ProfCli, DiffExitCodeContract)
     EXPECT_EQ(doc.at("schema").as_string(), prof::kDiffSchema);
     EXPECT_TRUE(doc.at("gated").as_bool());
 }
+
+TEST(ProfCli, RejectsMalformedNumbers)
+{
+    // A numeric flag that does not parse whole is a usage error, not
+    // a silent zero (top level, 0% gate) or a truncated prefix.
+    const std::string base =
+        std::string(NEO_TEST_DATA_DIR) + "/prof_diff_base.json";
+    const std::string quiet = " >/dev/null 2>&1";
+    EXPECT_EQ(run_cli("keyswitch --level abc" + quiet), 2);
+    EXPECT_EQ(run_cli("keyswitch --devices 2x" + quiet), 2);
+    EXPECT_EQ(run_cli("--diff " + base + " " + base + " --threshold abc" +
+                      quiet),
+              2);
+    EXPECT_EQ(run_cli("--diff " + base + " " + base + " --threshold -5" +
+                      quiet),
+              2);
+}
 #endif

@@ -378,8 +378,6 @@ TEST_F(Shard, PipelineRecordsNoModeledCost)
             EXPECT_FALSE(modeled(k)) << k << "=" << v;
         for (const auto &[k, v] : reg.counters())
             EXPECT_FALSE(modeled(k)) << k << "=" << v;
-        for (const auto &[k, g] : reg.gauges())
-            EXPECT_FALSE(modeled(k)) << k << "=" << g.current;
     }
 }
 

@@ -23,6 +23,7 @@
  * result.
  */
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,15 +130,17 @@ main(int argc, char **argv)
                          v.c_str());
             std::exit(2);
         };
-        auto positive = [&](const char *flag) -> size_t {
+        // A whole decimal number of at least `min`; anything else
+        // exits 2 naming the flag.
+        auto integer = [&](const char *flag, long long min) -> size_t {
             const char *v = next(flag);
             char *end = nullptr;
             errno = 0;
             const long long n = std::strtoll(v, &end, 10);
-            if (end == v || *end != '\0' || errno == ERANGE || n < 1) {
-                std::fprintf(stderr,
-                             "%s takes a positive integer, got '%s'\n",
-                             flag, v);
+            if (end == v || *end != '\0' || errno == ERANGE || n < min) {
+                std::fprintf(stderr, "%s takes a %s integer, got '%s'\n",
+                             flag, min > 0 ? "positive" : "non-negative",
+                             v);
                 std::exit(2);
             }
             return static_cast<size_t>(n);
@@ -149,21 +152,15 @@ main(int argc, char **argv)
         } else if (a == "--engine") {
             engine = next("--engine");
         } else if (a == "--level") {
-            level = static_cast<size_t>(std::atoll(next("--level")));
+            level = integer("--level", 0);
         } else if (a == "--repeat") {
-            repeat = positive("--repeat");
+            repeat = integer("--repeat", 1);
         } else if (a == "--fuse") {
             policy.fuse = on_off("--fuse");
         } else if (a == "--graph") {
             policy.graph = on_off("--graph");
         } else if (a == "--devices") {
-            const long long v = std::atoll(next("--devices"));
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "--devices takes a positive device count\n");
-                return 2;
-            }
-            devices = static_cast<size_t>(v);
+            devices = integer("--devices", 1);
         } else if (a == "--topology") {
             const std::string v = next("--topology");
             if (!neo::gpusim::parse_interconnect(v,
@@ -183,7 +180,19 @@ main(int argc, char **argv)
         } else if (a == "--json") {
             json_path = next("--json");
         } else if (a == "--threshold") {
-            copts.threshold = std::atof(next("--threshold"));
+            const char *v = next("--threshold");
+            char *end = nullptr;
+            errno = 0;
+            const double t = std::strtod(v, &end);
+            if (end == v || *end != '\0' || errno == ERANGE ||
+                !std::isfinite(t) || t < 0) {
+                std::fprintf(stderr,
+                             "--threshold takes a finite non-negative "
+                             "number, got '%s'\n",
+                             v);
+                return 2;
+            }
+            copts.threshold = t;
         } else if (a == "--gate-wall") {
             copts.gate_wall = true;
         } else if (a == "--help" || a == "-h") {
