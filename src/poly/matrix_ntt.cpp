@@ -102,25 +102,14 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
     // Step 2: length-n2 transforms of the rows·n1 contiguous AT rows.
     cyclic_batch(at, rows * n1, n2, inverse, mm);
 
-    // Step 3: twisting factors ω_len^{r·k2}, the same for every row
-    // (row r = 0 twists by ω^0 = 1). len is a power of two, so the
-    // exponent wraps with a mask.
-    const auto twist = [&](u64 v, size_t e) {
-        return inverse ? mul_shoup(v, tables_.omega_inv_pow(e),
-                                   tables_.omega_inv_pow_shoup(e), qv)
-                       : mul_shoup(v, tables_.omega_pow(e),
-                                   tables_.omega_pow_shoup(e), qv);
-    };
+    // Step 3: twisting factors ω_len^{r·k2} = ω^{r·step·k2}, the same
+    // for every row (row r = 0 twists by ω^0 = 1). r·k2 < len, so the
+    // exponent stays below n.
     parallel_for(
         1, n1,
         [&](size_t rb, size_t re) {
-            for (size_t r = rb; r < re; ++r) {
-                for (size_t row = 0; row < rows; ++row) {
-                    u64 *v = at + r * cols + row * n2;
-                    for (size_t k2 = 0; k2 < n2; ++k2)
-                        v[k2] = twist(v[k2], ((r * k2) & (len - 1)) * step);
-                }
-            }
+            for (size_t r = rb; r < re; ++r)
+                tables_.twist(at + r * cols, rows, n2, r * step, inverse);
         },
         grain);
 

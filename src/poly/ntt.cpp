@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "rns/primes.h"
 
@@ -12,155 +11,146 @@ NttTables::NttTables(size_t n, const Modulus &q) : n_(n), q_(q)
 {
     NEO_CHECK(is_pow2(n), "ring degree must be a power of two");
     NEO_CHECK((q.value() - 1) % (2 * n) == 0, "q != 1 mod 2n");
+    NEO_CHECK(q.value() < (1ULL << 62), "NTT modulus must be below 2^62");
     psi_ = find_primitive_root(q.value(), 2 * n);
     const u64 qv = q.value();
-    const u64 psi_inv = q.inv(psi_);
-    const u64 w = q.mul(psi_, psi_);
-    const u64 w_inv = q.inv(w);
     n_inv_ = q.inv(q.reduce(n));
-
-    auto fill = [&](std::vector<u64> &pow, std::vector<u64> &shoup, u64 base) {
-        pow.resize(n);
-        shoup.resize(n);
-        u64 cur = 1;
-        for (size_t i = 0; i < n; ++i) {
-            pow[i] = cur;
-            shoup[i] = shoup_precompute(cur, qv);
-            cur = q_.mul(cur, base);
-        }
-    };
-    fill(psi_pow_, psi_pow_shoup_, psi_);
-    fill(psi_inv_pow_, psi_inv_pow_shoup_, psi_inv);
-    fill(w_pow_, w_pow_shoup_, w);
-    fill(w_inv_pow_, w_inv_pow_shoup_, w_inv);
+    n_inv_shoup_ = shoup_precompute(n_inv_, qv);
 
     const int logn = log2_exact(n);
     bitrev_.resize(n);
     for (size_t i = 0; i < n; ++i)
         bitrev_[i] = static_cast<u32>(reverse_bits(i, logn));
+
+    // Powers of base in natural order and at bit-reversed positions
+    // (the butterfly twiddles), each with its Shoup constant.
+    auto fill = [&](u64 base, std::vector<u64> &pow, std::vector<u64> &shoup,
+                    std::vector<u64> &rev, std::vector<u64> &rev_shoup) {
+        for (auto *v : {&pow, &shoup, &rev, &rev_shoup})
+            v->resize(n);
+        u64 cur = 1;
+        for (size_t i = 0; i < n; ++i) {
+            pow[i] = rev[bitrev_[i]] = cur;
+            shoup[i] = rev_shoup[bitrev_[i]] = shoup_precompute(cur, qv);
+            cur = q_.mul(cur, base);
+        }
+    };
+    fill(psi_, psi_pow_, psi_pow_shoup_, psi_rev_, psi_rev_shoup_);
+    fill(q.inv(psi_), psi_inv_pow_, psi_inv_pow_shoup_, psi_inv_rev_,
+         psi_inv_rev_shoup_);
+    n_inv_w_ = q.mul(n_inv_, psi_inv_pow_[n / 2]);
+    n_inv_w_shoup_ = shoup_precompute(n_inv_w_, qv);
 }
 
 namespace {
 
-/// Minimum transform size before a stage is worth fanning out.
-constexpr size_t kParallelNttThreshold = 1 << 12;
-
-/// Iterative Cooley-Tukey over precomputed ω^i tables. Large
-/// transforms run each butterfly stage through the thread pool (the
-/// stage's butterflies touch disjoint index pairs, so any execution
-/// order produces the sequential result bit-for-bit; parallel_for is
-/// the inter-stage barrier).
-void
-cyclic_transform(u64 *a, size_t n, const Modulus &q,
-                 const std::vector<u64> &w_pow,
-                 const std::vector<u64> &w_shoup,
-                 const std::vector<u32> &bitrev)
+/// Harvey's lazy Shoup product: a·w mod q in [0, 2q) for any a < 2^64.
+inline u64
+mul_shoup_lazy(u64 a, u64 w, u64 w_shoup, u64 q)
 {
-    const u64 qv = q.value();
-    const bool fan_out =
-        n >= kParallelNttThreshold && ThreadPool::parallel_active();
-    // Bit-reversal: iteration i swaps (i, bitrev[i]) only when
-    // i < bitrev[i], so each pair is touched by exactly one iteration.
-    if (fan_out) {
-        parallel_for(
-            0, n,
-            [&](size_t b, size_t e) {
-                for (size_t i = b; i < e; ++i) {
-                    u32 j = bitrev[i];
-                    if (i < j)
-                        std::swap(a[i], a[j]);
-                }
-            },
-            4096);
-    } else {
-        for (size_t i = 0; i < n; ++i) {
-            u32 j = bitrev[i];
-            if (i < j)
-                std::swap(a[i], a[j]);
-        }
-    }
-    for (size_t len = 2; len <= n; len <<= 1) {
-        const size_t half = len >> 1;
-        const size_t step = n / len;
-        if (fan_out) {
-            // Flatten the (block, j) butterfly grid of this stage.
-            parallel_for(
-                0, n >> 1,
-                [&](size_t b, size_t e) {
-                    for (size_t idx = b; idx < e; ++idx) {
-                        const size_t blk = idx / half;
-                        const size_t j = idx - blk * half;
-                        const size_t start = blk * len;
-                        const size_t tw = step * j;
-                        u64 u = a[start + j];
-                        u64 v = mul_shoup(a[start + j + half], w_pow[tw],
-                                          w_shoup[tw], qv);
-                        a[start + j] = add_mod(u, v, qv);
-                        a[start + j + half] = sub_mod(u, v, qv);
-                    }
-                },
-                2048);
-            continue;
-        }
-        for (size_t start = 0; start < n; start += len) {
-            for (size_t j = 0; j < half; ++j) {
-                const size_t tw = step * j;
-                u64 u = a[start + j];
-                u64 v = mul_shoup(a[start + j + half], w_pow[tw],
-                                  w_shoup[tw], qv);
-                a[start + j] = add_mod(u, v, qv);
-                a[start + j + half] = sub_mod(u, v, qv);
-            }
-        }
-    }
+    const u64 hi = static_cast<u64>((static_cast<u128>(a) * w_shoup) >> 64);
+    return a * w - hi * q;
+}
+
+/// Subtract @p m once if @p x ≥ m.
+inline u64
+reduce_once(u64 x, u64 m)
+{
+    return x >= m ? x - m : x;
 }
 
 } // namespace
 
-void
-NttTables::forward_cyclic(u64 *a) const
-{
-    cyclic_transform(a, n_, q_, w_pow_, w_pow_shoup_, bitrev_);
-}
-
-void
-NttTables::inverse_cyclic_unscaled(u64 *a) const
-{
-    cyclic_transform(a, n_, q_, w_inv_pow_, w_inv_pow_shoup_, bitrev_);
-}
-
+/// Cooley–Tukey butterflies over ψ^bitrev(i) (Longa–Naehrig 2016):
+/// natural order in, bit-reversed order out, the ψ twist merged into
+/// the twiddles. Values stay in [0, 4q) between stages (Harvey 2014);
+/// the last pass reduces to [0, q) while it bit-reverses into natural
+/// order.
 void
 NttTables::forward(u64 *a) const
 {
     obs::Span span("ntt_r2_fwd", obs::cat::ntt);
-    const u64 qv = q_.value();
-    parallel_for(
-        0, n_,
-        [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i)
-                a[i] = mul_shoup(a[i], psi_pow_[i], psi_pow_shoup_[i], qv);
-        },
-        4096);
-    forward_cyclic(a);
+    const u64 q = q_.value();
+    const u64 two_q = 2 * q;
+    for (size_t m = 1, t = n_ >> 1; m < n_; m <<= 1, t >>= 1) {
+        for (size_t i = 0; i < m; ++i) {
+            const u64 w = psi_rev_[m + i];
+            const u64 ws = psi_rev_shoup_[m + i];
+            u64 *x = a + 2 * i * t;
+            u64 *y = x + t;
+            for (size_t j = 0; j < t; ++j) {
+                const u64 u = reduce_once(x[j], two_q);
+                const u64 v = mul_shoup_lazy(y[j], w, ws, q);
+                x[j] = u + v;
+                y[j] = u - v + two_q;
+            }
+        }
+    }
+    for (size_t i = 0; i < n_; ++i) {
+        const size_t j = bitrev_[i];
+        if (i > j)
+            continue;
+        const u64 ai = reduce_once(reduce_once(a[i], two_q), q);
+        a[i] = reduce_once(reduce_once(a[j], two_q), q);
+        a[j] = ai;
+    }
 }
 
+/// Bit-reversal, then Gentleman–Sande butterflies over ψ^-bitrev(i)
+/// with values in [0, 2q); n⁻¹ rides in the last stage's constants.
 void
 NttTables::inverse(u64 *a) const
 {
     obs::Span span("ntt_r2_inv", obs::cat::ntt);
-    const u64 qv = q_.value();
-    inverse_cyclic_unscaled(a);
-    const u64 ninv_shoup = shoup_precompute(n_inv_, qv);
-    parallel_for(
-        0, n_,
-        [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i) {
-                u64 x = mul_shoup(a[i], n_inv_, ninv_shoup, qv);
-                a[i] = mul_shoup(x, psi_inv_pow_[i], psi_inv_pow_shoup_[i],
-                                 qv);
+    const u64 q = q_.value();
+    const u64 two_q = 2 * q;
+    for (size_t i = 0; i < n_; ++i) {
+        const size_t j = bitrev_[i];
+        if (i < j)
+            std::swap(a[i], a[j]);
+    }
+    for (size_t h = n_ >> 1, t = 1; h > 1; h >>= 1, t <<= 1) {
+        for (size_t i = 0; i < h; ++i) {
+            const u64 w = psi_inv_rev_[h + i];
+            const u64 ws = psi_inv_rev_shoup_[h + i];
+            u64 *x = a + 2 * i * t;
+            u64 *y = x + t;
+            for (size_t j = 0; j < t; ++j) {
+                const u64 u = x[j];
+                const u64 v = y[j];
+                x[j] = reduce_once(u + v, two_q);
+                y[j] = mul_shoup_lazy(u - v + two_q, w, ws, q);
             }
-        },
-        4096);
+        }
+    }
+    // The last stage (none at n = 1) reduces to [0, q).
+    const size_t half = n_ >> 1;
+    for (size_t j = 0; j < half; ++j) {
+        const u64 u = a[j];
+        const u64 v = a[j + half];
+        a[j] = reduce_once(mul_shoup_lazy(u + v, n_inv_, n_inv_shoup_, q), q);
+        a[j + half] = reduce_once(
+            mul_shoup_lazy(u - v + two_q, n_inv_w_, n_inv_w_shoup_, q), q);
+    }
+}
+
+void
+NttTables::twist(u64 *v, size_t rows, size_t len, size_t s,
+                 bool inverse) const
+{
+    const u64 *w = (inverse ? psi_inv_pow_ : psi_pow_).data();
+    const u64 *ws = (inverse ? psi_inv_pow_shoup_ : psi_pow_shoup_).data();
+    const u64 q = q_.value();
+    const size_t n = n_;
+    for (size_t row = 0; row < rows; ++row, v += len) {
+        // ω^{ks} = ψ^{2ks}; past the half turn it is q − ψ^{2ks−n},
+        // whose Shoup constant is ~shoup(ψ^{2ks−n}).
+        size_t k = 0, i = 0;
+        for (; k < len && i < n; ++k, i += 2 * s)
+            v[k] = mul_shoup(v[k], w[i], ws[i], q);
+        for (i -= n; k < len; ++k, i += 2 * s)
+            v[k] = mul_shoup(v[k], q - w[i], ~ws[i], q);
+    }
 }
 
 std::vector<u64>

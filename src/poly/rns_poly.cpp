@@ -128,41 +128,49 @@ NttTableSet::for_modulus(const Modulus &q) const
         if (t.modulus().value() == q.value())
             return t;
     }
-    NEO_ASSERT(false, "no NTT tables for modulus");
+    NEO_CHECK(false, "no NTT tables for modulus");
     return tables_.front();
 }
 
+namespace {
+
+/// Transform every limb of @p p into form @p to. Each limb's tables
+/// are resolved on the caller's thread first: a limb the set cannot
+/// transform is rejected there, since a pool body must not throw.
 void
-NttTableSet::to_eval(RnsPoly &p) const
+transform_limbs(const NttTableSet &set, RnsPoly &p, PolyForm to)
 {
-    if (p.form() == PolyForm::eval)
+    if (p.form() == to)
         return;
-    // Per-limb batch NTT: limbs are independent transforms over
-    // disjoint storage.
+    std::vector<const NttTables *> tables(p.limbs());
+    for (size_t i = 0; i < p.limbs(); ++i) {
+        tables[i] = &set.for_modulus(p.modulus(i));
+        NEO_CHECK(tables[i]->n() == p.n(), "NTT tables for another degree");
+    }
+    const auto fn =
+        to == PolyForm::eval ? &NttTables::forward : &NttTables::inverse;
     parallel_for(
         0, p.limbs(),
         [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i)
-                for_modulus(p.modulus(i)).forward(p.limb(i));
+                (tables[i]->*fn)(p.limb(i));
         },
         1);
-    p.set_form(PolyForm::eval);
+    p.set_form(to);
+}
+
+} // namespace
+
+void
+NttTableSet::to_eval(RnsPoly &p) const
+{
+    transform_limbs(*this, p, PolyForm::eval);
 }
 
 void
 NttTableSet::to_coeff(RnsPoly &p) const
 {
-    if (p.form() == PolyForm::coeff)
-        return;
-    // Per-limb batch INTT, same disjointness as to_eval.
-    parallel_for(
-        0, p.limbs(),
-        [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i)
-                for_modulus(p.modulus(i)).inverse(p.limb(i));
-        },
-        1);
-    p.set_form(PolyForm::coeff);
+    transform_limbs(*this, p, PolyForm::coeff);
 }
 
 void

@@ -82,7 +82,7 @@ class NttTableSet
     /// Tables for the chain's i-th modulus.
     const NttTables &operator[](size_t i) const { return tables_[i]; }
 
-    /// Find tables by modulus value (must exist).
+    /// Find tables by modulus value; rejects a modulus outside the set.
     const NttTables &for_modulus(const Modulus &q) const;
 
     /// Transform every limb of @p p to eval form (no-op if already).

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "ckks/encryptor.h"
+#include "ckks/evaluator.h"
 #include "ckks/keygen.h"
 #include "ckks/keyswitch.h"
 #include "common/random.h"
@@ -151,25 +153,71 @@ TEST(ParallelDeterminism, Fp64GemmBitIdenticalAcrossThreadCounts)
     use_threads(1);
 }
 
+std::vector<u64>
+words(const RnsPoly &p)
+{
+    return std::vector<u64>(p.data(), p.data() + p.limbs() * p.n());
+}
+
 TEST(ParallelDeterminism, BatchNttBitIdenticalAcrossThreadCounts)
 {
+    // NttTableSet fans a poly's limbs out over the pool; each limb is
+    // one serial NttTables transform.
     const size_t n = 1 << 13;
-    Modulus q(generate_ntt_primes(48, 1, n)[0]);
-    NttTables tables(n, q);
+    const auto primes = generate_ntt_primes(48, 5, n);
+    const std::vector<Modulus> mods(primes.begin(), primes.end());
+    const NttTableSet set(n, mods);
+    RnsPoly input(n, mods);
     Rng rng(12);
-    auto input = rng.uniform_vec(n, q.value());
+    for (size_t i = 0; i < mods.size(); ++i) {
+        const auto limb = rng.uniform_vec(n, mods[i].value());
+        std::copy(limb.begin(), limb.end(), input.limb(i));
+    }
 
-    use_threads(1);
-    auto ref = input;
-    tables.forward(ref.data());
+    RnsPoly ref = input;
+    for (size_t i = 0; i < mods.size(); ++i)
+        set[i].forward(ref.limb(i));
 
     for (size_t tc : kThreadCounts) {
         use_threads(tc);
-        auto got = input;
-        tables.forward(got.data());
-        EXPECT_EQ(got, ref) << "threads=" << tc;
-        tables.inverse(got.data());
-        EXPECT_EQ(got, input) << "roundtrip threads=" << tc;
+        RnsPoly got = input;
+        set.to_eval(got);
+        EXPECT_EQ(words(got), words(ref)) << "threads=" << tc;
+        set.to_coeff(got);
+        EXPECT_EQ(words(got), words(input)) << "roundtrip threads=" << tc;
+    }
+    use_threads(1);
+}
+
+TEST(NttTableSet, RejectsForeignModulusAtAnyThreadCount)
+{
+    // A limb whose modulus has no tables in the set, or whose ring
+    // degree differs from the tables', is user misuse. It is rejected
+    // on the caller's thread, before the limb fan-out: a pool body
+    // must not throw.
+    const CkksParams params = CkksParams::test_params(256, 3, 2);
+    const CkksContext ctx(params);
+    CkksParams wide = params;
+    wide.word_size = 40;
+    const CkksContext other(wide);
+    KeyGenerator keygen(other, 3);
+    const SecretKey sk = keygen.secret_key();
+    Encryptor enc(other, 4);
+    const Ciphertext ct = enc.encrypt_symmetric(
+        other.encode(std::vector<Complex>(4, Complex(0.5, 0)), 3), sk,
+        keygen);
+    const RnsPoly t_poly(ctx.n(), ctx.t_basis().mods(), PolyForm::coeff);
+    const RnsPoly half_ring(ctx.n() / 2, ctx.active_mods(3), PolyForm::coeff);
+    const Evaluator eval(ctx);
+
+    for (size_t tc : {1u, 4u}) {
+        use_threads(tc);
+        SCOPED_TRACE(::testing::Message() << "threads=" << tc);
+        RnsPoly p = t_poly;
+        EXPECT_THROW(ctx.tables().to_eval(p), std::invalid_argument);
+        p = half_ring;
+        EXPECT_THROW(ctx.tables().to_eval(p), std::invalid_argument);
+        EXPECT_THROW(eval.rescale(ct), std::invalid_argument);
     }
     use_threads(1);
 }

@@ -30,6 +30,62 @@ TEST(Ntt, RoundTrip)
     }
 }
 
+/// X[k] = Σ_i a_i·ψ^{(2k+1)·i} mod q, straight from the definition.
+std::vector<u64>
+ntt_by_definition(const std::vector<u64> &a, const NttTables &t)
+{
+    const Modulus &q = t.modulus();
+    const size_t n = a.size();
+    const u64 psi_sq = q.mul(t.psi(), t.psi());
+    std::vector<u64> out(n);
+    u64 root = t.psi(); // ψ^{2k+1}
+    for (size_t k = 0; k < n; ++k) {
+        u64 acc = 0, pw = 1;
+        for (size_t i = 0; i < n; ++i) {
+            acc = q.add(acc, q.mul(a[i], pw));
+            pw = q.mul(pw, root);
+        }
+        out[k] = acc;
+        root = q.mul(root, psi_sq);
+    }
+    return out;
+}
+
+TEST(Ntt, ForwardMatchesDefinitionAtEverySizeAndWidth)
+{
+    for (int bits : {20, 36, 48, 60, 62}) {
+        for (size_t n = 1; n <= 1024; n <<= 1) {
+            SCOPED_TRACE(::testing::Message() << "bits=" << bits
+                                              << " n=" << n);
+            const Modulus q = test_modulus(n, bits);
+            const NttTables t(n, q);
+            ASSERT_EQ(q.pow(t.psi(), n), q.value() - 1); // ψ^n = −1
+            Rng rng(bits * 4096 + n);
+            // All-(q−1) drives every lazy butterfly to its range edge.
+            for (const auto &a : {rng.uniform_vec(n, q.value()),
+                                  std::vector<u64>(n, q.value() - 1)}) {
+                auto x = a;
+                t.forward(x.data());
+                ASSERT_EQ(x, ntt_by_definition(a, t));
+                t.inverse(x.data());
+                ASSERT_EQ(x, a);
+            }
+        }
+    }
+}
+
+TEST(Ntt, RejectsModulusAtOrAbove2To62)
+{
+    // Lazy butterflies hold values below 4q, so q must stay below 2^62.
+    const size_t n = 16;
+    u64 p = ((1ULL << 63) - 1) / (2 * n) * (2 * n) + 1;
+    while (!is_prime(p))
+        p -= 2 * n;
+    ASSERT_GE(p, 1ULL << 62);
+    EXPECT_THROW(NttTables(n, Modulus(p)), std::invalid_argument);
+    EXPECT_NO_THROW(NttTables(n, test_modulus(n, 62)));
+}
+
 TEST(Ntt, PointwiseProductMatchesNegacyclicConvolution)
 {
     const size_t n = 128;
