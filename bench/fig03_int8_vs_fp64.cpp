@@ -116,7 +116,8 @@ main(int argc, char **argv)
         std::vector<double> samples(opts.repeat);
         for (auto &s : samples) {
             const auto t0 = std::chrono::steady_clock::now();
-            fp64_sliced_matmul(a.data(), b.data(), c.data(), em, n, k, q);
+            gemm(EngineId::fp64_tcu, a.data(), b.data(), c.data(),
+                 {1, em, n, k}, ModulusMap::of(q));
             s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

@@ -54,10 +54,11 @@ BM_NttRadix16Matrix(benchmark::State &state)
     Modulus q(generate_ntt_primes(36, 1, n)[0]);
     NttTables t(n, q);
     MatrixNtt mntt(t, 16);
+    const auto &scalar = EngineRegistry::engines(EngineId::scalar);
     Rng rng(2);
     auto a = rng.uniform_vec(n, q.value());
     for (auto _ : state) {
-        mntt.forward(a.data());
+        mntt.forward(a.data(), scalar.same_mod);
         benchmark::DoNotOptimize(a.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -74,7 +75,8 @@ BM_ScalarGemm(benchmark::State &state)
     auto b = rng.uniform_vec(k * n, q.value());
     std::vector<u64> c(m * n);
     for (auto _ : state) {
-        scalar_mod_matmul(a.data(), b.data(), c.data(), m, n, k, q);
+        gemm(EngineId::scalar, a.data(), b.data(), c.data(), {1, m, n, k},
+             ModulusMap::of(q));
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * m * n * k);
@@ -91,7 +93,8 @@ BM_Fp64SlicedGemm(benchmark::State &state)
     auto b = rng.uniform_vec(k * n, q.value());
     std::vector<u64> c(m * n);
     for (auto _ : state) {
-        fp64_sliced_matmul(a.data(), b.data(), c.data(), m, n, k, q);
+        gemm(EngineId::fp64_tcu, a.data(), b.data(), c.data(), {1, m, n, k},
+             ModulusMap::of(q));
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * m * n * k);
@@ -133,8 +136,9 @@ BM_BConvMatmul(benchmark::State &state)
         for (size_t x = 0; x < batch * n; ++x)
             in[i * batch * n + x] = rng.uniform(p1[i]);
     std::vector<u64> out(8 * batch * n);
+    const auto &scalar = EngineRegistry::engines(EngineId::scalar);
     for (auto _ : state) {
-        kernel.run_matmul(in.data(), batch, n, out.data());
+        kernel.run_matmul(in.data(), batch, n, out.data(), scalar.per_column);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -212,7 +216,8 @@ BM_TcuGemmThreads(benchmark::State &state)
     auto b = rng.uniform_vec(k * n, q.value());
     std::vector<u64> c(m * n);
     for (auto _ : state) {
-        fp64_sliced_matmul(a.data(), b.data(), c.data(), m, n, k, q);
+        gemm(EngineId::fp64_tcu, a.data(), b.data(), c.data(), {1, m, n, k},
+             ModulusMap::of(q));
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * m * n * k);
@@ -238,8 +243,10 @@ BM_BConvMatmulThreads(benchmark::State &state)
         for (size_t x = 0; x < n; ++x)
             in[i * n + x] = rng.uniform(p1[i]);
     std::vector<u64> out(8 * n);
+    const auto &scalar = EngineRegistry::engines(EngineId::scalar);
     for (auto _ : state) {
-        kernel.run_matmul_exact(in.data(), 1, n, out.data());
+        kernel.run_matmul_exact(in.data(), 1, n, out.data(),
+                                scalar.per_column);
         benchmark::DoNotOptimize(out.data());
     }
     state.counters["threads"] = static_cast<double>(threads);

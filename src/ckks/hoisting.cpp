@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckks/ks_precomp.h"
 #include "common/check.h"
 
 namespace neo::ckks {
@@ -15,8 +16,9 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
     check_keyswitch_operand(ct.c1, ctx);
     NEO_CHECK(ct.c1.limbs() == level + 1,
               "ciphertext level does not match its limbs");
-    const auto ext_mods = ctx.extended_mods(level);
-    const auto groups = ctx.digit_partition(level);
+    const auto &lv = ctx.precomp().level(level);
+    const auto &ext_mods = lv.extended;
+    const auto &groups = lv.groups;
 
     // Every step's key is checked before any of them is read.
     std::vector<std::pair<u64, const EvalKey *>> keys;
@@ -36,20 +38,11 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
     ctx.tables().to_coeff(d2c);
     std::vector<RnsPoly> raised;
     raised.reserve(groups.size());
-    for (const auto &g : groups) {
-        std::vector<u64> digit_primes;
-        for (size_t t = g.first; t < g.first + g.count; ++t)
-            digit_primes.push_back(ctx.q_basis()[t].value());
-        RnsBasis digit_basis(digit_primes);
-        std::vector<u64> other_primes;
-        for (size_t t = 0; t < ext_mods.size(); ++t) {
-            if (t < g.first || t >= g.first + g.count)
-                other_primes.push_back(ext_mods[t].value());
-        }
-        RnsBasis other_basis(other_primes);
-        BaseConverter conv(digit_basis, other_basis);
-        std::vector<u64> converted(other_primes.size() * n);
-        conv.convert_approx(d2c.limb(g.first), n, converted.data());
+    for (size_t j = 0; j < groups.size(); ++j) {
+        const auto &g = groups[j];
+        std::vector<u64> converted((ext_mods.size() - g.count) * n);
+        lv.digits[j].to_other->convert_approx(d2c.limb(g.first), n,
+                                              converted.data());
 
         RnsPoly up(n, ext_mods, PolyForm::coeff);
         size_t src = 0;
@@ -71,32 +64,13 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
     for (const auto &[g, key] : keys) {
-        const EvalKey &evk = *key;
+        const auto &slices = key_level_slices(*key, level, ctx);
         RnsPoly acc0(n, ext_mods, PolyForm::eval);
         RnsPoly acc1(n, ext_mods, PolyForm::eval);
         for (size_t j = 0; j < groups.size(); ++j) {
             RnsPoly up_rot = automorphism(raised[j], g);
-            // Slice the key to the active primes.
-            RnsPoly kb(n, ext_mods, PolyForm::eval);
-            RnsPoly ka(n, ext_mods, PolyForm::eval);
-            const size_t k_special = ext_mods.size() - (level + 1);
-            for (size_t i = 0; i <= level; ++i) {
-                std::copy(evk.parts[j][0].limb(i),
-                          evk.parts[j][0].limb(i) + n, kb.limb(i));
-                std::copy(evk.parts[j][1].limb(i),
-                          evk.parts[j][1].limb(i) + n, ka.limb(i));
-            }
-            for (size_t k = 0; k < k_special; ++k) {
-                const size_t full = ctx.max_level() + 1 + k;
-                std::copy(evk.parts[j][0].limb(full),
-                          evk.parts[j][0].limb(full) + n,
-                          kb.limb(level + 1 + k));
-                std::copy(evk.parts[j][1].limb(full),
-                          evk.parts[j][1].limb(full) + n,
-                          ka.limb(level + 1 + k));
-            }
-            acc0.add_product(up_rot, kb);
-            acc1.add_product(up_rot, ka);
+            acc0.add_product(up_rot, slices.parts[j][0]);
+            acc1.add_product(up_rot, slices.parts[j][1]);
         }
         ctx.tables().to_coeff(acc0);
         ctx.tables().to_coeff(acc1);

@@ -175,6 +175,23 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
     return out;
 }
 
+const EvalKey::LevelSlices &
+key_level_slices(const EvalKey &evk, size_t level, const CkksContext &ctx)
+{
+    const auto &lv = ctx.precomp().level(level);
+    return evk.level_slices().get(level, [&] {
+        EvalKey::LevelSlices s;
+        s.parts.reserve(lv.groups.size());
+        for (size_t j = 0; j < lv.groups.size(); ++j)
+            s.parts.push_back(
+                {slice_key_part(evk.parts[j][0], level, ctx.max_level(),
+                                lv.extended),
+                 slice_key_part(evk.parts[j][1], level, ctx.max_level(),
+                                lv.extended)});
+        return s;
+    });
+}
+
 std::pair<RnsPoly, RnsPoly>
 keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
                  const CkksContext &ctx)
@@ -191,18 +208,7 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
     NEO_CHECK(groups.size() <= evk.digit_count(),
               "evaluation key has too few digits");
 
-    // Level-restricted key parts, sliced once per (key, level).
-    const auto &slices = evk.level_slices().get(level, [&] {
-        EvalKey::LevelSlices s;
-        s.parts.reserve(groups.size());
-        for (size_t j = 0; j < groups.size(); ++j)
-            s.parts.push_back(
-                {slice_key_part(evk.parts[j][0], level, ctx.max_level(),
-                                ext_mods),
-                 slice_key_part(evk.parts[j][1], level, ctx.max_level(),
-                                ext_mods)});
-        return s;
-    });
+    const auto &slices = key_level_slices(evk, level, ctx);
 
     RnsPoly d2c = d2;
     ctx.tables().to_coeff(d2c);

@@ -1,8 +1,7 @@
 #include "neo/engine.h"
 
+#include <iterator>
 #include <stdexcept>
-
-#include "neo/pipeline.h"
 
 namespace neo {
 
@@ -62,22 +61,40 @@ EngineRegistry::help_list(std::string_view sep)
     return out;
 }
 
+namespace {
+
+/// Engine @p id's three adapters, each one gemm(id, …) call under its
+/// modulus map.
+PipelineEngines
+adapters(EngineId id)
+{
+    return {[id](const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+                 size_t k, const Modulus &q) {
+                gemm(id, a, b, c, {1, m, n, k}, ModulusMap::of(q));
+            },
+            [id](const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+                 size_t k, const std::vector<Modulus> &mods) {
+                gemm(id, a, b, c, {1, m, n, k}, ModulusMap::columns(mods));
+            },
+            [id](const u64 *a, const u64 *b, u64 *c, size_t sites, size_t m,
+                 size_t n, size_t k, const std::vector<Modulus> &mods) {
+                gemm(id, a, b, c, {sites, m, n, k}, ModulusMap::sites(mods));
+            }};
+}
+
+} // namespace
+
 const PipelineEngines &
 EngineRegistry::engines(EngineId id)
 {
-    // Immutable after construction; magic statics make the
-    // initialization race-free. neo-lint: allow(thread-unsafe-static)
-    static const PipelineEngines fp64 = PipelineEngines::fp64_tcu();
-    // neo-lint: allow(thread-unsafe-static)
-    static const PipelineEngines sc = PipelineEngines::scalar();
-    // neo-lint: allow(thread-unsafe-static)
-    static const PipelineEngines i8 = PipelineEngines::int8_tcu();
-    switch (id) {
-      case EngineId::fp64_tcu: return fp64;
-      case EngineId::scalar: return sc;
-      case EngineId::int8_tcu: return i8;
-    }
-    throw std::invalid_argument("invalid EngineId");
+    // Indexed by EngineId, whose values are the canonical order.
+    static const PipelineEngines all[] = {adapters(EngineId::fp64_tcu),
+                                          adapters(EngineId::scalar),
+                                          adapters(EngineId::int8_tcu)};
+    const auto at = static_cast<size_t>(id);
+    if (at >= std::size(all))
+        throw std::invalid_argument("invalid EngineId");
+    return all[at];
 }
 
 } // namespace neo

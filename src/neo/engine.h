@@ -1,13 +1,14 @@
 /**
  * @file
- * Typed GEMM-engine identities and the registry that is the single
- * source of truth for their names.
+ * The registry of the GEMM engines: their names, and the kernels' GEMM
+ * adapters for each.
  *
  * Every layer that used to hand-maintain the engine name list
  * (neo-prof's --engine help text, the bench CLIs, test config tables)
  * resolves through EngineRegistry instead, so adding an engine is a
  * one-file change and the CLI help, parse errors and tuning-table
- * serialization can never drift apart.
+ * serialization can never drift apart. EngineId itself lives with the
+ * engines, in tensor/gemm.h.
  */
 #pragma once
 
@@ -16,21 +17,21 @@
 #include <string_view>
 #include <vector>
 
+#include "neo/kernels.h"
+#include "poly/mat_mul.h"
+#include "tensor/gemm.h"
+
 namespace neo {
 
-struct PipelineEngines;
-
 /**
- * One bit-exact GEMM engine: the pipe a kernel's GEMM runs on, in the
- * functional pipeline and in the cost model alike (scalar is the
- * CUDA-core path). The numeric order is the registry's canonical
- * (and serialization) order; it doubles as the deterministic
- * tie-break when the tuner scores two engines equal.
+ * One engine's GEMM adapters, one per operand shape the kernels issue:
+ * each wraps gemm(id, …) with its modulus map.
  */
-enum class EngineId {
-    fp64_tcu = 0, ///< emulated FP64 tensor core (bit-sliced doubles)
-    scalar = 1,   ///< scalar modular arithmetic (CUDA-core analogue)
-    int8_tcu = 2, ///< emulated INT8 tensor core
+struct PipelineEngines
+{
+    ModMatMulFn same_mod;      ///< NTT GEMMs (one modulus)
+    ModColMatMulFn per_column; ///< BConv GEMMs (a modulus per column)
+    ModSiteMatMulFn per_site;  ///< batched IP GEMM (a modulus per site)
 };
 
 /** Name/identity registry for the GEMM engines. */
@@ -55,7 +56,8 @@ class EngineRegistry
     /// " | "-joined name list for CLI help text.
     static std::string help_list(std::string_view sep = " | ");
 
-    /// The functional GEMM bundle (shared immutable instance).
+    /// Engine @p id's GEMM adapters, built once (shared immutable
+    /// instance).
     static const PipelineEngines &engines(EngineId id);
 };
 

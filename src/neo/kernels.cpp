@@ -49,17 +49,6 @@ note_ip(size_t beta, size_t beta_tilde, size_t ap, size_t batch, size_t n)
 
 } // namespace
 
-BConvKernel::BConvKernel(const RnsBasis &from, const RnsBasis &to)
-    : conv_(from, to)
-{
-    const size_t a = from.size();
-    const size_t ap = to.size();
-    factor_matrix_.resize(a * ap);
-    for (size_t i = 0; i < a; ++i)
-        for (size_t j = 0; j < ap; ++j)
-            factor_matrix_[i * ap + j] = conv_.factor(i, j);
-}
-
 void
 BConvKernel::run_elementwise(const u64 *in, size_t batch, size_t n,
                              u64 *out) const
@@ -78,7 +67,7 @@ BConvKernel::run_elementwise(const u64 *in, size_t batch, size_t n,
             for (size_t i = 0; i < a; ++i) {
                 const Modulus &bi = conv_.from()[i];
                 const u64 inv = conv_.from().punc_inv(i);
-                const u64 f = factor_matrix_[i * ap + j];
+                const u64 f = conv_.factor(i, j);
                 const u64 *src = in + (i * batch + b) * n;
                 for (size_t l = 0; l < n; ++l) {
                     u64 scaled = bi.mul(src[l], inv);
@@ -165,7 +154,7 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
     // Step 2: one (N·BS) × α' × α GEMM against the factor matrix,
     // reduced per output column's modulus.
     u64 *prod = frame.alloc<u64>(n * batch * ap);
-    mm(reordered, factor_matrix_.data(), prod, n * batch, ap, a,
+    mm(reordered, conv_.factor_matrix().data(), prod, n * batch, ap, a,
        conv_.to().mods());
 
     // Exact epilogue: subtract r·B mod t_j per row (rank-1 update);

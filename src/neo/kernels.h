@@ -10,18 +10,42 @@
  *    layout reorder to put the reduction axis innermost (Fig 6 / 8),
  *    one GEMM per coefficient site, and the inverse reorder.
  *
- * The matrix forms take a pluggable GEMM so the same code runs on the
- * scalar reference, the FP64-TCU emulation or the INT8-TCU emulation;
- * tests require identical outputs on all paths.
+ * The matrix forms take their GEMM as an argument — one of the seams
+ * below, which neo::EngineRegistry::engines(id) builds over gemm(id, …)
+ * (tensor/gemm.h) — so every caller names the engine it runs on: the
+ * scalar reference, the FP64-TCU emulation or the INT8-TCU emulation.
+ * Tests require identical outputs on all engines.
  */
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "rns/base_convert.h"
-#include "tensor/gemm.h"
 
 namespace neo {
+
+/**
+ * BConv's GEMM seam (Algorithm 2): C = A·B, column j of C reduced
+ * modulo col_mods[j]. A is M×K in the source basis, B is K×N.
+ */
+using ModColMatMulFn =
+    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
+                       size_t n, size_t k,
+                       const std::vector<Modulus> &col_mods)>;
+
+/**
+ * The IP's GEMM seam (Algorithm 4): `sites` independent M×N×K modular
+ * matmuls laid out contiguously — A is sites×M×K, B is sites×K×N, C
+ * is sites×M×N — where site s reduces modulo mods[s % mods.size()].
+ * One call covers every site, so the engine's per-call costs are paid
+ * once per inner product, and it is counted as one GEMM of shape
+ * (sites·M)×N×K.
+ */
+using ModSiteMatMulFn =
+    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t sites,
+                       size_t m, size_t n, size_t k,
+                       const std::vector<Modulus> &mods)>;
 
 /**
  * BConv of a batch of polynomials (Algorithms 1 and 2).
@@ -31,7 +55,7 @@ namespace neo {
 class BConvKernel
 {
   public:
-    BConvKernel(const RnsBasis &from, const RnsBasis &to);
+    BConvKernel(const RnsBasis &from, const RnsBasis &to) : conv_(from, to) {}
 
     size_t in_levels() const { return conv_.from().size(); }
     size_t out_levels() const { return conv_.to().size(); }
@@ -40,9 +64,9 @@ class BConvKernel
     void run_elementwise(const u64 *in, size_t batch, size_t n,
                          u64 *out) const;
 
-    /// Algorithm 2: pre-scale, reorder, GEMM, reorder back.
+    /// Algorithm 2: pre-scale, reorder, GEMM on @p mm, reorder back.
     void run_matmul(const u64 *in, size_t batch, size_t n, u64 *out,
-                    const ModColMatMulFn &mm = scalar_col_matmul()) const;
+                    const ModColMatMulFn &mm) const;
 
     /**
      * Exact (centered) variant of the matrix form, as KLSS Mod Up and
@@ -53,8 +77,7 @@ class BConvKernel
      * BaseConverter::convert_exact.
      */
     void run_matmul_exact(const u64 *in, size_t batch, size_t n, u64 *out,
-                          const ModColMatMulFn &mm =
-                              scalar_col_matmul()) const;
+                          const ModColMatMulFn &mm) const;
 
     const BaseConverter &converter() const { return conv_; }
 
@@ -63,7 +86,6 @@ class BConvKernel
                        const ModColMatMulFn &mm, bool exact) const;
 
     BaseConverter conv_;
-    std::vector<u64> factor_matrix_; // α × α': (B/b_i) mod t_j
 };
 
 /**
@@ -89,8 +111,7 @@ class IpKernel
      * engine's per-call fixed costs across the whole inner product.
      */
     void run_matmul(const u64 *limbs, const u64 *keys, size_t batch,
-                    size_t n, u64 *out,
-                    const ModSiteMatMulFn &mm = scalar_site_matmul()) const;
+                    size_t n, u64 *out, const ModSiteMatMulFn &mm) const;
 
     /**
      * Algorithm 4 with the key tensor already in the Fig 8 layout
@@ -100,8 +121,7 @@ class IpKernel
      */
     void run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
                               size_t batch, size_t n, u64 *out,
-                              const ModSiteMatMulFn &mm =
-                                  scalar_site_matmul()) const;
+                              const ModSiteMatMulFn &mm) const;
 
   private:
     void matmul_impl(const u64 *limbs, const u64 *keys_r, size_t batch,

@@ -29,35 +29,8 @@
 #include "ckks/keyswitch.h"
 #include "neo/exec_policy.h"
 #include "neo/kernel_model.h"
-#include "poly/mat_mul.h"
-#include "tensor/gemm.h"
 
 namespace neo {
-
-/** Which GEMM implementation drives the pipeline's matrix stages. */
-struct PipelineEngines
-{
-    ModMatMulFn same_mod = default_mat_mul();        ///< NTT GEMMs
-    ModColMatMulFn per_column = scalar_col_matmul(); ///< BConv GEMMs
-    ModSiteMatMulFn per_site = scalar_site_matmul(); ///< batched IP GEMM
-
-    /// Everything through the emulated FP64 tensor core.
-    static PipelineEngines fp64_tcu()
-    {
-        return {fp64_tcu_matmul(), fp64_tcu_col_matmul(),
-                fp64_tcu_site_matmul()};
-    }
-
-    /// Scalar (CUDA-core analogue) reference engines.
-    static PipelineEngines scalar() { return {}; }
-
-    /// Everything through the emulated INT8 tensor core.
-    static PipelineEngines int8_tcu()
-    {
-        return {int8_tcu_matmul(), int8_tcu_col_matmul(),
-                int8_tcu_site_matmul()};
-    }
-};
 
 /**
  * KLSS key switch of @p d2 through the Neo kernel pipeline under

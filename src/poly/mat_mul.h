@@ -1,14 +1,13 @@
 /**
  * @file
- * Modular matrix-multiplication interface.
+ * The modular matrix-multiplication seam of the matrix NTT.
  *
- * Every kernel the paper maps onto the Tensor Core (NTT stages, BConv,
- * IP) funnels its matrix products through this signature, so the
- * backend can be swapped between:
- *   - the scalar reference (CUDA-core analogue),
- *   - the FP64 bit-sliced emulation of the TCU datapath (tensor/),
- *   - the INT8 bit-sliced emulation.
- * All backends must be bit-exact; tests enforce it.
+ * MatrixNtt funnels every stage's matrix product through this
+ * signature, so the stage runs on whichever engine the caller names:
+ * neo::EngineRegistry::engines(id).same_mod wraps gemm(id, …) from
+ * tensor/gemm.h for the scalar reference, the FP64 bit-sliced
+ * emulation of the TCU datapath or the INT8 one. All engines are
+ * bit-exact; tests enforce it.
  */
 #pragma once
 
@@ -26,12 +25,5 @@ namespace neo {
 using ModMatMulFn =
     std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
                        size_t n, size_t k, const Modulus &q)>;
-
-/// Reference triple-loop implementation with 128-bit accumulation.
-void scalar_mod_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
-                       size_t n, size_t k, const Modulus &q);
-
-/// The default ModMatMulFn wrapping scalar_mod_matmul.
-const ModMatMulFn &default_mat_mul();
 
 } // namespace neo

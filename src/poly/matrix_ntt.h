@@ -17,8 +17,8 @@
  * radix = n1 = √n  reproduces the classic four-step NTT; radix = 16
  * reproduces SHARP/Neo's radix-16 NTT, whose matrix products are all
  * 16×16 — the shape that maps onto TCU fragments (Fig 10). All matrix
- * products go through a ModMatMulFn so the TCU emulation can be
- * substituted.
+ * products go through the ModMatMulFn the caller passes, so every
+ * transform names the GEMM engine it runs on.
  *
  * Execution is batched per stage, as on the GPU: every recursion level
  * gathers the n1×n2 matrices of all its rows side by side into one
@@ -55,15 +55,14 @@ class MatrixNtt
      * top-level transpose-gather (one streaming pass less — the GPU
      * mapping's "twiddle-scale into NTT prologue" fusion). The fused
      * and unfused paths apply the same mul_mod to every element in
-     * the same per-element order, so outputs are bit-identical.
+     * the same per-element order, so outputs are bit-identical. Every
+     * stage's matrix product runs through @p mm.
      */
-    void forward(u64 *a, const ModMatMulFn &mm = default_mat_mul(),
-                 bool fuse = false) const;
+    void forward(u64 *a, const ModMatMulFn &mm, bool fuse = false) const;
 
     /// Inverse negacyclic NTT. With @p fuse set, the n⁻¹·ψ⁻¹ scaling
     /// pass is folded into the top-level writeback (bit-identical).
-    void inverse(u64 *a, const ModMatMulFn &mm = default_mat_mul(),
-                 bool fuse = false) const;
+    void inverse(u64 *a, const ModMatMulFn &mm, bool fuse = false) const;
 
     /** Work counts for the performance model. */
     struct Complexity

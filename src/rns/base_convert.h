@@ -73,6 +73,10 @@ class BaseConverter
         return punc_mod_to_[i * to_.size() + j];
     }
 
+    /// The whole factor table, |from| × |to| row-major: factor(i, j)
+    /// at [i·|to| + j]. Algorithm 2's GEMM B operand.
+    const std::vector<u64> &factor_matrix() const { return punc_mod_to_; }
+
     /// Shoup constant of factor(i, j) modulo t_j.
     u64 factor_shoup(size_t i, size_t j) const
     {

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "obs/obs.h"
+#include "tensor/bitslice.h"
 
 namespace neo {
 
@@ -106,9 +107,9 @@ static_assert(choose_fp64_split(48, 48, 16).products() == 4 &&
 
 namespace {
 
-/// One probe per public GEMM entry point: a timed span plus the call /
-/// flop / shape accounting. Plane sub-GEMMs inside an entry are part
-/// of the same logical modular matmul and are not counted separately.
+/// The call / flop / shape accounting of one gemm() call. Plane
+/// sub-GEMMs inside a call are part of the same logical modular matmul
+/// and are not counted separately.
 void
 note_gemm(size_t m, size_t n, size_t k)
 {
@@ -224,14 +225,6 @@ plane_gemm_block(const T *am, const T *bm, T *prod, size_t rows, size_t cols,
 template <class T>
 using BlockFn = void (*)(const T *, const T *, T *, size_t, size_t, size_t,
                          size_t, size_t, size_t, size_t, bool);
-
-/// `sites` independent m×n×k products laid out contiguously: A is
-/// sites×m×k, B sites×k×n, C sites×m×n. sites is 1 unless the modulus
-/// map is per site.
-struct GemmShape
-{
-    size_t sites, m, n, k;
-};
 
 /**
  * The recombine constants of one modulus q as FP64 lane operands: pair
@@ -582,29 +575,6 @@ choose_split(int wa, int wb, size_t k)
 }
 
 /**
- * Which modulus reduces each output element of a sliced GEMM: one
- * modulus for the whole product, mods[j] for output column j, or
- * mods[s % count] for site s.
- */
-struct ModulusMap
-{
-    enum class Kind { one, per_column, per_site };
-    Kind kind;
-    const Modulus *mods;
-    size_t count;
-
-    static ModulusMap of(const Modulus &q) { return {Kind::one, &q, 1}; }
-    static ModulusMap columns(const std::vector<Modulus> &mods)
-    {
-        return {Kind::per_column, mods.data(), mods.size()};
-    }
-    static ModulusMap sites(const std::vector<Modulus> &mods)
-    {
-        return {Kind::per_site, mods.data(), mods.size()};
-    }
-};
-
-/**
  * How plane-pair products become residues of C: pair p of modulus r
  * carries the weight w[p·count + r] = 2^shift mod q_r. With lane_fn
  * set, the active level's FP64 lanes recombine; otherwise the scalar
@@ -790,27 +760,21 @@ site_range(const u64 *a, const u64 *b, u64 *c, size_t sb, size_t se,
 }
 
 /**
- * The sliced-GEMM core behind all six fp64/int8 engines. It plans the
- * split, derives each plane pair's recombine weight 2^shift mod q for
- * every modulus of the map, then slices, multiplies and recombines.
- * Operands are sliced on every call, as the tensor cores split and
- * merge inside every GEMM (§3.4); nothing about an operand outlives
- * the call. FP64 planes recombine in the active level's lanes whenever
- * fp64_lanes_exact proves them exact for the plan and the map's widest
- * modulus; INT8 planes, the portable level and wider moduli run the
- * scalar Shoup sum.
+ * The sliced-GEMM core of the fp64_tcu and int8_tcu engines. It plans
+ * the split, derives each plane pair's recombine weight 2^shift mod q
+ * for every modulus of the map, then slices, multiplies and
+ * recombines. Operands are sliced on every call, as the tensor cores
+ * split and merge inside every GEMM (§3.4); nothing about an operand
+ * outlives the call. FP64 planes recombine in the active level's lanes
+ * whenever fp64_lanes_exact proves them exact for the plan and the
+ * map's widest modulus; INT8 planes, the portable level and wider
+ * moduli run the scalar Shoup sum.
  */
 template <class Plane>
 void
-sliced_gemm(const char *name, const u64 *a, const u64 *b, u64 *c,
-            const GemmShape &s, const ModulusMap &map)
+sliced_gemm(const u64 *a, const u64 *b, u64 *c, const GemmShape &s,
+            const ModulusMap &map)
 {
-    obs::Span span(name, obs::cat::gemm);
-    note_gemm(s.sites * s.m, s.n, s.k);
-    NEO_CHECK(map.kind != ModulusMap::Kind::per_column || map.count == s.n,
-              "column modulus count mismatch");
-    NEO_CHECK(map.kind != ModulusMap::Kind::per_site || map.count > 0,
-              "site modulus list empty");
     // One-modulus and per-site operands are residues, so the planes are
     // sized to the widest modulus. A per-column A operand is in the
     // BConv source basis, so those planes are sized to the widest word
@@ -884,175 +848,143 @@ sliced_gemm(const char *name, const u64 *a, const u64 *b, u64 *c,
         grain);
 }
 
+/// Columns [j, j + W) of one output row over the K slab [t0, t1): the
+/// slab's products plus the residue the previous slab left in C (none
+/// for the first), reduced modulo qs[(j + jj)·Stride].
+template <size_t W, size_t Stride>
+[[gnu::always_inline]] inline void
+scalar_tile(const u64 *ar, const u64 *bs, u64 *cr, size_t j, size_t n,
+            size_t t0, size_t t1, const Modulus *qs)
+{
+    u128 acc[W];
+    for (size_t jj = 0; jj < W; ++jj)
+        acc[jj] = t0 == 0 ? 0 : cr[j + jj];
+    for (size_t t = t0; t < t1; ++t) {
+        const u128 av = ar[t];
+        for (size_t jj = 0; jj < W; ++jj)
+            acc[jj] += av * bs[t * n + j + jj];
+    }
+    for (size_t jj = 0; jj < W; ++jj)
+        cr[j + jj] = qs[(j + jj) * Stride].reduce128(acc[jj]);
+}
+
+/**
+ * Output rows [rb, re) of the scalar engine over K slabs of @p slab
+ * terms, with a 2-column register tile (wider tiles spill the u128
+ * accumulators around the reduction calls). A row looks its modulus up
+ * once, the map's or its site's; per column (PerColumn), column j reads
+ * mods[j]. Shape and map come by value: the u64 stores into C then
+ * cannot alias the loop bounds.
+ */
+template <bool PerColumn>
+void
+scalar_rows(const u64 *a, const u64 *b, u64 *c, size_t rb, size_t re,
+            GemmShape s, ModulusMap map, size_t slab)
+{
+    const size_t m = s.m, n = s.n, k = s.k;
+    const bool per_site = map.kind == ModulusMap::Kind::per_site;
+    constexpr size_t kStride = PerColumn ? 1 : 0;
+    constexpr size_t kCols = 2;
+    for (size_t t0 = 0; t0 < k; t0 += slab) {
+        const size_t t1 = std::min(k, t0 + slab);
+        size_t site = rb / m, i = rb % m;
+        size_t r_mod = per_site ? site % map.count : 0;
+        for (size_t r = rb; r < re; ++r) {
+            const u64 *ar = a + r * k;
+            const u64 *bs = b + site * k * n;
+            u64 *cr = c + r * n;
+            const Modulus *qs = map.mods + r_mod;
+            size_t j = 0;
+            for (; j + kCols <= n; j += kCols)
+                scalar_tile<kCols, kStride>(ar, bs, cr, j, n, t0, t1, qs);
+            for (; j < n; ++j)
+                scalar_tile<1, kStride>(ar, bs, cr, j, n, t0, t1, qs);
+            if (++i == m) {
+                i = 0;
+                ++site;
+                if (per_site && ++r_mod == map.count)
+                    r_mod = 0;
+            }
+        }
+    }
+}
+
+/**
+ * The scalar engine (the CUDA-core analogue): one u128
+ * multiply-accumulate loop over the sites·m output rows, parallel over
+ * row chunks.
+ *
+ * Products are below 2^(wa+wb) and a residue below 2^63, so a u128
+ * holds 2^(127−wa−wb) products plus one residue. K runs in slabs of
+ * that many terms, each folded into C, which keeps every K exact: a
+ * slab is two terms at 63-bit words and 128 at 60 bits, and every K
+ * the kernels issue fits one slab.
+ */
+void
+scalar_gemm(const u64 *a, const u64 *b, u64 *c, const GemmShape &s,
+            const ModulusMap &map)
+{
+    const bool cols = map.kind == ModulusMap::Kind::per_column;
+    // Residues are below the widest modulus. A per-column A word may be
+    // any u64 (the BConv source basis); B, the small factor table, is
+    // measured.
+    int q_bits = 1;
+    for (size_t r = 0; r < map.count; ++r)
+        q_bits = std::max(q_bits, map.mods[r].bits());
+    const int wa = cols ? 64 : q_bits;
+    const int wb = cols ? operand_bits(b, s.k * s.n) : q_bits;
+    const size_t slab = size_t{1} << std::clamp(127 - wa - wb, 0, 62);
+    parallel_for(
+        0, s.sites * s.m,
+        [&](size_t rb, size_t re) {
+            if (cols)
+                scalar_rows<true>(a, b, c, rb, re, s, map, slab);
+            else
+                scalar_rows<false>(a, b, c, rb, re, s, map, slab);
+        },
+        row_grain(s.sites * s.m, s.n, s.k));
+}
+
 } // namespace
 
 void
-fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
-                   size_t k, const Modulus &q)
+gemm(EngineId engine, const u64 *a, const u64 *b, u64 *c,
+     const GemmShape &shape, const ModulusMap &moduli)
 {
-    sliced_gemm<double>("fp64_gemm", a, b, c, {1, m, n, k}, ModulusMap::of(q));
-}
-
-void
-int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
-                   size_t k, const Modulus &q)
-{
-    sliced_gemm<i32>("int8_gemm", a, b, c, {1, m, n, k}, ModulusMap::of(q));
-}
-
-void
-scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
-                   size_t k, const std::vector<Modulus> &col_mods)
-{
-    obs::Span span("scalar_gemm_cols", obs::cat::gemm);
-    note_gemm(m, n, k);
-    NEO_CHECK(col_mods.size() == n, "column modulus count mismatch");
-    // Exact integer accumulation: operands are < 2^63 and K is small
-    // (gadget dimensions), so the u128 accumulator cannot overflow for
-    // K ≤ 64 at 60-bit words.
-    NEO_CHECK(k <= 64, "K too large for exact u128 accumulation");
-    parallel_for(
-        0, m,
-        [&](size_t rb, size_t re) {
-            for (size_t i = rb; i < re; ++i) {
-                for (size_t j = 0; j < n; ++j) {
-                    u128 acc = 0;
-                    for (size_t t = 0; t < k; ++t)
-                        acc += static_cast<u128>(a[i * k + t]) *
-                               b[t * n + j];
-                    c[i * n + j] = col_mods[j].reduce128(acc);
-                }
-            }
-        },
-        row_grain(m, n, k));
-}
-
-void
-fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k,
-                        const std::vector<Modulus> &col_mods)
-{
-    sliced_gemm<double>("fp64_gemm_cols", a, b, c, {1, m, n, k},
-                        ModulusMap::columns(col_mods));
-}
-
-void
-int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k,
-                        const std::vector<Modulus> &col_mods)
-{
-    sliced_gemm<i32>("int8_gemm_cols", a, b, c, {1, m, n, k},
-                     ModulusMap::columns(col_mods));
-}
-
-void
-scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                    size_t m, size_t n, size_t k,
-                    const std::vector<Modulus> &mods)
-{
-    obs::Span span("scalar_gemm_sites", obs::cat::gemm);
-    note_gemm(sites * m, n, k);
-    NEO_CHECK(!mods.empty(), "site modulus list empty");
-    const size_t nmods = mods.size();
-    parallel_for(
-        0, sites,
-        [&](size_t sb, size_t se) {
-            for (size_t s = sb; s < se; ++s) {
-                const Modulus &qm = mods[s % nmods];
-                const u64 *as = a + s * m * k;
-                const u64 *bs = b + s * k * n;
-                u64 *cs = c + s * m * n;
-                for (size_t i = 0; i < m; ++i) {
-                    for (size_t j = 0; j < n; ++j) {
-                        u128 acc = 0;
-                        // Fold every other iteration: products are
-                        // < 2^126, so the accumulator stays < 2^128.
-                        for (size_t t = 0; t < k; ++t) {
-                            acc += static_cast<u128>(as[i * k + t]) *
-                                   bs[t * n + j];
-                            if (t & 1)
-                                acc = qm.reduce128(acc);
-                        }
-                        cs[i * n + j] = qm.reduce128(acc);
-                    }
-                }
-            }
-        },
-        row_chunk_grain(sites, m * n * k));
-}
-
-void
-fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                         size_t m, size_t n, size_t k,
-                         const std::vector<Modulus> &mods)
-{
-    sliced_gemm<double>("fp64_gemm_sites", a, b, c, {sites, m, n, k},
-                        ModulusMap::sites(mods));
-}
-
-void
-int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                         size_t m, size_t n, size_t k,
-                         const std::vector<Modulus> &mods)
-{
-    sliced_gemm<i32>("int8_gemm_sites", a, b, c, {sites, m, n, k},
-                     ModulusMap::sites(mods));
-}
-
-const ModSiteMatMulFn &
-scalar_site_matmul()
-{
-    static const ModSiteMatMulFn fn = scalar_matmul_sites;
-    return fn;
-}
-
-const ModSiteMatMulFn &
-fp64_tcu_site_matmul()
-{
-    static const ModSiteMatMulFn fn = fp64_sliced_matmul_sites;
-    return fn;
-}
-
-const ModSiteMatMulFn &
-int8_tcu_site_matmul()
-{
-    static const ModSiteMatMulFn fn = int8_sliced_matmul_sites;
-    return fn;
-}
-
-const ModColMatMulFn &
-scalar_col_matmul()
-{
-    static const ModColMatMulFn fn = scalar_matmul_cols;
-    return fn;
-}
-
-const ModColMatMulFn &
-fp64_tcu_col_matmul()
-{
-    static const ModColMatMulFn fn = fp64_sliced_matmul_cols;
-    return fn;
-}
-
-const ModColMatMulFn &
-int8_tcu_col_matmul()
-{
-    static const ModColMatMulFn fn = int8_sliced_matmul_cols;
-    return fn;
-}
-
-const ModMatMulFn &
-fp64_tcu_matmul()
-{
-    static const ModMatMulFn fn = fp64_sliced_matmul;
-    return fn;
-}
-
-const ModMatMulFn &
-int8_tcu_matmul()
-{
-    static const ModMatMulFn fn = int8_sliced_matmul;
-    return fn;
+    using Kind = ModulusMap::Kind;
+    NEO_CHECK(moduli.kind != Kind::per_column || moduli.count == shape.n,
+              "column modulus count mismatch");
+    NEO_CHECK(moduli.kind != Kind::per_site || moduli.count > 0,
+              "site modulus list empty");
+    NEO_CHECK(moduli.kind == Kind::per_site || shape.sites == 1,
+              "only a per-site modulus map takes sites");
+    const char *name = nullptr;
+    void (*body)(const u64 *, const u64 *, u64 *, const GemmShape &,
+                 const ModulusMap &) = nullptr;
+    switch (engine) {
+    case EngineId::fp64_tcu:
+        name = "fp64_gemm";
+        body = sliced_gemm<double>;
+        break;
+    case EngineId::int8_tcu:
+        name = "int8_gemm";
+        body = sliced_gemm<i32>;
+        break;
+    case EngineId::scalar:
+        name = "scalar_gemm";
+        body = scalar_gemm;
+        break;
+    }
+    NEO_CHECK(body != nullptr, "invalid EngineId");
+    obs::Span span(name, obs::cat::gemm);
+    note_gemm(shape.sites * shape.m, shape.n, shape.k);
+    // K = 0 is the empty sum; the engines' tile loops would leave C
+    // unwritten.
+    if (shape.k == 0) {
+        std::fill_n(c, shape.sites * shape.m * shape.n, u64{0});
+        return;
+    }
+    body(a, b, c, shape, moduli);
 }
 
 GemmIsa

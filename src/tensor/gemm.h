@@ -1,113 +1,96 @@
 /**
  * @file
- * Bit-exact emulations of the Tensor Core GEMM datapaths.
+ * The one modular-GEMM entry: gemm(engine, a, b, c, shape, moduli).
  *
- * fp64_sliced_matmul reproduces, in host IEEE-754 arithmetic, exactly
- * what the paper executes on the A100's FP64 tensor cores: wide
- * residues are sliced into planes (tensor/bitslice.h), each plane pair
- * is multiplied with *double* arithmetic (every intermediate provably
- * ≤ 2^53, hence exact), and the partial products are recombined with
- * shifts modulo q. int8_sliced_matmul does the same through the INT8
- * pipe with INT32 accumulation (TensorFHE's approach).
+ * Every matrix product the paper maps onto the Tensor Core (NTT
+ * stages, BConv, IP) runs through gemm() on one of three bit-exact
+ * engines:
+ *   - fp64_tcu reproduces, in host IEEE-754 arithmetic, exactly what
+ *     the paper executes on the A100's FP64 tensor cores: wide residues
+ *     are sliced into planes (tensor/bitslice.h), each plane pair is
+ *     multiplied with *double* arithmetic (every intermediate provably
+ *     ≤ 2^53, hence exact), and the partial products are recombined
+ *     with shifts modulo q;
+ *   - int8_tcu does the same through the INT8 pipe with INT32
+ *     accumulation (TensorFHE's approach);
+ *   - scalar is one u128 multiply-accumulate loop (the CUDA-core
+ *     analogue and the reference).
  *
- * Both must agree bit-for-bit with the u128 scalar reference — this is
- * the functional heart of the paper's §3.4 argument and is enforced by
- * tests/tensor_test.cpp.
+ * A ModulusMap says which modulus reduces each output element. All
+ * engines agree bit-for-bit on every shape and map — the functional
+ * heart of the paper's §3.4 argument, enforced by tests/tensor_test.cpp.
  */
 #pragma once
 
-#include "poly/mat_mul.h"
-#include "tensor/bitslice.h"
+#include <vector>
+
+#include "rns/modulus.h"
 
 namespace neo {
 
 /**
- * C = A·B mod q through the FP64-plane path. A is M×K with entries
- * < q, B is K×N with entries < q, row-major.
+ * One bit-exact GEMM engine: the pipe a kernel's GEMM runs on, in the
+ * functional pipeline and in the cost model alike (scalar is the
+ * CUDA-core path). The numeric order is the registry's canonical
+ * (and serialization) order; it doubles as the deterministic
+ * tie-break when the tuner scores two engines equal.
  */
-void fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k, const Modulus &q);
-
-/// C = A·B mod q through the INT8-plane path (INT32 accumulation).
-void int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k, const Modulus &q);
-
-/// ModMatMulFn adapters for plugging into MatrixNtt / Neo kernels.
-const ModMatMulFn &fp64_tcu_matmul();
-const ModMatMulFn &int8_tcu_matmul();
+enum class EngineId {
+    fp64_tcu = 0, ///< emulated FP64 tensor core (bit-sliced doubles)
+    scalar = 1,   ///< scalar modular arithmetic (CUDA-core analogue)
+    int8_tcu = 2, ///< emulated INT8 tensor core
+};
 
 /**
- * Per-column-modulus GEMM, as needed by the matrix-form BConv
- * (Algorithm 2): the TCU accumulates the integer product exactly;
- * column j of C is then reduced modulo col_mods[j] in the epilogue.
- * Plane widths are sized for the widest operand word.
+ * `sites` independent m×n×k products laid out contiguously, all
+ * row-major: A is sites×m×k, B is sites×k×n, C is sites×m×n. sites is
+ * 1 unless the modulus map is per site.
  */
-using ModColMatMulFn =
-    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
-                       size_t n, size_t k,
-                       const std::vector<Modulus> &col_mods)>;
-
-/// Scalar reference for the per-column variant.
-void scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
-                        size_t n, size_t k,
-                        const std::vector<Modulus> &col_mods);
-
-/// FP64-plane implementation of the per-column variant.
-void fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
-                             size_t n, size_t k,
-                             const std::vector<Modulus> &col_mods);
-
-/// INT8-plane implementation of the per-column variant (TensorFHE's
-/// engine driving the matrix-form BConv, for comparison).
-void int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
-                             size_t n, size_t k,
-                             const std::vector<Modulus> &col_mods);
-
-const ModColMatMulFn &scalar_col_matmul();
-const ModColMatMulFn &fp64_tcu_col_matmul();
-const ModColMatMulFn &int8_tcu_col_matmul();
+struct GemmShape
+{
+    size_t sites, m, n, k;
+};
 
 /**
- * Batched per-site GEMM: `sites` independent M×N×K modular matmuls
- * laid out contiguously — A is sites×M×K, B is sites×K×N, C is
- * sites×M×N — where site s reduces modulo mods[s % mods.size()]. The
- * entries are residues: the sliced engines size their planes to the
- * widest modulus.
- *
- * This is the shape of the KeySwitch inner product (Algorithm 4): one
- * BS×β̃×β product per (coefficient, T-limb) site, with the modulus
- * cycling through the α' T primes. Issuing it as ONE engine call
- * amortises the per-call fixed costs (span, counters, split-plan
- * selection) that dwarf the ~MNK useful MACs of a single site.
- *
- * Counted as a single GEMM of shape (sites·M)×N×K, which preserves
- * the FLOP accounting. Each site's accumulation order is unchanged
- * (strictly ascending k), so outputs are bit-identical to looping
- * over sites with the matching single-site engine.
+ * Which modulus reduces each output element: one modulus for the whole
+ * product (matrix NTT), mods[j] for output column j (BConv, Algorithm
+ * 2), or mods[s % count] for site s (the IP's per-site products,
+ * Algorithm 4). The map points into the caller's moduli, which must
+ * outlive the call.
  */
-using ModSiteMatMulFn =
-    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                       size_t m, size_t n, size_t k,
-                       const std::vector<Modulus> &mods)>;
+struct ModulusMap
+{
+    enum class Kind { one, per_column, per_site };
+    Kind kind;
+    const Modulus *mods;
+    size_t count;
 
-/// Scalar (u128 accumulate) reference for the per-site variant.
-void scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
-                         size_t m, size_t n, size_t k,
-                         const std::vector<Modulus> &mods);
+    static ModulusMap of(const Modulus &q) { return {Kind::one, &q, 1}; }
+    static ModulusMap columns(const std::vector<Modulus> &mods)
+    {
+        return {Kind::per_column, mods.data(), mods.size()};
+    }
+    static ModulusMap sites(const std::vector<Modulus> &mods)
+    {
+        return {Kind::per_site, mods.data(), mods.size()};
+    }
+};
 
-/// FP64-plane implementation of the per-site variant.
-void fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c,
-                              size_t sites, size_t m, size_t n, size_t k,
-                              const std::vector<Modulus> &mods);
-
-/// INT8-plane implementation of the per-site variant.
-void int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c,
-                              size_t sites, size_t m, size_t n, size_t k,
-                              const std::vector<Modulus> &mods);
-
-const ModSiteMatMulFn &scalar_site_matmul();
-const ModSiteMatMulFn &fp64_tcu_site_matmul();
-const ModSiteMatMulFn &int8_tcu_site_matmul();
+/**
+ * C = A·B on @p engine, each output element reduced modulo its
+ * modulus in @p moduli. One-modulus and per-site entries are residues
+ * of the map's widest modulus; per-column entries may be any words
+ * (BConv's A operand sits in the source basis). K = 0 writes C = 0.
+ * The scalar engine is exact at every K; the sliced engines throw
+ * std::invalid_argument past their plane budget (K > 2^15 for INT8).
+ *
+ * Throws std::invalid_argument when a per-column map's count is not
+ * n, a per-site map is empty, or a map other than per-site is given
+ * sites ≠ 1. Each call records one obs::cat::gemm span and one
+ * (sites·m)×n×k shape count.
+ */
+void gemm(EngineId engine, const u64 *a, const u64 *b, u64 *c,
+          const GemmShape &shape, const ModulusMap &moduli);
 
 /**
  * Instruction-set level of the FP64 lane kernels (slicing, plane GEMM,
@@ -118,14 +101,14 @@ const ModSiteMatMulFn &int8_tcu_site_matmul();
  */
 enum class GemmIsa { portable, avx2, avx512 };
 
-/// Highest level this host supports; the FP64 engines run at it.
+/// Highest level this host supports; the FP64 engine runs at it.
 GemmIsa gemm_isa_supported();
 
 /// "portable", "avx2" or "avx512".
 const char *gemm_isa_name(GemmIsa isa);
 
 /**
- * Test hook: run the FP64 engines at @p isa, which must not exceed
+ * Test hook: run the FP64 engine at @p isa, which must not exceed
  * gemm_isa_supported(). Returns the previous level. Not for use while
  * GEMMs are in flight.
  */

@@ -164,9 +164,11 @@ TEST(Int8ColGemm, BitExactAgainstScalar)
         for (size_t t = 0; t < k; ++t)
             b[t * n + j] = rng.uniform(p2[j]);
     std::vector<u64> ref(m * n), got(m * n);
-    scalar_matmul_cols(a.data(), b.data(), ref.data(), m, n, k, cols);
-    int8_sliced_matmul_cols(a.data(), b.data(), got.data(), m, n, k,
-                            cols);
+    const ModulusMap map = ModulusMap::columns(cols);
+    gemm(EngineId::scalar, a.data(), b.data(), ref.data(), {1, m, n, k},
+         map);
+    gemm(EngineId::int8_tcu, a.data(), b.data(), got.data(), {1, m, n, k},
+         map);
     EXPECT_EQ(ref, got);
 }
 

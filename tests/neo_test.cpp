@@ -2,6 +2,7 @@
 
 #include "baselines/backends.h"
 #include "common/random.h"
+#include "neo/engine.h"
 #include "neo/kernel_model.h"
 #include "neo/kernels.h"
 #include "rns/primes.h"
@@ -32,13 +33,14 @@ TEST_P(BConvKernelTest, MatmulFormMatchesElementwise)
 
     std::vector<u64> out_ew(ap * batch * n), out_mm(ap * batch * n);
     kernel.run_elementwise(in.data(), batch, n, out_ew.data());
-    kernel.run_matmul(in.data(), batch, n, out_mm.data());
+    kernel.run_matmul(in.data(), batch, n, out_mm.data(),
+                      EngineRegistry::engines(EngineId::scalar).per_column);
     EXPECT_EQ(out_ew, out_mm);
 
     // And through the emulated FP64 TCU.
     std::vector<u64> out_tcu(ap * batch * n);
     kernel.run_matmul(in.data(), batch, n, out_tcu.data(),
-                      fp64_tcu_col_matmul());
+                      EngineRegistry::engines(EngineId::fp64_tcu).per_column);
     EXPECT_EQ(out_ew, out_tcu);
 }
 
@@ -103,17 +105,18 @@ TEST_P(IpKernelTest, MatmulFormMatchesElementwise)
     std::vector<u64> out_mm(out_ew.size());
     kernel.run_elementwise(limbs.data(), keys.data(), batch, n,
                            out_ew.data());
-    kernel.run_matmul(limbs.data(), keys.data(), batch, n, out_mm.data());
+    kernel.run_matmul(limbs.data(), keys.data(), batch, n, out_mm.data(),
+                      EngineRegistry::engines(EngineId::scalar).per_site);
     EXPECT_EQ(out_ew, out_mm);
 
     std::vector<u64> out_tcu(out_ew.size());
     kernel.run_matmul(limbs.data(), keys.data(), batch, n, out_tcu.data(),
-                      fp64_tcu_site_matmul());
+                      EngineRegistry::engines(EngineId::fp64_tcu).per_site);
     EXPECT_EQ(out_ew, out_tcu);
 
     std::vector<u64> out_i8(out_ew.size());
     kernel.run_matmul(limbs.data(), keys.data(), batch, n, out_i8.data(),
-                      int8_tcu_site_matmul());
+                      EngineRegistry::engines(EngineId::int8_tcu).per_site);
     EXPECT_EQ(out_ew, out_i8);
 }
 

@@ -142,12 +142,14 @@ TEST(ParallelDeterminism, Fp64GemmBitIdenticalAcrossThreadCounts)
 
     use_threads(1);
     std::vector<u64> ref(m * n);
-    fp64_sliced_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
+    gemm(EngineId::fp64_tcu, a.data(), b.data(), ref.data(), {1, m, n, k},
+         ModulusMap::of(q));
 
     for (size_t tc : kThreadCounts) {
         use_threads(tc);
         std::vector<u64> got(m * n);
-        fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
+        gemm(EngineId::fp64_tcu, a.data(), b.data(), got.data(),
+             {1, m, n, k}, ModulusMap::of(q));
         EXPECT_EQ(got, ref) << "threads=" << tc;
     }
     use_threads(1);

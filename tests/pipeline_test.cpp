@@ -5,6 +5,7 @@
 #include "ckks/hoisting.h"
 #include "ckks/keygen.h"
 #include "common/random.h"
+#include "neo/engine.h"
 #include "neo/kernels.h"
 #include "neo/pipeline.h"
 #include "rns/primes.h"
@@ -241,7 +242,9 @@ TEST(BConvExact, MatmulExactMatchesBaseConverter)
             in[i * batch * n + x] = rng.uniform(p1[i]);
 
     std::vector<u64> got(5 * batch * n);
-    kernel.run_matmul_exact(in.data(), batch, n, got.data());
+    kernel.run_matmul_exact(in.data(), batch, n, got.data(),
+                            EngineRegistry::engines(EngineId::scalar)
+                                .per_column);
 
     // Reference: convert each batch element separately.
     for (size_t b = 0; b < batch; ++b) {
@@ -272,9 +275,11 @@ TEST(BConvExact, Fp64EngineIdenticalToScalar)
             in[i * batch * n + x] = rng.uniform(p1[i]);
     std::vector<u64> a(6 * batch * n), b(6 * batch * n);
     kernel.run_matmul_exact(in.data(), batch, n, a.data(),
-                            scalar_col_matmul());
+                            EngineRegistry::engines(EngineId::scalar)
+                                .per_column);
     kernel.run_matmul_exact(in.data(), batch, n, b.data(),
-                            fp64_tcu_col_matmul());
+                            EngineRegistry::engines(EngineId::fp64_tcu)
+                                .per_column);
     EXPECT_EQ(a, b);
 }
 

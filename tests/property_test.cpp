@@ -200,10 +200,10 @@ TEST(GemmEngineDifferential, RandomConfigsScalarVsFp64TcuBitExact)
             auto a = rng.uniform_vec(n * alpha, q.value());
             auto b = rng.uniform_vec(alpha * alpha_p, q.value());
             std::vector<u64> want(n * alpha_p), got(n * alpha_p);
-            scalar_mod_matmul(a.data(), b.data(), want.data(), n,
-                              alpha_p, alpha, q);
-            fp64_sliced_matmul(a.data(), b.data(), got.data(), n,
-                               alpha_p, alpha, q);
+            gemm(EngineId::scalar, a.data(), b.data(), want.data(),
+                 {1, n, alpha_p, alpha}, ModulusMap::of(q));
+            gemm(EngineId::fp64_tcu, a.data(), b.data(), got.data(),
+                 {1, n, alpha_p, alpha}, ModulusMap::of(q));
             ASSERT_EQ(got, want);
         }
 
@@ -222,10 +222,10 @@ TEST(GemmEngineDifferential, RandomConfigsScalarVsFp64TcuBitExact)
                 for (size_t j = 0; j < alpha_p; ++j)
                     b[t * alpha_p + j] = rng.uniform(dst[j]);
             std::vector<u64> want(n * alpha_p), got(n * alpha_p);
-            scalar_matmul_cols(a.data(), b.data(), want.data(), n,
-                               alpha_p, alpha, col_mods);
-            fp64_sliced_matmul_cols(a.data(), b.data(), got.data(), n,
-                                    alpha_p, alpha, col_mods);
+            gemm(EngineId::scalar, a.data(), b.data(), want.data(),
+                 {1, n, alpha_p, alpha}, ModulusMap::columns(col_mods));
+            gemm(EngineId::fp64_tcu, a.data(), b.data(), got.data(),
+                 {1, n, alpha_p, alpha}, ModulusMap::columns(col_mods));
             ASSERT_EQ(got, want);
         }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,7 +14,39 @@
 #include "tensor/layout.h"
 
 namespace neo {
+
+// Outside the anonymous namespace, so argument-dependent lookup finds
+// it for GemmShape.
+std::ostream &
+operator<<(std::ostream &os, const GemmShape &s)
+{
+    if (s.sites != 1)
+        os << s.sites << " sites of ";
+    return os << s.m << "x" << s.n << "x" << s.k;
+}
+
 namespace {
+
+/// C of one gemm() call on @p e, pre-filled with a sentinel so an
+/// output the engine leaves unwritten shows.
+std::vector<u64>
+run(EngineId e, const std::vector<u64> &a, const std::vector<u64> &b,
+    const GemmShape &s, const ModulusMap &map)
+{
+    std::vector<u64> c(s.sites * s.m * s.n, 0xDEADBEEFDEADBEEFULL);
+    gemm(e, a.data(), b.data(), c.data(), s, map);
+    return c;
+}
+
+/// MatrixNtt's GEMM seam on engine @p e.
+ModMatMulFn
+ntt_mm(EngineId e)
+{
+    return [e](const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+               size_t k, const Modulus &q) {
+        gemm(e, a, b, c, {1, m, n, k}, ModulusMap::of(q));
+    };
+}
 
 TEST(BitSlice, Fp64SplitMatchesPaperExamples)
 {
@@ -85,10 +118,9 @@ TEST_P(SlicedGemmTest, Fp64PathBitExactAgainstScalar)
     const size_t m = 24, n = 16, k = 16;
     auto a = rng.uniform_vec(m * k, q.value());
     auto b = rng.uniform_vec(k * n, q.value());
-    std::vector<u64> ref(m * n), got(m * n);
-    scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
-    fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
-    EXPECT_EQ(got, ref);
+    const GemmShape s{1, m, n, k};
+    EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, ModulusMap::of(q)),
+              run(EngineId::scalar, a, b, s, ModulusMap::of(q)));
 }
 
 TEST_P(SlicedGemmTest, Int8PathBitExactAgainstScalar)
@@ -99,10 +131,9 @@ TEST_P(SlicedGemmTest, Int8PathBitExactAgainstScalar)
     const size_t m = 8, n = 8, k = 16;
     auto a = rng.uniform_vec(m * k, q.value());
     auto b = rng.uniform_vec(k * n, q.value());
-    std::vector<u64> ref(m * n), got(m * n);
-    scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
-    int8_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
-    EXPECT_EQ(got, ref);
+    const GemmShape s{1, m, n, k};
+    EXPECT_EQ(run(EngineId::int8_tcu, a, b, s, ModulusMap::of(q)),
+              run(EngineId::scalar, a, b, s, ModulusMap::of(q)));
 }
 
 INSTANTIATE_TEST_SUITE_P(WordSizes, SlicedGemmTest,
@@ -114,12 +145,10 @@ TEST(SlicedGemm, MaximalOperandsStayExact)
     Modulus q(generate_ntt_primes(48, 1, 1 << 10)[0]);
     const size_t m = 4, n = 4, k = 16;
     std::vector<u64> a(m * k, q.value() - 1), b(k * n, q.value() - 1);
-    std::vector<u64> ref(m * n), got(m * n);
-    scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
-    fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
-    EXPECT_EQ(got, ref);
-    int8_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
-    EXPECT_EQ(got, ref);
+    const GemmShape s{1, m, n, k};
+    const auto ref = run(EngineId::scalar, a, b, s, ModulusMap::of(q));
+    EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, ModulusMap::of(q)), ref);
+    EXPECT_EQ(run(EngineId::int8_tcu, a, b, s, ModulusMap::of(q)), ref);
 }
 
 TEST(SlicedGemm, OddShapes)
@@ -133,16 +162,16 @@ TEST(SlicedGemm, OddShapes)
                            {4, 0, 3}}) {
         auto a = rng.uniform_vec(m * k, q.value());
         auto b = rng.uniform_vec(k * n, q.value());
-        std::vector<u64> ref(m * n), got(m * n);
-        scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
-        fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
-        EXPECT_EQ(got, ref) << m << "x" << n << "x" << k;
+        const GemmShape s{1, m, n, k};
+        EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, ModulusMap::of(q)),
+                  run(EngineId::scalar, a, b, s, ModulusMap::of(q)))
+            << s;
     }
 }
 
 // ---------------------------------------------------------------------
-// ISA differential: the FP64 engines at every plane-kernel level, and
-// the INT8 engines, are bit-exact against the scalar references
+// ISA differential: the FP64 engine at every plane-kernel level, and
+// the INT8 engine, are bit-exact against the scalar engine
 // ---------------------------------------------------------------------
 
 /// Run @p fn once per ISA level the host supports, forced through the
@@ -161,15 +190,17 @@ for_each_isa(Fn &&fn)
     }
 }
 
-struct Shape
+/// The FP64 engine at every ISA level, and the INT8 engine, against
+/// the scalar engine on one shape and map.
+void
+expect_engines_agree(const std::vector<u64> &a, const std::vector<u64> &b,
+                     const GemmShape &s, const ModulusMap &map)
 {
-    size_t m, n, k;
-};
-
-std::ostream &
-operator<<(std::ostream &os, const Shape &s)
-{
-    return os << s.m << "x" << s.n << "x" << s.k;
+    const auto ref = run(EngineId::scalar, a, b, s, map);
+    for_each_isa([&] {
+        EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, map), ref) << s;
+        EXPECT_EQ(run(EngineId::int8_tcu, a, b, s, map), ref) << "int8 " << s;
+    });
 }
 
 class IsaDifferentialTest : public ::testing::TestWithParam<int>
@@ -183,21 +214,13 @@ TEST_P(IsaDifferentialTest, SingleModulusMatchesScalar)
     Rng rng(bits + 300);
     // Batched-NTT stage and base shapes, then ragged edges: m mod 4 ≠
     // 0, n mod 16 ≠ 0, and K past one 256-deep KC slab.
-    for (const Shape s : {Shape{16, 1024, 16}, Shape{4096, 4, 4},
-                          Shape{7, 37, 16}, Shape{13, 21, 300},
-                          Shape{5, 19, 257}, Shape{1, 3, 1}}) {
+    for (const GemmShape s :
+         {GemmShape{1, 16, 1024, 16}, GemmShape{1, 4096, 4, 4},
+          GemmShape{1, 7, 37, 16}, GemmShape{1, 13, 21, 300},
+          GemmShape{1, 5, 19, 257}, GemmShape{1, 1, 3, 1}}) {
         auto a = rng.uniform_vec(s.m * s.k, q.value());
         auto b = rng.uniform_vec(s.k * s.n, q.value());
-        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
-        scalar_mod_matmul(a.data(), b.data(), ref.data(), s.m, s.n, s.k, q);
-        for_each_isa([&] {
-            fp64_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n,
-                               s.k, q);
-            EXPECT_EQ(got, ref) << s;
-            int8_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n,
-                               s.k, q);
-            EXPECT_EQ(got, ref) << "int8 " << s;
-        });
+        expect_engines_agree(a, b, s, ModulusMap::of(q));
     }
 }
 
@@ -206,30 +229,20 @@ TEST_P(IsaDifferentialTest, PerColumnMatchesScalar)
     const int bits = GetParam();
     const auto primes = generate_ntt_primes(bits, 3, 1 << 10);
     Rng rng(bits + 400);
-    // scalar_matmul_cols accumulates in u128, so K stays ≤ 64 here.
     // The narrow BConv shapes (n = 1…7) come with m not a multiple of
     // any lane count.
-    std::vector<Shape> shapes = {Shape{16, 1024, 16}, Shape{4096, 4, 4},
-                                 Shape{7, 37, 16}, Shape{13, 21, 64}};
+    std::vector<GemmShape> shapes = {
+        GemmShape{1, 16, 1024, 16}, GemmShape{1, 4096, 4, 4},
+        GemmShape{1, 7, 37, 16}, GemmShape{1, 13, 21, 64}};
     for (size_t n = 1; n <= 7; ++n)
-        shapes.push_back(Shape{1003, n, 5});
-    for (const Shape s : shapes) {
+        shapes.push_back(GemmShape{1, 1003, n, 5});
+    for (const GemmShape s : shapes) {
         std::vector<Modulus> mods;
         for (size_t j = 0; j < s.n; ++j)
             mods.emplace_back(primes[j % primes.size()]);
         auto a = rng.uniform_vec(s.m * s.k, primes[0]);
         auto b = rng.uniform_vec(s.k * s.n, primes[0]);
-        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
-        scalar_matmul_cols(a.data(), b.data(), ref.data(), s.m, s.n, s.k,
-                           mods);
-        for_each_isa([&] {
-            fp64_sliced_matmul_cols(a.data(), b.data(), got.data(), s.m,
-                                    s.n, s.k, mods);
-            EXPECT_EQ(got, ref) << s;
-            int8_sliced_matmul_cols(a.data(), b.data(), got.data(), s.m,
-                                    s.n, s.k, mods);
-            EXPECT_EQ(got, ref) << "int8 " << s;
-        });
+        expect_engines_agree(a, b, s, ModulusMap::columns(mods));
     }
 }
 
@@ -238,33 +251,20 @@ TEST_P(IsaDifferentialTest, PerSiteMatchesScalar)
     const int bits = GetParam();
     const auto primes = generate_ntt_primes(bits, 5, 1 << 10);
     Rng rng(bits + 500);
-    // (sites, shape): IP-like sites, ragged sites, a deep K, and site
-    // counts that are no multiple of any lane count against 3 and 5
-    // cycling moduli, so lane vectors start at every modulus phase.
+    // IP-like sites, ragged sites, a deep K, and site counts that are
+    // no multiple of any lane count against 3 and 5 cycling moduli, so
+    // lane vectors start at every modulus phase.
     for (const size_t nmods : {3, 5}) {
         const std::vector<Modulus> mods(primes.begin(),
                                         primes.begin() + nmods);
-        for (const auto &[sites, s] :
-             {std::pair<size_t, Shape>{1024, Shape{4, 4, 4}},
-              {37, Shape{3, 5, 7}},
-              {3, Shape{2, 3, 300}},
-              {1003, Shape{1, 8, 3}},
-              {21, Shape{2, 3, 5}}}) {
-            auto a = rng.uniform_vec(sites * s.m * s.k, primes[0]);
-            auto b = rng.uniform_vec(sites * s.k * s.n, primes[0]);
-            std::vector<u64> ref(sites * s.m * s.n), got(sites * s.m * s.n);
-            scalar_matmul_sites(a.data(), b.data(), ref.data(), sites, s.m,
-                                s.n, s.k, mods);
-            for_each_isa([&] {
-                fp64_sliced_matmul_sites(a.data(), b.data(), got.data(),
-                                         sites, s.m, s.n, s.k, mods);
-                EXPECT_EQ(got, ref) << sites << " sites of " << s << " mod "
-                                    << nmods;
-                int8_sliced_matmul_sites(a.data(), b.data(), got.data(),
-                                         sites, s.m, s.n, s.k, mods);
-                EXPECT_EQ(got, ref) << "int8 " << sites << " sites of " << s
-                                    << " mod " << nmods;
-            });
+        for (const GemmShape s :
+             {GemmShape{1024, 4, 4, 4}, GemmShape{37, 3, 5, 7},
+              GemmShape{3, 2, 3, 300}, GemmShape{1003, 1, 8, 3},
+              GemmShape{21, 2, 3, 5}}) {
+            auto a = rng.uniform_vec(s.sites * s.m * s.k, primes[0]);
+            auto b = rng.uniform_vec(s.sites * s.k * s.n, primes[0]);
+            SCOPED_TRACE(::testing::Message() << "mod " << nmods);
+            expect_engines_agree(a, b, s, ModulusMap::sites(mods));
         }
     }
 }
@@ -275,7 +275,7 @@ TEST(IsaDifferential, LaneWidthEdgesStayExact)
     // K, where the plane sums reach 2^53, and reject 50- and 51-bit
     // ones there. All-(q-1) operands drive every plane sum and every
     // pair's quotient to its worst case; the lane and scalar paths
-    // must both match the u128 reference.
+    // must both match the scalar engine.
     for (const int bits : {49, 50, 51}) {
         const SplitPlan p = choose_fp64_split(bits, bits, 16);
         const size_t k = size_t{1}
@@ -289,34 +289,98 @@ TEST(IsaDifferential, LaneWidthEdgesStayExact)
         const auto primes = generate_ntt_primes(bits, 5, 1 << 10);
         const Modulus q(primes[0]);
         const u64 top = q.value() - 1;
-        const Shape s{5, 19, k};
+        const GemmShape s{1, 5, 19, k};
         std::vector<u64> a(s.m * s.k, top), b(s.k * s.n, top);
-        std::vector<u64> ref(s.m * s.n), got(s.m * s.n);
-        scalar_mod_matmul(a.data(), b.data(), ref.data(), s.m, s.n, s.k, q);
+        const auto ref = run(EngineId::scalar, a, b, s, ModulusMap::of(q));
         // Per site: 11 sites (a ragged lane vector) over 5 moduli, each
         // site's operands all q_s - 1 of its own modulus.
         const std::vector<Modulus> mods(primes.begin(), primes.end());
-        const size_t sites = 11;
-        std::vector<u64> sa(sites * 2 * k), sb(sites * k * 3);
-        for (size_t site = 0; site < sites; ++site) {
+        const GemmShape ss{11, 2, 3, k};
+        std::vector<u64> sa(ss.sites * 2 * k), sb(ss.sites * k * 3);
+        for (size_t site = 0; site < ss.sites; ++site) {
             const u64 t = mods[site % mods.size()].value() - 1;
             std::fill(sa.begin() + site * 2 * k,
                       sa.begin() + (site + 1) * 2 * k, t);
             std::fill(sb.begin() + site * k * 3,
                       sb.begin() + (site + 1) * k * 3, t);
         }
-        std::vector<u64> sref(sites * 2 * 3), sgot(sites * 2 * 3);
-        scalar_matmul_sites(sa.data(), sb.data(), sref.data(), sites, 2, 3, k,
-                            mods);
+        const auto sref =
+            run(EngineId::scalar, sa, sb, ss, ModulusMap::sites(mods));
         for_each_isa([&] {
-            fp64_sliced_matmul(a.data(), b.data(), got.data(), s.m, s.n, s.k,
-                               q);
-            EXPECT_EQ(got, ref) << bits << "-bit " << s;
-            fp64_sliced_matmul_sites(sa.data(), sb.data(), sgot.data(), sites,
-                                     2, 3, k, mods);
-            EXPECT_EQ(sgot, sref) << bits << "-bit sites, K = " << k;
+            EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, ModulusMap::of(q)),
+                      ref)
+                << bits << "-bit " << s;
+            EXPECT_EQ(
+                run(EngineId::fp64_tcu, sa, sb, ss, ModulusMap::sites(mods)),
+                sref)
+                << bits << "-bit sites, K = " << k;
         });
     }
+}
+
+TEST(IsaDifferential, PerColumnWideWordsAtDeepK)
+{
+    // 62-bit words at K = 64 under per-column moduli: 64 products of
+    // ~2^124 overflow an unfolded u128 sum. Every engine must match a
+    // per-term reduced reference, on random and all-(q-1) operands.
+    const auto primes = generate_ntt_primes(62, 4, 1 << 10);
+    const std::vector<Modulus> mods(primes.begin(), primes.end());
+    const GemmShape s{1, 16, 4, 64};
+    Rng rng(62);
+    for (const bool top : {false, true}) {
+        std::vector<u64> a(s.m * s.k), b(s.k * s.n);
+        for (auto &x : a)
+            x = top ? primes[0] - 1 : rng.uniform(primes[0]);
+        for (size_t t = 0; t < s.k; ++t)
+            for (size_t j = 0; j < s.n; ++j)
+                b[t * s.n + j] = top ? primes[j] - 1 : rng.uniform(primes[j]);
+        std::vector<u64> want(s.m * s.n, 0);
+        for (size_t i = 0; i < s.m; ++i)
+            for (size_t j = 0; j < s.n; ++j)
+                for (size_t t = 0; t < s.k; ++t) {
+                    const Modulus &q = mods[j];
+                    want[i * s.n + j] =
+                        q.add(want[i * s.n + j],
+                              q.mul(q.reduce(a[i * s.k + t]),
+                                    b[t * s.n + j]));
+                }
+        const ModulusMap map = ModulusMap::columns(mods);
+        EXPECT_EQ(run(EngineId::scalar, a, b, s, map), want) << top;
+        for_each_isa([&] {
+            EXPECT_EQ(run(EngineId::fp64_tcu, a, b, s, map), want) << top;
+            EXPECT_EQ(run(EngineId::int8_tcu, a, b, s, map), want) << top;
+        });
+    }
+}
+
+TEST(IsaDifferential, EmptyInnerDimensionWritesZeros)
+{
+    // K = 0 is the empty sum: C = 0 on every engine, map and ISA level,
+    // even after an earlier GEMM left its products in the workspace.
+    const auto primes = generate_ntt_primes(48, 16, 1 << 10);
+    const std::vector<Modulus> cols(primes.begin(), primes.end());
+    const std::vector<Modulus> site_mods(primes.begin(), primes.begin() + 3);
+    const Modulus q(primes[0]);
+    Rng rng(0);
+    const auto a = rng.uniform_vec(64 * 16, primes[0]);
+    const auto b = rng.uniform_vec(16 * 16, primes[0]);
+    const std::vector<u64> none, zeros(64 * 16, 0);
+    for_each_isa([&] {
+        for (const EngineId e :
+             {EngineId::fp64_tcu, EngineId::scalar, EngineId::int8_tcu}) {
+            SCOPED_TRACE(static_cast<int>(e));
+            for (const auto &[s, empty, map] :
+                 {std::tuple{GemmShape{1, 64, 16, 16}, GemmShape{1, 64, 16, 0},
+                             ModulusMap::of(q)},
+                  {GemmShape{1, 64, 16, 16}, GemmShape{1, 64, 16, 0},
+                   ModulusMap::columns(cols)},
+                  {GemmShape{4, 16, 16, 4}, GemmShape{64, 1, 16, 0},
+                   ModulusMap::sites(site_mods)}}) {
+                run(e, a, b, s, map);
+                EXPECT_EQ(run(e, none, none, empty, map), zeros) << empty;
+            }
+        }
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(WordSizes, IsaDifferentialTest,
@@ -347,9 +411,9 @@ TEST(SlicedGemm, MatrixNttThroughFp64TcuMatchesScalar)
     auto ref = a;
     t.forward(ref.data());
     auto got = a;
-    mntt.forward(got.data(), fp64_tcu_matmul());
+    mntt.forward(got.data(), ntt_mm(EngineId::fp64_tcu));
     EXPECT_EQ(got, ref);
-    mntt.inverse(got.data(), fp64_tcu_matmul());
+    mntt.inverse(got.data(), ntt_mm(EngineId::fp64_tcu));
     EXPECT_EQ(got, a);
 }
 
@@ -364,7 +428,7 @@ TEST(SlicedGemm, MatrixNttThroughInt8TcuMatchesScalar)
     auto ref = a;
     t.forward(ref.data());
     auto got = a;
-    mntt.forward(got.data(), int8_tcu_matmul());
+    mntt.forward(got.data(), ntt_mm(EngineId::int8_tcu));
     EXPECT_EQ(got, ref);
 }
 
