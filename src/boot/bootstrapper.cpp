@@ -43,7 +43,14 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx, const Evaluator &ev,
     cos_coeffs_ =
         PolyEvaluator::chebyshev_fit(base_cos, &arg, opts_.sin_degree);
 
-    // Precompute e_k powers once; build the four transform matrices.
+    if (opts_.factored_groups > 0) {
+        factored_ = std::make_unique<FactoredEmbedding>(
+            n, opts_.factored_groups);
+        return;
+    }
+
+    // Dense path: precompute e_k powers once; build the four transform
+    // matrices (bootstrap_dense is their only reader).
     std::vector<u64> exps(s);
     u64 e = 1;
     for (size_t k = 0; k < s; ++k) {
@@ -75,11 +82,6 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx, const Evaluator &ev,
     cts_hi_ = std::make_unique<LinearTransform>(std::move(m_hi), s);
     stc_lo_ = std::make_unique<LinearTransform>(std::move(a_lo), s);
     stc_hi_ = std::make_unique<LinearTransform>(std::move(a_hi), s);
-
-    if (opts_.factored_groups > 0) {
-        factored_ = std::make_unique<FactoredEmbedding>(
-            n, opts_.factored_groups);
-    }
 }
 
 Bootstrapper::~Bootstrapper() = default;

@@ -99,7 +99,8 @@ class Bootstrapper
     BootstrapOptions opts_;
     PolyEvaluator poly_;
     std::vector<double> cos_coeffs_; // Chebyshev fit of the base cosine
-    // Dense path: CtS halves from slots; StC slots from halves.
+    // Dense path, built only when factored_groups == 0: CtS halves
+    // from slots; StC slots from halves.
     std::unique_ptr<LinearTransform> cts_lo_, cts_hi_;
     std::unique_ptr<LinearTransform> stc_lo_, stc_hi_;
     // Factored path: grouped butterfly stages.

@@ -83,6 +83,14 @@ class CkksContext
 
     /// Modulus at position @p idx of the [P, Q] ordering.
     const Modulus &pq_ordered_mod(size_t idx) const;
+    /// Limb of [P, Q]-ordered prime @p idx in a polynomial over
+    /// q_0..q_level, then P.
+    size_t
+    pq_limb(size_t idx, size_t level) const
+    {
+        const size_t k_special = p_basis_.size();
+        return idx < k_special ? level + 1 + idx : idx - k_special;
+    }
     /// Number of primes in the [P, Q] ordering (L+1+K).
     size_t pq_ordered_size() const
     {

@@ -99,8 +99,8 @@ Evaluator::keyswitch(const RnsPoly &d2, const EvalKey *evk,
 }
 
 Ciphertext
-Evaluator::mul_impl(const Ciphertext &a, const Ciphertext &b,
-                    const EvalKey *rlk, const KlssEvalKey *klss_rlk) const
+Evaluator::mul(const Ciphertext &a, const Ciphertext &b,
+               const EvalKeyBundle &keys) const
 {
     obs::Span span("hmult", obs::cat::op);
     obs::add("op.hmult");
@@ -120,7 +120,7 @@ Evaluator::mul_impl(const Ciphertext &a, const Ciphertext &b,
     RnsPoly d2 = a.c1;
     d2.mul_inplace(b.c1);
 
-    auto [k0, k1] = keyswitch(d2, rlk, klss_rlk);
+    auto [k0, k1] = keyswitch(d2, &keys.rlk, keys.klss());
     d0.add_inplace(k0);
     d1.add_inplace(k1);
     return Ciphertext{std::move(d0), std::move(d1), a.level,
@@ -128,20 +128,9 @@ Evaluator::mul_impl(const Ciphertext &a, const Ciphertext &b,
 }
 
 Ciphertext
-Evaluator::mul(const Ciphertext &a, const Ciphertext &b,
-               const EvalKeyBundle &keys) const
+Evaluator::apply_galois(const Ciphertext &a, u64 g,
+                        const GaloisKeys &gk) const
 {
-    return mul_impl(a, b, &keys.rlk, keys.klss());
-}
-
-Ciphertext
-Evaluator::rotate_impl(const Ciphertext &a, i64 steps,
-                       const GaloisKeys &gk) const
-{
-    obs::Span span("hrotate", obs::cat::op);
-    obs::add("op.hrotate");
-    obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
-    const u64 g = ctx_.encoder().galois_element(steps);
     RnsPoly r0 = automorphism(a.c0, g);
     RnsPoly r1 = automorphism(a.c1, g);
     const EvalKey *evk = nullptr;
@@ -159,33 +148,21 @@ Ciphertext
 Evaluator::rotate(const Ciphertext &a, i64 steps,
                   const EvalKeyBundle &keys) const
 {
-    return rotate_impl(a, steps, keys.galois);
-}
-
-Ciphertext
-Evaluator::conjugate_impl(const Ciphertext &a, const GaloisKeys &gk) const
-{
-    obs::Span span("hconj", obs::cat::op);
-    obs::add("op.hconj");
+    obs::Span span("hrotate", obs::cat::op);
+    obs::add("op.hrotate");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
-    const u64 g = ctx_.encoder().galois_element(0, true);
-    RnsPoly r0 = automorphism(a.c0, g);
-    RnsPoly r1 = automorphism(a.c1, g);
-    const EvalKey *evk = nullptr;
-    const KlssEvalKey *kevk = nullptr;
-    if (auto it = gk.hybrid.find(g); it != gk.hybrid.end())
-        evk = &it->second;
-    if (auto it = gk.klss.find(g); it != gk.klss.end())
-        kevk = &it->second;
-    auto [k0, k1] = keyswitch(r1, evk, kevk);
-    k0.add_inplace(r0);
-    return Ciphertext{std::move(k0), std::move(k1), a.level, a.scale};
+    return apply_galois(a, ctx_.encoder().galois_element(steps),
+                        keys.galois);
 }
 
 Ciphertext
 Evaluator::conjugate(const Ciphertext &a, const EvalKeyBundle &keys) const
 {
-    return conjugate_impl(a, keys.galois);
+    obs::Span span("hconj", obs::cat::op);
+    obs::add("op.hconj");
+    obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
+    return apply_galois(a, ctx_.encoder().galois_element(0, true),
+                        keys.galois);
 }
 
 Ciphertext

@@ -92,13 +92,10 @@ class Evaluator
     keyswitch(const RnsPoly &d2, const EvalKey *evk,
               const KlssEvalKey *kevk) const;
 
-    Ciphertext mul_impl(const Ciphertext &a, const Ciphertext &b,
-                        const EvalKey *rlk,
-                        const KlssEvalKey *klss_rlk) const;
-    Ciphertext rotate_impl(const Ciphertext &a, i64 steps,
-                           const GaloisKeys &gk) const;
-    Ciphertext conjugate_impl(const Ciphertext &a,
-                              const GaloisKeys &gk) const;
+    /// σ_g on both components of @p a, then c1 key-switched under
+    /// the Galois key for @p g — the body of rotate and conjugate.
+    Ciphertext apply_galois(const Ciphertext &a, u64 g,
+                            const GaloisKeys &gk) const;
 
     Ciphertext rescale_by(const Ciphertext &a, size_t count) const;
 

@@ -25,7 +25,11 @@ namespace neo::ckks {
 /**
  * Rotate @p ct by every step in @p steps with one shared ModUp.
  * Hybrid keys for each step's Galois element must be present in
- * @p gk. Results match Evaluator::rotate exactly.
+ * @p gk. Results decrypt like Evaluator::rotate's, up to the ModUp
+ * slack above; they are not bit-identical. Work counts flow to the
+ * active neo::obs sink under the `ks.*` names: the ModUp once, then
+ * the inner product and ModDown per step. Defined in keyswitch.cpp,
+ * beside the hybrid key switch whose steps it shares.
  */
 std::vector<Ciphertext> rotate_hoisted(const Ciphertext &ct,
                                        const std::vector<i64> &steps,

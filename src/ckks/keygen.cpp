@@ -201,7 +201,6 @@ KeyGenerator::to_klss(const EvalKey &evk) const
 {
     NEO_CHECK(ctx_.params().klss.enabled(), "KLSS not configured");
     const size_t n = ctx_.n();
-    const size_t k_special = ctx_.p_basis().size();
     const size_t top = ctx_.max_level();
     const auto &partition = ctx_.klss_key_partition();
 
@@ -211,42 +210,41 @@ KeyGenerator::to_klss(const EvalKey &evk) const
     out.qp_mods = ctx_.q_basis().mods();
     out.qp_mods.insert(out.qp_mods.end(), ctx_.p_basis().mods().begin(),
                        ctx_.p_basis().mods().end());
-    out.parts.reserve(out.beta_max * out.beta_tilde_max * 2);
+    out.parts.resize(out.beta_max * out.beta_tilde_max * 2);
 
-    for (size_t i = 0; i < out.beta_tilde_max; ++i) {
-        const auto &grp = partition[i];
-        // Group primes in the [P, Q] ordering.
+    // One exact converter per key digit: its group's primes, in the
+    // [P, Q] ordering, to T.
+    std::vector<BaseConverter> convs;
+    convs.reserve(partition.size());
+    for (const auto &grp : partition) {
         std::vector<u64> grp_primes;
         for (size_t t = grp.first; t < grp.first + grp.count; ++t)
             grp_primes.push_back(ctx_.pq_ordered_mod(t).value());
-        RnsBasis grp_basis(grp_primes);
-        BaseConverter conv(grp_basis, ctx_.t_basis());
+        convs.emplace_back(RnsBasis(grp_primes), ctx_.t_basis());
+    }
 
-        for (size_t j = 0; j < out.beta_max; ++j) {
-            for (size_t c = 0; c < 2; ++c) {
-                // Gather this group's limbs of evk (coeff form).
-                RnsPoly limb_src = evk.parts[j][c];
-                ctx_.tables().to_coeff(limb_src);
+    // Each key part goes to coefficient form once; every key digit
+    // then lifts its group's limbs of it into T. One part is held in
+    // coefficient form at a time.
+    for (size_t j = 0; j < out.beta_max; ++j) {
+        for (size_t c = 0; c < 2; ++c) {
+            RnsPoly part = evk.parts[j][c];
+            ctx_.tables().to_coeff(part);
+            for (size_t i = 0; i < partition.size(); ++i) {
+                const auto &grp = partition[i];
                 std::vector<u64> in(grp.count * n);
                 for (size_t t = 0; t < grp.count; ++t) {
-                    const size_t pq_idx = grp.first + t;
-                    // [P,Q] index -> storage index in extended basis
-                    // [q_0..q_L, p_0..p_{K-1}].
-                    const size_t store_idx =
-                        pq_idx < k_special ? top + 1 + pq_idx
-                                           : pq_idx - k_special;
-                    std::copy(limb_src.limb(store_idx),
-                              limb_src.limb(store_idx) + n,
-                              in.begin() + t * n);
+                    const u64 *limb =
+                        part.limb(ctx_.pq_limb(grp.first + t, top));
+                    std::copy(limb, limb + n, in.begin() + t * n);
                 }
-                RnsPoly digit(n, ctx_.t_basis().mods(), PolyForm::coeff);
-                conv.convert_exact(in.data(), n, digit.data());
+                RnsPoly &digit = out.part(i, j, c);
+                digit = RnsPoly(n, ctx_.t_basis().mods(), PolyForm::coeff);
+                convs[i].convert_exact(in.data(), n, digit.data());
                 ctx_.t_tables().to_eval(digit);
-                out.parts.push_back(std::move(digit));
             }
         }
     }
-    // Reindex: we filled in (i, j, c) order matching part().
     return out;
 }
 

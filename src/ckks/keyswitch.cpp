@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckks/hoisting.h"
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
 #include "common/workspace.h"
@@ -40,6 +41,80 @@ is_qp_chain(const std::vector<Modulus> &m, const CkksContext &ctx)
     return m.size() == q.size() + p.size() &&
            std::equal(q.begin(), q.end(), m.begin()) &&
            std::equal(p.begin(), p.end(), m.begin() + q.size());
+}
+
+/**
+ * Hybrid ModUp of ciphertext digit @p j: convert_approx its limbs of
+ * @p d2c (coeff form over q_0..q_l) to the other primes of @p lv's
+ * extended basis, assemble the digit over q_0..q_l, P and NTT it.
+ */
+RnsPoly
+raise_digit(const RnsPoly &d2c, size_t j, const KeySwitchPrecomp::Level &lv,
+            const CkksContext &ctx)
+{
+    const size_t n = d2c.n();
+    const auto &g = lv.groups[j];
+    const auto &ext_mods = lv.extended;
+    const size_t other_count = ext_mods.size() - g.count;
+    Workspace::Frame frame;
+    u64 *converted = frame.alloc<u64>(other_count * n);
+    lv.digits[j].to_other->convert_approx(d2c.limb(g.first), n, converted);
+    obs::add("ks.bconv_products", g.count * other_count);
+
+    RnsPoly up(n, ext_mods, PolyForm::coeff);
+    size_t other = 0;
+    for (size_t t = 0; t < ext_mods.size(); ++t) {
+        const bool own = t >= g.first && t < g.first + g.count;
+        const u64 *src = own ? d2c.limb(t) : converted + other++ * n;
+        std::copy(src, src + n, up.limb(t));
+    }
+    ctx.tables().to_eval(up);
+    obs::add("ks.ntt_limbs", ext_mods.size());
+    return up;
+}
+
+/**
+ * The ModDown tail every key switch ends with: divide both coeff-form
+ * accumulators over q_0..q_l, P by P and NTT the results back to eval
+ * form over q_0..q_l.
+ */
+std::pair<RnsPoly, RnsPoly>
+mod_down_tail(const RnsPoly &acc0, const RnsPoly &acc1, size_t level,
+              const CkksContext &ctx)
+{
+    RnsPoly k0 = mod_down(acc0, level, ctx);
+    RnsPoly k1 = mod_down(acc1, level, ctx);
+    ctx.tables().to_eval(k0);
+    ctx.tables().to_eval(k1);
+    obs::add("ks.ntt_limbs", 2 * (level + 1));
+    return {std::move(k0), std::move(k1)};
+}
+
+/**
+ * The rest of a hybrid key switch after its ModUp: the inner product
+ * of the raised digits digit(0..β-1) with the level's key @p slices
+ * (eval form over q_0..q_l, P), the INTT, then the ModDown tail. Each
+ * digit is asked for once, in order, and dropped after its products.
+ */
+template <class Digit>
+std::pair<RnsPoly, RnsPoly>
+ip_and_mod_down(const Digit &digit, const EvalKey::LevelSlices &slices,
+                size_t level, const KeySwitchPrecomp::Level &lv,
+                const CkksContext &ctx)
+{
+    const size_t limbs = lv.extended.size();
+    RnsPoly acc0(ctx.n(), lv.extended, PolyForm::eval);
+    RnsPoly acc1(ctx.n(), lv.extended, PolyForm::eval);
+    for (size_t j = 0; j < lv.groups.size(); ++j) {
+        const RnsPoly up = digit(j);
+        acc0.add_product(up, slices.parts[j][0]);
+        acc1.add_product(up, slices.parts[j][1]);
+        obs::add("ks.ip_mul_limbs", 2 * limbs);
+    }
+    ctx.tables().to_coeff(acc0);
+    ctx.tables().to_coeff(acc1);
+    obs::add("ks.intt_limbs", 2 * limbs);
+    return mod_down_tail(acc0, acc1, level, ctx);
 }
 
 } // namespace
@@ -91,23 +166,31 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
     NEO_ASSERT(ext_poly.limbs() == level + 1 + k_special,
                "mod_down shape mismatch");
     const auto &lv = ctx.precomp().level(level);
-
-    // BConv the P-part down to the q primes (cached converter).
-    Workspace::Frame frame;
-    u64 *p_part = frame.alloc<u64>(k_special * n);
-    for (size_t k = 0; k < k_special; ++k)
-        std::copy(ext_poly.limb(level + 1 + k),
-                  ext_poly.limb(level + 1 + k) + n, p_part + k * n);
+    const BaseConverter &conv = *lv.p_to_q;
+    // The P limbs follow q_0..q_l contiguously.
+    const u64 *p_part = ext_poly.limb(level + 1);
     RnsPoly out(n, lv.active, PolyForm::coeff);
-
+    // (c - corr) * P^{-1} mod q_i over limb i, corr the BConv of the
+    // P part down to q_i.
+    auto fix = [&](size_t i, const u64 *corr) {
+        const u64 q = lv.active[i].value();
+        const u64 p_inv = lv.p_inv[i];
+        const u64 ps = lv.p_inv_shoup[i];
+        const u64 *src = ext_poly.limb(i);
+        u64 *dst = out.limb(i);
+        for (size_t l = 0; l < n; ++l)
+            dst[l] = mul_shoup(sub_mod(src[l], corr[l], q), p_inv, ps, q);
+    };
+    // Output limbs are visited device-major over the per-device Q-limb
+    // shards; each limb's work is the same for every device count.
+    const auto shards = make_even_partition(level + 1, devices);
+    Workspace::Frame frame;
     if (fuse) {
-        // Fused kernel: the (c - corr)·P⁻¹ fix rides in the BConv
-        // epilogue. Per element this is convert_approx's Shoup sum,
-        // followed immediately by the unfused fix's exact
-        // operation sequence — the correction never touches DRAM and
-        // the standalone fix pass (and its launch) disappears.
+        // Fused kernel: the fix rides in the BConv epilogue. Per Q limb
+        // the converter's sum fills one n-word row and the fix reads it
+        // back while it is in cache — the correction never touches
+        // DRAM and the standalone fix pass (and its launch) disappears.
         obs::Span fused_span("moddown_fused", obs::cat::bconv);
-        const BaseConverter &conv = *lv.p_to_q;
         if (auto *r = obs::current()) {
             r->add("bconv.converts");
             r->add("bconv.products",
@@ -119,59 +202,27 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
         }
         u64 *scaled = frame.alloc<u64>(k_special * n);
         conv.scale_inputs(p_part, n, scaled);
-        // Device-major over the per-device Q-limb shards; identical
-        // per-limb work in identical order within each limb.
-        for (const auto &shard : make_even_partition(level + 1, devices)) {
-        for (size_t j = shard.first; j < shard.first + shard.count; ++j) {
-            const Modulus &tj = conv.to()[j];
-            const Modulus &qj = lv.active[j];
-            const u64 p_inv = lv.p_inv[j];
-            const u64 ps = lv.p_inv_shoup[j];
-            const u64 *src = ext_poly.limb(j);
-            u64 *dst = out.limb(j);
-            const u64 tv = tj.value();
-            for (size_t l = 0; l < n; ++l) {
-                u64 acc = 0;
-                for (size_t i = 0; i < k_special; ++i)
-                    acc = add_mod(acc,
-                                  mul_shoup(scaled[i * n + l],
-                                            conv.factor(i, j),
-                                            conv.factor_shoup(i, j), tv),
-                                  tv);
-                dst[l] = mul_shoup(qj.sub(src[l], acc), p_inv, ps,
-                                   qj.value());
+        u64 *row = frame.alloc<u64>(n);
+        for (const auto &shard : shards) {
+            for (size_t j = shard.first; j < shard.first + shard.count; ++j) {
+                conv.accumulate(scaled, n, j, row);
+                fix(j, row);
             }
         }
-        }
-        obs::add("ks.moddown_products", k_special * (level + 1));
-        if (devices > 1)
-            obs::add("ks.moddown.shards", devices);
-        return out;
+    } else {
+        u64 *corr = frame.alloc<u64>((level + 1) * n);
+        conv.convert_approx(p_part, n, corr);
+        // A standalone element-wise kernel in the unfused mapping,
+        // hence its own span and pass counter.
+        obs::Span fix_span("moddown_fix", obs::cat::stage);
+        obs::add("pass.moddown_fix");
+        for (const auto &shard : shards)
+            for (size_t i = shard.first; i < shard.first + shard.count; ++i)
+                fix(i, corr + i * n);
     }
-
-    u64 *corr = frame.alloc<u64>((level + 1) * n);
-    lv.p_to_q->convert_approx(p_part, n, corr);
     obs::add("ks.moddown_products", k_special * (level + 1));
-
-    // (c - corr) * P^{-1} mod q_i — a standalone element-wise kernel
-    // in the unfused mapping, hence its own span and pass counter.
-    obs::Span fix_span("moddown_fix", obs::cat::stage);
-    obs::add("pass.moddown_fix");
     if (devices > 1)
         obs::add("ks.moddown.shards", devices);
-    for (const auto &shard : make_even_partition(level + 1, devices)) {
-    for (size_t i = shard.first; i < shard.first + shard.count; ++i) {
-        const Modulus &qi = lv.active[i];
-        const u64 p_inv = lv.p_inv[i];
-        const u64 ps = lv.p_inv_shoup[i];
-        const u64 *src = ext_poly.limb(i);
-        const u64 *cr = corr + i * n;
-        u64 *dst = out.limb(i);
-        for (size_t l = 0; l < n; ++l)
-            dst[l] = mul_shoup(qi.sub(src[l], cr[l]), p_inv, ps,
-                               qi.value());
-    }
-    }
     return out;
 }
 
@@ -199,13 +250,10 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
     check_keyswitch_operand(d2, ctx);
     check_keyswitch_key(evk, ctx);
     obs::Span span("keyswitch_hybrid", obs::cat::op);
-    const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;
     obs::observe("work.keyswitch.limbs", static_cast<double>(level + 1));
     const auto &lv = ctx.precomp().level(level);
-    const auto &ext_mods = lv.extended;
-    const auto &groups = lv.groups;
-    NEO_CHECK(groups.size() <= evk.digit_count(),
+    NEO_CHECK(lv.groups.size() <= evk.digit_count(),
               "evaluation key has too few digits");
 
     const auto &slices = key_level_slices(evk, level, ctx);
@@ -213,51 +261,60 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
     RnsPoly d2c = d2;
     ctx.tables().to_coeff(d2c);
     obs::add("ks.intt_limbs", level + 1);
+    // Each digit is raised as the inner product reaches it, so only
+    // one raised digit is ever held.
+    return ip_and_mod_down(
+        [&](size_t j) { return raise_digit(d2c, j, lv, ctx); }, slices,
+        level, lv, ctx);
+}
 
-    RnsPoly acc0(n, ext_mods, PolyForm::eval);
-    RnsPoly acc1(n, ext_mods, PolyForm::eval);
+std::vector<Ciphertext>
+rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
+               const GaloisKeys &gk, const CkksContext &ctx)
+{
+    const size_t level = ct.level;
+    check_keyswitch_operand(ct.c1, ctx);
+    NEO_CHECK(ct.c1.limbs() == level + 1,
+              "ciphertext level does not match its limbs");
+    const auto &lv = ctx.precomp().level(level);
+    const size_t beta = lv.groups.size();
 
-    for (size_t j = 0; j < groups.size(); ++j) {
-        const auto &g = groups[j];
-        // --- ModUp: approximate BConv of digit j to the other primes.
-        // Per-digit frame so every digit reuses the same scratch block.
-        Workspace::Frame frame;
-        const size_t other_count = ext_mods.size() - g.count;
-        u64 *converted = frame.alloc<u64>(other_count * n);
-        lv.digits[j].to_other->convert_approx(d2c.limb(g.first), n,
-                                              converted);
-        obs::add("ks.bconv_products", g.count * other_count);
-
-        RnsPoly up(n, ext_mods, PolyForm::coeff);
-        size_t src = 0;
-        for (size_t t = 0; t < ext_mods.size(); ++t) {
-            if (t >= g.first && t < g.first + g.count) {
-                std::copy(d2c.limb(t), d2c.limb(t) + n, up.limb(t));
-            } else {
-                std::copy(converted + src * n, converted + (src + 1) * n,
-                          up.limb(t));
-                ++src;
-            }
-        }
-        ctx.tables().to_eval(up);
-        obs::add("ks.ntt_limbs", ext_mods.size());
-
-        // --- Inner product with this digit's (cached) key slice.
-        acc0.add_product(up, slices.parts[j][0]);
-        acc1.add_product(up, slices.parts[j][1]);
-        obs::add("ks.ip_mul_limbs", 2 * ext_mods.size());
+    // Every step's key is checked before any of them is read.
+    std::vector<std::pair<u64, const EvalKey *>> keys;
+    keys.reserve(steps.size());
+    for (i64 step : steps) {
+        const u64 g = ctx.encoder().galois_element(step);
+        auto it = gk.hybrid.find(g);
+        NEO_CHECK(it != gk.hybrid.end(), "missing Galois key for step");
+        check_keyswitch_key(it->second, ctx);
+        NEO_CHECK(beta <= it->second.digit_count(),
+                  "evaluation key has too few digits");
+        keys.emplace_back(g, &it->second);
     }
 
-    // --- ModDown.
-    ctx.tables().to_coeff(acc0);
-    ctx.tables().to_coeff(acc1);
-    obs::add("ks.intt_limbs", 2 * ext_mods.size());
-    RnsPoly k0 = mod_down(acc0, level, ctx);
-    RnsPoly k1 = mod_down(acc1, level, ctx);
-    ctx.tables().to_eval(k0);
-    ctx.tables().to_eval(k1);
-    obs::add("ks.ntt_limbs", 2 * (level + 1));
-    return {std::move(k0), std::move(k1)};
+    // ModUp of c1, once for all rotations.
+    RnsPoly d2c = ct.c1;
+    ctx.tables().to_coeff(d2c);
+    obs::add("ks.intt_limbs", level + 1);
+    std::vector<RnsPoly> raised;
+    raised.reserve(beta);
+    for (size_t j = 0; j < beta; ++j)
+        raised.push_back(raise_digit(d2c, j, lv, ctx));
+
+    // Per rotation: σ_g on the raised digits, the inner product with
+    // that rotation's key, the ModDown tail.
+    std::vector<Ciphertext> out;
+    out.reserve(steps.size());
+    for (const auto &step : keys) {
+        const u64 g = step.first;
+        auto [k0, k1] = ip_and_mod_down(
+            [&](size_t j) { return automorphism(raised[j], g); },
+            key_level_slices(*step.second, level, ctx), level, lv, ctx);
+        k0.add_inplace(automorphism(ct.c0, g));
+        out.push_back(
+            Ciphertext{std::move(k0), std::move(k1), level, ct.scale});
+    }
+    return out;
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -326,10 +383,7 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
     RnsPoly acc0(n, ext_mods, PolyForm::coeff);
     RnsPoly acc1(n, ext_mods, PolyForm::coeff);
     for (size_t pq_idx = 0; pq_idx < level + 1 + k_special; ++pq_idx) {
-        // Storage index in [q_0..q_l, P] layout.
-        const size_t store_idx = pq_idx < k_special
-                                     ? level + 1 + pq_idx
-                                     : pq_idx - k_special;
+        const size_t store_idx = ctx.pq_limb(pq_idx, level);
         const size_t grp = group_of(key_partition, pq_idx);
         NEO_ASSERT(grp < beta_tilde, "recover group out of range");
         const BaseConverter &conv = ctx.precomp().t_to_pq(pq_idx);
@@ -338,13 +392,8 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
         obs::add("ks.recover_products", 2 * alpha_p);
     }
 
-    // --- NTT over Q·P, then ModDown (shared with hybrid).
-    RnsPoly k0 = mod_down(acc0, level, ctx);
-    RnsPoly k1 = mod_down(acc1, level, ctx);
-    ctx.tables().to_eval(k0);
-    ctx.tables().to_eval(k1);
-    obs::add("ks.ntt_limbs", 2 * (level + 1));
-    return {std::move(k0), std::move(k1)};
+    // --- ModDown, then NTT over q_0..q_l (shared with hybrid).
+    return mod_down_tail(acc0, acc1, level, ctx);
 }
 
 } // namespace neo::ckks

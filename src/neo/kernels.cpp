@@ -1,7 +1,5 @@
 #include "neo/kernels.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
@@ -99,62 +97,43 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
     obs::Span span("bconv_mm", obs::cat::bconv);
     const size_t a = in_levels();
     const size_t ap = out_levels();
+    const size_t count = batch * n;
     note_bconv(a, ap, batch, n);
     // Step 1 (preprocessing): scalar multiply by (B/b_i)^{-1} and
     // reorder α×BS×N -> N×BS×α so α is the GEMM K dimension.
     Workspace::Frame frame;
-    u64 *scaled = frame.alloc<u64>(a * batch * n);
+    u64 *scaled = frame.alloc<u64>(a * count);
     for (size_t i = 0; i < a; ++i) {
-        const Modulus &bi = conv_.from()[i];
-        const u64 inv = conv_.from().punc_inv(i);
-        const u64 ws = shoup_precompute(inv, bi.value());
-        const u64 *src = in + i * batch * n;
-        u64 *dst = scaled + i * batch * n;
+        const u64 *src = in + i * count;
+        u64 *dst = scaled + i * count;
         parallel_for(
-            0, batch * n,
+            0, count,
             [&](size_t b, size_t e) {
                 for (size_t x = b; x < e; ++x)
-                    dst[x] = mul_shoup(src[x], inv, ws, bi.value());
+                    dst[x] = conv_.scale(i, src[x]);
             },
             8192);
     }
-    // Exact mode: overflow counts r = round(Σ_i y_i / b_i), one per
-    // coefficient site (matches BaseConverter::convert_exact).
+    // Exact mode: one overflow count per coefficient site. Each count
+    // reads only its own site, so chunking cannot change its rounding.
     u64 *overflow = nullptr;
     if (exact) {
-        overflow = frame.alloc<u64>(batch * n);
-        // double reciprocals with long-double accumulation — the same
-        // precision recipe as BaseConverter::convert_exact, so the two
-        // paths round identically (bit-exactness tests rely on it).
-        double *inv_b = frame.alloc<double>(a);
-        for (size_t i = 0; i < a; ++i)
-            // Shenoy–Kumaresan overflow estimation is float-assisted
-            // by design (§4.5.2). neo-lint: allow(float-on-limb)
-            inv_b[i] = 1.0 / static_cast<double>(conv_.from()[i].value());
-        // Per-site accumulation over i is fully inside one index x,
-        // so chunking over x preserves the rounding bit-for-bit.
+        overflow = frame.alloc<u64>(count);
         parallel_for(
-            0, batch * n,
+            0, count,
             [&](size_t b, size_t e) {
-                for (size_t x = b; x < e; ++x) {
-                    long double v = 0.0L;
-                    for (size_t i = 0; i < a; ++i)
-                        // neo-lint: allow(float-on-limb) — see above.
-                        v += static_cast<long double>(
-                                 scaled[i * batch * n + x]) *
-                             inv_b[i];
-                    overflow[x] = static_cast<u64>(std::llroundl(v));
-                }
+                for (size_t x = b; x < e; ++x)
+                    overflow[x] = conv_.overflow(scaled + x, count);
             },
             4096);
     }
-    u64 *reordered = frame.alloc<u64>(a * batch * n);
+    u64 *reordered = frame.alloc<u64>(a * count);
     reorder_3d_swap02(scaled, a, batch, n, reordered);
 
     // Step 2: one (N·BS) × α' × α GEMM against the factor matrix,
     // reduced per output column's modulus.
-    u64 *prod = frame.alloc<u64>(n * batch * ap);
-    mm(reordered, conv_.factor_matrix().data(), prod, n * batch, ap, a,
+    u64 *prod = frame.alloc<u64>(count * ap);
+    mm(reordered, conv_.factor_matrix().data(), prod, count, ap, a,
        conv_.to().mods());
 
     // Exact epilogue: subtract r·B mod t_j per row (rank-1 update);
@@ -167,13 +146,8 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
                     for (size_t b = 0; b < batch; ++b) {
                         const u64 r = overflow[b * n + l];
                         u64 *row = prod + (l * batch + b) * ap;
-                        for (size_t j = 0; j < ap; ++j) {
-                            const Modulus &tj = conv_.to()[j];
-                            const u64 corr = mul_shoup(
-                                r, conv_.product_mod_to(j),
-                                conv_.product_mod_to_shoup(j), tj.value());
-                            row[j] = tj.sub(row[j], corr);
-                        }
+                        for (size_t j = 0; j < ap; ++j)
+                            row[j] = conv_.correct(j, row[j], r);
                     }
                 }
             },
@@ -231,7 +205,7 @@ IpKernel::run_matmul(const u64 *limbs, const u64 *keys, size_t batch,
     Workspace::Frame frame;
     u64 *keys_r = frame.alloc<u64>(beta_tilde_ * beta_ * ap * n);
     reorder_4d_reverse(keys, beta_tilde_, beta_, ap, n, keys_r);
-    matmul_impl(limbs, keys_r, batch, n, out, mm);
+    matmul_sites(limbs, keys_r, batch, n, out, mm);
 }
 
 void
@@ -241,12 +215,12 @@ IpKernel::run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
 {
     obs::Span span("ip_mm", obs::cat::ip);
     note_ip(beta_, beta_tilde_, t_mods_.size(), batch, n);
-    matmul_impl(limbs, keys_r, batch, n, out, mm);
+    matmul_sites(limbs, keys_r, batch, n, out, mm);
 }
 
 void
-IpKernel::matmul_impl(const u64 *limbs, const u64 *keys_r, size_t batch,
-                      size_t n, u64 *out, const ModSiteMatMulFn &mm) const
+IpKernel::matmul_sites(const u64 *limbs, const u64 *keys_r, size_t batch,
+                       size_t n, u64 *out, const ModSiteMatMulFn &mm) const
 {
     const size_t ap = t_mods_.size();
     // Preprocessing: reorder the limb tensor per Fig 8.

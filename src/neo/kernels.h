@@ -73,7 +73,8 @@ class BConvKernel
      * Recover Limbs require: the preprocessing additionally computes
      * the overflow count r = round(Σ_i y_i / b_i) per coefficient and
      * the epilogue subtracts r·B mod t_j — one rank-1 correction on
-     * top of the same GEMM. Bit-exact against
+     * top of the same GEMM. Both are the converter's own overflow()
+     * and correct() steps, so the result is bit-exact against
      * BaseConverter::convert_exact.
      */
     void run_matmul_exact(const u64 *in, size_t batch, size_t n, u64 *out,
@@ -124,8 +125,8 @@ class IpKernel
                               const ModSiteMatMulFn &mm) const;
 
   private:
-    void matmul_impl(const u64 *limbs, const u64 *keys_r, size_t batch,
-                     size_t n, u64 *out, const ModSiteMatMulFn &mm) const;
+    void matmul_sites(const u64 *limbs, const u64 *keys_r, size_t batch,
+                      size_t n, u64 *out, const ModSiteMatMulFn &mm) const;
 
     std::vector<Modulus> t_mods_;
     size_t beta_;

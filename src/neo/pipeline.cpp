@@ -179,7 +179,6 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     }
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;
-    const size_t k_special = ctx.p_basis().size();
     const size_t alpha_p = ctx.alpha_prime();
     const auto &pp = ctx.params();
     const auto &lv = ctx.precomp().level(level);
@@ -283,10 +282,8 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
                                      recover_mm);
             RnsPoly &acc = c == 0 ? acc0 : acc1;
             for (size_t t = 0; t < recover.out_levels(); ++t) {
-                // [P, Q]-ordered prime pq sits at limb `store` of acc.
-                const size_t pq = key_partition[i].first + t;
                 const size_t store =
-                    pq < k_special ? level + 1 + pq : pq - k_special;
+                    ctx.pq_limb(key_partition[i].first + t, level);
                 std::copy(out + t * n, out + (t + 1) * n, acc.limb(store));
             }
         }

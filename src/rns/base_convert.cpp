@@ -1,9 +1,7 @@
 #include "rns/base_convert.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/check.h"
 #include "common/workspace.h"
 #include "obs/obs.h"
 
@@ -14,6 +12,7 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
 {
     const size_t k = from_.size();
     const size_t m = to_.size();
+    punc_inv_shoup_.resize(k);
     punc_mod_to_.resize(k * m);
     punc_mod_to_shoup_.resize(k * m);
     b_mod_to_.resize(m);
@@ -29,45 +28,23 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
         b_mod_to_[j] = from_.product_mod(tj);
         b_mod_to_shoup_[j] = shoup_precompute(b_mod_to_[j], tj.value());
     }
-    for (size_t i = 0; i < k; ++i)
-        // Shenoy–Kumaresan overflow estimation is float-assisted by
-        // design (§4.5.2); rounding is bit-matched with
-        // BConvKernel::matmul_common. neo-lint: allow(float-on-limb)
+    for (size_t i = 0; i < k; ++i) {
+        punc_inv_shoup_[i] =
+            shoup_precompute(from_.punc_inv(i), from_[i].value());
+        // The reciprocals overflow() sums with. neo-lint: allow(float-on-limb)
         inv_from_[i] = 1.0 / static_cast<double>(from_[i].value());
+    }
 }
 
 void
 BaseConverter::scale_inputs(const u64 *in, size_t n, u64 *scaled) const
 {
-    const size_t k = from_.size();
-    for (size_t i = 0; i < k; ++i) {
-        const Modulus &bi = from_[i];
-        const u64 w = from_.punc_inv(i);
-        const u64 ws = shoup_precompute(w, bi.value());
+    for (size_t i = 0; i < from_.size(); ++i) {
         const u64 *src = in + i * n;
         u64 *dst = scaled + i * n;
         for (size_t l = 0; l < n; ++l)
-            dst[l] = mul_shoup(src[l], w, ws, bi.value());
+            dst[l] = scale(i, src[l]);
     }
-}
-
-void
-BaseConverter::convert_approx(const u64 *in, size_t n, u64 *out) const
-{
-    obs::Span span("bconv_approx", obs::cat::bconv);
-    const size_t k = from_.size();
-    const size_t m = to_.size();
-    if (auto *r = obs::current()) {
-        r->add("bconv.converts");
-        r->add("bconv.products", static_cast<u64>(k) * m);
-        r->add_value("bconv.bytes",
-                     static_cast<double>((k + m) * n) * sizeof(u64));
-    }
-    Workspace::Frame frame;
-    u64 *scaled = frame.alloc<u64>(k * n);
-    scale_inputs(in, n, scaled);
-    for (size_t j = 0; j < m; ++j)
-        accumulate(scaled, n, j, out + j * n);
 }
 
 void
@@ -86,40 +63,51 @@ BaseConverter::accumulate(const u64 *scaled, size_t n, size_t j,
     }
 }
 
+namespace {
+
+/// Per-call accounting shared by both conversions: one conversion,
+/// |from|·|to| limb products, inputs read and outputs written once.
 void
-BaseConverter::convert_exact(const u64 *in, size_t n, u64 *out) const
+note_convert(size_t k, size_t m, size_t n)
 {
-    obs::Span span("bconv_exact", obs::cat::bconv);
-    const size_t k = from_.size();
-    const size_t m = to_.size();
     if (auto *r = obs::current()) {
         r->add("bconv.converts");
         r->add("bconv.products", static_cast<u64>(k) * m);
         r->add_value("bconv.bytes",
                      static_cast<double>((k + m) * n) * sizeof(u64));
     }
+}
+
+} // namespace
+
+void
+BaseConverter::convert_approx(const u64 *in, size_t n, u64 *out) const
+{
+    obs::Span span("bconv_approx", obs::cat::bconv);
+    note_convert(from_.size(), to_.size(), n);
     Workspace::Frame frame;
-    u64 *scaled = frame.alloc<u64>(k * n);
+    u64 *scaled = frame.alloc<u64>(from_.size() * n);
     scale_inputs(in, n, scaled);
-    // Overflow counts r_l = round(Σ_i scaled_i / b_i).
-    u64 *overflow = frame.alloc<u64>(n);
-    for (size_t l = 0; l < n; ++l) {
-        long double v = 0.0L;
-        for (size_t i = 0; i < k; ++i)
-            // neo-lint: allow(float-on-limb) — see constructor note.
-            v += static_cast<long double>(scaled[i * n + l]) * inv_from_[i];
-        overflow[l] = static_cast<u64>(llroundl(v));
-    }
-    for (size_t j = 0; j < m; ++j) {
-        const u64 tv = to_[j].value();
+    for (size_t j = 0; j < to_.size(); ++j)
+        accumulate(scaled, n, j, out + j * n);
+}
+
+void
+BaseConverter::convert_exact(const u64 *in, size_t n, u64 *out) const
+{
+    obs::Span span("bconv_exact", obs::cat::bconv);
+    note_convert(from_.size(), to_.size(), n);
+    Workspace::Frame frame;
+    u64 *scaled = frame.alloc<u64>(from_.size() * n);
+    scale_inputs(in, n, scaled);
+    u64 *r = frame.alloc<u64>(n);
+    for (size_t l = 0; l < n; ++l)
+        r[l] = overflow(scaled + l, n);
+    for (size_t j = 0; j < to_.size(); ++j) {
         u64 *dst = out + j * n;
         accumulate(scaled, n, j, dst);
-        // Subtract r * B mod t_j.
         for (size_t l = 0; l < n; ++l)
-            dst[l] = sub_mod(
-                dst[l],
-                mul_shoup(overflow[l], b_mod_to_[j], b_mod_to_shoup_[j], tv),
-                tv);
+            dst[l] = correct(j, dst[l], r[l]);
     }
 }
 

@@ -20,12 +20,16 @@
  *    integer, so converting it back to the PQ primes must be exact
  *    CRT reconstruction, not fast conversion.
  *
- * Both operate limb-wise on arrays of n coefficients so that the
- * element-wise and matrix forms of the paper's Algorithms 1 and 2 can
- * be expressed on top of them.
+ * Both are built from four steps the converter exposes once — scale(),
+ * overflow(), accumulate() and correct(). The matrix form of the
+ * paper's Algorithm 2 (neo/kernels.h) and the fused ModDown
+ * (ckks/keyswitch.cpp) call the same steps, so they round like the
+ * conversions by construction. Each step leaves its loop to the
+ * caller, which decides whether to fan it out.
  */
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "rns/basis.h"
@@ -59,13 +63,50 @@ class BaseConverter
      */
     void convert_exact(const u64 *in, size_t n, u64 *out) const;
 
-    /**
-     * Scalar-multiplication step shared by both variants (line 1 of
-     * Algorithms 1/2): y_i = [x_i * (B/b_i)^{-1}]_{b_i}. Exposed
-     * separately so the matrix-form BConv can fuse it with the data
-     * reorder.
-     */
+    /// Line 1 of Algorithms 1/2 for one word of source limb @p i:
+    /// y = [x · (B/b_i)^{-1}]_{b_i}.
+    u64
+    scale(size_t i, u64 x) const
+    {
+        return mul_shoup(x, from_.punc_inv(i), punc_inv_shoup_[i],
+                         from_[i].value());
+    }
+
+    /// scale() over @p n coefficients of every source limb, limb i at
+    /// in + i*n and scaled + i*n.
     void scale_inputs(const u64 *in, size_t n, u64 *scaled) const;
+
+    /**
+     * Shenoy–Kumaresan overflow count of one coefficient,
+     * r = round(Σ_i y_i / b_i), for scaled words y_i at y[i·stride].
+     * Float-assisted by design (§4.5.2): long-double accumulation of
+     * double reciprocals.
+     */
+    u64
+    overflow(const u64 *y, size_t stride) const
+    {
+        long double v = 0.0L;
+        for (size_t i = 0; i < inv_from_.size(); ++i)
+            // neo-lint: allow(float-on-limb) — the overflow estimate.
+            v += static_cast<long double>(y[i * stride]) * inv_from_[i];
+        return static_cast<u64>(std::llroundl(v));
+    }
+
+    /// Output limb @p j of the fast sum over n coefficients:
+    /// dst[l] = Σ_i scaled_i[l] · [B/b_i]_{t_j} mod t_j, one Shoup
+    /// multiply per term (exact for any u64 input, so the scaled words
+    /// need no reduction mod t_j first).
+    void accumulate(const u64 *scaled, size_t n, size_t j, u64 *dst) const;
+
+    /// The exact correction of one word of output limb @p j:
+    /// v − r·[B]_{t_j} mod t_j for overflow count @p r.
+    u64
+    correct(size_t j, u64 v, u64 r) const
+    {
+        const u64 t = to_[j].value();
+        return sub_mod(v, mul_shoup(r, b_mod_to_[j], b_mod_to_shoup_[j], t),
+                       t);
+    }
 
     /// [B/b_i] mod t_j — the matrix the paper's Algorithm 2 multiplies by.
     u64 factor(size_t i, size_t j) const
@@ -77,26 +118,13 @@ class BaseConverter
     /// at [i·|to| + j]. Algorithm 2's GEMM B operand.
     const std::vector<u64> &factor_matrix() const { return punc_mod_to_; }
 
-    /// Shoup constant of factor(i, j) modulo t_j.
-    u64 factor_shoup(size_t i, size_t j) const
-    {
-        return punc_mod_to_shoup_[i * to_.size() + j];
-    }
-
     /// [B] mod t_j.
     u64 product_mod_to(size_t j) const { return b_mod_to_[j]; }
 
-    /// Shoup constant of product_mod_to(j) modulo t_j.
-    u64 product_mod_to_shoup(size_t j) const { return b_mod_to_shoup_[j]; }
-
   private:
-    /// dst[l] = Σ_i scaled_i[l] · [B/b_i]_{t_j} mod t_j, one Shoup
-    /// multiply per term: mul_shoup is exact for any u64 input, so the
-    /// scaled words need no reduction mod t_j first.
-    void accumulate(const u64 *scaled, size_t n, size_t j, u64 *dst) const;
-
     RnsBasis from_;
     RnsBasis to_;
+    std::vector<u64> punc_inv_shoup_;    // of from_.punc_inv(i)
     std::vector<u64> punc_mod_to_;       // [i*|to| + j] = (B/b_i) mod t_j
     std::vector<u64> punc_mod_to_shoup_; // Shoup companions
     std::vector<u64> b_mod_to_;          // B mod t_j

@@ -355,6 +355,21 @@ TEST_F(CkksFixture, KeySwitchCountersMatchComplexityFormulas)
     }
 }
 
+TEST_F(CkksFixture, ToKlssTransformsEachKeyPartOnce)
+{
+    // Each of the 2·β hybrid key parts goes to coefficient form once,
+    // over all L+1+K limbs, and each of its β̃ key digits is NTT'd once
+    // over the α' limbs of T. Every limb transform closes one ntt span.
+    obs::Scope scope;
+    const KlssEvalKey klss = keygen_->to_klss(keys_->rlk);
+    const u64 beta = keys_->rlk.digit_count();
+    const u64 limbs = ctx_->pq_ordered_size();
+    const u64 beta_tilde = klss.beta_tilde_max;
+    ASSERT_GT(beta_tilde, 1u);
+    EXPECT_EQ(scope.counter("span.ntt"),
+              2 * beta * (limbs + beta_tilde * ctx_->alpha_prime()));
+}
+
 TEST_F(CkksFixture, KlssInnerProductStaysBelowBound)
 {
     // Eq. 4 instantiation: the T base must exceed the worst-case IP

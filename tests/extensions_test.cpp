@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "ckks/security.h"
 #include "gpusim/memory_model.h"
+#include "obs/obs.h"
 #include "tensor/gemm.h"
 #include "rns/primes.h"
 
@@ -73,6 +74,46 @@ TEST(Hoisting, DecryptsToRotatedMessages)
         for (size_t i = 0; i < slots; ++i)
             EXPECT_LT(std::abs(got[i] - z[(i + r) % slots]), 1e-4);
     }
+}
+
+TEST(Hoisting, RecordsModUpOnceAndKeySwitchWorkPerStep)
+{
+    // k hoisted rotations replace k hybrid key switches: one shared
+    // ModUp, then an inner product and a ModDown per step.
+    CkksParams params = CkksParams::test_params(128, 5, 2);
+    CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 34);
+    SecretKey sk = keygen.secret_key();
+    PublicKey pk = keygen.public_key(sk);
+    const std::vector<i64> steps = {1, 2, 3};
+    GaloisKeys gk = keygen.galois_keys(sk, steps);
+    Encryptor enc(ctx);
+    std::vector<Complex> z(ctx.encoder().slot_count(), Complex(0.5, 0));
+    Ciphertext ct = enc.encrypt(ctx.encode(z, 5), pk);
+    const u64 k = steps.size();
+
+    obs::Scope one;
+    const EvalKey &key = gk.hybrid.at(ctx.encoder().galois_element(1));
+    (void)keyswitch_hybrid(ct.c1, key, ctx);
+    obs::Scope hoisted;
+    (void)rotate_hoisted(ct, steps, gk, ctx);
+
+    const u64 l = ct.level;
+    const u64 ext = l + 1 + ctx.p_basis().size();
+    const u64 beta = params.beta(l);
+    ASSERT_GT(one.counter("ks.bconv_products"), 0u);
+    EXPECT_EQ(hoisted.counter("ks.bconv_products"),
+              one.counter("ks.bconv_products"));
+    EXPECT_EQ(hoisted.counter("ks.ip_mul_limbs"),
+              k * one.counter("ks.ip_mul_limbs"));
+    EXPECT_EQ(hoisted.counter("ks.moddown_products"),
+              k * one.counter("ks.moddown_products"));
+    // The ModUp's transforms once, the inner product's and ModDown's
+    // per step.
+    EXPECT_EQ(hoisted.counter("ks.intt_limbs"), (l + 1) + k * 2 * ext);
+    EXPECT_EQ(hoisted.counter("ks.ntt_limbs"), beta * ext + k * 2 * (l + 1));
+    EXPECT_EQ(one.counter("ks.intt_limbs"), (l + 1) + 2 * ext);
+    EXPECT_EQ(one.counter("ks.ntt_limbs"), beta * ext + 2 * (l + 1));
 }
 
 TEST(Hoisting, MissingKeyRejected)

@@ -11,11 +11,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckks/encryptor.h"
@@ -24,6 +26,8 @@
 #include "ckks/keyswitch.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "neo/engine.h"
+#include "neo/kernels.h"
 #include "neo/pipeline.h"
 #include "rns/primes.h"
 #include "tensor/gemm.h"
@@ -220,6 +224,66 @@ TEST(NttTableSet, RejectsForeignModulusAtAnyThreadCount)
         p = half_ring;
         EXPECT_THROW(ctx.tables().to_eval(p), std::invalid_argument);
         EXPECT_THROW(eval.rescale(ct), std::invalid_argument);
+    }
+    use_threads(1);
+}
+
+TEST(BConvKernel, LargeBatchMatchesConverterOnEveryEngineAndThreadCount)
+{
+    // batch·n = 2^15 is past the grain of each of the matrix form's
+    // own loops (8192 words to scale, 4096 overflow counts, 1024
+    // correction rows), so every one of them splits across the pool.
+    // Shapes: ModUp-like (4 → 5 limbs) and Recover-like (5 → 2 limbs).
+    const size_t n = 1 << 14, batch = 2;
+    for (const auto &[a, ap] :
+         {std::pair<size_t, size_t>{4, 5}, std::pair<size_t, size_t>{5, 2}}) {
+        const auto p1 = generate_ntt_primes(36, static_cast<int>(a), 1 << 10);
+        const auto p2 = generate_ntt_primes(48, static_cast<int>(ap), 1 << 10);
+        const RnsBasis from(p1), to(p2);
+        const BConvKernel kernel(from, to);
+        Rng rng(a * 10 + ap);
+        std::vector<u64> in(a * batch * n);
+        for (size_t i = 0; i < a; ++i)
+            for (size_t x = 0; x < batch * n; ++x)
+                in[i * batch * n + x] = rng.uniform(p1[i]);
+
+        // Reference: each batch element through the converter.
+        std::vector<u64> want_approx(ap * batch * n);
+        std::vector<u64> want_exact(ap * batch * n);
+        std::vector<u64> one(a * n), conv_out(ap * n);
+        for (size_t b = 0; b < batch; ++b) {
+            for (size_t i = 0; i < a; ++i)
+                std::copy_n(in.begin() + (i * batch + b) * n, n,
+                            one.begin() + i * n);
+            for (bool exact : {false, true}) {
+                if (exact)
+                    kernel.converter().convert_exact(one.data(), n,
+                                                     conv_out.data());
+                else
+                    kernel.converter().convert_approx(one.data(), n,
+                                                      conv_out.data());
+                auto &want = exact ? want_exact : want_approx;
+                for (size_t j = 0; j < ap; ++j)
+                    std::copy_n(conv_out.begin() + j * n, n,
+                                want.begin() + (j * batch + b) * n);
+            }
+        }
+
+        for (EngineId e :
+             {EngineId::scalar, EngineId::fp64_tcu, EngineId::int8_tcu}) {
+            const auto &mm = EngineRegistry::engines(e).per_column;
+            for (size_t tc : kThreadCounts) {
+                use_threads(tc);
+                SCOPED_TRACE(::testing::Message()
+                             << a << " -> " << ap << " engine "
+                             << EngineRegistry::name(e) << " threads=" << tc);
+                std::vector<u64> got(ap * batch * n);
+                kernel.run_matmul(in.data(), batch, n, got.data(), mm);
+                EXPECT_EQ(got, want_approx);
+                kernel.run_matmul_exact(in.data(), batch, n, got.data(), mm);
+                EXPECT_EQ(got, want_exact);
+            }
+        }
     }
     use_threads(1);
 }
