@@ -103,14 +103,9 @@ Bootstrapper::required_rotations(const CkksContext &ctx,
         rots.push_back(static_cast<i64>(i * g));
     if (opts.factored_groups > 0) {
         // The sparse stages rotate by their own diagonal offsets.
-        FactoredEmbedding fe(ctx.n(), opts.factored_groups);
-        auto add = [&](const std::vector<ckks::LinearTransform> &stages) {
-            for (const auto &stage : stages)
-                for (i64 r : stage.required_rotations())
-                    rots.push_back(r);
-        };
-        add(fe.forward());
-        add(fe.inverse());
+        for (i64 r : FactoredEmbedding::required_rotations(
+                 ctx.n(), opts.factored_groups))
+            rots.push_back(r);
     }
     std::sort(rots.begin(), rots.end());
     rots.erase(std::unique(rots.begin(), rots.end()), rots.end());

@@ -71,37 +71,77 @@ mat_inv(std::vector<Complex> a, size_t s)
     return inv;
 }
 
+/// The butterfly levels 1..log2(n/2) of ring degree @p n cut into
+/// runs of ceil(levels / groups), stage 1 (smallest blocks) first:
+/// {first, last} level of each group.
+std::vector<std::pair<size_t, size_t>>
+group_levels(size_t n, size_t groups)
+{
+    NEO_CHECK(is_pow2(n) && n >= 8, "degree must be a power of two >= 8");
+    const size_t levels = static_cast<size_t>(log2_exact(n / 2));
+    NEO_CHECK(groups >= 1 && groups <= levels, "bad group count");
+    const size_t per_group = ceil_div(levels, groups);
+    std::vector<std::pair<size_t, size_t>> out;
+    for (size_t first = 1; first <= levels; first += per_group)
+        out.emplace_back(first, std::min(first + per_group - 1, levels));
+    return out;
+}
+
 } // namespace
 
 FactoredEmbedding::FactoredEmbedding(size_t n, size_t groups)
     : n_(n), slots_(n / 2)
 {
-    NEO_CHECK(is_pow2(n) && n >= 8, "degree must be a power of two >= 8");
-    const size_t levels = static_cast<size_t>(log2_exact(slots_));
-    NEO_CHECK(groups >= 1 && groups <= levels, "bad group count");
+    const auto grouping = group_levels(n, groups);
 
     // σ = bit reversal over log2(S) bits.
+    const int bits = static_cast<int>(log2_exact(slots_));
     sigma_.resize(slots_);
     for (size_t k = 0; k < slots_; ++k)
-        sigma_[k] = reverse_bits(k, static_cast<int>(levels));
+        sigma_[k] = reverse_bits(k, bits);
 
     // Multiply consecutive stage matrices into the requested groups
     // (stage 1 = smallest blocks applies first).
-    const size_t per_group = ceil_div(levels, groups);
-    size_t level = 1;
-    while (level <= levels) {
-        std::vector<Complex> acc = stage_matrix(level);
-        ++level;
-        for (size_t g = 1; g < per_group && level <= levels; ++g) {
+    for (const auto &[first, last] : grouping) {
+        std::vector<Complex> acc = stage_matrix(first);
+        for (size_t level = first + 1; level <= last; ++level)
             acc = mat_mul(stage_matrix(level), acc, slots_);
-            ++level;
-        }
         inverse_.emplace_back(mat_inv(acc, slots_), slots_);
         forward_.emplace_back(std::move(acc), slots_);
     }
     // Inverse stages must apply in reverse order; store them reversed
     // so callers iterate naturally.
     std::reverse(inverse_.begin(), inverse_.end());
+}
+
+std::vector<i64>
+FactoredEmbedding::required_rotations(size_t n, size_t groups)
+{
+    const size_t slots = n / 2;
+    std::vector<i64> rots;
+    for (const auto &[first, last] : group_levels(n, groups)) {
+        // Offsets reachable by the group's stages, one ±D_k or 0 each.
+        std::vector<bool> reach(slots, false);
+        reach[0] = true;
+        for (size_t level = first; level <= last; ++level) {
+            const size_t d = size_t{1} << (level - 1);
+            std::vector<bool> next(slots, false);
+            for (size_t s = 0; s < slots; ++s) {
+                if (!reach[s])
+                    continue;
+                next[s] = true;
+                next[(s + d) % slots] = true;
+                next[(s + slots - d) % slots] = true;
+            }
+            reach = std::move(next);
+        }
+        for (size_t s = 1; s < slots; ++s)
+            if (reach[s])
+                rots.push_back(static_cast<i64>(s));
+    }
+    std::sort(rots.begin(), rots.end());
+    rots.erase(std::unique(rots.begin(), rots.end()), rots.end());
+    return rots;
 }
 
 std::vector<Complex>

@@ -42,6 +42,15 @@ class FactoredEmbedding
      */
     FactoredEmbedding(size_t n, size_t groups);
 
+    /**
+     * The rotation steps the stages of FactoredEmbedding(@p n,
+     * @p groups) need, without building them: per group, every sum
+     * Σ ε_k·D_k mod slots that is not 0, with ε_k ∈ {−1, 0, 1} and
+     * D_k = 2^(ℓ−1) over the group's stages ℓ. A group's forward and
+     * inverse stages share these offsets. Ascending, no duplicates.
+     */
+    static std::vector<i64> required_rotations(size_t n, size_t groups);
+
     size_t slots() const { return slots_; }
     size_t groups() const { return forward_.size(); }
 

@@ -1,6 +1,7 @@
 #include "ckks/evaluator.h"
 
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "obs/obs.h"
@@ -172,35 +173,54 @@ Evaluator::rescale_by(const Ciphertext &a, size_t count) const
     obs::add("op.rescale");
     obs::observe("work.op.limbs", static_cast<double>(a.level + 1));
     NEO_CHECK(a.level >= count, "not enough levels to rescale");
+    for (const RnsPoly *c : {&a.c0, &a.c1}) {
+        NEO_CHECK(c->form() == PolyForm::eval, "rescale expects eval form");
+        NEO_CHECK(c->n() == ctx_.n() && c->limbs() == a.level + 1,
+                  "ciphertext is over another ring or level");
+        for (size_t i = 0; i <= a.level; ++i)
+            NEO_CHECK(c->modulus(i) == ctx_.q_basis()[i],
+                      "ciphertext is over another modulus chain");
+    }
+    const NttTableSet &tables = ctx_.tables();
+    const size_t n = ctx_.n();
     Ciphertext out = a;
     for (size_t step = 0; step < count; ++step) {
         const size_t level = out.level;
-        const Modulus &q_last = ctx_.q_basis()[level];
-        const u64 ql = q_last.value();
+        const u64 ql = ctx_.q_basis()[level].value();
         const auto mods = ctx_.active_mods(level - 1);
-        const size_t n = ctx_.n();
 
+        // In the eval domain: INTT only the dropped limb, NTT its
+        // centered lift under each remaining q_i, then
+        // (c_i - lift_i)·q_l⁻¹. The NTT is linear and exact mod q_i,
+        // so this is the coefficient-domain rescale word for word.
         for (RnsPoly *c : {&out.c0, &out.c1}) {
-            ctx_.tables().to_coeff(*c);
+            u64 *last = c->limb(level);
+            tables.transform(last, n, std::span(c->mods()).subspan(level, 1),
+                             PolyForm::coeff);
+            // next holds the lift, then the result.
             RnsPoly next(n, mods, PolyForm::coeff);
-            const u64 *last = c->limb(level);
             for (size_t i = 0; i < level; ++i) {
-                const Modulus &qi = mods[i];
-                const u64 ql_inv = qi.inv(ql % qi.value());
-                const u64 ws = shoup_precompute(ql_inv, qi.value());
-                const u64 *src = c->limb(i);
-                u64 *dst = next.limb(i);
+                const u64 q = mods[i].value();
+                // x mod q for any 64-bit x: a Shoup product by 1.
+                const u64 one_shoup = shoup_precompute(1, q);
+                const u64 ql_mod = ql % q;
+                u64 *lift = next.limb(i);
                 for (size_t l = 0; l < n; ++l) {
-                    // Centered lift of the dropped limb.
-                    u64 lifted = last[l] > ql / 2
-                                     ? qi.sub(last[l] % qi.value(),
-                                              ql % qi.value())
-                                     : last[l] % qi.value();
-                    dst[l] = mul_shoup(qi.sub(src[l], lifted), ql_inv,
-                                       ws, qi.value());
+                    const u64 x = mul_shoup(last[l], 1, one_shoup, q);
+                    lift[l] = last[l] > ql / 2 ? sub_mod(x, ql_mod, q) : x;
                 }
             }
-            ctx_.tables().to_eval(next);
+            tables.to_eval(next);
+            for (size_t i = 0; i < level; ++i) {
+                const u64 q = mods[i].value();
+                const u64 ql_inv = mods[i].inv(ql % q);
+                const u64 ws = shoup_precompute(ql_inv, q);
+                const u64 *src = c->limb(i);
+                u64 *dst = next.limb(i);
+                for (size_t l = 0; l < n; ++l)
+                    dst[l] = mul_shoup(sub_mod(src[l], dst[l], q), ql_inv, ws,
+                                       q);
+            }
             *c = std::move(next);
         }
         out.level -= 1;

@@ -46,55 +46,64 @@ is_qp_chain(const std::vector<Modulus> &m, const CkksContext &ctx)
 /**
  * Hybrid ModUp of ciphertext digit @p j: convert_approx its limbs of
  * @p d2c (coeff form over q_0..q_l) to the other primes of @p lv's
- * extended basis, assemble the digit over q_0..q_l, P and NTT it.
+ * extended basis and NTT only those. The digit's own limbs are copied
+ * from @p d2, the same operand in eval form.
  */
 RnsPoly
-raise_digit(const RnsPoly &d2c, size_t j, const KeySwitchPrecomp::Level &lv,
-            const CkksContext &ctx)
+raise_digit(const RnsPoly &d2, const RnsPoly &d2c, size_t j,
+            const KeySwitchPrecomp::Level &lv, const CkksContext &ctx)
 {
     const size_t n = d2c.n();
     const auto &g = lv.groups[j];
+    const BaseConverter &to_other = *lv.digits[j].to_other;
     const auto &ext_mods = lv.extended;
     const size_t other_count = ext_mods.size() - g.count;
     Workspace::Frame frame;
     u64 *converted = frame.alloc<u64>(other_count * n);
-    lv.digits[j].to_other->convert_approx(d2c.limb(g.first), n, converted);
+    to_other.convert_approx(d2c.limb(g.first), n, converted);
     obs::add("ks.bconv_products", g.count * other_count);
+    ctx.tables().transform(converted, n, to_other.to().mods(),
+                           PolyForm::eval);
+    obs::add("ks.ntt_limbs", other_count);
 
-    RnsPoly up(n, ext_mods, PolyForm::coeff);
+    RnsPoly up(n, ext_mods, PolyForm::eval);
     size_t other = 0;
     for (size_t t = 0; t < ext_mods.size(); ++t) {
         const bool own = t >= g.first && t < g.first + g.count;
-        const u64 *src = own ? d2c.limb(t) : converted + other++ * n;
+        const u64 *src = own ? d2.limb(t) : converted + other++ * n;
         std::copy(src, src + n, up.limb(t));
     }
-    ctx.tables().to_eval(up);
-    obs::add("ks.ntt_limbs", ext_mods.size());
     return up;
 }
 
 /**
- * The ModDown tail every key switch ends with: divide both coeff-form
- * accumulators over q_0..q_l, P by P and NTT the results back to eval
- * form over q_0..q_l.
+ * The ModDown tail every key switch ends with: divide both
+ * accumulators over q_0..q_l, P by P and return the results in eval
+ * form over q_0..q_l. An eval-form accumulator (hybrid) stays in the
+ * eval domain inside mod_down; a coeff-form one (KLSS Recover Limbs)
+ * is NTT'd here.
  */
 std::pair<RnsPoly, RnsPoly>
 mod_down_tail(const RnsPoly &acc0, const RnsPoly &acc1, size_t level,
               const CkksContext &ctx)
 {
-    RnsPoly k0 = mod_down(acc0, level, ctx);
-    RnsPoly k1 = mod_down(acc1, level, ctx);
-    ctx.tables().to_eval(k0);
-    ctx.tables().to_eval(k1);
-    obs::add("ks.ntt_limbs", 2 * (level + 1));
-    return {std::move(k0), std::move(k1)};
+    std::pair<RnsPoly, RnsPoly> out{mod_down(acc0, level, ctx),
+                                    mod_down(acc1, level, ctx)};
+    for (RnsPoly *k : {&out.first, &out.second}) {
+        if (k->form() == PolyForm::coeff) {
+            ctx.tables().to_eval(*k);
+            obs::add("ks.ntt_limbs", level + 1);
+        }
+    }
+    return out;
 }
 
 /**
  * The rest of a hybrid key switch after its ModUp: the inner product
  * of the raised digits digit(0..β-1) with the level's key @p slices
- * (eval form over q_0..q_l, P), the INTT, then the ModDown tail. Each
- * digit is asked for once, in order, and dropped after its products.
+ * (eval form over q_0..q_l, P), then the ModDown tail on the eval-form
+ * accumulators. Each digit is asked for once, in order, and dropped
+ * after its products.
  */
 template <class Digit>
 std::pair<RnsPoly, RnsPoly>
@@ -111,9 +120,6 @@ ip_and_mod_down(const Digit &digit, const EvalKey::LevelSlices &slices,
         acc1.add_product(up, slices.parts[j][1]);
         obs::add("ks.ip_mul_limbs", 2 * limbs);
     }
-    ctx.tables().to_coeff(acc0);
-    ctx.tables().to_coeff(acc1);
-    obs::add("ks.intt_limbs", 2 * limbs);
     return mod_down_tail(acc0, acc1, level, ctx);
 }
 
@@ -158,8 +164,6 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
          bool fuse, size_t devices)
 {
     NEO_ASSERT(devices >= 1, "mod_down needs at least one device");
-    NEO_ASSERT(ext_poly.form() == PolyForm::coeff,
-               "mod_down expects coefficient form");
     obs::Span span("mod_down", obs::cat::stage);
     const size_t n = ext_poly.n();
     const size_t k_special = ctx.p_basis().size();
@@ -167,9 +171,32 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
                "mod_down shape mismatch");
     const auto &lv = ctx.precomp().level(level);
     const BaseConverter &conv = *lv.p_to_q;
-    // The P limbs follow q_0..q_l contiguously.
+    const NttTableSet &tables = ctx.tables();
+    const bool eval = ext_poly.form() == PolyForm::eval;
+    Workspace::Frame frame;
+    // The P limbs follow q_0..q_l contiguously. The BConv reads them in
+    // coefficient form, so an eval-form input INTTs a copy of only
+    // those K limbs.
     const u64 *p_part = ext_poly.limb(level + 1);
-    RnsPoly out(n, lv.active, PolyForm::coeff);
+    if (eval) {
+        u64 *p_coeff = frame.alloc<u64>(k_special * n);
+        std::copy(p_part, p_part + k_special * n, p_coeff);
+        tables.transform(p_coeff, n,
+                         std::span(ext_poly.mods()).subspan(level + 1),
+                         PolyForm::coeff);
+        obs::add("ks.intt_limbs", k_special);
+        p_part = p_coeff;
+    }
+    // Correction rows first..first+count in the input's form: the NTT
+    // is linear and exact mod each q_i, so the fix below is the same
+    // word for word in either domain.
+    auto to_input_form = [&](u64 *rows, size_t first, size_t count) {
+        if (eval)
+            tables.transform(rows, n,
+                             std::span(lv.active).subspan(first, count),
+                             PolyForm::eval);
+    };
+    RnsPoly out(n, lv.active, ext_poly.form());
     // (c - corr) * P^{-1} mod q_i over limb i, corr the BConv of the
     // P part down to q_i.
     auto fix = [&](size_t i, const u64 *corr) {
@@ -184,7 +211,6 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
     // Output limbs are visited device-major over the per-device Q-limb
     // shards; each limb's work is the same for every device count.
     const auto shards = make_even_partition(level + 1, devices);
-    Workspace::Frame frame;
     if (fuse) {
         // Fused kernel: the fix rides in the BConv epilogue. Per Q limb
         // the converter's sum fills one n-word row and the fix reads it
@@ -206,12 +232,14 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
         for (const auto &shard : shards) {
             for (size_t j = shard.first; j < shard.first + shard.count; ++j) {
                 conv.accumulate(scaled, n, j, row);
+                to_input_form(row, j, 1);
                 fix(j, row);
             }
         }
     } else {
         u64 *corr = frame.alloc<u64>((level + 1) * n);
         conv.convert_approx(p_part, n, corr);
+        to_input_form(corr, 0, level + 1);
         // A standalone element-wise kernel in the unfused mapping,
         // hence its own span and pass counter.
         obs::Span fix_span("moddown_fix", obs::cat::stage);
@@ -220,6 +248,8 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
             for (size_t i = shard.first; i < shard.first + shard.count; ++i)
                 fix(i, corr + i * n);
     }
+    if (eval)
+        obs::add("ks.ntt_limbs", level + 1);
     obs::add("ks.moddown_products", k_special * (level + 1));
     if (devices > 1)
         obs::add("ks.moddown.shards", devices);
@@ -264,7 +294,7 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
     // Each digit is raised as the inner product reaches it, so only
     // one raised digit is ever held.
     return ip_and_mod_down(
-        [&](size_t j) { return raise_digit(d2c, j, lv, ctx); }, slices,
+        [&](size_t j) { return raise_digit(d2, d2c, j, lv, ctx); }, slices,
         level, lv, ctx);
 }
 
@@ -299,7 +329,7 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
     std::vector<RnsPoly> raised;
     raised.reserve(beta);
     for (size_t j = 0; j < beta; ++j)
-        raised.push_back(raise_digit(d2c, j, lv, ctx));
+        raised.push_back(raise_digit(ct.c1, d2c, j, lv, ctx));
 
     // Per rotation: σ_g on the raised digits, the inner product with
     // that rotation's key, the ModDown tail.

@@ -71,8 +71,18 @@ std::pair<RnsPoly, RnsPoly> keyswitch_klss(const RnsPoly &d2,
                                            const CkksContext &ctx);
 
 /**
- * ModDown: divide a (coeff-form) polynomial over q_0..q_level ∪ P by
- * P, returning a coeff-form polynomial over q_0..q_level.
+ * ModDown: divide a polynomial over q_0..q_level ∪ P by P, returning a
+ * polynomial over q_0..q_level in the input's form.
+ *
+ * A coeff-form input (KLSS Recover Limbs) is converted as it stands.
+ * An eval-form input (the hybrid inner product) INTTs a copy of only
+ * its K P-limbs for the BConv, NTTs the l+1 correction rows and
+ * applies the fix in the eval domain. The NTT is linear and exact mod
+ * each q_i, so the result equals NTT(mod_down(INTT(input))) word for
+ * word, and every `bconv.*`, `fuse.*`, `pass.*` and
+ * `ks.moddown_products` count is the same for either form. Only the
+ * eval form records its transforms (`ks.intt_limbs` K,
+ * `ks.ntt_limbs` l+1).
  *
  * With @p fuse set, the (c - corr)·P⁻¹ scalar fix runs inside the
  * BConv epilogue (one fused kernel per output limb) instead of as a

@@ -16,6 +16,14 @@ LinearTransform::LinearTransform(std::vector<Complex> matrix, size_t slots)
     giant_ = 1;
     while (giant_ * giant_ < slots_)
         giant_ <<= 1;
+    for (size_t d = 0; d < slots_; ++d) {
+        for (size_t i = 0; i < slots_; ++i) {
+            if (std::abs(m_[i * slots_ + (i + d) % slots_]) > 1e-12) {
+                diagonals_.push_back(d);
+                break;
+            }
+        }
+    }
 }
 
 std::vector<Complex>
@@ -27,22 +35,12 @@ LinearTransform::diagonal(size_t d) const
     return v;
 }
 
-bool
-LinearTransform::diagonal_nonzero(size_t d) const
-{
-    for (size_t i = 0; i < slots_; ++i) {
-        if (std::abs(m_[i * slots_ + (i + d) % slots_]) > 1e-12)
-            return true;
-    }
-    return false;
-}
-
 std::vector<i64>
 LinearTransform::required_rotations() const
 {
     std::vector<i64> rots;
-    for (size_t d = 1; d < slots_; ++d) {
-        if (diagonal_nonzero(d))
+    for (size_t d : diagonals_) {
+        if (d != 0)
             rots.push_back(static_cast<i64>(d));
     }
     return rots;
@@ -66,9 +64,7 @@ LinearTransform::apply(const Evaluator &ev, const CkksContext &ctx,
     NEO_CHECK(slots_ == ctx.encoder().slot_count(), "slot count mismatch");
     Ciphertext acc;
     bool first = true;
-    for (size_t d = 0; d < slots_; ++d) {
-        if (!diagonal_nonzero(d))
-            continue;
+    for (size_t d : diagonals_) {
         Ciphertext rotated =
             d == 0 ? ct : ev.rotate(ct, static_cast<i64>(d), keys);
         Plaintext diag = ctx.encode(diagonal(d), ct.level);
@@ -111,14 +107,15 @@ LinearTransform::apply_bsgs(const Evaluator &ev, const CkksContext &ctx,
 
     Ciphertext acc;
     bool first = true;
+    auto next = diagonals_.begin();
     for (size_t i = 0; i < n1; ++i) {
-        // Inner sum over baby steps with pre-rotated diagonals.
+        // Inner sum over baby steps with pre-rotated diagonals: the
+        // non-zero offsets in [i·g, (i+1)·g).
         Ciphertext inner;
         bool inner_first = true;
-        for (size_t j = 0; j < g; ++j) {
-            const size_t d = i * g + j;
-            if (d >= slots_ || !diagonal_nonzero(d))
-                continue;
+        for (; next != diagonals_.end() && *next < (i + 1) * g; ++next) {
+            const size_t d = *next;
+            const size_t j = d - i * g;
             auto diag = diagonal(d);
             // rot_{-i*g}: diag'[m] = diag[(m - i*g) mod slots].
             std::vector<Complex> shifted(slots_);

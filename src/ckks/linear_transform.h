@@ -61,11 +61,12 @@ class LinearTransform
     std::vector<Complex> apply_plain(const std::vector<Complex> &z) const;
 
   private:
-    bool diagonal_nonzero(size_t d) const;
-
     std::vector<Complex> m_;
     size_t slots_;
     size_t giant_; // BSGS giant-step size
+    /// Offsets d of the non-zero diagonals, ascending, found once by
+    /// the constructor.
+    std::vector<size_t> diagonals_;
 };
 
 } // namespace neo::ckks

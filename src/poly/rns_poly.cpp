@@ -132,30 +132,36 @@ NttTableSet::for_modulus(const Modulus &q) const
     return tables_.front();
 }
 
+void
+NttTableSet::transform(u64 *rows, size_t n, std::span<const Modulus> mods,
+                       PolyForm to) const
+{
+    std::vector<const NttTables *> tables(mods.size());
+    for (size_t i = 0; i < mods.size(); ++i) {
+        tables[i] = &for_modulus(mods[i]);
+        NEO_CHECK(tables[i]->n() == n, "NTT tables for another degree");
+    }
+    const auto fn =
+        to == PolyForm::eval ? &NttTables::forward : &NttTables::inverse;
+    parallel_for(
+        0, mods.size(),
+        [&](size_t b, size_t e) {
+            for (size_t i = b; i < e; ++i)
+                (tables[i]->*fn)(rows + i * n);
+        },
+        1);
+}
+
 namespace {
 
-/// Transform every limb of @p p into form @p to. Each limb's tables
-/// are resolved on the caller's thread first: a limb the set cannot
-/// transform is rejected there, since a pool body must not throw.
+/// Transform every limb of @p p into form @p to: the whole-poly case of
+/// NttTableSet::transform.
 void
 transform_limbs(const NttTableSet &set, RnsPoly &p, PolyForm to)
 {
     if (p.form() == to)
         return;
-    std::vector<const NttTables *> tables(p.limbs());
-    for (size_t i = 0; i < p.limbs(); ++i) {
-        tables[i] = &set.for_modulus(p.modulus(i));
-        NEO_CHECK(tables[i]->n() == p.n(), "NTT tables for another degree");
-    }
-    const auto fn =
-        to == PolyForm::eval ? &NttTables::forward : &NttTables::inverse;
-    parallel_for(
-        0, p.limbs(),
-        [&](size_t b, size_t e) {
-            for (size_t i = b; i < e; ++i)
-                (tables[i]->*fn)(p.limb(i));
-        },
-        1);
+    set.transform(p.data(), p.n(), p.mods(), to);
     p.set_form(to);
 }
 

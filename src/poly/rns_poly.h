@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "poly/ntt.h"
@@ -90,6 +91,16 @@ class NttTableSet
 
     /// Transform every limb of @p p to coefficient form.
     void to_coeff(RnsPoly &p) const;
+
+    /**
+     * Transform a run of rows in place into form @p to: row i holds
+     * @p n words at rows + i·n under mods[i]. Each row's tables are
+     * resolved on the caller's thread first, so a modulus outside the
+     * set or a degree other than the tables' is rejected there (a pool
+     * body must not throw); the rows then fan out one per task.
+     */
+    void transform(u64 *rows, size_t n, std::span<const Modulus> mods,
+                   PolyForm to) const;
 
   private:
     std::vector<NttTables> tables_;

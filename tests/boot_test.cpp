@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "boot/bootstrapper.h"
 #include "boot/factored_transform.h"
 #include "ckks/encryptor.h"
+#include "common/math_util.h"
 #include "common/random.h"
 
 namespace neo::boot {
@@ -324,6 +326,34 @@ TEST(FactoredEmbedding, StagesAreSparse)
     }
     EXPECT_THROW(FactoredEmbedding(256, 9), std::invalid_argument);
     EXPECT_THROW(FactoredEmbedding(6, 1), std::invalid_argument);
+}
+
+TEST(FactoredEmbedding, RotationRuleMatchesBuiltStages)
+{
+    // The matrix-free rule lists exactly the union of the built forward
+    // and inverse stages' non-zero diagonal offsets, for every grouping.
+    // n = 1024 in one group is skipped: its single dense 512×512 stage
+    // takes too long to build here.
+    for (size_t n : {16u, 64u, 256u, 1024u}) {
+        const size_t levels = static_cast<size_t>(log2_exact(n / 2));
+        for (size_t groups = 1; groups <= levels; ++groups) {
+            if (n == 1024 && groups == 1)
+                continue;
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " groups=" << groups);
+            const FactoredEmbedding fe(n, groups);
+            std::vector<i64> built;
+            for (const auto *stages : {&fe.forward(), &fe.inverse()})
+                for (const auto &stage : *stages)
+                    for (i64 r : stage.required_rotations())
+                        built.push_back(r);
+            std::sort(built.begin(), built.end());
+            built.erase(std::unique(built.begin(), built.end()), built.end());
+            EXPECT_EQ(FactoredEmbedding::required_rotations(n, groups), built);
+        }
+    }
+    EXPECT_THROW(FactoredEmbedding::required_rotations(256, 8),
+                 std::invalid_argument);
 }
 
 TEST(Bootstrap, FactoredTransformsRefreshAndPreserve)

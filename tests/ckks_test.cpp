@@ -324,8 +324,15 @@ TEST_F(CkksFixture, KeySwitchCountersMatchComplexityFormulas)
         // limbs.
         EXPECT_EQ(scope.counter("ks.bconv_products"),
                   beta * alpha * (ext - alpha));
-        EXPECT_EQ(scope.counter("ks.ntt_limbs"),
-                  beta * ext + 2 * (l + 1));
+        // The input's l+1 limbs are INTT'd once; the ModDown INTTs
+        // only the K P-limbs of each accumulator, which stay in eval
+        // form.
+        EXPECT_EQ(scope.counter("ks.intt_limbs"),
+                  (l + 1) + 2 * k_special);
+        // ModUp NTTs only the converted limbs: each digit's own limbs
+        // are reused in eval form, so the β digits NTT β·ext − (l+1).
+        // ModDown then NTTs l+1 correction rows per accumulator.
+        EXPECT_EQ(scope.counter("ks.ntt_limbs"), beta * ext + (l + 1));
         EXPECT_EQ(scope.counter("ks.ip_mul_limbs"), 2 * beta * ext);
         EXPECT_EQ(scope.counter("ks.moddown_products"),
                   2 * k_special * (l + 1));

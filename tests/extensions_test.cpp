@@ -108,12 +108,18 @@ TEST(Hoisting, RecordsModUpOnceAndKeySwitchWorkPerStep)
               k * one.counter("ks.ip_mul_limbs"));
     EXPECT_EQ(hoisted.counter("ks.moddown_products"),
               k * one.counter("ks.moddown_products"));
-    // The ModUp's transforms once, the inner product's and ModDown's
-    // per step.
-    EXPECT_EQ(hoisted.counter("ks.intt_limbs"), (l + 1) + k * 2 * ext);
-    EXPECT_EQ(hoisted.counter("ks.ntt_limbs"), beta * ext + k * 2 * (l + 1));
-    EXPECT_EQ(one.counter("ks.intt_limbs"), (l + 1) + 2 * ext);
-    EXPECT_EQ(one.counter("ks.ntt_limbs"), beta * ext + 2 * (l + 1));
+    // The ModUp's transforms once, the ModDown's per step. The ModUp
+    // INTTs the l+1 input limbs and NTTs only the converted limbs (each
+    // digit's own limbs are reused in eval form): β·ext − (l+1). Each
+    // ModDown INTTs only the K P-limbs of both accumulators and NTTs
+    // the l+1 correction rows of each.
+    const u64 k_special = ctx.p_basis().size();
+    EXPECT_EQ(hoisted.counter("ks.intt_limbs"),
+              (l + 1) + k * 2 * k_special);
+    EXPECT_EQ(hoisted.counter("ks.ntt_limbs"),
+              beta * ext - (l + 1) + k * 2 * (l + 1));
+    EXPECT_EQ(one.counter("ks.intt_limbs"), (l + 1) + 2 * k_special);
+    EXPECT_EQ(one.counter("ks.ntt_limbs"), beta * ext + (l + 1));
 }
 
 TEST(Hoisting, MissingKeyRejected)
