@@ -30,11 +30,12 @@ namespace detail {
 
 /**
  * Thread-safe lazy map level → V with stable references (std::map
- * nodes never move). Copying a key copies its material but not the
- * cache — the copy rebuilds lazily, which keeps serialization
- * round-trips and container reallocation correct for free. Assigning
- * a key drops the target's cache: its entries were prepared from the
- * key material being replaced.
+ * nodes never move); KlssEvalKey keeps its per-level IP operands in
+ * one. Copying a key copies its material but not the cache — the copy
+ * rebuilds lazily, which keeps serialization round-trips and container
+ * reallocation correct for free. Assigning a key drops the target's
+ * cache: its entries were prepared from the key material being
+ * replaced.
  */
 template <class V> class PerLevelCache
 {
@@ -83,29 +84,17 @@ struct PublicKey
     RnsPoly b, a;
 };
 
-/** Hybrid key-switching key: β_max digit pairs over Q·P, eval form. */
+/**
+ * Hybrid key-switching key: β_max digit pairs, each part in eval form
+ * over the full chain q_0..q_L, then P. This is the key's one stored
+ * form: a key switch at level l reads each part's limbs q_0..q_l and P
+ * in place, and nothing is prepared or cached on the key.
+ */
 struct EvalKey
 {
     std::vector<std::array<RnsPoly, 2>> parts;
 
     size_t digit_count() const { return parts.size(); }
-
-    /// Key parts restricted to the limbs active at one level, one
-    /// pair per ciphertext digit. Built once per (key, level) by the
-    /// key-switch path instead of copied out on every call.
-    struct LevelSlices
-    {
-        std::vector<std::array<RnsPoly, 2>> parts;
-    };
-
-    detail::PerLevelCache<LevelSlices> &
-    level_slices() const
-    {
-        return slices_;
-    }
-
-  private:
-    mutable detail::PerLevelCache<LevelSlices> slices_;
 };
 
 /** KLSS key-switching key: key digits lifted into R_T (NTT form). */

@@ -13,25 +13,6 @@ namespace neo::ckks {
 
 namespace {
 
-/// Copy the level-l active limbs (q_0..q_l, then P) out of a key part
-/// stored over the full extended basis [q_0..q_L, p_0..p_{K-1}].
-RnsPoly
-slice_key_part(const RnsPoly &full, size_t level, size_t max_level,
-               const std::vector<Modulus> &ext_mods)
-{
-    const size_t n = full.n();
-    const size_t k_special = ext_mods.size() - (level + 1);
-    RnsPoly out(n, ext_mods, PolyForm::eval);
-    for (size_t i = 0; i <= level; ++i)
-        std::copy(full.limb(i), full.limb(i) + n, out.limb(i));
-    for (size_t k = 0; k < k_special; ++k) {
-        std::copy(full.limb(max_level + 1 + k),
-                  full.limb(max_level + 1 + k) + n,
-                  out.limb(level + 1 + k));
-    }
-    return out;
-}
-
 /// True when @p m is q_0..q_L of @p ctx, then P.
 bool
 is_qp_chain(const std::vector<Modulus> &m, const CkksContext &ctx)
@@ -100,24 +81,36 @@ mod_down_tail(const RnsPoly &acc0, const RnsPoly &acc1, size_t level,
 
 /**
  * The rest of a hybrid key switch after its ModUp: the inner product
- * of the raised digits digit(0..β-1) with the level's key @p slices
- * (eval form over q_0..q_l, P), then the ModDown tail on the eval-form
- * accumulators. Each digit is asked for once, in order, and dropped
- * after its products.
+ * of the raised digits digit(0..β-1) with @p evk, then the ModDown tail
+ * on the eval-form accumulators. Each digit is asked for once, in
+ * order, and dropped after its products.
+ *
+ * The key is read in place. Its parts lie over q_0..q_L, then P, so
+ * limb t of the level's extended basis q_0..q_l, P is part limb t for
+ * t ≤ l and part limb t + (L − l) otherwise. Callers check the key
+ * first: it must pass check_keyswitch_key and cover the level's
+ * digits, which keeps every index inside the part.
  */
 template <class Digit>
 std::pair<RnsPoly, RnsPoly>
-ip_and_mod_down(const Digit &digit, const EvalKey::LevelSlices &slices,
-                size_t level, const KeySwitchPrecomp::Level &lv,
-                const CkksContext &ctx)
+ip_and_mod_down(const Digit &digit, const EvalKey &evk, size_t level,
+                const KeySwitchPrecomp::Level &lv, const CkksContext &ctx)
 {
+    const size_t n = ctx.n();
     const size_t limbs = lv.extended.size();
-    RnsPoly acc0(ctx.n(), lv.extended, PolyForm::eval);
-    RnsPoly acc1(ctx.n(), lv.extended, PolyForm::eval);
+    const size_t skipped = ctx.max_level() - level;
+    RnsPoly acc0(n, lv.extended, PolyForm::eval);
+    RnsPoly acc1(n, lv.extended, PolyForm::eval);
     for (size_t j = 0; j < lv.groups.size(); ++j) {
         const RnsPoly up = digit(j);
-        acc0.add_product(up, slices.parts[j][0]);
-        acc1.add_product(up, slices.parts[j][1]);
+        const auto &key = evk.parts[j];
+        for (size_t t = 0; t < limbs; ++t) {
+            const size_t k = t <= level ? t : t + skipped;
+            add_product_limb(acc0.limb(t), up.limb(t), key[0].limb(k), n,
+                             lv.extended[t]);
+            add_product_limb(acc1.limb(t), up.limb(t), key[1].limb(k), n,
+                             lv.extended[t]);
+        }
         obs::add("ks.ip_mul_limbs", 2 * limbs);
     }
     return mod_down_tail(acc0, acc1, level, ctx);
@@ -256,23 +249,6 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
     return out;
 }
 
-const EvalKey::LevelSlices &
-key_level_slices(const EvalKey &evk, size_t level, const CkksContext &ctx)
-{
-    const auto &lv = ctx.precomp().level(level);
-    return evk.level_slices().get(level, [&] {
-        EvalKey::LevelSlices s;
-        s.parts.reserve(lv.groups.size());
-        for (size_t j = 0; j < lv.groups.size(); ++j)
-            s.parts.push_back(
-                {slice_key_part(evk.parts[j][0], level, ctx.max_level(),
-                                lv.extended),
-                 slice_key_part(evk.parts[j][1], level, ctx.max_level(),
-                                lv.extended)});
-        return s;
-    });
-}
-
 std::pair<RnsPoly, RnsPoly>
 keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
                  const CkksContext &ctx)
@@ -286,15 +262,13 @@ keyswitch_hybrid(const RnsPoly &d2, const EvalKey &evk,
     NEO_CHECK(lv.groups.size() <= evk.digit_count(),
               "evaluation key has too few digits");
 
-    const auto &slices = key_level_slices(evk, level, ctx);
-
     RnsPoly d2c = d2;
     ctx.tables().to_coeff(d2c);
     obs::add("ks.intt_limbs", level + 1);
     // Each digit is raised as the inner product reaches it, so only
     // one raised digit is ever held.
     return ip_and_mod_down(
-        [&](size_t j) { return raise_digit(d2, d2c, j, lv, ctx); }, slices,
+        [&](size_t j) { return raise_digit(d2, d2c, j, lv, ctx); }, evk,
         level, lv, ctx);
 }
 
@@ -339,7 +313,7 @@ rotate_hoisted(const Ciphertext &ct, const std::vector<i64> &steps,
         const u64 g = step.first;
         auto [k0, k1] = ip_and_mod_down(
             [&](size_t j) { return automorphism(raised[j], g); },
-            key_level_slices(*step.second, level, ctx), level, lv, ctx);
+            *step.second, level, lv, ctx);
         k0.add_inplace(automorphism(ct.c0, g));
         out.push_back(
             Ciphertext{std::move(k0), std::move(k1), level, ct.scale});

@@ -46,20 +46,12 @@ void check_keyswitch_key(const EvalKey &evk, const CkksContext &ctx);
 void check_keyswitch_key(const KlssEvalKey &evk, const CkksContext &ctx);
 
 /**
- * @p evk's parts restricted to the limbs active at @p level (q_0..q_l,
- * then P), one pair per ciphertext digit of the level. Sliced once per
- * (key, level) and cached in the key. Callers check the key first: it
- * must pass check_keyswitch_key and cover the level's digits.
- */
-const EvalKey::LevelSlices &key_level_slices(const EvalKey &evk,
-                                             size_t level,
-                                             const CkksContext &ctx);
-
-/**
  * Hybrid key switch of @p d2 (eval form over q_0..q_level) under
  * @p evk. Returns (k0, k1) in eval form at the same level with
- * k0 + k1·s ≈ d2·s'. Work counts flow to the active neo::obs sink
- * under the `ks.*` counter names.
+ * k0 + k1·s ≈ d2·s'. The inner product reads @p evk's limbs in place
+ * (EvalKey), so the call builds nothing on the key and takes no lock.
+ * Work counts flow to the active neo::obs sink under the `ks.*`
+ * counter names.
  */
 std::pair<RnsPoly, RnsPoly> keyswitch_hybrid(const RnsPoly &d2,
                                              const EvalKey &evk,

@@ -10,38 +10,49 @@
 namespace neo::ckks {
 
 LinearTransform::LinearTransform(std::vector<Complex> matrix, size_t slots)
-    : m_(std::move(matrix)), slots_(slots)
+    : slots_(slots)
 {
-    NEO_CHECK(m_.size() == slots * slots, "matrix shape mismatch");
+    NEO_CHECK(matrix.size() == slots * slots, "matrix shape mismatch");
     giant_ = 1;
     while (giant_ * giant_ < slots_)
         giant_ <<= 1;
-    for (size_t d = 0; d < slots_; ++d) {
-        for (size_t i = 0; i < slots_; ++i) {
-            if (std::abs(m_[i * slots_ + (i + d) % slots_]) > 1e-12) {
-                diagonals_.push_back(d);
-                break;
-            }
+    // Entry (i, j) lies on diagonal (j − i) mod slots. An exact zero
+    // cannot pass the magnitude test, so it skips std::abs.
+    std::vector<char> nonzero(slots_, 0);
+    for (size_t i = 0; i < slots_; ++i) {
+        for (size_t j = 0; j < slots_; ++j) {
+            const Complex x = matrix[i * slots_ + j];
+            const size_t d = j >= i ? j - i : j + slots_ - i;
+            if (!nonzero[d] && x != Complex(0, 0) && std::abs(x) > 1e-12)
+                nonzero[d] = 1;
         }
+    }
+    for (size_t d = 0; d < slots_; ++d) {
+        if (!nonzero[d])
+            continue;
+        std::vector<Complex> v(slots_);
+        for (size_t i = 0; i < slots_; ++i)
+            v[i] = matrix[i * slots_ + (i + d) % slots_];
+        diagonals_.push_back({d, std::move(v)});
     }
 }
 
 std::vector<Complex>
 LinearTransform::diagonal(size_t d) const
 {
-    std::vector<Complex> v(slots_);
-    for (size_t i = 0; i < slots_; ++i)
-        v[i] = m_[i * slots_ + (i + d) % slots_];
-    return v;
+    for (const Diagonal &diag : diagonals_)
+        if (diag.offset == d)
+            return diag.values;
+    return std::vector<Complex>(slots_);
 }
 
 std::vector<i64>
 LinearTransform::required_rotations() const
 {
     std::vector<i64> rots;
-    for (size_t d : diagonals_) {
-        if (d != 0)
-            rots.push_back(static_cast<i64>(d));
+    for (const Diagonal &diag : diagonals_) {
+        if (diag.offset != 0)
+            rots.push_back(static_cast<i64>(diag.offset));
     }
     return rots;
 }
@@ -64,11 +75,12 @@ LinearTransform::apply(const Evaluator &ev, const CkksContext &ctx,
     NEO_CHECK(slots_ == ctx.encoder().slot_count(), "slot count mismatch");
     Ciphertext acc;
     bool first = true;
-    for (size_t d : diagonals_) {
+    for (const Diagonal &diag : diagonals_) {
+        const size_t d = diag.offset;
         Ciphertext rotated =
             d == 0 ? ct : ev.rotate(ct, static_cast<i64>(d), keys);
-        Plaintext diag = ctx.encode(diagonal(d), ct.level);
-        Ciphertext term = ev.mul_plain(rotated, diag);
+        Ciphertext term =
+            ev.mul_plain(rotated, ctx.encode(diag.values, ct.level));
         if (first) {
             acc = std::move(term);
             first = false;
@@ -113,10 +125,10 @@ LinearTransform::apply_bsgs(const Evaluator &ev, const CkksContext &ctx,
         // non-zero offsets in [i·g, (i+1)·g).
         Ciphertext inner;
         bool inner_first = true;
-        for (; next != diagonals_.end() && *next < (i + 1) * g; ++next) {
-            const size_t d = *next;
-            const size_t j = d - i * g;
-            auto diag = diagonal(d);
+        for (; next != diagonals_.end() && next->offset < (i + 1) * g;
+             ++next) {
+            const size_t j = next->offset - i * g;
+            const std::vector<Complex> &diag = next->values;
             // rot_{-i*g}: diag'[m] = diag[(m - i*g) mod slots].
             std::vector<Complex> shifted(slots_);
             for (size_t mpos = 0; mpos < slots_; ++mpos)
@@ -151,9 +163,9 @@ LinearTransform::apply_plain(const std::vector<Complex> &z) const
 {
     NEO_CHECK(z.size() == slots_, "vector size mismatch");
     std::vector<Complex> y(slots_, Complex(0, 0));
-    for (size_t i = 0; i < slots_; ++i)
-        for (size_t j = 0; j < slots_; ++j)
-            y[i] += m_[i * slots_ + j] * z[j];
+    for (const Diagonal &diag : diagonals_)
+        for (size_t i = 0; i < slots_; ++i)
+            y[i] += diag.values[i] * z[(i + diag.offset) % slots_];
     return y;
 }
 

@@ -18,11 +18,16 @@
 
 namespace neo::ckks {
 
-/** A dense complex matrix acting on the slot vector. */
+/**
+ * A complex matrix acting on the slot vector, stored as its non-zero
+ * diagonals: the form apply() encodes. The dense matrix is not kept.
+ */
 class LinearTransform
 {
   public:
     /**
+     * Keep the diagonals of @p matrix that hold an entry of magnitude
+     * above 1e-12, found in one row-major pass; the matrix is consumed.
      * @param matrix  row-major slots×slots complex matrix.
      * @param slots   dimension (must equal the context's slot count).
      */
@@ -30,7 +35,8 @@ class LinearTransform
 
     size_t slots() const { return slots_; }
 
-    /// diag_d(M)[i] = M[i][(i+d) mod slots].
+    /// diag_d(M)[i] = M[i][(i+d) mod slots]; zeros for a diagonal that
+    /// is not kept.
     std::vector<Complex> diagonal(size_t d) const;
 
     /// Rotation steps whose Galois keys apply() needs (naive method).
@@ -57,16 +63,20 @@ class LinearTransform
                           const Ciphertext &ct, const EvalKeyBundle &keys,
                           bool hoist = false) const;
 
-    /// Plaintext reference for tests: y = M·z.
+    /// Plaintext y = Σ_d diag_d ⊙ rot(z, d) over the kept diagonals.
     std::vector<Complex> apply_plain(const std::vector<Complex> &z) const;
 
   private:
-    std::vector<Complex> m_;
+    struct Diagonal
+    {
+        size_t offset = 0;
+        std::vector<Complex> values; ///< diag_offset(M)
+    };
+
     size_t slots_;
     size_t giant_; // BSGS giant-step size
-    /// Offsets d of the non-zero diagonals, ascending, found once by
-    /// the constructor.
-    std::vector<size_t> diagonals_;
+    /// The non-zero diagonals, ascending by offset.
+    std::vector<Diagonal> diagonals_;
 };
 
 } // namespace neo::ckks

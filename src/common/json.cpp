@@ -303,20 +303,6 @@ Value::at(std::string_view key) const
     return *v;
 }
 
-const Value *
-Value::find_path(std::string_view dotted) const
-{
-    const Value *cur = this;
-    while (cur) {
-        size_t dot = dotted.find('.');
-        if (dot == std::string_view::npos)
-            return cur->find(dotted);
-        cur = cur->find(dotted.substr(0, dot));
-        dotted.remove_prefix(dot + 1);
-    }
-    return nullptr;
-}
-
 namespace {
 
 class Parser

@@ -110,9 +110,6 @@ class Value
     /// Object member lookup; throws when absent.
     const Value &at(std::string_view key) const;
 
-    /// `find` chained through a dotted path ("totals.modeled_s").
-    const Value *find_path(std::string_view dotted) const;
-
     /**
      * Parse a complete JSON document. Throws std::invalid_argument
      * (via NEO_CHECK) on syntax errors, with byte offset, and on

@@ -94,12 +94,6 @@ Rng::gaussian(u64 q, double sigma)
     return from_centered(static_cast<i64>(std::llround(g)), q);
 }
 
-i64
-Rng::small_signed(int bound)
-{
-    return static_cast<i64>(uniform(2 * bound + 1)) - bound;
-}
-
 std::vector<u64>
 Rng::uniform_vec(std::size_t n, u64 q)
 {

@@ -46,9 +46,6 @@ class Rng
      */
     u64 gaussian(u64 q, double sigma = 3.2);
 
-    /// Centered binomial-ish small signed error (for tests).
-    i64 small_signed(int bound);
-
     /// Vector of n uniform residues mod q.
     std::vector<u64> uniform_vec(std::size_t n, u64 q);
 

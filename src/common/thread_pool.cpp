@@ -229,12 +229,6 @@ ThreadPool::env_threads()
     return hw == 0 ? 1 : hw;
 }
 
-bool
-ThreadPool::parallel_active()
-{
-    return !tls_inside_pool && global().threads() > 1;
-}
-
 void
 parallel_for(size_t begin, size_t end, const ThreadPool::RangeFn &body,
              size_t grain)

@@ -87,12 +87,6 @@ class ThreadPool
     /// least 1).
     static size_t env_threads();
 
-    /// True when a parallel_for on the global pool would actually fan
-    /// out (more than one executor and not already inside a worker).
-    /// Call sites use it to keep the sequential loop shape — and its
-    /// exact operation order — when parallelism is unavailable.
-    static bool parallel_active();
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_; // null when n_threads_ == 1

@@ -44,17 +44,6 @@ TcuModel::fp64_gemm_time(size_t m, size_t n, size_t k, int wa, int wb) const
 }
 
 double
-TcuModel::int8_gemm_time(size_t m, size_t n, size_t k, int wa, int wb) const
-{
-    const SplitPlan plan = choose_int8_split(wa, wb, k);
-    u64 best = ~0ULL;
-    for (const auto &f : kInt8Fragments)
-        best = std::min(best, padded_macs(m, n, k, f));
-    return static_cast<double>(best) * plan.products() /
-           spec_.tcu_int8_mac_rate();
-}
-
-double
 TcuModel::cuda_gemm_time(size_t m, size_t n, size_t k) const
 {
     return static_cast<double>(m) * n * k / spec_.modmul_rate();

@@ -55,10 +55,6 @@ class TcuModel
     double fp64_gemm_time(size_t m, size_t n, size_t k, int wa,
                           int wb) const;
 
-    /// Same through the INT8 pipes.
-    double int8_gemm_time(size_t m, size_t n, size_t k, int wa,
-                          int wb) const;
-
     /**
      * Time of the same GEMM on CUDA cores (modular multiply-adds) —
      * the fallback mapping used by IP when the valid proportion is

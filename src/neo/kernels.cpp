@@ -4,6 +4,7 @@
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "obs/obs.h"
+#include "poly/rns_poly.h"
 #include "tensor/layout.h"
 
 namespace neo {
@@ -181,13 +182,10 @@ IpKernel::run_elementwise(const u64 *limbs, const u64 *keys, size_t batch,
             for (size_t k = 0; k < ap; ++k) {
                 const Modulus &t = t_mods_[k];
                 const u64 *key = keys + ((i * beta_ + j) * ap + k) * n;
-                for (size_t b = 0; b < batch; ++b) {
-                    const u64 *src =
-                        limbs + ((j * ap + k) * batch + b) * n;
-                    u64 *dst = out + ((i * ap + k) * batch + b) * n;
-                    for (size_t l = 0; l < n; ++l)
-                        dst[l] = t.add(dst[l], t.mul(src[l], key[l]));
-                }
+                for (size_t b = 0; b < batch; ++b)
+                    add_product_limb(
+                        out + ((i * ap + k) * batch + b) * n,
+                        limbs + ((j * ap + k) * batch + b) * n, key, n, t);
             }
         }
     }

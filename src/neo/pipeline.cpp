@@ -307,15 +307,4 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     return result;
 }
 
-std::function<std::pair<RnsPoly, RnsPoly>(
-    const RnsPoly &, const ckks::KlssEvalKey &, const ckks::CkksContext &)>
-klss_keyswitch_fn(ExecPolicy policy)
-{
-    return [policy = std::move(policy)](const RnsPoly &d2,
-                                        const ckks::KlssEvalKey &evk,
-                                        const ckks::CkksContext &ctx) {
-        return keyswitch_klss_pipeline(d2, evk, ctx, policy);
-    };
-}
-
 } // namespace neo

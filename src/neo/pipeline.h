@@ -22,7 +22,6 @@
  */
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -60,15 +59,6 @@ std::pair<RnsPoly, RnsPoly>
 keyswitch_klss_pipeline(const RnsPoly &d2, const ckks::KlssEvalKey &evk,
                         const ckks::CkksContext &ctx,
                         const ExecPolicy &policy = {});
-
-/**
- * A ckks::Evaluator::KlssKeySwitchFn that routes every KLSS key
- * switch through keyswitch_klss_pipeline under @p policy (captured by
- * value). The one-liner for Evaluator::set_klss_keyswitch.
- */
-std::function<std::pair<RnsPoly, RnsPoly>(
-    const RnsPoly &, const ckks::KlssEvalKey &, const ckks::CkksContext &)>
-klss_keyswitch_fn(ExecPolicy policy);
 
 /**
  * A default cost-model configuration carrying @p policy; @p params is

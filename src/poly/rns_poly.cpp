@@ -76,17 +76,11 @@ RnsPoly::mul_inplace(const RnsPoly &o)
 }
 
 void
-RnsPoly::scalar_mul_inplace(const std::vector<u64> &scalars)
+add_product_limb(u64 *acc, const u64 *x, const u64 *y, size_t n,
+                 const Modulus &q)
 {
-    NEO_ASSERT(scalars.size() == mods_.size(), "scalar count mismatch");
-    for (size_t i = 0; i < mods_.size(); ++i) {
-        const u64 q = mods_[i].value();
-        const u64 w = scalars[i];
-        const u64 ws = shoup_precompute(w, q);
-        u64 *a = limb(i);
-        for (size_t l = 0; l < n_; ++l)
-            a[l] = mul_shoup(a[l], w, ws, q);
-    }
+    for (size_t l = 0; l < n; ++l)
+        acc[l] = q.add(acc[l], q.mul(x[l], y[l]));
 }
 
 void
@@ -96,14 +90,8 @@ RnsPoly::add_product(const RnsPoly &b, const RnsPoly &c)
     NEO_ASSERT(form_ == PolyForm::eval && b.form_ == PolyForm::eval &&
                    c.form_ == PolyForm::eval,
                "add_product requires eval form");
-    for (size_t i = 0; i < mods_.size(); ++i) {
-        const Modulus &m = mods_[i];
-        u64 *a = limb(i);
-        const u64 *x = b.limb(i);
-        const u64 *y = c.limb(i);
-        for (size_t l = 0; l < n_; ++l)
-            a[l] = m.add(a[l], m.mul(x[l], y[l]));
-    }
+    for (size_t i = 0; i < mods_.size(); ++i)
+        add_product_limb(limb(i), b.limb(i), c.limb(i), n_, mods_[i]);
 }
 
 void
@@ -195,34 +183,55 @@ automorphism_coeff(const u64 *in, u64 *out, size_t n, u64 g,
     }
 }
 
+namespace {
+
+/**
+ * Eval-form slot map of X -> X^g: out[k] = in[map[k]]. Slot k holds
+ * the evaluation at ψ^{2k+1}; the automorphism sends it to the
+ * evaluation at ψ^{(2k+1)g mod 2n}, slot ((2k+1)g mod 2n − 1)/2.
+ */
+std::vector<size_t>
+eval_slot_map(size_t n, u64 g)
+{
+    NEO_CHECK(g % 2 == 1, "Galois element must be odd");
+    const u64 two_n = 2 * n;
+    std::vector<size_t> map(n);
+    for (size_t k = 0; k < n; ++k) {
+        const u64 e = (static_cast<u128>(2 * k + 1) * g) % two_n;
+        map[k] = static_cast<size_t>((e - 1) / 2);
+    }
+    return map;
+}
+
+void
+gather(const u64 *in, u64 *out, const std::vector<size_t> &map)
+{
+    for (size_t k = 0; k < map.size(); ++k)
+        out[k] = in[map[k]];
+}
+
+} // namespace
+
 void
 automorphism_eval(const u64 *in, u64 *out, size_t n, u64 g,
                   const Modulus &)
 {
-    NEO_CHECK(g % 2 == 1, "Galois element must be odd");
-    const u64 two_n = 2 * n;
-    // Slot k holds the evaluation at ψ^{2k+1}; the automorphism sends
-    // it to the evaluation at ψ^{(2k+1)g mod 2n}.
-    for (size_t k = 0; k < n; ++k) {
-        u64 e = (static_cast<u128>(2 * k + 1) * g) % two_n;
-        size_t src = static_cast<size_t>((e - 1) / 2);
-        out[k] = in[src];
-    }
+    gather(in, out, eval_slot_map(n, g));
 }
 
 RnsPoly
 automorphism(const RnsPoly &p, u64 g)
 {
     RnsPoly out(p.n(), p.mods(), p.form());
-    for (size_t i = 0; i < p.limbs(); ++i) {
-        if (p.form() == PolyForm::coeff) {
+    if (p.form() == PolyForm::coeff) {
+        for (size_t i = 0; i < p.limbs(); ++i)
             automorphism_coeff(p.limb(i), out.limb(i), p.n(), g,
                                p.modulus(i));
-        } else {
-            automorphism_eval(p.limb(i), out.limb(i), p.n(), g,
-                              p.modulus(i));
-        }
+        return out;
     }
+    const std::vector<size_t> map = eval_slot_map(p.n(), g);
+    for (size_t i = 0; i < p.limbs(); ++i)
+        gather(p.limb(i), out.limb(i), map);
     return out;
 }
 

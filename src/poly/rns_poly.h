@@ -54,9 +54,7 @@ class RnsPoly
     void negate_inplace();
     /// Point-wise (Hadamard) multiplication; both must be in eval form.
     void mul_inplace(const RnsPoly &o);
-    /// Multiply every limb by a per-limb scalar (scalars[i] < q_i).
-    void scalar_mul_inplace(const std::vector<u64> &scalars);
-    /// Fused a += b * c (eval form).
+    /// Fused a += b * c (eval form), one add_product_limb per limb.
     void add_product(const RnsPoly &b, const RnsPoly &c);
 
     /// Keep only the first @p count limbs.
@@ -70,6 +68,15 @@ class RnsPoly
     std::vector<u64> data_;
     PolyForm form_ = PolyForm::coeff;
 };
+
+/**
+ * acc[l] = acc[l] + x[l]·y[l] mod q for l < @p n: the multiply-accumulate
+ * of one eval-form limb. RnsPoly::add_product, the hybrid key switch's
+ * inner product (which reads key limbs in place) and the element-wise
+ * IP kernel all run it.
+ */
+void add_product_limb(u64 *acc, const u64 *x, const u64 *y, size_t n,
+                      const Modulus &q);
 
 /** NTT table set for a modulus chain, shared by all polys of a context. */
 class NttTableSet
@@ -110,7 +117,10 @@ class NttTableSet
  * AUTO kernel: the Galois automorphism X -> X^g (g odd) of Fig 4.
  *
  * Coefficient domain: out[ig mod 2n] = ±in[i] with sign flip on wrap
- * past n (X^n = -1). Evaluation domain: a permutation of the slots.
+ * past n (X^n = -1). Evaluation domain: a permutation of the slots
+ * that depends only on (n, g), so automorphism() derives it once per
+ * call and gathers every limb through it; automorphism_eval is the
+ * one-limb case.
  */
 void automorphism_coeff(const u64 *in, u64 *out, size_t n, u64 g,
                         const Modulus &q);

@@ -24,6 +24,27 @@ max_err(const std::vector<Complex> &a, const std::vector<Complex> &b)
     return e;
 }
 
+/// y = M·z for a row-major s×s matrix, summed row by row.
+std::vector<Complex>
+dense_product(const std::vector<Complex> &m, const std::vector<Complex> &z)
+{
+    const size_t s = z.size();
+    std::vector<Complex> y(s, Complex(0, 0));
+    for (size_t i = 0; i < s; ++i)
+        for (size_t j = 0; j < s; ++j)
+            y[i] += m[i * s + j] * z[j];
+    return y;
+}
+
+std::vector<Complex>
+random_vector(size_t count, Rng &rng)
+{
+    std::vector<Complex> v(count);
+    for (auto &x : v)
+        x = Complex(2 * rng.uniform_real() - 1, 2 * rng.uniform_real() - 1);
+    return v;
+}
+
 // ---------------------------------------------------------------------
 // LinearTransform
 // ---------------------------------------------------------------------
@@ -96,7 +117,7 @@ TEST_F(LtFixture, NaiveAndBsgsMatchPlainReference)
     std::vector<Complex> z(s);
     for (auto &x : z)
         x = Complex(2 * rng.uniform_real() - 1, 0);
-    auto expected = lt.apply_plain(z);
+    const auto expected = dense_product(m, z);
 
     Encryptor enc(*ctx_);
     Decryptor dec(*ctx_, *sk_, *keygen_);
@@ -123,6 +144,43 @@ TEST_F(LtFixture, SparseDiagonalMatrixNeedsFewRotations)
     LinearTransform lt(m, s);
     EXPECT_EQ(lt.required_rotations().size(), 1u);
     EXPECT_EQ(lt.required_rotations()[0], 2);
+}
+
+TEST_F(LtFixture, PlainApplyMatchesDenseProduct)
+{
+    const size_t s = 16;
+    Rng rng(12);
+    const std::vector<Complex> z = random_vector(s, rng);
+
+    // Dense: every diagonal is kept.
+    const std::vector<Complex> dense = random_vector(s * s, rng);
+    const LinearTransform lt_dense(dense, s);
+    EXPECT_EQ(lt_dense.required_rotations().size(), s - 1);
+    EXPECT_LT(max_err(lt_dense.apply_plain(z), dense_product(dense, z)),
+              1e-12);
+
+    // Sparse: diagonals 0, 3 and s − 1, the last wrapping past the
+    // right edge on every row but the first.
+    const std::vector<size_t> offsets = {0, 3, s - 1};
+    std::vector<Complex> sparse(s * s, Complex(0, 0));
+    for (size_t d : offsets)
+        for (size_t i = 0; i < s; ++i)
+            sparse[i * s + (i + d) % s] =
+                Complex(2 * rng.uniform_real() - 1, rng.uniform_real());
+    const LinearTransform lt_sparse(sparse, s);
+    EXPECT_EQ(lt_sparse.required_rotations(),
+              (std::vector<i64>{3, static_cast<i64>(s - 1)}));
+    EXPECT_LT(max_err(lt_sparse.apply_plain(z), dense_product(sparse, z)),
+              1e-12);
+    for (size_t d : offsets) {
+        const auto diag = lt_sparse.diagonal(d);
+        for (size_t i = 0; i < s; ++i)
+            EXPECT_EQ(diag[i], sparse[i * s + (i + d) % s]) << d << " " << i;
+    }
+
+    // An offset that is not kept reads as zeros.
+    EXPECT_EQ(lt_sparse.diagonal(1), std::vector<Complex>(s));
+    EXPECT_EQ(lt_sparse.diagonal(s - 2), std::vector<Complex>(s));
 }
 
 // ---------------------------------------------------------------------

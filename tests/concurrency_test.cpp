@@ -3,10 +3,10 @@
  * Concurrency stress suite (ctest label `concurrency`).
  *
  * Hammers every process-wide shared-state module from NTHREADS threads
- * at once, and the keyswitch pipeline from as many callers sharing a
- * context and a key. Under a plain build these tests check the
- * functional contracts (stable references, exact merge totals,
- * bit-exact keyswitch outputs); their real value
+ * at once, and the keyswitch pipeline and the hybrid key switches from
+ * as many callers sharing a context and a key. Under a plain build
+ * these tests check the functional contracts (stable references, exact
+ * merge totals, bit-exact keyswitch outputs); their real value
  * is under `-DNEO_SANITIZE=ON` with ThreadSanitizer, where any locking
  * hole in the annotated modules becomes a hard failure. Together with the clang `-Wthread-safety`
  * CI leg this gives both static and dynamic coverage of the same
@@ -24,11 +24,13 @@
 #include <gtest/gtest.h>
 
 #include "ckks/context.h"
+#include "ckks/hoisting.h"
 #include "ckks/keygen.h"
 #include "ckks/keyswitch.h"
 #include "ckks/ks_precomp.h"
 #include "ckks/params.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "neo/pipeline.h"
 #include "obs/obs.h"
@@ -72,6 +74,17 @@ poly_eq(const RnsPoly &a, const RnsPoly &b)
         if (!std::equal(a.limb(i), a.limb(i) + a.n(), b.limb(i)))
             return false;
     return true;
+}
+
+RnsPoly
+random_eval_poly(const CkksContext &ctx, size_t level, u64 seed)
+{
+    Rng rng(seed);
+    RnsPoly p(ctx.n(), ctx.active_mods(level), PolyForm::eval);
+    for (size_t i = 0; i < p.limbs(); ++i)
+        for (size_t l = 0; l < p.n(); ++l)
+            p.limb(i)[l] = rng.uniform(p.modulus(i).value());
+    return p;
 }
 
 } // namespace
@@ -203,15 +216,9 @@ TEST(Concurrency, PipelineKeyswitchesFromManyCallers)
     };
     std::vector<Case> cases;
     for (const Set *s : {&a, &b}) {
-        for (size_t level : {s->ctx.max_level(), s->ctx.max_level() - 1}) {
-            Rng rng(9600 + cases.size());
-            RnsPoly d2(s->ctx.n(), s->ctx.active_mods(level),
-                       PolyForm::eval);
-            for (size_t i = 0; i < d2.limbs(); ++i)
-                for (size_t l = 0; l < d2.n(); ++l)
-                    d2.limb(i)[l] = rng.uniform(d2.modulus(i).value());
-            cases.push_back({s, std::move(d2)});
-        }
+        for (size_t level : {s->ctx.max_level(), s->ctx.max_level() - 1})
+            cases.push_back(
+                {s, random_eval_poly(s->ctx, level, 9600 + cases.size())});
     }
 
     const ExecPolicy policy = ExecPolicy::fixed(EngineId::fp64_tcu, true);
@@ -230,4 +237,65 @@ TEST(Concurrency, PipelineKeyswitchesFromManyCallers)
             EXPECT_TRUE(poly_eq(got[t].second, want.second)) << t;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Hybrid key switches: many callers on one context and one key bundle
+// ---------------------------------------------------------------------
+
+TEST(Concurrency, HybridKeySwitchesShareOneKey)
+{
+    // The hybrid inner product reads the key's limbs in place, so the
+    // callers share the key bundle read-only and the context's lazily
+    // built precomp levels, with no lock on the key. Levels spread over
+    // 0..L, so every caller reads a different window of the same parts.
+    const CkksContext ctx(CkksParams::test_params(256, 5, 2));
+    KeyGenerator keygen(ctx, 505);
+    const std::vector<i64> steps = {1, 3};
+    const EvalKeyBundle keys =
+        keygen.eval_key_bundle(keygen.secret_key(), steps);
+    const size_t levels = ctx.max_level() + 1;
+
+    std::vector<Ciphertext> cts;
+    for (size_t level = 0; level < levels; ++level)
+        cts.push_back({random_eval_poly(ctx, level, 9700 + 2 * level),
+                       random_eval_poly(ctx, level, 9701 + 2 * level), level,
+                       1.0});
+
+    struct Result
+    {
+        std::pair<RnsPoly, RnsPoly> switched;
+        std::vector<Ciphertext> rotated;
+    };
+    auto run = [&](size_t level) {
+        const Ciphertext &ct = cts[level];
+        return Result{keyswitch_hybrid(ct.c1, keys.rlk, ctx),
+                      rotate_hoisted(ct, steps, keys.galois, ctx)};
+    };
+
+    std::vector<Result> got(NTHREADS);
+    hammer([&](int t) { got[t] = run(t % levels); });
+
+    // The single-threaded run, on one pool executor.
+    ThreadPool::set_global_threads(1);
+    for (size_t level = 0; level < levels; ++level) {
+        const Result want = run(level);
+        for (size_t t = level; t < NTHREADS; t += levels) {
+            EXPECT_TRUE(poly_eq(got[t].switched.first, want.switched.first))
+                << t;
+            EXPECT_TRUE(
+                poly_eq(got[t].switched.second, want.switched.second))
+                << t;
+            ASSERT_EQ(got[t].rotated.size(), steps.size());
+            for (size_t k = 0; k < steps.size(); ++k) {
+                EXPECT_TRUE(
+                    poly_eq(got[t].rotated[k].c0, want.rotated[k].c0))
+                    << t << " step " << steps[k];
+                EXPECT_TRUE(
+                    poly_eq(got[t].rotated[k].c1, want.rotated[k].c1))
+                    << t << " step " << steps[k];
+            }
+        }
+    }
+    ThreadPool::set_global_threads(0);
 }

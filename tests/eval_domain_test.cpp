@@ -5,12 +5,15 @@
 // linear and exact mod each q_i, so every output must equal, word for
 // word, the coefficient-domain algorithm that transforms every limb.
 // That algorithm is rebuilt here from public pieces (each level's
-// digit converters, the cached key slices, the NTT table set and the
-// coefficient-form mod_down) and compared at every level, for
-// N ∈ {2^8, 2^10}, d_num ∈ {1, 2, 3}, at 1 and 4 threads.
+// digit converters, the NTT table set and the coefficient-form
+// mod_down) and a test-local copy of each key part's active limbs, so
+// the key switch's in-place key read is checked against an independent
+// slicing. Both are compared at every level, for N ∈ {2^8, 2^10},
+// d_num ∈ {1, 2, 3}, at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -82,20 +85,39 @@ reference_mod_up(const RnsPoly &d2, const CkksContext &ctx)
     return raised;
 }
 
-/// Inner product with @p evk's level slices, INTT of every limb of both
-/// accumulators, coefficient-form mod_down, NTT of the results.
+/// Copy the limbs active at @p level (q_0..q_l, then P) out of a key
+/// part stored over q_0..q_L, then P.
+RnsPoly
+slice_key_part(const RnsPoly &full, size_t level, const CkksContext &ctx)
+{
+    const size_t n = full.n();
+    const auto &ext_mods = ctx.precomp().level(level).extended;
+    RnsPoly out(n, ext_mods, PolyForm::eval);
+    for (size_t i = 0; i <= level; ++i)
+        std::copy(full.limb(i), full.limb(i) + n, out.limb(i));
+    for (size_t k = 0; k < ctx.p_basis().size(); ++k)
+        std::copy(full.limb(ctx.max_level() + 1 + k),
+                  full.limb(ctx.max_level() + 1 + k) + n,
+                  out.limb(level + 1 + k));
+    return out;
+}
+
+/// Inner product with @p evk's parts sliced to @p level, INTT of every
+/// limb of both accumulators, coefficient-form mod_down, NTT of the
+/// results.
 std::pair<RnsPoly, RnsPoly>
 reference_ip_mod_down(const std::vector<RnsPoly> &raised,
                       const EvalKey &evk, size_t level,
                       const CkksContext &ctx)
 {
     const auto &lv = ctx.precomp().level(level);
-    const auto &slices = key_level_slices(evk, level, ctx);
     RnsPoly acc0(ctx.n(), lv.extended, PolyForm::eval);
     RnsPoly acc1(ctx.n(), lv.extended, PolyForm::eval);
     for (size_t j = 0; j < raised.size(); ++j) {
-        acc0.add_product(raised[j], slices.parts[j][0]);
-        acc1.add_product(raised[j], slices.parts[j][1]);
+        acc0.add_product(raised[j],
+                         slice_key_part(evk.parts[j][0], level, ctx));
+        acc1.add_product(raised[j],
+                         slice_key_part(evk.parts[j][1], level, ctx));
     }
     ctx.tables().to_coeff(acc0);
     ctx.tables().to_coeff(acc1);

@@ -248,8 +248,12 @@ TEST_F(PerfCache, MulAndRotateThroughPipelineMatchReference)
     for (const char *name : {"scalar", "fp64_tcu", "int8_tcu"}) {
         SCOPED_TRACE(name);
         Evaluator ev(s.ctx, KeySwitchMethod::klss);
-        ev.set_klss_keyswitch(klss_keyswitch_fn(
-            ExecPolicy::fixed(EngineRegistry::parse(name))));
+        ev.set_klss_keyswitch(
+            [policy = ExecPolicy::fixed(EngineRegistry::parse(name))](
+                const RnsPoly &d2, const KlssEvalKey &evk,
+                const CkksContext &ctx) {
+                return keyswitch_klss_pipeline(d2, evk, ctx, policy);
+            });
         // Twice: the first populates the caches, the second hits them.
         for (int run = 0; run < 2; ++run) {
             EXPECT_TRUE(ct_eq(ev.mul(ca, cb, keys), mul_ref)) << run;
@@ -285,7 +289,9 @@ TEST_F(PerfCache, AssignedKeySwitchesWithItsOwnMaterial)
     EXPECT_TRUE(poly_eq(klss_got.first, klss_want.first));
     EXPECT_TRUE(poly_eq(klss_got.second, klss_want.second));
 
-    // Hybrid: the keyswitch prepares per-level key slices.
+    // Hybrid: the key switch reads the key's limbs in place and
+    // prepares nothing on the key, so an assigned key must switch with
+    // its own material like a fresh copy of it.
     EvalKey rlk = s.keygen.relin_key(s.sk);
     (void)keyswitch_hybrid(d2, rlk, s.ctx);
     rlk = rlk_b;
