@@ -190,10 +190,20 @@ CkksContext::poly_from_signed(const std::vector<i64> &coeffs,
     NEO_CHECK(coeffs.size() == params_.n, "coefficient count mismatch");
     RnsPoly poly(params_.n, mods, PolyForm::coeff);
     for (size_t i = 0; i < mods.size(); ++i) {
+        // |x| mod q is a Shoup product by 1, exact for any u64, and a
+        // negative x negates it: the residue from_centered returns,
+        // without a division. |x| is formed unsigned, so INT64_MIN is
+        // safe.
         const u64 q = mods[i].value();
+        const u64 one_shoup = shoup_precompute(1, q);
         u64 *dst = poly.limb(i);
-        for (size_t l = 0; l < coeffs.size(); ++l)
-            dst[l] = from_centered(coeffs[l], q);
+        for (size_t l = 0; l < coeffs.size(); ++l) {
+            const i64 x = coeffs[l];
+            const u64 mag = x < 0 ? 0 - static_cast<u64>(x)
+                                  : static_cast<u64>(x);
+            const u64 r = mul_shoup(mag, 1, one_shoup, q);
+            dst[l] = x < 0 ? sub_mod(0, r, q) : r;
+        }
     }
     return poly;
 }

@@ -1,9 +1,11 @@
 #include "poly/ntt.h"
 
 #include "common/check.h"
+#include "common/isa.h"
 #include "common/math_util.h"
 #include "obs/obs.h"
 #include "rns/primes.h"
+#include "rns/shoup_lanes.h"
 
 namespace neo {
 
@@ -59,6 +61,192 @@ reduce_once(u64 x, u64 m)
     return x >= m ? x - m : x;
 }
 
+#if NEO_SHOUP_LANES
+
+/*
+ * The butterflies in IFMA lanes (rns/shoup_lanes.h), for n ≥ 16 and
+ * q < 2^50: the Harvey ranges keep every value below 4q < 2^52, the
+ * lanes' input bound. Stages with t ≥ 8 run 8 consecutive butterflies
+ * of one group per vector with a broadcast twiddle. Stages with
+ * t ∈ {4, 2, 1} run on 16-word blocks: one fixed permutation per t
+ * splits a block into its 8 x words and 8 y words and another merges
+ * them back, and the block's 8/t twiddles are spread so that lane L
+ * holds group L/t's.
+ */
+using lanes::u64x8;
+
+/// A 16-word block's permutations at butterfly half-width T < 8:
+/// x lane L is block word (L/T)·2T + L%T, y lane L the word T later;
+/// lo and hi put words 0..7 and 8..15 back from (x, y); spread gives
+/// lane L twiddle L/T.
+template <size_t T>
+struct BlockPerm
+{
+    u64x8 x, y, lo, hi, spread;
+};
+
+template <size_t T>
+NEO_IFMA BlockPerm<T>
+block_perm()
+{
+    BlockPerm<T> p;
+    for (u64 l = 0; l < 8; ++l) {
+        p.x[l] = l / T * 2 * T + l % T;
+        p.y[l] = p.x[l] + T;
+        p.spread[l] = l / T;
+    }
+    for (u64 k = 0; k < 16; ++k) {
+        const u64 g = k / (2 * T), r = k % (2 * T);
+        const u64 from = r < T ? g * T + r : 8 + g * T + r - T;
+        if (k < 8)
+            p.lo[k] = from;
+        else
+            p.hi[k - 8] = from;
+    }
+    return p;
+}
+
+/// Lane L of the result is lane idx[L] of (a, b): 0..7 name a's
+/// lanes, 8..15 b's.
+NEO_IFMA u64x8
+permute2(u64x8 a, u64x8 idx, u64x8 b)
+{
+    return (u64x8)_mm512_permutex2var_epi64((__m512i)a, (__m512i)idx,
+                                            (__m512i)b);
+}
+
+/// Lane L of the result is lane idx[L] of v. (The all-lanes mask form:
+/// GCC 12 flags the unmasked one's undefined source with
+/// -Wmaybe-uninitialized.)
+NEO_IFMA u64x8
+permute(u64x8 v, u64x8 idx)
+{
+    return (u64x8)_mm512_maskz_permutexvar_epi64(0xff, (__m512i)idx,
+                                                 (__m512i)v);
+}
+
+/// One butterfly per lane with twiddle w (Shoup constant ws): the
+/// forward's Cooley–Tukey on values in [0, 4q), or the inverse's
+/// Gentleman–Sande on values in [0, 2q).
+template <bool Forward>
+NEO_IFMA void
+butterfly(u64x8 &x, u64x8 &y, u64x8 w, u64x8 ws, u64x8 q, u64x8 two_q)
+{
+    if constexpr (Forward) {
+        const u64x8 u = lanes::reduce_once(x, two_q);
+        const u64x8 v = lanes::mul_shoup_lazy(y, w, ws, q);
+        x = u + v;
+        y = u - v + two_q;
+    } else {
+        const u64x8 u = x, v = y;
+        x = lanes::reduce_once(u + v, two_q);
+        y = lanes::mul_shoup_lazy(u - v + two_q, w, ws, q);
+    }
+}
+
+/// One stage at half-width t ≥ 8 over all n words: group i, twiddle
+/// w[i], runs 8 consecutive butterflies per vector.
+template <bool Forward>
+NEO_IFMA void
+stage_lanes(u64 *a, size_t n, size_t t, const u64 *w, const u64 *ws,
+            u64x8 q, u64x8 two_q)
+{
+    for (size_t i = 0; i < n / (2 * t); ++i) {
+        const u64x8 wi = lanes::splat(w[i]), wsi = lanes::splat(ws[i]);
+        u64 *xp = a + 2 * i * t;
+        for (size_t j = 0; j < t; j += 8) {
+            u64x8 x = lanes::load(xp + j), y = lanes::load(xp + t + j);
+            butterfly<Forward>(x, y, wi, wsi, q, two_q);
+            lanes::store(xp + j, x);
+            lanes::store(xp + t + j, y);
+        }
+    }
+}
+
+/// One stage at half-width T ∈ {4, 2, 1}, 16-word block by block.
+template <bool Forward, size_t T>
+NEO_IFMA void
+block_stage_lanes(u64 *a, size_t n, const u64 *w, const u64 *ws, u64x8 q,
+                  u64x8 two_q)
+{
+    const BlockPerm<T> p = block_perm<T>();
+    constexpr size_t groups = 8 / T;
+    for (size_t b = 0; b < n; b += 16, w += groups, ws += groups) {
+        const u64x8 lo = lanes::load(a + b), hi = lanes::load(a + b + 8);
+        u64x8 x = permute2(lo, p.x, hi), y = permute2(lo, p.y, hi);
+        const u64x8 wb = permute(lanes::load_first(w, groups), p.spread);
+        const u64x8 wsb = permute(lanes::load_first(ws, groups), p.spread);
+        butterfly<Forward>(x, y, wb, wsb, q, two_q);
+        lanes::store(a + b, permute2(x, p.lo, y));
+        lanes::store(a + b + 8, permute2(x, p.hi, y));
+    }
+}
+
+/// NttTables::forward's stages in lanes: w, ws are ψ^bitrev(i) and
+/// their Shoup constants.
+[[NEO_IFMA_TARGET]] void
+forward_lanes(u64 *a, size_t n, const u64 *w, const u64 *ws, u64 qv)
+{
+    const u64x8 q = lanes::splat(qv), two_q = lanes::splat(2 * qv);
+    for (size_t m = 1, t = n >> 1; t >= 8; m <<= 1, t >>= 1)
+        stage_lanes<true>(a, n, t, w + m, ws + m, q, two_q);
+    block_stage_lanes<true, 4>(a, n, w + n / 8, ws + n / 8, q, two_q);
+    block_stage_lanes<true, 2>(a, n, w + n / 4, ws + n / 4, q, two_q);
+    block_stage_lanes<true, 1>(a, n, w + n / 2, ws + n / 2, q, two_q);
+}
+
+/// NttTables::inverse after its bit reversal, in lanes: w, ws are
+/// ψ^-bitrev(i) and their Shoup constants, and the last stage
+/// multiplies by n⁻¹ and n⁻¹·ψ^{-n/2} (Shoup constants ninv_s, ninv_ws).
+[[NEO_IFMA_TARGET]] void
+inverse_lanes(u64 *a, size_t n, const u64 *w, const u64 *ws, u64 qv,
+              u64 ninv, u64 ninv_s, u64 ninv_w, u64 ninv_ws)
+{
+    const u64x8 q = lanes::splat(qv), two_q = lanes::splat(2 * qv);
+    block_stage_lanes<false, 1>(a, n, w + n / 2, ws + n / 2, q, two_q);
+    block_stage_lanes<false, 2>(a, n, w + n / 4, ws + n / 4, q, two_q);
+    block_stage_lanes<false, 4>(a, n, w + n / 8, ws + n / 8, q, two_q);
+    for (size_t h = n >> 4, t = 8; h > 1; h >>= 1, t <<= 1)
+        stage_lanes<false>(a, n, t, w + h, ws + h, q, two_q);
+    // The last stage reduces to [0, q).
+    const u64x8 c0 = lanes::splat(ninv), c0s = lanes::splat(ninv_s);
+    const u64x8 c1 = lanes::splat(ninv_w), c1s = lanes::splat(ninv_ws);
+    const size_t half = n >> 1;
+    for (size_t j = 0; j < half; j += 8) {
+        const u64x8 u = lanes::load(a + j), v = lanes::load(a + j + half);
+        lanes::store(a + j, lanes::reduce_once(
+                                lanes::mul_shoup_lazy(u + v, c0, c0s, q), q));
+        lanes::store(a + j + half,
+                     lanes::reduce_once(
+                         lanes::mul_shoup_lazy(u - v + two_q, c1, c1s, q), q));
+    }
+}
+
+/// True when a transform of @p n words mod @p q runs in the lanes.
+bool
+take_lanes(size_t n, u64 q)
+{
+    return n >= 16 && lanes::fits(q) && ifma_lanes();
+}
+
+#endif
+
+/// The forward's last pass: bit-reverse into natural order while
+/// reducing from [0, 4q) to [0, q).
+void
+to_natural_order(u64 *a, const u32 *bitrev, size_t n, u64 q)
+{
+    const u64 two_q = 2 * q;
+    for (size_t i = 0; i < n; ++i) {
+        const size_t j = bitrev[i];
+        if (i > j)
+            continue;
+        const u64 ai = reduce_once(reduce_once(a[i], two_q), q);
+        a[i] = reduce_once(reduce_once(a[j], two_q), q);
+        a[j] = ai;
+    }
+}
+
 } // namespace
 
 /// Cooley–Tukey butterflies over ψ^bitrev(i) (Longa–Naehrig 2016):
@@ -72,6 +260,13 @@ NttTables::forward(u64 *a) const
     obs::Span span("ntt_r2_fwd", obs::cat::ntt);
     const u64 q = q_.value();
     const u64 two_q = 2 * q;
+#if NEO_SHOUP_LANES
+    if (take_lanes(n_, q)) {
+        forward_lanes(a, n_, psi_rev_.data(), psi_rev_shoup_.data(), q);
+        to_natural_order(a, bitrev_.data(), n_, q);
+        return;
+    }
+#endif
     for (size_t m = 1, t = n_ >> 1; m < n_; m <<= 1, t >>= 1) {
         for (size_t i = 0; i < m; ++i) {
             const u64 w = psi_rev_[m + i];
@@ -86,14 +281,7 @@ NttTables::forward(u64 *a) const
             }
         }
     }
-    for (size_t i = 0; i < n_; ++i) {
-        const size_t j = bitrev_[i];
-        if (i > j)
-            continue;
-        const u64 ai = reduce_once(reduce_once(a[i], two_q), q);
-        a[i] = reduce_once(reduce_once(a[j], two_q), q);
-        a[j] = ai;
-    }
+    to_natural_order(a, bitrev_.data(), n_, q);
 }
 
 /// Bit-reversal, then Gentleman–Sande butterflies over ψ^-bitrev(i)
@@ -109,6 +297,13 @@ NttTables::inverse(u64 *a) const
         if (i < j)
             std::swap(a[i], a[j]);
     }
+#if NEO_SHOUP_LANES
+    if (take_lanes(n_, q)) {
+        inverse_lanes(a, n_, psi_inv_rev_.data(), psi_inv_rev_shoup_.data(),
+                      q, n_inv_, n_inv_shoup_, n_inv_w_, n_inv_w_shoup_);
+        return;
+    }
+#endif
     for (size_t h = n_ >> 1, t = 1; h > 1; h >>= 1, t <<= 1) {
         for (size_t i = 0; i < h; ++i) {
             const u64 w = psi_inv_rev_[h + i];

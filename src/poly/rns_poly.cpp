@@ -172,9 +172,10 @@ automorphism_coeff(const u64 *in, u64 *out, size_t n, u64 g,
                    const Modulus &q)
 {
     NEO_CHECK(g % 2 == 1, "Galois element must be odd");
-    const u64 two_n = 2 * n;
+    // 2n divides 2^64, so the wrapped product reduces by a mask.
+    const u64 mask = 2 * n - 1;
     for (size_t i = 0; i < n; ++i) {
-        u64 j = (static_cast<u128>(i) * g) % two_n;
+        const u64 j = (i * g) & mask;
         if (j < n) {
             out[j] = in[i];
         } else {
@@ -194,10 +195,10 @@ std::vector<size_t>
 eval_slot_map(size_t n, u64 g)
 {
     NEO_CHECK(g % 2 == 1, "Galois element must be odd");
-    const u64 two_n = 2 * n;
+    const u64 mask = 2 * n - 1;
     std::vector<size_t> map(n);
     for (size_t k = 0; k < n; ++k) {
-        const u64 e = (static_cast<u128>(2 * k + 1) * g) % two_n;
+        const u64 e = ((2 * k + 1) * g) & mask;
         map[k] = static_cast<size_t>((e - 1) / 2);
     }
     return map;

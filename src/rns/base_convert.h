@@ -130,6 +130,10 @@ class BaseConverter
     std::vector<u64> b_mod_to_;          // B mod t_j
     std::vector<u64> b_mod_to_shoup_;    // Shoup companions
     std::vector<double> inv_from_;       // 1.0 / b_i
+    /// Every source and target modulus fits the IFMA lanes
+    /// (rns/shoup_lanes.h), which scale_inputs() and accumulate() take
+    /// when ifma_lanes() holds.
+    bool lanes_ = false;
 };
 
 } // namespace neo

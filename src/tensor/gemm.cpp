@@ -1,7 +1,6 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -11,6 +10,7 @@
 #endif
 
 #include "common/check.h"
+#include "common/isa.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
@@ -480,35 +480,7 @@ using Words = u64x4;
 #undef NEO_LANE_TARGET
 } // namespace avx2
 
-GemmIsa
-detect_isa()
-{
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma"))
-        return GemmIsa::avx512;
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return GemmIsa::avx2;
-    return GemmIsa::portable;
-}
-
-#else
-
-GemmIsa
-detect_isa()
-{
-    return GemmIsa::portable;
-}
-
 #endif
-
-/// The level sliced_gemm dispatches on: CPUID's pick unless a test
-/// forced a lower one.
-std::atomic<GemmIsa> &
-active_isa()
-{
-    static std::atomic<GemmIsa> isa{gemm_isa_supported()};
-    return isa;
-}
 
 /// One ISA level's FP64 kernels. The portable level slices and
 /// multiplies with the scalar loops and recombines with the scalar
@@ -523,13 +495,13 @@ struct LaneKernels
 };
 
 LaneKernels
-lane_kernels(GemmIsa isa)
+lane_kernels(Isa isa)
 {
 #if defined(__x86_64__) || defined(__i386__)
-    if (isa == GemmIsa::avx512)
+    if (isa == Isa::avx512)
         return {avx512::slice, avx512::slice_t, avx512::block,
                 avx512::recombine, avx512::sites};
-    if (isa == GemmIsa::avx2)
+    if (isa == Isa::avx2)
         return {avx2::slice, avx2::slice_t, avx2::block, avx2::recombine,
                 avx2::sites};
 #endif
@@ -791,8 +763,7 @@ sliced_gemm(const u64 *a, const u64 *b, u64 *c, const GemmShape &s,
     }
     const SplitPlan plan = choose_split<Plane>(wa, wb, s.k);
     const size_t pairs = static_cast<size_t>(plan.products());
-    const LaneKernels isa =
-        lane_kernels(active_isa().load(std::memory_order_relaxed));
+    const LaneKernels isa = lane_kernels(active_isa());
     // The lanes' final correction needs q ≥ 8 (fp64_lanes_exact).
     const bool lanes = std::is_same_v<Plane, double> && isa.recombine &&
                        q_bits_min >= 4 && fp64_lanes_exact(plan, s.k, q_bits);
@@ -985,35 +956,6 @@ gemm(EngineId engine, const u64 *a, const u64 *b, u64 *c,
         return;
     }
     body(a, b, c, shape, moduli);
-}
-
-GemmIsa
-gemm_isa_supported()
-{
-    static const GemmIsa isa = detect_isa();
-    return isa;
-}
-
-const char *
-gemm_isa_name(GemmIsa isa)
-{
-    switch (isa) {
-    case GemmIsa::avx512:
-        return "avx512";
-    case GemmIsa::avx2:
-        return "avx2";
-    case GemmIsa::portable:
-        break;
-    }
-    return "portable";
-}
-
-GemmIsa
-force_gemm_isa_for_testing(GemmIsa isa)
-{
-    NEO_CHECK(isa <= gemm_isa_supported(),
-              "GEMM ISA level not supported by this host");
-    return active_isa().exchange(isa, std::memory_order_relaxed);
 }
 
 } // namespace neo

@@ -92,26 +92,4 @@ struct ModulusMap
 void gemm(EngineId engine, const u64 *a, const u64 *b, u64 *c,
           const GemmShape &shape, const ModulusMap &moduli);
 
-/**
- * Instruction-set level of the FP64 lane kernels (slicing, plane GEMM,
- * recombine, per-site GEMM), lowest first. The highest level the host
- * supports is picked once from CPUID; the portable level runs the
- * scalar loops and the scalar Shoup recombine. Every level produces
- * bit-identical results.
- */
-enum class GemmIsa { portable, avx2, avx512 };
-
-/// Highest level this host supports; the FP64 engine runs at it.
-GemmIsa gemm_isa_supported();
-
-/// "portable", "avx2" or "avx512".
-const char *gemm_isa_name(GemmIsa isa);
-
-/**
- * Test hook: run the FP64 engine at @p isa, which must not exceed
- * gemm_isa_supported(). Returns the previous level. Not for use while
- * GEMMs are in flight.
- */
-GemmIsa force_gemm_isa_for_testing(GemmIsa isa);
-
 } // namespace neo

@@ -6,6 +6,7 @@
 #include "boot/bootstrapper.h"
 #include "boot/factored_transform.h"
 #include "ckks/encryptor.h"
+#include "common/isa.h"
 #include "common/math_util.h"
 #include "common/random.h"
 
@@ -34,6 +35,12 @@ dense_product(const std::vector<Complex> &m, const std::vector<Complex> &z)
         for (size_t j = 0; j < s; ++j)
             y[i] += m[i * s + j] * z[j];
     return y;
+}
+
+std::vector<u64>
+words(const RnsPoly &p)
+{
+    return {p.data(), p.data() + p.limbs() * p.n()};
 }
 
 std::vector<Complex>
@@ -440,6 +447,14 @@ TEST(Bootstrap, FactoredTransformsRefreshAndPreserve)
     EXPECT_GE(fresh.level, 1u);
     auto got = dec.decrypt_decode(fresh);
     EXPECT_LT(max_err(got, z), 3e-3);
+    // The same words at the portable ISA level, where the NTT and BConv
+    // run their scalar loops.
+    const Isa prev = force_isa_for_testing(Isa::portable);
+    const Ciphertext portable = boot.bootstrap(ct);
+    force_isa_for_testing(prev);
+    EXPECT_EQ(portable.level, fresh.level);
+    EXPECT_TRUE(words(portable.c0) == words(fresh.c0));
+    EXPECT_TRUE(words(portable.c1) == words(fresh.c1));
 }
 
 TEST(Bootstrap, SecretKeySparseHammingWeight)

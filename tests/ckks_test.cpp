@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 
 #include "ckks/encryptor.h"
@@ -7,6 +8,7 @@
 #include "ckks/keygen.h"
 #include "common/random.h"
 #include "obs/obs.h"
+#include "rns/primes.h"
 
 namespace neo::ckks {
 namespace {
@@ -402,6 +404,33 @@ TEST_F(CkksFixture, ModSwitchPreservesMessage)
     EXPECT_EQ(dropped.level, 2u);
     auto got = dec.decrypt_decode(dropped);
     EXPECT_LT(max_error(got, a), 1e-5);
+}
+
+TEST_F(CkksFixture, PolyFromSignedMatchesFromCentered)
+{
+    // The extended basis (36-bit Q and P primes) plus a 20-bit, a
+    // 62-bit and the smallest odd modulus.
+    std::vector<Modulus> mods = ctx_->extended_mods(params_->max_level);
+    for (int bits : {20, 62})
+        mods.emplace_back(generate_ntt_primes(bits, 1, ctx_->n())[0]);
+    mods.emplace_back(3);
+    std::vector<i64> coeffs = {0, 1, -1, INT64_MIN, INT64_MAX,
+                               INT64_MIN + 1};
+    for (const Modulus &m : mods) {
+        const auto q = static_cast<i64>(m.value());
+        for (i64 v : {q - 1, q, q + 1})
+            for (i64 sign : {1, -1})
+                coeffs.push_back(sign * v);
+    }
+    ASSERT_LE(coeffs.size(), ctx_->n());
+    Rng rng(31);
+    while (coeffs.size() < ctx_->n())
+        coeffs.push_back(static_cast<i64>(rng.next()));
+    const RnsPoly p = ctx_->poly_from_signed(coeffs, mods);
+    for (size_t i = 0; i < mods.size(); ++i)
+        for (size_t l = 0; l < coeffs.size(); ++l)
+            ASSERT_EQ(p.limb(i)[l], from_centered(coeffs[l], mods[i].value()))
+                << "x=" << coeffs[l] << " q=" << mods[i].value();
 }
 
 TEST(CkksParams, AlphaBetaDerivations)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/isa.h"
 #include "common/json.h"
 #include "common/math_util.h"
 #include "common/random.h"
@@ -142,6 +143,31 @@ TEST(Json, NestingIsCappedNotUnbounded)
                  std::invalid_argument);
     EXPECT_THROW(json::Value::parse(std::string(json::kMaxDepth + 1, '{')),
                  std::invalid_argument);
+}
+
+TEST(Isa, IfmaLanesFollowTheHost)
+{
+    // The NTT and BConv lanes run only at the top level, avx512, and
+    // only on a host with AVX-512 IFMA.
+    const Isa top = isa_supported();
+    for (int lvl = 0; lvl < static_cast<int>(top); ++lvl) {
+        const Isa prev = force_isa_for_testing(static_cast<Isa>(lvl));
+        EXPECT_FALSE(ifma_lanes()) << isa_name(active_isa());
+        force_isa_for_testing(prev);
+    }
+    bool host_ifma = false;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    host_ifma = __builtin_cpu_supports("avx512ifma");
+#endif
+    if (top != Isa::avx512 || !host_ifma) {
+        EXPECT_FALSE(ifma_lanes());
+        GTEST_SKIP() << "host has no AVX-512 IFMA (top level "
+                     << isa_name(top)
+                     << "): the NTT and BConv run their scalar loops";
+    }
+    EXPECT_EQ(active_isa(), Isa::avx512);
+    EXPECT_TRUE(ifma_lanes());
 }
 
 } // namespace

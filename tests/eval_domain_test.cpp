@@ -9,7 +9,9 @@
 // mod_down) and a test-local copy of each key part's active limbs, so
 // the key switch's in-place key read is checked against an independent
 // slicing. Both are compared at every level, for N ∈ {2^8, 2^10},
-// d_num ∈ {1, 2, 3}, at 1 and 4 threads.
+// d_num ∈ {1, 2, 3}, at 1 and 4 threads, and the key switch's words
+// at the host's ISA level must equal its words at the portable level,
+// where the NTT and BConv run their scalar loops.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "ckks/keygen.h"
 #include "ckks/keyswitch.h"
 #include "ckks/ks_precomp.h"
+#include "common/isa.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
@@ -39,6 +42,13 @@ std::vector<u64>
 words(const RnsPoly &p)
 {
     return {p.data(), p.data() + p.limbs() * p.n()};
+}
+
+/// Append @p p's words to @p out.
+void
+append(std::vector<u64> &out, const RnsPoly &p)
+{
+    out.insert(out.end(), p.data(), p.data() + p.limbs() * p.n());
 }
 
 RnsPoly
@@ -201,7 +211,9 @@ class EvalDomain : public ::testing::Test
         ThreadPool::set_global_threads(0);
     }
 
-    /// Run @p body once per configuration and thread count.
+    /// Run @p body(config, out) once per configuration and thread
+    /// count at the portable ISA level and once at the host's level;
+    /// the words it appends to out must agree.
     template <class Body>
     static void
     for_each_config(const Body &body)
@@ -210,7 +222,12 @@ class EvalDomain : public ::testing::Test
             ThreadPool::set_global_threads(threads);
             for (const Config &c : *configs_) {
                 SCOPED_TRACE(c.name + " threads=" + std::to_string(threads));
-                body(c);
+                std::vector<u64> portable, host;
+                const Isa prev = force_isa_for_testing(Isa::portable);
+                body(c, portable);
+                force_isa_for_testing(prev);
+                body(c, host);
+                EXPECT_TRUE(host == portable) << isa_name(prev);
             }
         }
         ThreadPool::set_global_threads(0);
@@ -223,7 +240,7 @@ std::vector<Config> *EvalDomain::configs_ = nullptr;
 
 TEST_F(EvalDomain, HybridKeySwitchMatchesCoefficientDomainReference)
 {
-    for_each_config([](const Config &c) {
+    for_each_config([](const Config &c, std::vector<u64> &out) {
         const CkksContext &ctx = *c.ctx;
         Rng rng(7);
         for (size_t level = 0; level <= kLevels; ++level) {
@@ -238,13 +255,15 @@ TEST_F(EvalDomain, HybridKeySwitchMatchesCoefficientDomainReference)
             ASSERT_EQ(got.second.form(), PolyForm::eval);
             EXPECT_EQ(words(got.first), words(want.first));
             EXPECT_EQ(words(got.second), words(want.second));
+            append(out, got.first);
+            append(out, got.second);
         }
     });
 }
 
 TEST_F(EvalDomain, HoistedRotationsMatchCoefficientDomainReference)
 {
-    for_each_config([](const Config &c) {
+    for_each_config([](const Config &c, std::vector<u64> &out) {
         const CkksContext &ctx = *c.ctx;
         Rng rng(8);
         for (size_t level = 0; level <= kLevels; ++level) {
@@ -267,6 +286,8 @@ TEST_F(EvalDomain, HoistedRotationsMatchCoefficientDomainReference)
                 k0.add_inplace(automorphism(ct.c0, g));
                 EXPECT_EQ(words(got[s].c0), words(k0)) << kSteps[s];
                 EXPECT_EQ(words(got[s].c1), words(k1)) << kSteps[s];
+                append(out, got[s].c0);
+                append(out, got[s].c1);
             }
         }
     });
@@ -274,7 +295,7 @@ TEST_F(EvalDomain, HoistedRotationsMatchCoefficientDomainReference)
 
 TEST_F(EvalDomain, RescaleAndDoubleRescaleMatchCoefficientDomainReference)
 {
-    for_each_config([](const Config &c) {
+    for_each_config([](const Config &c, std::vector<u64> &out) {
         const CkksContext &ctx = *c.ctx;
         const Evaluator ev(ctx);
         Rng rng(9);
@@ -292,6 +313,8 @@ TEST_F(EvalDomain, RescaleAndDoubleRescaleMatchCoefficientDomainReference)
             EXPECT_EQ(got.c0.form(), PolyForm::eval);
             EXPECT_EQ(words(got.c0), words(want.c0));
             EXPECT_EQ(words(got.c1), words(want.c1));
+            append(out, got.c0);
+            append(out, got.c1);
             if (level < 2)
                 continue;
             const Ciphertext want2 = reference_rescale(want, ctx);
@@ -300,6 +323,8 @@ TEST_F(EvalDomain, RescaleAndDoubleRescaleMatchCoefficientDomainReference)
             EXPECT_EQ(got2.scale, want2.scale);
             EXPECT_EQ(words(got2.c0), words(want2.c0));
             EXPECT_EQ(words(got2.c1), words(want2.c1));
+            append(out, got2.c0);
+            append(out, got2.c1);
         }
     });
 }
@@ -312,7 +337,7 @@ TEST_F(EvalDomain, ModDownOfEvalFormIsNttOfCoeffForm)
     const char *same[] = {"bconv.converts",   "bconv.products",
                           "fuse.moddown_fix", "pass.moddown_fix",
                           "ks.moddown_products", "ks.moddown.shards"};
-    for_each_config([&](const Config &c) {
+    for_each_config([&](const Config &c, std::vector<u64> &out) {
         const CkksContext &ctx = *c.ctx;
         Rng rng(10);
         for (size_t level = 0; level <= kLevels; ++level) {
@@ -334,6 +359,7 @@ TEST_F(EvalDomain, ModDownOfEvalFormIsNttOfCoeffForm)
                     ASSERT_EQ(want.form(), PolyForm::coeff);
                     ctx.tables().to_eval(want);
                     EXPECT_EQ(words(got), words(want));
+                    append(out, got);
                     for (const char *name : same)
                         EXPECT_EQ(eval_scope.counter(name),
                                   coeff_scope.counter(name))

@@ -10,7 +10,7 @@
  *
  *   1. keyswitch_klss_pipeline with fuse on is bit-identical to the
  *      unfused pipeline and to the reference ckks::keyswitch_klss
- *      across 21 (level, d_num, engine) configurations at every GEMM
+ *      across 21 (level, d_num, engine) configurations at every
  *      ISA level;
  *   2. the same holds under 1 / 2 / 7 / 16 worker threads;
  *   3. the obs counters prove the element-wise passes really moved:
@@ -38,6 +38,8 @@
 #include "neo/pipeline.h"
 #include "obs/obs.h"
 #include "tensor/gemm.h"
+
+#include "isa_sweep.h"
 
 namespace neo {
 namespace {
@@ -139,16 +141,12 @@ TEST_F(Fusion, FusedKeyswitchBitIdenticalAcrossConfigs)
 {
     const auto cfgs = configs();
     ASSERT_GE(cfgs.size(), 20u);
-    // At every GEMM ISA level the host supports.
-    const GemmIsa top = gemm_isa_supported();
-    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
-        const GemmIsa isa = static_cast<GemmIsa>(lvl);
-        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+    // At every ISA level the host supports.
+    for_each_isa([&] {
         for (const auto &cfg : cfgs) {
             SCOPED_TRACE(::testing::Message()
                          << cfg.engine << " d_num="
-                         << cfg.set->params.d_num << " level=" << cfg.level
-                         << " isa=" << gemm_isa_name(isa));
+                         << cfg.set->params.d_num << " level=" << cfg.level);
             const EngineId engine = EngineRegistry::parse(cfg.engine);
             RnsPoly d2 = random_eval_poly(cfg.set->ctx, cfg.level,
                                           5000 + cfg.level);
@@ -167,8 +165,7 @@ TEST_F(Fusion, FusedKeyswitchBitIdenticalAcrossConfigs)
             EXPECT_TRUE(poly_eq(fused.first, unfused.first));
             EXPECT_TRUE(poly_eq(fused.second, unfused.second));
         }
-        force_gemm_isa_for_testing(prev);
-    }
+    });
 }
 
 TEST_F(Fusion, FusedBitExactAcrossThreadCounts)

@@ -11,7 +11,7 @@
  *      bit-identical to the reference ckks::keyswitch_klss across
  *      21 (level, d_num, engine) configurations;
  *   2. the same holds under 1 / 2 / 7 / 16 worker threads, at every
- *      FP64 plane-kernel ISA level the host supports, and for
+ *      ISA level the host supports, and for
  *      Evaluator::mul / rotate routed through the pipeline.
  *
  * Assigning a new key into a live key object drops the operands it
@@ -31,6 +31,8 @@
 #include "common/thread_pool.h"
 #include "neo/pipeline.h"
 #include "tensor/gemm.h"
+
+#include "isa_sweep.h"
 
 namespace neo {
 namespace {
@@ -196,15 +198,11 @@ TEST_F(PerfCache, KeyswitchBitExactAcrossThreadCounts)
 TEST_F(PerfCache, KeyswitchBitExactAtEveryIsaLevel)
 {
     const auto cfgs = configs();
-    const GemmIsa top = gemm_isa_supported();
-    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
-        const GemmIsa isa = static_cast<GemmIsa>(lvl);
-        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+    for_each_isa([&] {
         for (const auto &cfg : cfgs) {
             SCOPED_TRACE(::testing::Message()
                          << cfg.engine << " d_num="
-                         << cfg.set->params.d_num << " level=" << cfg.level
-                         << " isa=" << gemm_isa_name(isa));
+                         << cfg.set->params.d_num << " level=" << cfg.level);
             RnsPoly d2 = random_eval_poly(cfg.set->ctx, cfg.level,
                                           4000 + cfg.level);
             const auto ref =
@@ -215,8 +213,7 @@ TEST_F(PerfCache, KeyswitchBitExactAtEveryIsaLevel)
             EXPECT_TRUE(poly_eq(got.first, ref.first));
             EXPECT_TRUE(poly_eq(got.second, ref.second));
         }
-        force_gemm_isa_for_testing(prev);
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include "rns/primes.h"
 #include "tensor/gemm.h"
 
+#include "isa_sweep.h"
+
 namespace neo {
 namespace {
 
@@ -61,7 +63,9 @@ ntt_by_definition(const std::vector<u64> &a, const NttTables &t)
 
 TEST(Ntt, ForwardMatchesDefinitionAtEverySizeAndWidth)
 {
-    for (int bits : {20, 36, 48, 60, 62}) {
+    // 49- and 50-bit q take the IFMA lanes from n = 16 on; 51-bit q
+    // and wider run the scalar loop at every ISA level.
+    for (int bits : {20, 36, 48, 49, 50, 51, 60, 62}) {
         for (size_t n = 1; n <= 1024; n <<= 1) {
             SCOPED_TRACE(::testing::Message() << "bits=" << bits
                                               << " n=" << n);
@@ -72,11 +76,48 @@ TEST(Ntt, ForwardMatchesDefinitionAtEverySizeAndWidth)
             // All-(q−1) drives every lazy butterfly to its range edge.
             for (const auto &a : {rng.uniform_vec(n, q.value()),
                                   std::vector<u64>(n, q.value() - 1)}) {
-                auto x = a;
-                t.forward(x.data());
-                ASSERT_EQ(x, ntt_by_definition(a, t));
-                t.inverse(x.data());
-                ASSERT_EQ(x, a);
+                const auto want = ntt_by_definition(a, t);
+                for_each_isa([&] {
+                    auto x = a;
+                    t.forward(x.data());
+                    ASSERT_EQ(x, want);
+                    t.inverse(x.data());
+                    ASSERT_EQ(x, a);
+                });
+            }
+        }
+    }
+}
+
+TEST(Ntt, LanesMatchPortableAtLargeSizes)
+{
+    // Past the definition test's n = 1024: every ISA level against the
+    // portable scalar loops, forward, inverse and round trip, on
+    // random, all-(q−1) and zero inputs.
+    for (size_t n : {size_t{1} << 12, size_t{1} << 14}) {
+        for (int bits : {20, 36, 48, 50, 51, 60}) {
+            SCOPED_TRACE(::testing::Message() << "bits=" << bits
+                                              << " n=" << n);
+            const Modulus q = test_modulus(n, bits);
+            const NttTables t(n, q);
+            Rng rng(bits * 8192 + n);
+            for (const auto &a : {rng.uniform_vec(n, q.value()),
+                                  std::vector<u64>(n, q.value() - 1),
+                                  std::vector<u64>(n, 0)}) {
+                auto fwd = a, inv = a;
+                const Isa prev = force_isa_for_testing(Isa::portable);
+                t.forward(fwd.data());
+                t.inverse(inv.data());
+                force_isa_for_testing(prev);
+                for_each_isa([&] {
+                    auto x = a, y = a;
+                    t.forward(x.data());
+                    ASSERT_EQ(x, fwd);
+                    t.inverse(x.data());
+                    ASSERT_EQ(x, a);
+                    t.inverse(y.data());
+                    ASSERT_EQ(y, inv);
+                });
             }
         }
     }
@@ -332,6 +373,20 @@ TEST(Automorphism, CoeffEvalConsistency)
         std::vector<u64> via_eval(n);
         automorphism_eval(via_eval_in.data(), via_eval.data(), n, g, q);
         EXPECT_EQ(via_coeff, via_eval) << "g=" << g;
+    }
+    // An odd element at or above 2^63 acts as itself mod 2n in both
+    // domains: its index products wrap mod 2^64, a multiple of 2n.
+    auto a_eval = a;
+    t.forward(a_eval.data());
+    for (u64 g : {(u64{1} << 63) + 5, ~u64{0}}) {
+        const u64 g_mod = g % (2 * n);
+        std::vector<u64> big(n), small(n);
+        automorphism_coeff(a.data(), big.data(), n, g, q);
+        automorphism_coeff(a.data(), small.data(), n, g_mod, q);
+        EXPECT_EQ(big, small) << "coeff g=" << g;
+        automorphism_eval(a_eval.data(), big.data(), n, g, q);
+        automorphism_eval(a_eval.data(), small.data(), n, g_mod, q);
+        EXPECT_EQ(big, small) << "eval g=" << g;
     }
 }
 

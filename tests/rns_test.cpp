@@ -8,6 +8,8 @@
 #include "rns/partition.h"
 #include "rns/primes.h"
 
+#include "isa_sweep.h"
+
 namespace neo {
 namespace {
 
@@ -184,20 +186,22 @@ TEST(BaseConverter, ApproxConversionIsCorrectUpToBMultiple)
         for (size_t i = 0; i < 3; ++i)
             in[i * n + l] = static_cast<u64>(v % p1[i]);
     }
-    conv.convert_approx(in.data(), n, out.data());
-    for (size_t l = 0; l < n; ++l) {
-        for (size_t j = 0; j < 3; ++j) {
-            u64 got = out[j * n + l];
-            // got == truth + u*B mod t_j for some 0 <= u < 3.
-            bool ok = false;
-            for (u64 u = 0; u < 3; ++u) {
-                u128 cand = (truth[l] + u * big) % p2[j];
-                if (got == static_cast<u64>(cand))
-                    ok = true;
+    for_each_isa([&] {
+        conv.convert_approx(in.data(), n, out.data());
+        for (size_t l = 0; l < n; ++l) {
+            for (size_t j = 0; j < 3; ++j) {
+                u64 got = out[j * n + l];
+                // got == truth + u*B mod t_j for some 0 <= u < 3.
+                bool ok = false;
+                for (u64 u = 0; u < 3; ++u) {
+                    u128 cand = (truth[l] + u * big) % p2[j];
+                    if (got == static_cast<u64>(cand))
+                        ok = true;
+                }
+                EXPECT_TRUE(ok) << "coef " << l << " limb " << j;
             }
-            EXPECT_TRUE(ok) << "coef " << l << " limb " << j;
         }
-    }
+    });
 }
 
 TEST(BaseConverter, ExactConversionRecoversCenteredValue)
@@ -226,16 +230,18 @@ TEST(BaseConverter, ExactConversionRecoversCenteredValue)
         for (size_t i = 0; i < 3; ++i)
             in[i * n + l] = static_cast<u64>(vmod % p1[i]);
     }
-    conv.convert_exact(in.data(), n, out.data());
-    for (size_t l = 0; l < n; ++l) {
-        for (size_t j = 0; j < 4; ++j) {
-            i128 t = truth[l] % static_cast<i128>(p2[j]);
-            if (t < 0)
-                t += p2[j];
-            EXPECT_EQ(out[j * n + l], static_cast<u64>(t))
-                << "coef " << l << " limb " << j;
+    for_each_isa([&] {
+        conv.convert_exact(in.data(), n, out.data());
+        for (size_t l = 0; l < n; ++l) {
+            for (size_t j = 0; j < 4; ++j) {
+                i128 t = truth[l] % static_cast<i128>(p2[j]);
+                if (t < 0)
+                    t += p2[j];
+                EXPECT_EQ(out[j * n + l], static_cast<u64>(t))
+                    << "coef " << l << " limb " << j;
+            }
         }
-    }
+    });
 }
 
 TEST(BaseConverter, ExactConversionZeroAndEdges)
@@ -245,17 +251,62 @@ TEST(BaseConverter, ExactConversionZeroAndEdges)
     RnsBasis from(p1), to(p2);
     BaseConverter conv(from, to);
     const size_t n = 4;
-    std::vector<u64> in(2 * n, 0), out(2 * n, 99);
+    std::vector<u64> in(2 * n, 0);
     // coefficient 1: value 1; coefficient 2: value -1 (i.e., B-1).
     in[0 * n + 1] = 1;
     in[1 * n + 1] = 1;
     in[0 * n + 2] = p1[0] - 1;
     in[1 * n + 2] = p1[1] - 1;
-    conv.convert_exact(in.data(), n, out.data());
-    for (size_t j = 0; j < 2; ++j) {
-        EXPECT_EQ(out[j * n + 0], 0u);
-        EXPECT_EQ(out[j * n + 1], 1u);
-        EXPECT_EQ(out[j * n + 2], p2[j] - 1);
+    for_each_isa([&] {
+        std::vector<u64> out(2 * n, 99);
+        conv.convert_exact(in.data(), n, out.data());
+        for (size_t j = 0; j < 2; ++j) {
+            EXPECT_EQ(out[j * n + 0], 0u);
+            EXPECT_EQ(out[j * n + 1], 1u);
+            EXPECT_EQ(out[j * n + 2], p2[j] - 1);
+        }
+    });
+}
+
+TEST(BaseConverter, LanesMatchPortableAtEveryWidth)
+{
+    // Both conversions at every ISA level against the portable scalar
+    // loops. Source and target widths straddle the lanes' 2^50 bound
+    // (a converter takes the lanes only when every modulus is below
+    // it), and n = 61 leaves a ragged tail of 5 words.
+    const size_t n = 61;
+    for (int from_bits : {36, 48, 49, 50, 51, 60}) {
+        for (int to_bits : {36, 48, 49, 50, 51, 60}) {
+            for (int k : {1, 3, 18}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "from=" << from_bits << " to=" << to_bits
+                             << " k=" << k);
+                const auto p1 = generate_ntt_primes(from_bits, k, 1 << 10);
+                const auto p2 =
+                    generate_ntt_primes(to_bits, 4, 1 << 10, p1);
+                const BaseConverter conv{RnsBasis(p1), RnsBasis(p2)};
+                Rng rng(static_cast<u64>(from_bits * 100 + to_bits + k));
+                std::vector<u64> in(k * n);
+                for (size_t i = 0; i < p1.size(); ++i)
+                    for (size_t l = 0; l < n; ++l)
+                        in[i * n + l] = rng.next() % p1[i];
+                // Every residue b_i − 1 in the last coefficient.
+                for (size_t i = 0; i < p1.size(); ++i)
+                    in[i * n + n - 1] = p1[i] - 1;
+                std::vector<u64> approx(4 * n), exact(4 * n);
+                const Isa prev = force_isa_for_testing(Isa::portable);
+                conv.convert_approx(in.data(), n, approx.data());
+                conv.convert_exact(in.data(), n, exact.data());
+                force_isa_for_testing(prev);
+                for_each_isa([&] {
+                    std::vector<u64> a(4 * n), e(4 * n);
+                    conv.convert_approx(in.data(), n, a.data());
+                    conv.convert_exact(in.data(), n, e.data());
+                    EXPECT_EQ(a, approx);
+                    EXPECT_EQ(e, exact);
+                });
+            }
+        }
     }
 }
 

@@ -12,7 +12,7 @@
  *      any (total, devices);
  *   2. keyswitch_klss_pipeline with devices ∈ {1, 2, 4} is
  *      bit-identical to the reference across 21 (level, d_num,
- *      engine) configurations, every GEMM ISA level and 1/2/7/16
+ *      engine) configurations, every ISA level and 1/2/7/16
  *      worker threads;
  *   3. ckks::mod_down is bit-identical under device-sharded limb
  *      loops, fused and unfused;
@@ -43,7 +43,8 @@
 #include "obs/obs.h"
 #include "prof/prof.h"
 #include "rns/partition.h"
-#include "tensor/gemm.h"
+
+#include "isa_sweep.h"
 
 namespace neo {
 namespace {
@@ -226,11 +227,8 @@ TEST_F(Shard, ShardedKeyswitchBitIdenticalAcrossConfigs)
 {
     const auto cfgs = configs();
     ASSERT_GE(cfgs.size(), 21u);
-    // At every GEMM ISA level the host supports.
-    const GemmIsa top = gemm_isa_supported();
-    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
-        const GemmIsa isa = static_cast<GemmIsa>(lvl);
-        const GemmIsa prev = force_gemm_isa_for_testing(isa);
+    // At every ISA level the host supports.
+    for_each_isa([&] {
         for (const auto &cfg : cfgs) {
             const auto d2 = random_eval_poly(cfg.set->ctx, cfg.level,
                                              9000 + cfg.level);
@@ -240,8 +238,7 @@ TEST_F(Shard, ShardedKeyswitchBitIdenticalAcrossConfigs)
                 SCOPED_TRACE(::testing::Message()
                              << cfg.engine << " d_num="
                              << cfg.set->params.d_num << " level="
-                             << cfg.level << " devices=" << devices
-                             << " isa=" << gemm_isa_name(isa));
+                             << cfg.level << " devices=" << devices);
                 const auto got = keyswitch_klss_pipeline(
                     d2, cfg.set->klss_rlk, cfg.set->ctx,
                     policy(cfg.engine, devices));
@@ -249,8 +246,7 @@ TEST_F(Shard, ShardedKeyswitchBitIdenticalAcrossConfigs)
                 EXPECT_TRUE(poly_eq(got.second, ref.second));
             }
         }
-        force_gemm_isa_for_testing(prev);
-    }
+    });
 }
 
 TEST_F(Shard, ShardedBitExactAcrossThreadCounts)

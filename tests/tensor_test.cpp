@@ -13,6 +13,8 @@
 #include "tensor/gemm.h"
 #include "tensor/layout.h"
 
+#include "isa_sweep.h"
+
 namespace neo {
 
 // Outside the anonymous namespace, so argument-dependent lookup finds
@@ -173,22 +175,6 @@ TEST(SlicedGemm, OddShapes)
 // ISA differential: the FP64 engine at every plane-kernel level, and
 // the INT8 engine, are bit-exact against the scalar engine
 // ---------------------------------------------------------------------
-
-/// Run @p fn once per ISA level the host supports, forced through the
-/// test hook; the host's own level is restored afterwards.
-template <class Fn>
-void
-for_each_isa(Fn &&fn)
-{
-    const GemmIsa top = gemm_isa_supported();
-    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
-        const GemmIsa isa = static_cast<GemmIsa>(lvl);
-        const GemmIsa prev = force_gemm_isa_for_testing(isa);
-        SCOPED_TRACE(gemm_isa_name(isa));
-        fn();
-        force_gemm_isa_for_testing(prev);
-    }
-}
 
 /// The FP64 engine at every ISA level, and the INT8 engine, against
 /// the scalar engine on one shape and map.
@@ -389,11 +375,12 @@ INSTANTIATE_TEST_SUITE_P(WordSizes, IsaDifferentialTest,
 TEST(GemmIsa, HookForcesSupportedLevelsOnly)
 {
     // The host runs at its highest level until a test forces another.
-    const GemmIsa prev = force_gemm_isa_for_testing(GemmIsa::portable);
-    EXPECT_EQ(prev, gemm_isa_supported());
-    EXPECT_EQ(force_gemm_isa_for_testing(prev), GemmIsa::portable);
-    if (gemm_isa_supported() != GemmIsa::avx512) {
-        EXPECT_THROW(force_gemm_isa_for_testing(GemmIsa::avx512),
+    const Isa prev = force_isa_for_testing(Isa::portable);
+    EXPECT_EQ(prev, isa_supported());
+    EXPECT_EQ(active_isa(), Isa::portable);
+    EXPECT_EQ(force_isa_for_testing(prev), Isa::portable);
+    if (isa_supported() != Isa::avx512) {
+        EXPECT_THROW(force_isa_for_testing(Isa::avx512),
                      std::invalid_argument);
     }
 }

@@ -4,7 +4,7 @@
  *  - tuning is deterministic across repeated runs and worker-thread
  *    counts (the table is model-driven, never wall-clock-driven),
  *  - an autotuned pipeline run is bit-identical to every fixed engine
- *    and to the reference keyswitch at every GEMM ISA level (the
+ *    and to the reference keyswitch at every ISA level (the
  *    tuner only chooses which correct engine runs), and records its
  *    per-site decisions as tune.site.* counters,
  *  - each dispatched stage runs the engine the model prices it on
@@ -38,6 +38,8 @@
 #include "tensor/gemm.h"
 #include "tune/tuner.h"
 #include "tune/tuning_table.h"
+
+#include "isa_sweep.h"
 
 using namespace neo;
 using namespace neo::ckks;
@@ -140,12 +142,8 @@ TEST(TuneDifferential, AutoBitIdenticalToFixedAndReference)
     const ExecPolicy auto_policy = table.policy();
     ASSERT_TRUE(auto_policy.is_auto());
 
-    // At every GEMM ISA level the host supports.
-    const GemmIsa top = gemm_isa_supported();
-    for (int lvl = 0; lvl <= static_cast<int>(top); ++lvl) {
-        const GemmIsa isa = static_cast<GemmIsa>(lvl);
-        const GemmIsa prev = force_gemm_isa_for_testing(isa);
-        SCOPED_TRACE(gemm_isa_name(isa));
+    // At every ISA level the host supports.
+    for_each_isa([&] {
         for (size_t level : {5u, 3u, 1u}) {
             RnsPoly d2 = random_eval_poly(ctx, level, 9000 + level);
             const auto ref = keyswitch_klss(d2, rlk, ctx);
@@ -169,8 +167,7 @@ TEST(TuneDifferential, AutoBitIdenticalToFixedAndReference)
                 }
             }
         }
-        force_gemm_isa_for_testing(prev);
-    }
+    });
     ThreadPool::set_global_threads(0);
 }
 
