@@ -25,17 +25,6 @@ main()
     PublicKey pk = keygen.public_key(sk);
     const size_t slots = ctx.encoder().slot_count();
 
-    // Galois keys for the transform's BSGS rotations.
-    size_t g = 1;
-    while (g * g < slots)
-        g <<= 1;
-    std::vector<i64> steps;
-    for (size_t j = 1; j < g; ++j)
-        steps.push_back(static_cast<i64>(j));
-    for (size_t i = 1; i * g < slots; ++i)
-        steps.push_back(static_cast<i64>(i * g));
-    EvalKeyBundle keys = keygen.eval_key_bundle(sk, steps);
-
     // Server-side table: record r = feature vector spread across the
     // matrix row (here a deterministic "salary/score/rating" triple
     // packed into the first columns).
@@ -54,6 +43,9 @@ main()
     }
     LinearTransform lt(m, slots);
 
+    // Galois keys for exactly the rotations the transform takes.
+    EvalKeyBundle keys = keygen.eval_key_bundle(sk, lt.required_rotations());
+
     // Client: encrypt a one-hot query for record 42.
     const size_t query = 42;
     std::vector<Complex> onehot(slots, Complex(0, 0));
@@ -64,7 +56,7 @@ main()
     Ciphertext ct = enc.encrypt(ctx.encode(onehot, 5), pk);
 
     // Server: answer without decrypting.
-    Ciphertext answer = lt.apply_bsgs(ev, ctx, ct, keys);
+    Ciphertext answer = lt.apply(ev, ctx, ct, keys);
 
     // Client: decrypt the three response slots.
     auto got = dec.decrypt_decode(answer);
@@ -77,6 +69,6 @@ main()
     }
     std::printf("\nThe server executed %zu rotations + %zu diagonal "
                 "multiplies without ever seeing the query index.\n",
-                lt.required_rotations_bsgs().size(), slots);
+                lt.required_rotations().size(), slots);
     return 0;
 }

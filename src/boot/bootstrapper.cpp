@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 
 #include "boot/factored_transform.h"
@@ -90,23 +91,19 @@ std::vector<i64>
 Bootstrapper::required_rotations(const CkksContext &ctx,
                                  const BootstrapOptions &opts)
 {
-    // Dense transforms touch every BSGS rotation step of the slot
-    // dimension.
     const size_t s = ctx.n() / 2;
-    size_t g = 1;
-    while (g * g < s)
-        g <<= 1;
-    std::vector<i64> rots;
-    for (size_t j = 1; j < g; ++j)
-        rots.push_back(static_cast<i64>(j));
-    for (size_t i = 1; i * g < s; ++i)
-        rots.push_back(static_cast<i64>(i * g));
-    if (opts.factored_groups > 0) {
-        // The sparse stages rotate by their own diagonal offsets.
-        for (i64 r : FactoredEmbedding::required_rotations(
-                 ctx.n(), opts.factored_groups))
-            rots.push_back(r);
+    if (opts.factored_groups == 0) {
+        // The dense transforms keep every diagonal.
+        std::vector<size_t> every(s);
+        std::iota(every.begin(), every.end(), size_t{0});
+        return LinearTransform::rotations(every, s);
     }
+    const FactoredEmbedding fe(ctx.n(), opts.factored_groups);
+    std::vector<i64> rots;
+    for (const auto *stages : {&fe.forward(), &fe.inverse()})
+        for (const LinearTransform &stage : *stages)
+            for (i64 r : stage.required_rotations())
+                rots.push_back(r);
     std::sort(rots.begin(), rots.end());
     rots.erase(std::unique(rots.begin(), rots.end()), rots.end());
     return rots;
@@ -145,22 +142,18 @@ Bootstrapper::mod_raise(const Ciphertext &ct) const
     // The raised ciphertext decrypts to m + q0·I; declaring scale = q0
     // makes its logical value t = (m + q0·I)/q0, |t| ≤ K.
     out.scale = static_cast<double>(q0);
+    std::vector<i64> lifted(n);
     for (int comp = 0; comp < 2; ++comp) {
         RnsPoly src = comp == 0 ? ct.c0 : ct.c1;
         ctx_.tables().to_coeff(src);
-        RnsPoly dst(n, top_mods, PolyForm::coeff);
+        // Centered lift of the level-0 residue, then its residues over
+        // the full chain.
         const u64 *limb0 = src.limb(0);
-        for (size_t i = 0; i < top_mods.size(); ++i) {
-            const Modulus &qi = top_mods[i];
-            u64 *d = dst.limb(i);
-            for (size_t l = 0; l < n; ++l) {
-                // Centered lift of the level-0 residue.
-                u64 v = limb0[l];
-                d[l] = v > q0 / 2
-                           ? qi.sub(v % qi.value(), q0 % qi.value())
-                           : v % qi.value();
-            }
+        for (size_t l = 0; l < n; ++l) {
+            const i64 v = static_cast<i64>(limb0[l]);
+            lifted[l] = limb0[l] > q0 / 2 ? v - static_cast<i64>(q0) : v;
         }
+        RnsPoly dst = ctx_.poly_from_signed(lifted, top_mods);
         ctx_.tables().to_eval(dst);
         (comp == 0 ? out.c0 : out.c1) = std::move(dst);
     }
@@ -211,8 +204,8 @@ Bootstrapper::bootstrap_dense(const Ciphertext &raised) const
     //    coefficient halves as real slot vectors.
     std::optional<obs::Span> stage_span;
     stage_span.emplace("boot_cts", obs::cat::stage);
-    Ciphertext w0 = cts_lo_->apply_bsgs(ev_, ctx_, raised, keys_);
-    Ciphertext w1 = cts_hi_->apply_bsgs(ev_, ctx_, raised, keys_);
+    Ciphertext w0 = cts_lo_->apply(ev_, ctx_, raised, keys_);
+    Ciphertext w1 = cts_hi_->apply(ev_, ctx_, raised, keys_);
     Ciphertext u0 = ev_.add(w0, ev_.conjugate(w0, keys_));
     Ciphertext u1 = ev_.add(w1, ev_.conjugate(w1, keys_));
 
@@ -223,8 +216,8 @@ Bootstrapper::bootstrap_dense(const Ciphertext &raised) const
 
     // 4. SlotToCoeff.
     stage_span.emplace("boot_stc", obs::cat::stage);
-    Ciphertext z0 = stc_lo_->apply_bsgs(ev_, ctx_, v0, keys_);
-    Ciphertext z1 = stc_hi_->apply_bsgs(ev_, ctx_, v1, keys_);
+    Ciphertext z0 = stc_lo_->apply(ev_, ctx_, v0, keys_);
+    Ciphertext z1 = stc_hi_->apply(ev_, ctx_, v1, keys_);
     return ev_.add(z0, z1);
 }
 
@@ -240,7 +233,7 @@ Bootstrapper::bootstrap_factored(const Ciphertext &raised) const
     stage_span.emplace("boot_cts", obs::cat::stage);
     Ciphertext x = raised;
     for (const auto &stage : factored_->inverse())
-        x = stage.apply(ev_, ctx_, x, keys_); // sparse: few diagonals
+        x = stage.apply(ev_, ctx_, x, keys_);
     Ciphertext xc = ev_.conjugate(x, keys_);
     Ciphertext u0 = ev_.add(x, xc);      // value 2a
     Ciphertext w1 = ev_.sub(x, xc);      // value 2i·b
@@ -264,7 +257,7 @@ Bootstrapper::bootstrap_factored(const Ciphertext &raised) const
     v0m.scale = v1i.scale; // equal up to FP bookkeeping
     Ciphertext base = ev_.add(v0m, v1i);
     for (const auto &stage : factored_->forward())
-        base = stage.apply(ev_, ctx_, base, keys_); // sparse: few diagonals
+        base = stage.apply(ev_, ctx_, base, keys_);
     return base;
 }
 

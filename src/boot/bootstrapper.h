@@ -20,7 +20,10 @@
  *
  * Matrices for stages 2/4 are derived *numerically from the encoder's
  * own canonical embedding*, so the implementation cannot drift from
- * the encoding convention.
+ * the encoding convention. Dense or factored, every stage is a
+ * LinearTransform applied by its one apply(), and the Galois keys a
+ * bootstrap needs are the union of its transforms'
+ * required_rotations().
  */
 #pragma once
 
@@ -70,8 +73,9 @@ class Bootstrapper
                  const BootstrapOptions &opts = {});
     ~Bootstrapper();
 
-    /// Rotation steps whose Galois keys the transforms require
-    /// (includes the factored stages' diagonal offsets when enabled).
+    /// Rotation steps whose Galois keys the transforms require: the
+    /// union of the factored stages' required_rotations(), or the BSGS
+    /// steps of a dense transform. Ascending, no duplicates.
     static std::vector<i64>
     required_rotations(const CkksContext &ctx,
                        const BootstrapOptions &opts = {});

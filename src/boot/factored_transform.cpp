@@ -10,65 +10,86 @@ namespace neo::boot {
 
 namespace {
 
-/// Dense S×S complex matrix product: c = a·b.
-std::vector<Complex>
-mat_mul(const std::vector<Complex> &a, const std::vector<Complex> &b,
-        size_t s)
+using Diagonal = ckks::LinearTransform::Diagonal;
+
+/**
+ * The diagonals 0, +D and −D of the butterfly stage of block size
+ * B = 2^level (D = B/2) over @p slots, or of its inverse. The stage
+ * maps each pair (x_i, x_j), i = β + t, j = i + D, to
+ * (x_i + a·x_j, x_i + b·x_j) with a = tw[t], b = tw[t + D], whose
+ * inverse is 1/(b − a)·[[b, −a], [−1, 1]]. At B = slots, +D and −D are
+ * one diagonal.
+ */
+std::vector<Diagonal>
+stage(size_t level, size_t slots, bool inverse)
 {
-    std::vector<Complex> c(s * s, Complex(0, 0));
-    for (size_t i = 0; i < s; ++i) {
-        for (size_t k = 0; k < s; ++k) {
-            const Complex aik = a[i * s + k];
-            if (std::abs(aik) < 1e-15)
-                continue;
-            for (size_t j = 0; j < s; ++j)
-                c[i * s + j] += aik * b[k * s + j];
+    const size_t block = size_t{1} << level; // S_d of the merged transform
+    const size_t dist = block / 2;
+    // The butterfly merges two transforms of ring degree N_d = 2*block
+    // with ζ_d a primitive 2N_d-th root of unity.
+    const size_t two_nd = 4 * block;
+    // tw[t] = ζ_d^{5^t mod 2N_d} for t in [0, block).
+    std::vector<Complex> tw(block);
+    u64 e = 1;
+    for (size_t t = 0; t < block; ++t) {
+        const double theta = 2.0 * M_PI * static_cast<double>(e) /
+                             static_cast<double>(two_nd);
+        tw[t] = Complex(std::cos(theta), std::sin(theta));
+        e = (e * 5) % two_nd;
+    }
+
+    std::vector<Complex> stay(slots), up(slots), own_down(slots);
+    std::vector<Complex> &down = block == slots ? up : own_down;
+    for (size_t beta = 0; beta < slots; beta += block) {
+        for (size_t t = 0; t < dist; ++t) {
+            const size_t i = beta + t;
+            const size_t j = beta + t + dist;
+            const Complex a = tw[t];
+            const Complex b = tw[t + dist];
+            if (inverse) {
+                const Complex r = Complex(1, 0) / (b - a);
+                stay[i] = b * r;
+                up[i] = -a * r;
+                down[j] = -r;
+                stay[j] = r;
+            } else {
+                // z_i = x_i + a·x_j ; z_j = x_i + b·x_j.
+                stay[i] = Complex(1, 0);
+                up[i] = a;
+                down[j] = Complex(1, 0);
+                stay[j] = b;
+            }
         }
     }
-    return c;
+    std::vector<Diagonal> out;
+    out.push_back({0, std::move(stay)});
+    out.push_back({dist, std::move(up)});
+    if (block < slots)
+        out.push_back({slots - dist, std::move(own_down)});
+    return out;
 }
 
-/// Dense inverse via Gauss-Jordan (stages are well-conditioned
-/// butterflies; S ≤ a few hundred at test scale).
-std::vector<Complex>
-mat_inv(std::vector<Complex> a, size_t s)
+/// The diagonals of a·b: (a·b)_e[i] = Σ_d a_d[i]·b_{e−d}[(i+d) mod s].
+/// Within one group every entry of a product of butterflies is a single
+/// product of stage entries; the other terms are exact zeros.
+std::vector<Diagonal>
+compose(const std::vector<Diagonal> &a, const std::vector<Diagonal> &b,
+        size_t s)
 {
-    std::vector<Complex> inv(s * s, Complex(0, 0));
-    for (size_t i = 0; i < s; ++i)
-        inv[i * s + i] = Complex(1, 0);
-    for (size_t col = 0; col < s; ++col) {
-        // Pivot.
-        size_t piv = col;
-        for (size_t r = col; r < s; ++r) {
-            if (std::abs(a[r * s + col]) > std::abs(a[piv * s + col]))
-                piv = r;
-        }
-        NEO_CHECK(std::abs(a[piv * s + col]) > 1e-12,
-                  "singular stage matrix");
-        if (piv != col) {
-            for (size_t j = 0; j < s; ++j) {
-                std::swap(a[piv * s + j], a[col * s + j]);
-                std::swap(inv[piv * s + j], inv[col * s + j]);
-            }
-        }
-        const Complex d = a[col * s + col];
-        for (size_t j = 0; j < s; ++j) {
-            a[col * s + j] /= d;
-            inv[col * s + j] /= d;
-        }
-        for (size_t r = 0; r < s; ++r) {
-            if (r == col)
-                continue;
-            const Complex f = a[r * s + col];
-            if (std::abs(f) < 1e-15)
-                continue;
-            for (size_t j = 0; j < s; ++j) {
-                a[r * s + j] -= f * a[col * s + j];
-                inv[r * s + j] -= f * inv[col * s + j];
-            }
+    std::vector<std::vector<Complex>> sum(s);
+    for (const Diagonal &x : a) {
+        for (const Diagonal &y : b) {
+            std::vector<Complex> &c = sum[(x.offset + y.offset) % s];
+            c.resize(s);
+            for (size_t i = 0; i < s; ++i)
+                c[i] += x.values[i] * y.values[(i + x.offset) % s];
         }
     }
-    return inv;
+    std::vector<Diagonal> out;
+    for (size_t e = 0; e < s; ++e)
+        if (!sum[e].empty())
+            out.push_back({e, std::move(sum[e])});
+    return out;
 }
 
 /// The butterfly levels 1..log2(n/2) of ring degree @p n cut into
@@ -100,85 +121,22 @@ FactoredEmbedding::FactoredEmbedding(size_t n, size_t groups)
     for (size_t k = 0; k < slots_; ++k)
         sigma_[k] = reverse_bits(k, bits);
 
-    // Multiply consecutive stage matrices into the requested groups
-    // (stage 1 = smallest blocks applies first).
+    // Compose consecutive stages into the requested groups (stage 1 =
+    // smallest blocks applies first); a group's inverse applies the
+    // stage inverses last stage first.
     for (const auto &[first, last] : grouping) {
-        std::vector<Complex> acc = stage_matrix(first);
+        std::vector<Diagonal> fwd = stage(first, slots_, false);
         for (size_t level = first + 1; level <= last; ++level)
-            acc = mat_mul(stage_matrix(level), acc, slots_);
-        inverse_.emplace_back(mat_inv(acc, slots_), slots_);
-        forward_.emplace_back(std::move(acc), slots_);
+            fwd = compose(stage(level, slots_, false), fwd, slots_);
+        std::vector<Diagonal> inv = stage(last, slots_, true);
+        for (size_t level = last; level-- > first;)
+            inv = compose(stage(level, slots_, true), inv, slots_);
+        forward_.emplace_back(std::move(fwd), slots_);
+        inverse_.emplace_back(std::move(inv), slots_);
     }
     // Inverse stages must apply in reverse order; store them reversed
     // so callers iterate naturally.
     std::reverse(inverse_.begin(), inverse_.end());
-}
-
-std::vector<i64>
-FactoredEmbedding::required_rotations(size_t n, size_t groups)
-{
-    const size_t slots = n / 2;
-    std::vector<i64> rots;
-    for (const auto &[first, last] : group_levels(n, groups)) {
-        // Offsets reachable by the group's stages, one ±D_k or 0 each.
-        std::vector<bool> reach(slots, false);
-        reach[0] = true;
-        for (size_t level = first; level <= last; ++level) {
-            const size_t d = size_t{1} << (level - 1);
-            std::vector<bool> next(slots, false);
-            for (size_t s = 0; s < slots; ++s) {
-                if (!reach[s])
-                    continue;
-                next[s] = true;
-                next[(s + d) % slots] = true;
-                next[(s + slots - d) % slots] = true;
-            }
-            reach = std::move(next);
-        }
-        for (size_t s = 1; s < slots; ++s)
-            if (reach[s])
-                rots.push_back(static_cast<i64>(s));
-    }
-    std::sort(rots.begin(), rots.end());
-    rots.erase(std::unique(rots.begin(), rots.end()), rots.end());
-    return rots;
-}
-
-std::vector<Complex>
-FactoredEmbedding::stage_matrix(size_t level) const
-{
-    const size_t s = slots_;
-    const size_t block = 1ULL << level; // S_d of the merged transform
-    const size_t dist = block / 2;
-    // The butterfly merges two transforms of ring degree N_d = 2*block
-    // with ζ_d a primitive 2N_d-th root of unity.
-    const size_t two_nd = 4 * block;
-    auto zeta = [&](u64 e) {
-        const double theta = 2.0 * M_PI * static_cast<double>(e % two_nd) /
-                             static_cast<double>(two_nd);
-        return Complex(std::cos(theta), std::sin(theta));
-    };
-    // tw[t] = ζ_d^{5^t mod 2N_d} for t in [0, block).
-    std::vector<Complex> tw(block);
-    u64 e = 1;
-    for (size_t t = 0; t < block; ++t) {
-        tw[t] = zeta(e);
-        e = (e * 5) % two_nd;
-    }
-
-    std::vector<Complex> m(s * s, Complex(0, 0));
-    for (size_t beta = 0; beta < s; beta += block) {
-        for (size_t t = 0; t < dist; ++t) {
-            const size_t i = beta + t;
-            const size_t j = beta + t + dist;
-            // z_i = x_i + tw[t]·x_j ; z_j = x_i + tw[t+dist]·x_j.
-            m[i * s + i] = Complex(1, 0);
-            m[i * s + j] = tw[t];
-            m[j * s + i] = Complex(1, 0);
-            m[j * s + j] = tw[t + dist];
-        }
-    }
-    return m;
 }
 
 std::vector<Complex>

@@ -13,10 +13,12 @@
  *
  * where every butterfly stage S_ℓ (block size B = 2^ℓ, distance
  * D = B/2) touches only the diagonals {0, +D, −D}: a 2-rotation
- * homomorphic linear transform. Consecutive stages are multiplied
- * numerically into a configurable number of groups, trading rotations
- * per stage against multiplicative levels — exactly the grouping knob
- * production bootstraps tune.
+ * homomorphic linear transform. Consecutive stages are composed in
+ * diagonal form into a configurable number of groups, trading
+ * rotations per stage against multiplicative levels — exactly the
+ * grouping knob production bootstraps tune. A group's inverse is the
+ * product, in reverse order, of each stage's closed-form 2×2 inverse;
+ * no dense slots×slots matrix is formed.
  *
  * Everything is validated against the dense embedding matrix derived
  * from the encoder, so the factorization cannot drift from the
@@ -41,15 +43,6 @@ class FactoredEmbedding
      * @p groups homomorphic stages (1 ≤ groups ≤ log2(n/2)).
      */
     FactoredEmbedding(size_t n, size_t groups);
-
-    /**
-     * The rotation steps the stages of FactoredEmbedding(@p n,
-     * @p groups) need, without building them: per group, every sum
-     * Σ ε_k·D_k mod slots that is not 0, with ε_k ∈ {−1, 0, 1} and
-     * D_k = 2^(ℓ−1) over the group's stages ℓ. A group's forward and
-     * inverse stages share these offsets. Ascending, no duplicates.
-     */
-    static std::vector<i64> required_rotations(size_t n, size_t groups);
 
     size_t slots() const { return slots_; }
     size_t groups() const { return forward_.size(); }
@@ -81,9 +74,6 @@ class FactoredEmbedding
     std::vector<Complex> apply_inverse(std::vector<Complex> z) const;
 
   private:
-    /// Dense matrix of one butterfly stage (block size 2^level).
-    std::vector<Complex> stage_matrix(size_t level) const;
-
     size_t n_;
     size_t slots_;
     std::vector<size_t> sigma_;

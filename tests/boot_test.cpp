@@ -9,6 +9,7 @@
 #include "common/isa.h"
 #include "common/math_util.h"
 #include "common/random.h"
+#include "obs/obs.h"
 
 namespace neo::boot {
 
@@ -66,17 +67,11 @@ struct LtFixture : public ::testing::Test
         keygen_ = new KeyGenerator(*ctx_, 3);
         sk_ = new SecretKey(keygen_->secret_key());
         pk_ = new PublicKey(keygen_->public_key(*sk_));
-        std::vector<i64> steps;
-        for (size_t s = 1; s < ctx_->encoder().slot_count(); ++s)
-            steps.push_back(static_cast<i64>(s));
-        keys_ = new EvalKeyBundle;
-        keys_->galois = keygen_->galois_keys(*sk_, steps, true);
     }
 
     static void
     TearDownTestSuite()
     {
-        delete keys_;
         delete pk_;
         delete sk_;
         delete keygen_;
@@ -89,7 +84,6 @@ struct LtFixture : public ::testing::Test
     static KeyGenerator *keygen_;
     static SecretKey *sk_;
     static PublicKey *pk_;
-    static EvalKeyBundle *keys_;
 };
 
 CkksParams *LtFixture::params_ = nullptr;
@@ -97,7 +91,6 @@ CkksContext *LtFixture::ctx_ = nullptr;
 KeyGenerator *LtFixture::keygen_ = nullptr;
 SecretKey *LtFixture::sk_ = nullptr;
 PublicKey *LtFixture::pk_ = nullptr;
-EvalKeyBundle *LtFixture::keys_ = nullptr;
 
 TEST_F(LtFixture, DiagonalExtraction)
 {
@@ -111,34 +104,149 @@ TEST_F(LtFixture, DiagonalExtraction)
     EXPECT_EQ(d1[3], m[3 * s + 0]); // wraps
 }
 
-TEST_F(LtFixture, NaiveAndBsgsMatchPlainReference)
+/// A slots×slots matrix whose diagonals at @p offsets hold random
+/// entries of magnitude up to @p scale·√2, and every other entry zero.
+std::vector<Complex>
+banded_matrix(size_t s, const std::vector<size_t> &offsets, double scale,
+              Rng &rng)
 {
-    const size_t s = ctx_->encoder().slot_count();
-    Rng rng(4);
-    std::vector<Complex> m(s * s);
-    for (auto &x : m)
-        x = Complex(2 * rng.uniform_real() - 1, 2 * rng.uniform_real() - 1) *
-            0.2;
-    LinearTransform lt(m, s);
+    std::vector<Complex> m(s * s, Complex(0, 0));
+    for (size_t d : offsets)
+        for (size_t i = 0; i < s; ++i)
+            m[i * s + (i + d) % s] =
+                scale * Complex(2 * rng.uniform_real() - 1,
+                                2 * rng.uniform_real() - 1);
+    return m;
+}
 
+std::vector<size_t>
+iota_offsets(size_t count)
+{
+    std::vector<size_t> v(count);
+    for (size_t d = 0; d < count; ++d)
+        v[d] = d;
+    return v;
+}
+
+TEST_F(LtFixture, ApplyRotatesOncePerRequiredStep)
+{
+    // One matrix per kind of split: a full matrix (giant step g with
+    // g² ≥ slots), a wrap-around band of offsets −3…3 (1 < g < slots)
+    // and diagonals {0, 3, slots − 1} (g = slots: one rotation per
+    // diagonal). Each runs with Galois keys for exactly
+    // required_rotations(), so a step apply() took without declaring it
+    // would find no key.
+    const size_t s = ctx_->encoder().slot_count();
+    ASSERT_EQ(s, 32u);
+    struct Case
+    {
+        const char *name;
+        std::vector<size_t> offsets;
+        double scale;
+        std::vector<i64> steps;
+    };
+    const std::vector<Case> cases = {
+        {"full", iota_offsets(s), 0.2, {1, 2, 3, 4, 5, 6, 7, 8, 16, 24}},
+        {"band", {0, 1, 2, 3, s - 3, s - 2, s - 1}, 1.0, {1, 2, 3, 28}},
+        {"sparse", {0, 3, s - 1}, 1.0, {3, static_cast<i64>(s - 1)}},
+    };
+
+    Rng rng(4);
     std::vector<Complex> z(s);
     for (auto &x : z)
         x = Complex(2 * rng.uniform_real() - 1, 0);
-    const auto expected = dense_product(m, z);
-
     Encryptor enc(*ctx_);
     Decryptor dec(*ctx_, *sk_, *keygen_);
     Evaluator ev(*ctx_);
-    Ciphertext ct = enc.encrypt(ctx_->encode(z, 5), *pk_);
+    const Ciphertext ct = enc.encrypt(ctx_->encode(z, 5), *pk_);
 
-    auto naive = dec.decrypt_decode(lt.apply(ev, *ctx_, ct, *keys_));
-    EXPECT_LT(max_err(naive, expected), 1e-3);
-    auto bsgs = dec.decrypt_decode(lt.apply_bsgs(ev, *ctx_, ct, *keys_));
-    EXPECT_LT(max_err(bsgs, expected), 1e-3);
-    // Hoisted baby rotations: same result to noise precision.
-    auto hoisted = dec.decrypt_decode(
-        lt.apply_bsgs(ev, *ctx_, ct, *keys_, /*hoist=*/true));
-    EXPECT_LT(max_err(hoisted, expected), 1e-3);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::vector<Complex> m =
+            banded_matrix(s, c.offsets, c.scale, rng);
+        const LinearTransform lt(m, s);
+        const std::vector<i64> steps = lt.required_rotations();
+        EXPECT_EQ(steps, c.steps);
+        EvalKeyBundle keys;
+        keys.galois = keygen_->galois_keys(*sk_, steps);
+        EXPECT_EQ(keys.galois.hybrid.size(), steps.size());
+
+        obs::Scope scope;
+        const Ciphertext out = lt.apply(ev, *ctx_, ct, keys);
+        EXPECT_EQ(scope.counter("op.hrotate"), steps.size());
+        EXPECT_LT(max_err(dec.decrypt_decode(out), dense_product(m, z)),
+                  1e-3);
+    }
+}
+
+/// For every power of two g ≤ slots, the non-zero steps
+/// {d mod g} ∪ {d − d mod g}; the rule takes the fewest, ties going to
+/// the larger g.
+std::vector<i64>
+fewest_steps_brute_force(const std::vector<size_t> &offsets, size_t slots)
+{
+    std::vector<i64> best;
+    bool found = false;
+    for (size_t g = 1; g <= slots; g *= 2) {
+        std::vector<i64> steps;
+        for (size_t d : offsets)
+            for (size_t step : {d % g, d - d % g})
+                if (step != 0)
+                    steps.push_back(static_cast<i64>(step));
+        std::sort(steps.begin(), steps.end());
+        steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+        if (!found || steps.size() <= best.size()) {
+            best = steps;
+            found = true;
+        }
+    }
+    return best;
+}
+
+TEST_F(LtFixture, GiantStepRuleTakesFewestSteps)
+{
+    Rng rng(29);
+    for (size_t s : {16u, 32u}) {
+        std::vector<std::vector<size_t>> sets = {
+            iota_offsets(s),
+            {0, 1, 2, 3, s - 3, s - 2, s - 1},
+            {0, 3, s - 1},
+        };
+        for (int k = 0; k < 40; ++k) {
+            std::vector<size_t> offsets;
+            const double keep = rng.uniform_real();
+            for (size_t d = 0; d < s; ++d)
+                if (rng.uniform_real() < keep)
+                    offsets.push_back(d);
+            sets.push_back(offsets);
+        }
+        for (const auto &offsets : sets) {
+            SCOPED_TRACE(::testing::Message()
+                         << "slots=" << s << " offsets=" << offsets.size());
+            const std::vector<i64> want =
+                fewest_steps_brute_force(offsets, s);
+            EXPECT_EQ(LinearTransform::rotations(offsets, s), want);
+            if (offsets.empty())
+                continue;
+            // A transform built on those diagonals takes the same steps.
+            const LinearTransform lt(banded_matrix(s, offsets, 1.0, rng), s);
+            EXPECT_EQ(lt.required_rotations(), want);
+        }
+
+        // A full matrix keeps the classic split: g is the smallest power
+        // of two with g² ≥ slots, baby steps 1…g−1, giant steps g, 2g, ….
+        size_t g = 1;
+        while (g * g < s)
+            g <<= 1;
+        std::vector<i64> classic;
+        for (size_t j = 1; j < g; ++j)
+            classic.push_back(static_cast<i64>(j));
+        for (size_t i = g; i < s; i += g)
+            classic.push_back(static_cast<i64>(i));
+        EXPECT_EQ(LinearTransform::rotations(iota_offsets(s), s), classic);
+    }
+    EXPECT_THROW(LinearTransform::rotations({0, 16}, 16),
+                 std::invalid_argument);
 }
 
 TEST_F(LtFixture, SparseDiagonalMatrixNeedsFewRotations)
@@ -149,8 +257,7 @@ TEST_F(LtFixture, SparseDiagonalMatrixNeedsFewRotations)
     for (size_t i = 0; i < s; ++i)
         m[i * s + (i + 2) % s] = Complex(1, 0);
     LinearTransform lt(m, s);
-    EXPECT_EQ(lt.required_rotations().size(), 1u);
-    EXPECT_EQ(lt.required_rotations()[0], 2);
+    EXPECT_EQ(lt.required_rotations(), std::vector<i64>{2});
 }
 
 TEST_F(LtFixture, PlainApplyMatchesDenseProduct)
@@ -159,10 +266,11 @@ TEST_F(LtFixture, PlainApplyMatchesDenseProduct)
     Rng rng(12);
     const std::vector<Complex> z = random_vector(s, rng);
 
-    // Dense: every diagonal is kept.
+    // Dense: every diagonal is kept, applied with giant step 4 (baby
+    // steps 1…3, giant steps 4, 8, 12).
     const std::vector<Complex> dense = random_vector(s * s, rng);
     const LinearTransform lt_dense(dense, s);
-    EXPECT_EQ(lt_dense.required_rotations().size(), s - 1);
+    EXPECT_EQ(lt_dense.required_rotations().size(), 6u);
     EXPECT_LT(max_err(lt_dense.apply_plain(z), dense_product(dense, z)),
               1e-12);
 
@@ -346,35 +454,34 @@ TEST(Bootstrap, RefreshesLevelAndPreservesMessage)
 TEST(FactoredEmbedding, StagesComposeToDenseEmbedding)
 {
     // The butterfly factorization must reproduce the encoder's
-    // canonical embedding exactly (plaintext check).
-    for (size_t n : {8u, 64u, 256u}) {
-        FactoredEmbedding fe(n, 2);
+    // canonical embedding exactly (plaintext check), for every grouping.
+    for (size_t n : {8u, 64u, 256u, 1024u}) {
         Rng rng(n);
         std::vector<double> c(n);
         for (auto &x : c)
             x = 2 * rng.uniform_real() - 1;
-        auto z = fe.apply_forward(fe.pack_base(c));
         // Reference: z_k = Σ c_i ζ^{5^k i}.
+        std::vector<Complex> want(n / 2, Complex(0, 0));
         u64 e = 1;
-        double err = 0;
         for (size_t k = 0; k < n / 2; ++k) {
-            Complex want(0, 0);
             for (size_t i = 0; i < n; ++i) {
                 double th = M_PI * static_cast<double>((e * i) % (2 * n)) /
                             static_cast<double>(n);
-                want += c[i] * Complex(std::cos(th), std::sin(th));
+                want[k] += c[i] * Complex(std::cos(th), std::sin(th));
             }
-            err = std::max(err, std::abs(want - z[k]));
             e = (e * 5) % (2 * n);
         }
-        EXPECT_LT(err, 1e-9) << "n=" << n;
-        // Inverse stages undo the forward ones.
-        auto back = fe.apply_inverse(z);
-        auto base = fe.pack_base(c);
-        double rt = 0;
-        for (size_t k = 0; k < n / 2; ++k)
-            rt = std::max(rt, std::abs(back[k] - base[k]));
-        EXPECT_LT(rt, 1e-9);
+        const size_t levels = static_cast<size_t>(log2_exact(n / 2));
+        for (size_t groups = 1; groups <= levels; ++groups) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " groups=" << groups);
+            FactoredEmbedding fe(n, groups);
+            const auto base = fe.pack_base(c);
+            const auto z = fe.apply_forward(base);
+            EXPECT_LT(max_err(z, want), 1e-12);
+            // Inverse stages undo the forward ones.
+            EXPECT_LT(max_err(fe.apply_inverse(z), base), 1e-13);
+        }
     }
 }
 
@@ -391,34 +498,6 @@ TEST(FactoredEmbedding, StagesAreSparse)
     }
     EXPECT_THROW(FactoredEmbedding(256, 9), std::invalid_argument);
     EXPECT_THROW(FactoredEmbedding(6, 1), std::invalid_argument);
-}
-
-TEST(FactoredEmbedding, RotationRuleMatchesBuiltStages)
-{
-    // The matrix-free rule lists exactly the union of the built forward
-    // and inverse stages' non-zero diagonal offsets, for every grouping.
-    // n = 1024 in one group is skipped: its single dense 512×512 stage
-    // takes too long to build here.
-    for (size_t n : {16u, 64u, 256u, 1024u}) {
-        const size_t levels = static_cast<size_t>(log2_exact(n / 2));
-        for (size_t groups = 1; groups <= levels; ++groups) {
-            if (n == 1024 && groups == 1)
-                continue;
-            SCOPED_TRACE(::testing::Message()
-                         << "n=" << n << " groups=" << groups);
-            const FactoredEmbedding fe(n, groups);
-            std::vector<i64> built;
-            for (const auto *stages : {&fe.forward(), &fe.inverse()})
-                for (const auto &stage : *stages)
-                    for (i64 r : stage.required_rotations())
-                        built.push_back(r);
-            std::sort(built.begin(), built.end());
-            built.erase(std::unique(built.begin(), built.end()), built.end());
-            EXPECT_EQ(FactoredEmbedding::required_rotations(n, groups), built);
-        }
-    }
-    EXPECT_THROW(FactoredEmbedding::required_rotations(256, 8),
-                 std::invalid_argument);
 }
 
 TEST(Bootstrap, FactoredTransformsRefreshAndPreserve)
@@ -455,6 +534,52 @@ TEST(Bootstrap, FactoredTransformsRefreshAndPreserve)
     EXPECT_EQ(portable.level, fresh.level);
     EXPECT_TRUE(words(portable.c0) == words(fresh.c0));
     EXPECT_TRUE(words(portable.c1) == words(fresh.c1));
+}
+
+TEST(Bootstrap, RotationKeysAreTheStagesSteps)
+{
+    // A factored bootstrap keyed with exactly required_rotations() runs,
+    // and rotates once per step of each stage's required_rotations().
+    CkksParams params = CkksParams::test_params(256, 17, 3);
+    CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 31);
+    SecretKey sk = keygen.secret_key_sparse(8);
+    PublicKey pk = keygen.public_key(sk);
+    Encryptor enc(ctx);
+    Decryptor dec(ctx, sk, keygen);
+    Evaluator ev(ctx);
+    Rng rng(37);
+    std::vector<Complex> z(ctx.encoder().slot_count());
+    for (auto &x : z)
+        x = Complex(0.04 * (2 * rng.uniform_real() - 1), 0);
+    const Ciphertext ct = enc.encrypt(ctx.encode(z, 0), pk);
+
+    for (size_t groups = 1; groups <= 3; ++groups) {
+        SCOPED_TRACE(::testing::Message() << "groups=" << groups);
+        BootstrapOptions opts;
+        opts.factored_groups = groups;
+        const std::vector<i64> rots =
+            Bootstrapper::required_rotations(ctx, opts);
+        const EvalKeyBundle keys = keygen.eval_key_bundle(sk, rots, true);
+        Bootstrapper boot(ctx, ev, keys, opts);
+
+        const FactoredEmbedding fe(ctx.n(), groups);
+        size_t steps = 0;
+        for (const auto *stages : {&fe.forward(), &fe.inverse()})
+            for (const auto &stage : *stages)
+                steps += stage.required_rotations().size();
+
+        obs::Scope scope;
+        const Ciphertext fresh = boot.bootstrap(ct);
+        EXPECT_EQ(scope.counter("op.hrotate"), steps);
+        EXPECT_LT(max_err(dec.decrypt_decode(fresh), z), 3e-3);
+        if (groups == 3) {
+            // No dense BSGS step (giant step 16) that no stage takes.
+            for (i64 step = 9; step <= 15; ++step)
+                EXPECT_EQ(std::count(rots.begin(), rots.end(), step), 0)
+                    << step;
+        }
+    }
 }
 
 TEST(Bootstrap, SecretKeySparseHammingWeight)
