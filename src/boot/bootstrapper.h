@@ -89,8 +89,15 @@ class Bootstrapper
     /// Multiplicative depth consumed above the input level.
     size_t depth() const;
 
-  private:
+    /**
+     * Stage 1 of bootstrap(): reinterpret level-0 @p ct over the full
+     * chain. Each component's level-0 residues are lifted centered,
+     * to (−q0/2, q0/2], so the result decrypts to m + q0·I with
+     * |I| ≲ ||s||₁/2.
+     */
     Ciphertext mod_raise(const Ciphertext &ct) const;
+
+  private:
     /// EvalMod with a complex pre-factor folded into the input
     /// normalisation (the factored path feeds i·b-valued slots).
     Ciphertext eval_mod(const Ciphertext &ct, Complex prefactor) const;

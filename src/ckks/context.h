@@ -46,7 +46,8 @@ class CkksContext
     CkksContext(const CkksContext &) = delete;
     CkksContext &operator=(const CkksContext &) = delete;
 
-    /// Cached per-level key-switch invariants (bases, converters).
+    /// The key-switch plan: every level's converters and constants,
+    /// built with the context and read without a lock.
     const KeySwitchPrecomp &precomp() const { return *precomp_; }
 
     const CkksParams &params() const { return params_; }

@@ -60,24 +60,11 @@ Encoder::fft(std::vector<Complex> &a, int sign) const
 std::vector<i64>
 Encoder::encode(const std::vector<Complex> &slots, double scale) const
 {
-    NEO_CHECK(slots.size() <= slot_count(), "too many slots");
-    NEO_CHECK(scale > 0, "scale must be positive");
-    std::vector<Complex> v(n_, Complex(0, 0));
-    for (size_t j = 0; j < slots.size(); ++j) {
-        size_t k = slot_to_point_[j];
-        v[k] = slots[j];
-        // Conjugate point: exponent 2n - (2k+1) = 2(n-1-k)+1.
-        v[n_ - 1 - k] = std::conj(slots[j]);
-    }
-    // Coefficients: c_i = (1/n) ζ^{-i} Σ_k v[k] ω^{-ik}.
-    fft(v, -1);
+    const std::vector<double> real = encode_real(slots, scale);
     std::vector<i64> out(n_);
-    const double inv_n = 1.0 / static_cast<double>(n_);
     for (size_t i = 0; i < n_; ++i) {
-        Complex c = v[i] * std::conj(zeta_pow_[i]) * inv_n;
-        double real = c.real() * scale;
-        NEO_CHECK(std::abs(real) < 9.0e18, "encoded coefficient overflow");
-        out[i] = static_cast<i64>(std::llround(real));
+        NEO_CHECK(std::abs(real[i]) < 9.0e18, "encoded coefficient overflow");
+        out[i] = static_cast<i64>(std::llround(real[i]));
     }
     return out;
 }
@@ -91,8 +78,10 @@ Encoder::encode_real(const std::vector<Complex> &slots, double scale) const
     for (size_t j = 0; j < slots.size(); ++j) {
         size_t k = slot_to_point_[j];
         v[k] = slots[j];
+        // Conjugate point: exponent 2n - (2k+1) = 2(n-1-k)+1.
         v[n_ - 1 - k] = std::conj(slots[j]);
     }
+    // Coefficients: c_i = (1/n) ζ^{-i} Σ_k v[k] ω^{-ik}.
     fft(v, -1);
     std::vector<double> out(n_);
     const double inv_n = 1.0 / static_cast<double>(n_);
@@ -124,11 +113,13 @@ Encoder::galois_element(i64 steps, bool conjugate) const
     if (conjugate)
         return two_n - 1;
     // Rotation by r slots uses g = 5^r mod 2n; negative r inverts.
+    // |steps| is formed unsigned, so INT64_MIN is safe.
+    const u64 half = n_ / 2;
+    const u64 mag = steps < 0 ? 0 - static_cast<u64>(steps)
+                              : static_cast<u64>(steps);
+    const u64 r = steps >= 0 ? mag % half : (half - mag % half) % half;
     u64 g = 1;
     u64 base = 5;
-    u64 r = steps >= 0
-                ? static_cast<u64>(steps) % (n_ / 2)
-                : (n_ / 2 - static_cast<u64>(-steps) % (n_ / 2)) % (n_ / 2);
     for (u64 i = 0; i < r; ++i)
         g = (g * base) % two_n;
     return g;

@@ -34,7 +34,8 @@ class Encoder
 
     /**
      * Encode up to slot_count() complex values (missing slots are
-     * zero) into N scaled integer coefficients: round(scale * m_i).
+     * zero) into N scaled integer coefficients: encode_real's
+     * round(scale * m_i).
      */
     std::vector<i64> encode(const std::vector<Complex> &slots,
                             double scale) const;

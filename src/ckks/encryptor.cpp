@@ -4,44 +4,6 @@
 
 namespace neo::ckks {
 
-namespace {
-
-RnsPoly
-gaussian_poly(const CkksContext &ctx, const std::vector<Modulus> &mods,
-              Rng &rng)
-{
-    std::vector<i64> e(ctx.n());
-    for (auto &x : e)
-        x = to_centered(rng.gaussian(1ULL << 40), 1ULL << 40);
-    RnsPoly p = ctx.poly_from_signed(e, mods);
-    ctx.tables().to_eval(p);
-    return p;
-}
-
-RnsPoly
-ternary_poly(const CkksContext &ctx, const std::vector<Modulus> &mods,
-             Rng &rng)
-{
-    std::vector<i64> v(ctx.n());
-    for (auto &x : v) {
-        switch (rng.next() & 3) {
-          case 0:
-            x = 1;
-            break;
-          case 1:
-            x = -1;
-            break;
-          default:
-            x = 0;
-        }
-    }
-    RnsPoly p = ctx.poly_from_signed(v, mods);
-    ctx.tables().to_eval(p);
-    return p;
-}
-
-} // namespace
-
 Encryptor::Encryptor(const CkksContext &ctx, u64 seed)
     : ctx_(ctx), rng_(seed)
 {
@@ -54,9 +16,10 @@ Encryptor::encrypt(const Plaintext &pt, const PublicKey &pk)
     const size_t level = pt.poly.limbs() - 1;
     const auto mods = ctx_.active_mods(level);
 
-    RnsPoly u = ternary_poly(ctx_, mods, rng_);
-    RnsPoly e0 = gaussian_poly(ctx_, mods, rng_);
-    RnsPoly e1 = gaussian_poly(ctx_, mods, rng_);
+    RnsPoly u = ctx_.poly_from_signed(sample_ternary(ctx_.n(), rng_), mods);
+    ctx_.tables().to_eval(u);
+    RnsPoly e0 = sample_error(ctx_, mods, rng_);
+    RnsPoly e1 = sample_error(ctx_, mods, rng_);
 
     // pk is at the top level; slice to the plaintext's level.
     auto slice = [&](const RnsPoly &full) {
@@ -84,31 +47,13 @@ Encryptor::encrypt_symmetric(const Plaintext &pt, const SecretKey &sk,
     const auto mods = ctx_.active_mods(level);
     RnsPoly s = keygen.expand_secret(sk, mods);
 
-    RnsPoly a(ctx_.n(), mods, PolyForm::eval);
-    for (size_t i = 0; i < mods.size(); ++i) {
-        u64 *dst = a.limb(i);
-        for (size_t l = 0; l < ctx_.n(); ++l)
-            dst[l] = rng_.uniform(mods[i].value());
-    }
+    RnsPoly a = sample_uniform(ctx_, mods, rng_);
     RnsPoly c0 = a;
     c0.mul_inplace(s);
     c0.negate_inplace();
-    c0.add_inplace(gaussian_poly(ctx_, mods, rng_));
+    c0.add_inplace(sample_error(ctx_, mods, rng_));
     c0.add_inplace(pt.poly);
     return Ciphertext{std::move(c0), std::move(a), level, pt.scale};
-}
-
-RnsPoly
-Encryptor::seeded_uniform(const std::vector<Modulus> &mods, u64 seed) const
-{
-    Rng prng(seed);
-    RnsPoly a(ctx_.n(), mods, PolyForm::eval);
-    for (size_t i = 0; i < mods.size(); ++i) {
-        u64 *dst = a.limb(i);
-        for (size_t l = 0; l < ctx_.n(); ++l)
-            dst[l] = prng.uniform(mods[i].value());
-    }
-    return a;
 }
 
 SeededCiphertext
@@ -119,12 +64,11 @@ Encryptor::encrypt_symmetric_seeded(const Plaintext &pt, const SecretKey &sk,
     const size_t level = pt.poly.limbs() - 1;
     const auto mods = ctx_.active_mods(level);
     RnsPoly s = keygen.expand_secret(sk, mods);
-    RnsPoly a = seeded_uniform(mods, a_seed);
-
-    RnsPoly c0 = a;
+    Rng a_rng(a_seed);
+    RnsPoly c0 = sample_uniform(ctx_, mods, a_rng);
     c0.mul_inplace(s);
     c0.negate_inplace();
-    c0.add_inplace(gaussian_poly(ctx_, mods, rng_));
+    c0.add_inplace(sample_error(ctx_, mods, rng_));
     c0.add_inplace(pt.poly);
     return SeededCiphertext{std::move(c0), a_seed, level, pt.scale};
 }
@@ -132,8 +76,9 @@ Encryptor::encrypt_symmetric_seeded(const Plaintext &pt, const SecretKey &sk,
 Ciphertext
 Encryptor::expand(const SeededCiphertext &sct) const
 {
-    RnsPoly a = seeded_uniform(sct.c0.mods(), sct.seed);
-    return Ciphertext{sct.c0, std::move(a), sct.level, sct.scale};
+    Rng a_rng(sct.seed);
+    return Ciphertext{sct.c0, sample_uniform(ctx_, sct.c0.mods(), a_rng),
+                      sct.level, sct.scale};
 }
 
 Decryptor::Decryptor(const CkksContext &ctx, const SecretKey &sk,

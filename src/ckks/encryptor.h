@@ -47,10 +47,6 @@ class Encryptor
     Ciphertext expand(const SeededCiphertext &sct) const;
 
   private:
-    /// Deterministic uniform eval-form polynomial from a seed.
-    RnsPoly seeded_uniform(const std::vector<Modulus> &mods,
-                           u64 seed) const;
-
     const CkksContext &ctx_;
     Rng rng_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckks/ks_precomp.h"
 #include "common/check.h"
 
 namespace neo::ckks {
@@ -11,24 +12,44 @@ KeyGenerator::KeyGenerator(const CkksContext &ctx, u64 seed)
 {
 }
 
+RnsPoly
+sample_uniform(const CkksContext &ctx, const std::vector<Modulus> &mods,
+               Rng &rng)
+{
+    RnsPoly a(ctx.n(), mods, PolyForm::eval);
+    for (size_t i = 0; i < mods.size(); ++i) {
+        u64 *dst = a.limb(i);
+        for (size_t l = 0; l < ctx.n(); ++l)
+            dst[l] = rng.uniform(mods[i].value());
+    }
+    return a;
+}
+
+RnsPoly
+sample_error(const CkksContext &ctx, const std::vector<Modulus> &mods,
+             Rng &rng)
+{
+    std::vector<i64> e(ctx.n());
+    for (auto &x : e)
+        x = rng.gaussian();
+    RnsPoly p = ctx.poly_from_signed(e, mods);
+    ctx.tables().to_eval(p);
+    return p;
+}
+
+std::vector<i64>
+sample_ternary(size_t n, Rng &rng)
+{
+    std::vector<i64> v(n);
+    for (auto &x : v)
+        x = rng.ternary();
+    return v;
+}
+
 SecretKey
 KeyGenerator::secret_key()
 {
-    SecretKey sk;
-    sk.coeffs.resize(ctx_.n());
-    for (auto &c : sk.coeffs) {
-        switch (rng_.next() & 3) {
-          case 0:
-            c = 1;
-            break;
-          case 1:
-            c = -1;
-            break;
-          default:
-            c = 0;
-        }
-    }
-    return sk;
+    return SecretKey{sample_ternary(ctx_.n(), rng_)};
 }
 
 SecretKey
@@ -57,42 +78,18 @@ KeyGenerator::expand_secret(const SecretKey &sk,
     return s;
 }
 
-namespace {
-
-/// Uniform polynomial over @p mods directly in eval form.
-RnsPoly
-uniform_poly(size_t n, const std::vector<Modulus> &mods, Rng &rng)
-{
-    RnsPoly a(n, mods, PolyForm::eval);
-    for (size_t i = 0; i < mods.size(); ++i) {
-        u64 *dst = a.limb(i);
-        for (size_t l = 0; l < n; ++l)
-            dst[l] = rng.uniform(mods[i].value());
-    }
-    return a;
-}
-
-} // namespace
-
 PublicKey
 KeyGenerator::public_key(const SecretKey &sk)
 {
     const auto mods = ctx_.active_mods(ctx_.max_level());
     RnsPoly s = expand_secret(sk, mods);
-    RnsPoly a = uniform_poly(ctx_.n(), mods, rng_);
-
-    // e in coefficient form, then NTT.
-    std::vector<i64> e(ctx_.n());
-    for (auto &x : e)
-        x = to_centered(rng_.gaussian(1ULL << 40), 1ULL << 40);
-    RnsPoly ep = ctx_.poly_from_signed(e, mods);
-    ctx_.tables().to_eval(ep);
+    RnsPoly a = sample_uniform(ctx_, mods, rng_);
 
     // b = -a*s + e.
     RnsPoly b = a;
     b.mul_inplace(s);
     b.negate_inplace();
-    b.add_inplace(ep);
+    b.add_inplace(sample_error(ctx_, mods, rng_));
     return PublicKey{std::move(b), std::move(a)};
 }
 
@@ -108,12 +105,8 @@ KeyGenerator::make_eval_key(const SecretKey &sk, const RnsPoly &s_prime)
     EvalKey evk;
     evk.parts.reserve(groups.size());
     for (const auto &g : groups) {
-        RnsPoly a = uniform_poly(n, ext_mods, rng_);
-        std::vector<i64> e(n);
-        for (auto &x : e)
-            x = to_centered(rng_.gaussian(1ULL << 40), 1ULL << 40);
-        RnsPoly b = ctx_.poly_from_signed(e, ext_mods);
-        ctx_.tables().to_eval(b);
+        RnsPoly a = sample_uniform(ctx_, ext_mods, rng_);
+        RnsPoly b = sample_error(ctx_, ext_mods, rng_);
         // b = e - a*s ...
         RnsPoly as = a;
         as.mul_inplace(s);
@@ -212,20 +205,10 @@ KeyGenerator::to_klss(const EvalKey &evk) const
                        ctx_.p_basis().mods().end());
     out.parts.resize(out.beta_max * out.beta_tilde_max * 2);
 
-    // One exact converter per key digit: its group's primes, in the
-    // [P, Q] ordering, to T.
-    std::vector<BaseConverter> convs;
-    convs.reserve(partition.size());
-    for (const auto &grp : partition) {
-        std::vector<u64> grp_primes;
-        for (size_t t = grp.first; t < grp.first + grp.count; ++t)
-            grp_primes.push_back(ctx_.pq_ordered_mod(t).value());
-        convs.emplace_back(RnsBasis(grp_primes), ctx_.t_basis());
-    }
-
     // Each key part goes to coefficient form once; every key digit
-    // then lifts its group's limbs of it into T. One part is held in
-    // coefficient form at a time.
+    // then lifts its group's limbs of it into T through the plan's
+    // exact converter. One part is held in coefficient form at a time.
+    const auto &convs = ctx_.precomp().key_digit_to_t();
     for (size_t j = 0; j < out.beta_max; ++j) {
         for (size_t c = 0; c < 2; ++c) {
             RnsPoly part = evk.parts[j][c];

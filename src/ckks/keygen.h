@@ -12,6 +12,23 @@
 
 namespace neo::ckks {
 
+/*
+ * The samplers key generation and encryption draw through. Each takes
+ * its draws from @p rng in coefficient order, limb by limb for the
+ * uniform polynomial, so a seed fixes every key and ciphertext.
+ */
+
+/// Uniform residues over @p mods, read directly as eval form.
+RnsPoly sample_uniform(const CkksContext &ctx,
+                       const std::vector<Modulus> &mods, Rng &rng);
+
+/// A rounded-Gaussian error (Rng::gaussian) over @p mods, in eval form.
+RnsPoly sample_error(const CkksContext &ctx,
+                     const std::vector<Modulus> &mods, Rng &rng);
+
+/// @p n ternary coefficients (Rng::ternary).
+std::vector<i64> sample_ternary(size_t n, Rng &rng);
+
 /** Generates all key material for one context. */
 class KeyGenerator
 {

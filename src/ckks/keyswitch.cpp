@@ -331,7 +331,6 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
     const size_t n = d2.n();
     const size_t level = d2.limbs() - 1;
     obs::observe("work.keyswitch.limbs", static_cast<double>(level + 1));
-    const size_t k_special = ctx.p_basis().size();
     const size_t alpha_p = ctx.alpha_prime();
     const auto &lv = ctx.precomp().level(level);
     const auto &ext_mods = lv.extended;
@@ -382,18 +381,25 @@ keyswitch_klss(const RnsPoly &d2, const KlssEvalKey &evk,
         }
     }
 
-    // --- Recover Limbs: each output prime reads its own key-digit
-    // group's accumulator (the RNS gadget is 1 there, 0 elsewhere).
+    // --- Recover Limbs: key digit i's accumulator converts exactly to
+    // its own primes (the RNS gadget is 1 there, 0 elsewhere), whose
+    // rows land on their limbs of q_0..q_l, P.
     RnsPoly acc0(n, ext_mods, PolyForm::coeff);
     RnsPoly acc1(n, ext_mods, PolyForm::coeff);
-    for (size_t pq_idx = 0; pq_idx < level + 1 + k_special; ++pq_idx) {
-        const size_t store_idx = ctx.pq_limb(pq_idx, level);
-        const size_t grp = group_of(key_partition, pq_idx);
-        NEO_ASSERT(grp < beta_tilde, "recover group out of range");
-        const BaseConverter &conv = ctx.precomp().t_to_pq(pq_idx);
-        conv.convert_exact(s[grp][0].data(), n, acc0.limb(store_idx));
-        conv.convert_exact(s[grp][1].data(), n, acc1.limb(store_idx));
-        obs::add("ks.recover_products", 2 * alpha_p);
+    for (size_t i = 0; i < beta_tilde; ++i) {
+        const BaseConverter &conv = lv.recover[i];
+        const size_t count = conv.to().size();
+        Workspace::Frame frame;
+        u64 *out = frame.alloc<u64>(count * n);
+        for (size_t c = 0; c < 2; ++c) {
+            conv.convert_exact(s[i][c].data(), n, out);
+            RnsPoly &acc = c == 0 ? acc0 : acc1;
+            for (size_t t = 0; t < count; ++t)
+                std::copy(out + t * n, out + (t + 1) * n,
+                          acc.limb(ctx.pq_limb(key_partition[i].first + t,
+                                               level)));
+        }
+        obs::add("ks.recover_products", 2 * alpha_p * count);
     }
 
     // --- ModDown, then NTT over q_0..q_l (shared with hybrid).

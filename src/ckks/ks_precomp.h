@@ -1,28 +1,28 @@
 /**
  * @file
- * ckks::KeySwitchPrecomp — per-context cache of everything the
- * key-switch hot path used to rebuild on every call.
+ * ckks::KeySwitchPrecomp — the per-context key-switch plan: every
+ * base converter and constant a key switch reads, for every level.
  *
- * keyswitch_hybrid / keyswitch_klss / mod_down are invariant in
- * everything but the ciphertext: the active and extended modulus
- * lists, the RnsBasis objects for the active chain and each digit
- * group, every BaseConverter (digit→rest for hybrid ModUp, digit→T
- * for KLSS ModUp, T→single-prime for Recover Limbs, P→Q for ModDown)
- * and the P^{-1} mod q_i constants depend only on (context, level).
+ * keyswitch_hybrid / keyswitch_klss / mod_down and the KLSS pipeline
+ * are invariant in everything but the ciphertext: the active and
+ * extended modulus lists, the digit partition, every BaseConverter
+ * (digit→rest for hybrid ModUp, digit→T for KLSS ModUp, T→key digit
+ * for Recover Limbs, P→Q for ModDown) and the P^{-1} mod q_i
+ * constants depend only on (context, level), and KeyGenerator::to_klss
+ * lifts every key digit into T through level-independent converters.
  * Constructing a BaseConverter is O(|from|·|to|) modular
- * exponentiations — doing it per keyswitch dominated small-ring runs.
+ * exponentiations, so this class is the one place one is built for a
+ * key switch; the pipeline's BConvKernels wrap these converters.
  *
- * One KeySwitchPrecomp is owned by each CkksContext; levels are built
- * lazily (first keyswitch at a level pays the construction once) and
- * returned by stable reference, guarded by a mutex so concurrent
- * evaluators share one copy.
+ * One KeySwitchPrecomp is owned by each CkksContext and built with it,
+ * every level at once. It is immutable afterwards, so any number of
+ * threads read it without a lock.
  */
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "common/mutex.h"
 #include "rns/base_convert.h"
 #include "rns/basis.h"
 #include "rns/partition.h"
@@ -34,10 +34,9 @@ class CkksContext;
 class KeySwitchPrecomp
 {
   public:
-    /** Per-(level, ciphertext-digit) invariants. */
+    /** Per-(level, ciphertext-digit) converters. */
     struct Digit
     {
-        RnsBasis basis; ///< this digit's q primes
         /// Hybrid ModUp: digit → (extended \ digit).
         std::unique_ptr<BaseConverter> to_other;
         /// KLSS ModUp: digit → T (null when KLSS is disabled).
@@ -49,7 +48,6 @@ class KeySwitchPrecomp
     {
         std::vector<Modulus> active;   ///< q_0..q_l
         std::vector<Modulus> extended; ///< q_0..q_l, P
-        RnsBasis q_active;
         /// ModDown: P → active q chain.
         std::unique_ptr<BaseConverter> p_to_q;
         /// P^{-1} mod q_i and Shoup companions, one per active limb.
@@ -57,31 +55,27 @@ class KeySwitchPrecomp
         std::vector<DigitGroup> groups; ///< ciphertext digit partition
         std::vector<Digit> digits;      ///< one per group
         size_t beta_tilde = 0; ///< KLSS key digits touched at this level
+        /// KLSS Recover Limbs: T → key digit i's primes active at this
+        /// level, in the [P, Q] ordering; one per key digit i <
+        /// beta_tilde (empty when KLSS is disabled).
+        std::vector<BaseConverter> recover;
     };
 
     explicit KeySwitchPrecomp(const CkksContext &ctx);
-    ~KeySwitchPrecomp();
-    KeySwitchPrecomp(const KeySwitchPrecomp &) = delete;
-    KeySwitchPrecomp &operator=(const KeySwitchPrecomp &) = delete;
 
-    /// The (lazily built) invariants for @p level; stable reference.
+    /// The invariants for @p level.
     const Level &level(size_t level) const;
 
-    /**
-     * Recover-Limbs converter T → {pq_ordered_mod(idx)} (KLSS only).
-     * Level-independent: the [P, Q] ordering never changes.
-     */
-    const BaseConverter &t_to_pq(size_t idx) const;
+    /// to_klss: key digit i's primes, in the [P, Q] ordering, → T; one
+    /// per key digit (empty when KLSS is disabled).
+    const std::vector<BaseConverter> &key_digit_to_t() const
+    {
+        return key_digit_to_t_;
+    }
 
   private:
-    const CkksContext &ctx_;
-    mutable Mutex mu_;
-    /// Lazily built per-level invariants; the unique_ptr slots are
-    /// guarded, the pointed-to Levels are immutable once published
-    /// (which is what makes the stable-reference contract safe).
-    mutable std::vector<std::unique_ptr<Level>> levels_ NEO_GUARDED_BY(mu_);
-    mutable std::vector<std::unique_ptr<BaseConverter>> t_single_
-        NEO_GUARDED_BY(mu_);
+    std::vector<Level> levels_;
+    std::vector<BaseConverter> key_digit_to_t_;
 };
 
 } // namespace neo::ckks

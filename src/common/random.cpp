@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/math_util.h"
 
 namespace neo {
 
@@ -67,21 +66,21 @@ Rng::uniform_real()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-u64
-Rng::ternary(u64 q)
+i64
+Rng::ternary()
 {
     switch (next() & 3) {
       case 0:
         return 1;
       case 1:
-        return q - 1;
+        return -1;
       default:
         return 0;
     }
 }
 
-u64
-Rng::gaussian(u64 q, double sigma)
+i64
+Rng::gaussian(double sigma)
 {
     // Box-Muller; rounding a continuous Gaussian is fine for a
     // reproduction study (not constant-time / not CSPRNG).
@@ -91,7 +90,7 @@ Rng::gaussian(u64 q, double sigma)
         u1 = 1e-300;
     double g = std::sqrt(-2.0 * std::log(u1)) *
                std::cos(2.0 * M_PI * u2) * sigma;
-    return from_centered(static_cast<i64>(std::llround(g)), q);
+    return std::llround(g);
 }
 
 std::vector<u64>

@@ -35,16 +35,16 @@ class Rng
     double uniform_real();
 
     /**
-     * Ternary secret coefficient in {-1, 0, 1} represented mod q.
-     * Probability 1/4 for each of ±1, 1/2 for 0 (HEAAN-style).
+     * Ternary coefficient in {-1, 0, 1}: probability 1/4 for each of
+     * ±1, 1/2 for 0 (HEAAN-style).
      */
-    u64 ternary(u64 q);
+    i64 ternary();
 
     /**
-     * Centered discrete Gaussian with standard deviation @p sigma
-     * (default 3.2, the usual RLWE error width), reduced mod q.
+     * Rounded centered Gaussian with standard deviation @p sigma
+     * (default 3.2, the usual RLWE error width).
      */
-    u64 gaussian(u64 q, double sigma = 3.2);
+    i64 gaussian(double sigma = 3.2);
 
     /// Vector of n uniform residues mod q.
     std::vector<u64> uniform_vec(std::size_t n, u64 q);

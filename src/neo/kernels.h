@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "rns/base_convert.h"
@@ -55,7 +56,15 @@ using ModSiteMatMulFn =
 class BConvKernel
 {
   public:
-    BConvKernel(const RnsBasis &from, const RnsBasis &to) : conv_(from, to) {}
+    /// A kernel that owns a converter from @p from to @p to.
+    BConvKernel(const RnsBasis &from, const RnsBasis &to)
+        : owned_(std::make_unique<BaseConverter>(from, to)), conv_(*owned_)
+    {
+    }
+
+    /// A kernel over @p conv, which must outlive it (the key-switch
+    /// plan's converters live as long as their context).
+    explicit BConvKernel(const BaseConverter &conv) : conv_(conv) {}
 
     size_t in_levels() const { return conv_.from().size(); }
     size_t out_levels() const { return conv_.to().size(); }
@@ -86,7 +95,8 @@ class BConvKernel
     void matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
                        const ModColMatMulFn &mm, bool exact) const;
 
-    BaseConverter conv_;
+    std::unique_ptr<const BaseConverter> owned_; ///< null when wrapping
+    const BaseConverter &conv_;
 };
 
 /**

@@ -27,9 +27,11 @@ namespace {
  * The matrix NTTs and BConv kernels one keyswitch at @p level runs:
  * radix-16 matrix NTTs over the α' T limbs and the l+1 Q limbs, one
  * ModUp kernel per ciphertext digit and one Recover kernel per key
- * digit. Built on every call, so the pipeline depends on nothing but
- * its arguments; the build is a small fraction of the keyswitch it
- * serves (EXPERIMENTS.md "Per-call pipeline kernels").
+ * digit. The BConv kernels wrap the context's key-switch plan
+ * (ckks::KeySwitchPrecomp) and the NTTs are built on every call, so
+ * the pipeline depends on nothing but its arguments; the build is a
+ * small fraction of the keyswitch it serves (EXPERIMENTS.md "Per-call
+ * pipeline kernels").
  */
 struct LevelKernels
 {
@@ -45,30 +47,18 @@ struct LevelKernels
         for (size_t i = 0; i <= level; ++i)
             q_ntt.emplace_back(ctx.tables().for_modulus(ctx.q_basis()[i]),
                                radix);
-        modup.reserve(lv.groups.size());
-        for (const auto &g : lv.groups)
-            modup.emplace_back(ctx.q_basis().slice(g.first, g.count),
-                               ctx.t_basis());
-        const auto &key_partition = ctx.klss_key_partition();
-        const size_t active = level + 1 + ctx.p_basis().size();
-        recover.resize(lv.beta_tilde);
-        for (size_t i = 0; i < lv.beta_tilde; ++i) {
-            const auto &grp = key_partition[i];
-            const size_t last = std::min(grp.first + grp.count, active);
-            if (grp.first >= last)
-                continue;
-            std::vector<u64> grp_primes;
-            for (size_t t = grp.first; t < last; ++t)
-                grp_primes.push_back(ctx.pq_ordered_mod(t).value());
-            recover[i].emplace(ctx.t_basis(), RnsBasis(grp_primes));
-        }
+        modup.reserve(lv.digits.size());
+        for (const auto &d : lv.digits)
+            modup.emplace_back(*d.to_t);
+        recover.reserve(lv.recover.size());
+        for (const auto &conv : lv.recover)
+            recover.emplace_back(conv);
     }
 
-    std::vector<MatrixNtt> t_ntt;   ///< per T limb
-    std::vector<MatrixNtt> q_ntt;   ///< per q limb, q_0..q_level
-    std::vector<BConvKernel> modup; ///< one per ciphertext digit
-    /// One per key digit; empty when the group is empty at this level.
-    std::vector<std::optional<BConvKernel>> recover;
+    std::vector<MatrixNtt> t_ntt;     ///< per T limb
+    std::vector<MatrixNtt> q_ntt;     ///< per q limb, q_0..q_level
+    std::vector<BConvKernel> modup;   ///< one per ciphertext digit
+    std::vector<BConvKernel> recover; ///< one per key digit
 };
 
 /**
@@ -133,12 +123,9 @@ PipelineKernelCounts
 keyswitch_pipeline_kernel_counts(const CkksContext &ctx, size_t level)
 {
     const size_t n = ctx.n();
-    const size_t k_special = ctx.p_basis().size();
     const size_t alpha_p = ctx.alpha_prime();
-    const size_t beta = ctx.digit_partition(level).size();
-    const size_t alpha_tilde = ctx.params().klss.alpha_tilde;
-    const size_t beta_tilde =
-        (level + 1 + k_special + alpha_tilde - 1) / alpha_tilde;
+    const size_t beta = ctx.params().beta(level);
+    const size_t beta_tilde = ctx.params().beta_tilde(level);
 
     // MatrixNtt transforms: ModUp forwards over T (β·α'), IP inverses
     // over T (2·β̃·α'), final forwards over Q (2·(l+1)). The input INTT
@@ -272,9 +259,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     const auto &recover_mm =
         engines_at(policy, site, stage::recover_bconv).per_column;
     for_each_shard(beta_tilde, 1, devices, [&](size_t i) {
-        if (!lk.recover[i])
-            return; // the digit's group holds no prime at this level
-        const BConvKernel &recover = *lk.recover[i];
+        const BConvKernel &recover = lk.recover[i];
         Workspace::Frame wframe;
         u64 *out = wframe.alloc<u64>(recover.out_levels() * n);
         for (size_t c = 0; c < 2; ++c) {

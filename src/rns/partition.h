@@ -59,15 +59,4 @@ make_even_partition(size_t total, size_t parts)
     return groups;
 }
 
-/// Index of the group containing prime @p idx.
-inline size_t
-group_of(const std::vector<DigitGroup> &groups, size_t idx)
-{
-    for (size_t g = 0; g < groups.size(); ++g) {
-        if (idx >= groups[g].first && idx < groups[g].first + groups[g].count)
-            return g;
-    }
-    return groups.size();
-}
-
 } // namespace neo

@@ -582,6 +582,44 @@ TEST(Bootstrap, RotationKeysAreTheStagesSteps)
     }
 }
 
+TEST(Bootstrap, ModRaiseLiftIsCentered)
+{
+    // Both raised components hold, over the full chain, the centered
+    // lift of their level-0 residues: v for v ≤ q0/2 and v − q0 above.
+    CkksParams params = CkksParams::test_params(256, 5, 2);
+    CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 5);
+    SecretKey sk = keygen.secret_key_sparse(8);
+    PublicKey pk = keygen.public_key(sk);
+    const EvalKeyBundle keys; // ModRaise switches no key
+    Evaluator ev(ctx);
+    Bootstrapper boot(ctx, ev, keys);
+    Encryptor enc(ctx);
+    const std::vector<Complex> z(ctx.encoder().slot_count(), 0.01);
+    const Ciphertext ct = enc.encrypt(ctx.encode(z, /*level=*/0), pk);
+    const Ciphertext raised = boot.mod_raise(ct);
+    ASSERT_EQ(raised.level, ctx.max_level());
+
+    const u64 q0 = ctx.q_basis()[0].value();
+    size_t upper = 0; // residues the lift makes negative
+    for (int comp = 0; comp < 2; ++comp) {
+        RnsPoly src = comp == 0 ? ct.c0 : ct.c1;
+        RnsPoly dst = comp == 0 ? raised.c0 : raised.c1;
+        ctx.tables().to_coeff(src);
+        ctx.tables().to_coeff(dst);
+        const std::vector<double> lifted = ctx.lift_centered(dst);
+        for (size_t l = 0; l < ctx.n(); ++l) {
+            const u64 v = src.limb(0)[l];
+            ASSERT_EQ(lifted[l], static_cast<double>(to_centered(v, q0)))
+                << "component " << comp << ", coefficient " << l;
+            upper += v > q0 / 2;
+        }
+    }
+    // Both components look uniform mod q0, so about half their
+    // residues lie above q0/2 and exercise the negative branch.
+    EXPECT_GT(upper, ctx.n() / 2);
+}
+
 TEST(Bootstrap, SecretKeySparseHammingWeight)
 {
     CkksParams params = CkksParams::test_params(256, 5, 2);

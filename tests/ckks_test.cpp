@@ -433,6 +433,16 @@ TEST_F(CkksFixture, PolyFromSignedMatchesFromCentered)
                 << "x=" << coeffs[l] << " q=" << mods[i].value();
 }
 
+TEST_F(CkksFixture, GaloisElementTakesEveryStepCount)
+{
+    // Steps reduce mod N/2 from an unsigned magnitude, so the ends of
+    // the i64 range need no signed negation (the UBSan leg runs this).
+    const Encoder &enc = ctx_->encoder();
+    EXPECT_EQ(enc.galois_element(INT64_MIN), enc.galois_element(0));
+    EXPECT_EQ(enc.galois_element(INT64_MIN + 1), enc.galois_element(1));
+    EXPECT_EQ(enc.galois_element(INT64_MAX), enc.galois_element(-1));
+}
+
 TEST(CkksParams, AlphaBetaDerivations)
 {
     CkksParams p;

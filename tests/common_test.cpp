@@ -81,11 +81,10 @@ TEST(Rng, UniformInRange)
 TEST(Rng, TernaryValues)
 {
     Rng rng(7);
-    const u64 q = 1000003;
     int zeros = 0;
     for (int i = 0; i < 4000; ++i) {
-        u64 t = rng.ternary(q);
-        EXPECT_TRUE(t == 0 || t == 1 || t == q - 1);
+        i64 t = rng.ternary();
+        EXPECT_TRUE(t == 0 || t == 1 || t == -1);
         zeros += (t == 0);
     }
     // P(0) = 1/2: expect near 2000.
@@ -96,11 +95,10 @@ TEST(Rng, TernaryValues)
 TEST(Rng, GaussianCentered)
 {
     Rng rng(11);
-    const u64 q = 1ULL << 40;
     double sum = 0, sumsq = 0;
     const int trials = 20000;
     for (int i = 0; i < trials; ++i) {
-        i64 v = to_centered(rng.gaussian(q), q);
+        i64 v = rng.gaussian();
         sum += static_cast<double>(v);
         sumsq += static_cast<double>(v) * v;
     }

@@ -90,19 +90,19 @@ random_eval_poly(const CkksContext &ctx, size_t level, u64 seed)
 } // namespace
 
 // ---------------------------------------------------------------------
-// KeySwitchPrecomp: lazy per-level build under contention
+// KeySwitchPrecomp: lock-free reads of the plan the context built
 // ---------------------------------------------------------------------
 
-TEST(Concurrency, KeySwitchPrecompLazyBuildRace)
+TEST(Concurrency, KeySwitchPrecompLevelsStableUnderConcurrentReads)
 {
     CkksParams params = CkksParams::test_params(64, 6, 2);
     CkksContext ctx(params);
     const KeySwitchPrecomp &pre = ctx.precomp();
     const size_t nlevels = ctx.max_level() + 1;
 
-    // level() promises a stable reference: the address every thread
-    // sees for a given level must be identical, even when 16 threads
-    // race to trigger the first (lazy) build.
+    // level() promises a stable reference into the plan the context
+    // built: the address every thread sees for a given level must be
+    // identical while 16 threads read it without a lock.
     std::vector<std::atomic<const KeySwitchPrecomp::Level *>> seen(nlevels);
     for (auto &s : seen)
         s.store(nullptr);

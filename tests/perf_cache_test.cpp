@@ -1,9 +1,9 @@
 /**
  * Hot-path precomputation caches — differential correctness suite.
  *
- * The caches of the steady-state key-switch path
- * (ckks::KeySwitchPrecomp, the per-key operand caches, and the
- * per-thread Workspace arena) are pure memoization:
+ * The precomputation of the steady-state key-switch path (the
+ * context's ckks::KeySwitchPrecomp, the KLSS key's operand cache, and
+ * the per-thread Workspace arena) is pure memoization:
  * they must never change a single output bit. These tests pin that
  * down two ways:
  *

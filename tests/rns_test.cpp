@@ -379,9 +379,6 @@ TEST(Partition, GroupsCoverRange)
     EXPECT_EQ(groups[0].count, 4u);
     EXPECT_EQ(groups[2].first, 8u);
     EXPECT_EQ(groups[2].count, 2u);
-    EXPECT_EQ(group_of(groups, 0), 0u);
-    EXPECT_EQ(group_of(groups, 7), 1u);
-    EXPECT_EQ(group_of(groups, 9), 2u);
 }
 
 TEST(Partition, ExactDivision)
