@@ -38,11 +38,17 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx, const Evaluator &ev,
 {
     const size_t n = ctx.n();
     const size_t s = n / 2;
+    NEO_CHECK(opts_.sin_degree >= 1, "sin_degree must be at least 1");
+    NEO_CHECK(opts_.k_range > 0, "k_range must be positive");
+    NEO_CHECK(opts_.double_angles >= 0, "double_angles must be >= 0");
+    NEO_CHECK(opts_.input_level == 0, "ModRaise implemented from level 0");
 
     // Base-cosine Chebyshev fit for EvalMod.
     CosArg arg{opts_.k_range, opts_.double_angles};
     cos_coeffs_ =
         PolyEvaluator::chebyshev_fit(base_cos, &arg, opts_.sin_degree);
+    NEO_CHECK(depth() <= ctx.max_level(),
+              "the modulus chain is shorter than the bootstrap's depth");
 
     if (opts_.factored_groups > 0) {
         factored_ = std::make_unique<FactoredEmbedding>(
@@ -112,11 +118,10 @@ Bootstrapper::required_rotations(const CkksContext &ctx,
 size_t
 Bootstrapper::depth() const
 {
-    size_t cheb_depth = 1;
-    while ((1u << cheb_depth) < static_cast<size_t>(opts_.sin_degree))
-        ++cheb_depth;
-    const size_t eval_mod_depth =
-        1 + cheb_depth + 1 + static_cast<size_t>(opts_.double_angles);
+    // Normalise, the Chebyshev cosine, then r double angles.
+    const size_t eval_mod_depth = 1 +
+                                  PolyEvaluator::chebyshev_depth(cos_coeffs_) +
+                                  static_cast<size_t>(opts_.double_angles);
     if (opts_.factored_groups == 0) {
         // dense CtS + EvalMod + dense StC.
         return 1 + eval_mod_depth + 1;
@@ -131,8 +136,6 @@ Bootstrapper::mod_raise(const Ciphertext &ct) const
 {
     NEO_CHECK(ct.level == opts_.input_level,
               "input must sit at the configured input level");
-    NEO_CHECK(opts_.input_level == 0,
-              "ModRaise implemented from level 0");
     const size_t n = ctx_.n();
     const u64 q0 = ctx_.q_basis()[0].value();
     const auto top_mods = ctx_.active_mods(ctx_.max_level());
@@ -173,7 +176,6 @@ Bootstrapper::eval_mod(const Ciphertext &ct, Complex prefactor) const
     // i·b-valued slots real).
     const double q_drop =
         static_cast<double>(ctx_.q_basis()[ct.level].value());
-    std::vector<Complex> ones(slots, Complex(1, 0));
     const double enc_scale =
         (1.0 / opts_.k_range) * nominal * q_drop / ct.scale;
     std::vector<Complex> pre(slots, prefactor);
@@ -182,14 +184,12 @@ Bootstrapper::eval_mod(const Ciphertext &ct, Complex prefactor) const
     x.scale = nominal;
 
     // Base cosine, then r double-angle steps: cos(2θ) = 2cos²θ - 1.
+    // Each square keeps the scale its rescale leaves: 2c² and 1 nearly
+    // cancel, so a snapped scale would show in the result.
     Ciphertext c = poly_.evaluate_chebyshev(x, cos_coeffs_);
     for (int r = 0; r < opts_.double_angles; ++r) {
         Ciphertext sq = ev_.rescale(ev_.mul(c, c, keys_));
-        sq.scale = nominal;
-        c = ev_.add(sq, sq);
-        Plaintext minus_one = ctx_.encode(ones, c.level, c.scale);
-        minus_one.poly.negate_inplace();
-        c = ev_.add_plain(c, minus_one);
+        c = ev_.add_constant(ev_.add(sq, sq), -1.0);
     }
     // c's value is sin(2πt) ≈ 2π(t - I); re-declare the scale so the
     // interpreted value becomes (t - I)·q0 at the *input message's*

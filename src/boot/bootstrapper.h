@@ -12,9 +12,9 @@
  *  2. CoeffToSlot — two homomorphic linear transforms (+ conjugation)
  *     move the N coefficients into the slots of two ciphertexts.
  *  3. EvalMod — evaluate (1/2π)·sin(2π t) ≈ t − I on each: Chebyshev
- *     approximation of a scaled cosine followed by double-angle
- *     steps (the Double Rescale discipline applies here at small
- *     WordSize).
+ *     approximation of a scaled cosine (baby-step giant-step, exact
+ *     scales; PolyEvaluator::evaluate_chebyshev) followed by
+ *     double-angle steps.
  *  4. SlotToCoeff — the inverse transforms reassemble a fresh
  *     ciphertext encrypting ≈ m at a higher level.
  *
@@ -67,6 +67,10 @@ class Bootstrapper
      * @param keys bundle with the relin key and Galois keys for
      *        required_rotations() (+ conjugation). Must outlive this
      *        object.
+     *
+     * Rejects options the chain cannot run: sin_degree < 1,
+     * k_range ≤ 0, double_angles < 0, input_level ≠ 0, or a chain
+     * shorter than depth().
      */
     Bootstrapper(const CkksContext &ctx, const Evaluator &ev,
                  const EvalKeyBundle &keys,
@@ -86,7 +90,8 @@ class Bootstrapper
      */
     Ciphertext bootstrap(const Ciphertext &ct) const;
 
-    /// Multiplicative depth consumed above the input level.
+    /// Levels a bootstrap consumes: ctx.max_level() minus the output
+    /// level. EvalMod's cosine takes PolyEvaluator::chebyshev_depth.
     size_t depth() const;
 
     /**

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/check.h"
+#include "common/math_util.h"
 #include "obs/obs.h"
 
 namespace neo::ckks {
@@ -82,6 +83,43 @@ Evaluator::mul_plain(const Ciphertext &a, const Plaintext &pt) const
     out.c0.mul_inplace(pt.poly);
     out.c1.mul_inplace(pt.poly);
     out.scale = a.scale * pt.scale;
+    return out;
+}
+
+Ciphertext
+Evaluator::mul_integer(const Ciphertext &a, i64 k) const
+{
+    obs::add("op.cmult");
+    Ciphertext out = a;
+    for (RnsPoly *c : {&out.c0, &out.c1}) {
+        for (size_t i = 0; i < c->limbs(); ++i) {
+            const u64 q = c->modulus(i).value();
+            const u64 w = from_centered(k, q);
+            const u64 ws = shoup_precompute(w, q);
+            u64 *x = c->limb(i);
+            for (size_t l = 0; l < c->n(); ++l)
+                x[l] = mul_shoup(x[l], w, ws, q);
+        }
+    }
+    return out;
+}
+
+Ciphertext
+Evaluator::add_constant(const Ciphertext &a, double c) const
+{
+    obs::add("op.cadd");
+    NEO_CHECK(a.c0.form() == PolyForm::eval, "constant add expects eval form");
+    const double v = std::round(c * a.scale);
+    NEO_CHECK(std::abs(v) < 0x1p63, "constant does not fit an i64");
+    const i64 k = static_cast<i64>(v);
+    Ciphertext out = a;
+    for (size_t i = 0; i < out.c0.limbs(); ++i) {
+        const u64 q = out.c0.modulus(i).value();
+        const u64 w = from_centered(k, q);
+        u64 *x = out.c0.limb(i);
+        for (size_t l = 0; l < out.c0.n(); ++l)
+            x[l] = add_mod(x[l], w, q);
+    }
     return out;
 }
 

@@ -62,6 +62,20 @@ class Evaluator
     Ciphertext mul_plain(const Ciphertext &a, const Plaintext &pt) const;
 
     /**
+     * Multiply every slot by the integer @p k; the scale is unchanged.
+     * A constant's NTT is the constant itself, so this is one Shoup
+     * pass per limb of each component, with no encode.
+     */
+    Ciphertext mul_integer(const Ciphertext &a, i64 k) const;
+
+    /**
+     * Add the real constant @p c to every slot: round(c·scale) to every
+     * eval-form word of c0, one pass per limb, with no encode. The
+     * rounded constant must fit an i64.
+     */
+    Ciphertext add_constant(const Ciphertext &a, double c) const;
+
+    /**
      * HMULT: ciphertext × ciphertext with relinearization via the
      * configured KeySwitch (`keys.klss_rlk` must be set for a KLSS
      * evaluator). Does NOT rescale; callers follow with rescale()

@@ -399,21 +399,108 @@ TEST_F(PolyFixture, ChebyshevBasisMatchesPlainEvaluation)
     }
 }
 
+/// Σ c_k T_k(x) in double precision, by the three-term recurrence.
+double
+chebyshev_series(const std::vector<double> &c, double x)
+{
+    double t0 = 1, t1 = x, acc = c[0] + (c.size() > 1 ? c[1] * x : 0);
+    for (size_t k = 2; k < c.size(); ++k) {
+        const double t2 = 2 * x * t1 - t0;
+        acc += c[k] * t2;
+        t0 = t1;
+        t1 = t2;
+    }
+    return acc;
+}
+
+TEST_F(PolyFixture, BootstrapCosineCostDepthAndPrecision)
+{
+    // The bootstrap's base cosine cos((2πK·u − π/2)/2^r) at K = 8,
+    // r = 1, degree 63 (effective degree 53): 9 products build
+    // T_2…T_8, T_16 and T_32, and 6 more join the giant steps.
+    auto f = [](double u, void *) {
+        return std::cos((2.0 * M_PI * 8.0 * u - M_PI / 2.0) / 2.0);
+    };
+    const auto coeffs = PolyEvaluator::chebyshev_fit(+f, nullptr, 63);
+    ASSERT_EQ(PolyEvaluator::chebyshev_depth(coeffs), 6u);
+
+    Encryptor enc(*ctx_);
+    Decryptor dec(*ctx_, *sk_, *keygen_);
+    Evaluator ev(*ctx_);
+    PolyEvaluator pe(*ctx_, ev, *keys_);
+    Rng rng(41);
+    const size_t slots = ctx_->encoder().slot_count();
+    std::vector<Complex> z(slots);
+    for (auto &x : z)
+        x = Complex(2 * rng.uniform_real() - 1, 0);
+    const double nominal =
+        static_cast<double>(ctx_->q_basis()[1].value());
+    const Ciphertext ct =
+        enc.encrypt(ctx_->encode(z, ctx_->max_level(), nominal), *pk_);
+    ASSERT_EQ(ct.level, 9u);
+
+    obs::Scope scope;
+    const Ciphertext out = pe.evaluate_chebyshev(ct, coeffs);
+    EXPECT_EQ(scope.counter("op.hmult"), 15u);
+    EXPECT_EQ(scope.counter("op.rescale"), 22u);
+    EXPECT_EQ(scope.counter("op.pmult"), 0u);
+    EXPECT_EQ(out.level, ct.level - 6);
+
+    const auto got = dec.decrypt_decode(out);
+    double err = 0;
+    for (size_t i = 0; i < slots; ++i)
+        err = std::max(err, std::abs(got[i] - chebyshev_series(
+                                                  coeffs, z[i].real())));
+    EXPECT_LT(err, 1e-6);
+}
+
+TEST_F(PolyFixture, ChebyshevDepthIsTheSharedRule)
+{
+    // Seeded non-zero coefficients at degrees on both sides of each
+    // power of two: the levels consumed are the dry run's, and never
+    // more than ⌈log2 d⌉ + 1.
+    Encryptor enc(*ctx_);
+    Decryptor dec(*ctx_, *sk_, *keygen_);
+    Evaluator ev(*ctx_);
+    PolyEvaluator pe(*ctx_, ev, *keys_);
+    Rng rng(43);
+    const size_t slots = ctx_->encoder().slot_count();
+    std::vector<Complex> z(slots);
+    for (auto &x : z)
+        x = Complex(2 * rng.uniform_real() - 1, 0);
+    const double nominal =
+        static_cast<double>(ctx_->q_basis()[1].value());
+    const Ciphertext ct =
+        enc.encrypt(ctx_->encode(z, ctx_->max_level(), nominal), *pk_);
+
+    for (size_t d : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 31u, 32u, 53u, 63u}) {
+        SCOPED_TRACE(::testing::Message() << "degree " << d);
+        std::vector<double> c(d + 1);
+        for (auto &x : c) {
+            const double m = 0.1 + 0.9 * rng.uniform_real();
+            x = rng.uniform_real() < 0.5 ? -m : m;
+        }
+        const size_t depth = PolyEvaluator::chebyshev_depth(c);
+        const size_t log2_ceil = static_cast<size_t>(bit_size(d - 1));
+        EXPECT_LE(depth, log2_ceil + 1);
+
+        const Ciphertext out = pe.evaluate_chebyshev(ct, c);
+        EXPECT_EQ(ct.level - out.level, depth);
+        const auto got = dec.decrypt_decode(out);
+        double err = 0;
+        for (size_t i = 0; i < slots; ++i)
+            err = std::max(err, std::abs(got[i] - chebyshev_series(
+                                                      c, z[i].real())));
+        EXPECT_LT(err, 1e-5);
+    }
+}
+
 TEST_F(PolyFixture, ChebyshevFitReproducesFunction)
 {
     auto f = [](double x, void *) { return std::cos(3.0 * x); };
     auto c = PolyEvaluator::chebyshev_fit(+f, nullptr, 15);
-    // Evaluate the series at a few points via the recurrence.
-    for (double x : {-0.9, -0.3, 0.0, 0.5, 1.0}) {
-        double t0 = 1, t1 = x, acc = c[0] + c[1] * x;
-        for (size_t k = 2; k < c.size(); ++k) {
-            double t2 = 2 * x * t1 - t0;
-            acc += c[k] * t2;
-            t0 = t1;
-            t1 = t2;
-        }
-        EXPECT_NEAR(acc, std::cos(3.0 * x), 1e-9);
-    }
+    for (double x : {-0.9, -0.3, 0.0, 0.5, 1.0})
+        EXPECT_NEAR(chebyshev_series(c, x), std::cos(3.0 * x), 1e-9);
 }
 
 // ---------------------------------------------------------------------
@@ -586,7 +673,8 @@ TEST(Bootstrap, ModRaiseLiftIsCentered)
 {
     // Both raised components hold, over the full chain, the centered
     // lift of their level-0 residues: v for v ≤ q0/2 and v − q0 above.
-    CkksParams params = CkksParams::test_params(256, 5, 2);
+    // The chain holds the default dense bootstrap's 10 levels.
+    CkksParams params = CkksParams::test_params(256, 10, 2);
     CkksContext ctx(params);
     KeyGenerator keygen(ctx, 5);
     SecretKey sk = keygen.secret_key_sparse(8);
@@ -618,6 +706,64 @@ TEST(Bootstrap, ModRaiseLiftIsCentered)
     // Both components look uniform mod q0, so about half their
     // residues lie above q0/2 and exercise the negative branch.
     EXPECT_GT(upper, ctx.n() / 2);
+}
+
+TEST(Bootstrap, DepthIsTheLevelsConsumed)
+{
+    // depth() is the levels a bootstrap takes off the top of the chain,
+    // dense and factored alike.
+    struct Case
+    {
+        size_t levels;
+        size_t groups;
+    };
+    for (const Case &c : {Case{14, 0}, Case{17, 1}, Case{17, 2},
+                          Case{17, 3}}) {
+        SCOPED_TRACE(::testing::Message() << "groups=" << c.groups);
+        CkksParams params = CkksParams::test_params(256, c.levels, 3);
+        CkksContext ctx(params);
+        KeyGenerator keygen(ctx, 47);
+        SecretKey sk = keygen.secret_key_sparse(8);
+        PublicKey pk = keygen.public_key(sk);
+        BootstrapOptions opts;
+        opts.factored_groups = c.groups;
+        const EvalKeyBundle keys = keygen.eval_key_bundle(
+            sk, Bootstrapper::required_rotations(ctx, opts), true);
+        Encryptor enc(ctx);
+        Evaluator ev(ctx);
+        Bootstrapper boot(ctx, ev, keys, opts);
+        const std::vector<Complex> z(ctx.encoder().slot_count(), 0.02);
+        const Ciphertext fresh = boot.bootstrap(enc.encrypt(
+            ctx.encode(z, 0), pk));
+        EXPECT_EQ(ctx.max_level() - fresh.level, boot.depth());
+    }
+}
+
+TEST(Bootstrap, RejectsOptionsTheChainCannotRun)
+{
+    const EvalKeyBundle keys; // construction switches no key
+    {
+        // The default dense bootstrap needs 10 levels; this chain has 9.
+        CkksContext ctx(CkksParams::test_params(256, 9, 3));
+        Evaluator ev(ctx);
+        EXPECT_THROW(Bootstrapper(ctx, ev, keys), std::invalid_argument);
+    }
+    CkksContext ctx(CkksParams::test_params(256, 14, 3));
+    Evaluator ev(ctx);
+    EXPECT_NO_THROW(Bootstrapper(ctx, ev, keys));
+    auto rejects = [&](auto edit) {
+        BootstrapOptions opts;
+        edit(opts);
+        EXPECT_THROW(Bootstrapper(ctx, ev, keys, opts),
+                     std::invalid_argument);
+    };
+    rejects([](BootstrapOptions &o) { o.sin_degree = 0; });
+    rejects([](BootstrapOptions &o) { o.k_range = 0; });
+    rejects([](BootstrapOptions &o) { o.k_range = -8; });
+    rejects([](BootstrapOptions &o) { o.double_angles = -1; });
+    rejects([](BootstrapOptions &o) { o.input_level = 1; });
+    // Three factored groups take 15 levels.
+    rejects([](BootstrapOptions &o) { o.factored_groups = 3; });
 }
 
 TEST(Bootstrap, SecretKeySparseHammingWeight)
