@@ -9,25 +9,26 @@
  *  1. ModRaise — reinterpret the level-0 ciphertext over the full
  *     chain; it now decrypts to m + q0·I for a small integer
  *     polynomial I (|I| ≲ ||s||₁/2, hence the sparse secret).
- *  2. CoeffToSlot — two homomorphic linear transforms (+ conjugation)
- *     move the N coefficients into the slots of two ciphertexts.
- *  3. EvalMod — evaluate (1/2π)·sin(2π t) ≈ t − I on each: Chebyshev
- *     approximation of a scaled cosine (baby-step giant-step, exact
- *     scales; PolyEvaluator::evaluate_chebyshev) followed by
- *     double-angle steps.
- *  4. SlotToCoeff — the inverse transforms reassemble a fresh
- *     ciphertext encrypting ≈ m at a higher level.
+ *  2. CoeffToSlot — G grouped butterfly stages (the PackBootstrap
+ *     "BSGS stages") take the slots to a + i·b, the two coefficient
+ *     halves; a conjugation splits them into 2a and 2i·b.
+ *  3. EvalMod — evaluate (1/2π)·sin(2π t) ≈ t − I on each half:
+ *     Chebyshev approximation of a scaled cosine (baby-step
+ *     giant-step, exact scales; PolyEvaluator::evaluate_chebyshev)
+ *     followed by double-angle steps.
+ *  4. SlotToCoeff — v0 + i·v1, then the G forward stages reassemble a
+ *     fresh ciphertext encrypting ≈ m at a higher level.
  *
- * Matrices for stages 2/4 are derived *numerically from the encoder's
- * own canonical embedding*, so the implementation cannot drift from
- * the encoding convention. Dense or factored, every stage is a
- * LinearTransform applied by its one apply(), and the Galois keys a
- * bootstrap needs are the union of its transforms'
- * required_rotations().
+ * Multiplying by i is Evaluator::mul_by_i, the exact monomial X^{N/2},
+ * and every other constant is an Evaluator::mul_integer, so a
+ * bootstrap encodes nothing but its stages' diagonals and costs
+ * 2G + EvalMod's levels. Every stage is a LinearTransform applied by
+ * its one apply(), and the Galois keys a bootstrap needs are the
+ * union of its stages' required_rotations().
  */
 #pragma once
 
-#include "ckks/linear_transform.h"
+#include "boot/factored_transform.h"
 #include "ckks/poly_eval.h"
 
 namespace neo::boot {
@@ -36,11 +37,8 @@ namespace neo::boot {
 // this header don't inherit the whole ckks namespace into neo::boot.
 using ckks::Ciphertext;
 using ckks::CkksContext;
-using ckks::Complex;
 using ckks::EvalKeyBundle;
 using ckks::Evaluator;
-using ckks::LinearTransform;
-using ckks::Plaintext;
 using ckks::PolyEvaluator;
 
 /** Tunables for the sine approximation and transform structure. */
@@ -51,12 +49,12 @@ struct BootstrapOptions
     int double_angles = 1;    ///< r: cos doubling steps (error scales ~4^r)
     size_t input_level = 0;   ///< level the input is dropped to
     /**
-     * 0: dense single-stage CtS/StC. G ≥ 1: factored butterfly
-     * transforms grouped into G homomorphic stages each (the
-     * PackBootstrap "3 BSGS stages" structure; costs 2G-1 extra
-     * levels, saves rotations at scale).
+     * G (1 ≤ G ≤ log2(N/2)): the butterfly levels of CoeffToSlot and
+     * of SlotToCoeff run in ⌈log2(N/2)/G⌉-level groups, at most G
+     * homomorphic stages each way and one level per stage. More
+     * groups rotate less per stage and cost more levels.
      */
-    size_t factored_groups = 0;
+    size_t factored_groups = 1;
 };
 
 /** Precomputed bootstrapping machinery for one context. */
@@ -69,17 +67,17 @@ class Bootstrapper
      *        object.
      *
      * Rejects options the chain cannot run: sin_degree < 1,
-     * k_range ≤ 0, double_angles < 0, input_level ≠ 0, or a chain
-     * shorter than depth().
+     * k_range ≤ 0, double_angles < 0, input_level ≠ 0,
+     * factored_groups outside 1…log2(N/2), or a chain shorter than
+     * depth().
      */
     Bootstrapper(const CkksContext &ctx, const Evaluator &ev,
                  const EvalKeyBundle &keys,
                  const BootstrapOptions &opts = {});
-    ~Bootstrapper();
 
     /// Rotation steps whose Galois keys the transforms require: the
-    /// union of the factored stages' required_rotations(), or the BSGS
-    /// steps of a dense transform. Ascending, no duplicates.
+    /// union of the stages' required_rotations(). Ascending, no
+    /// duplicates.
     static std::vector<i64>
     required_rotations(const CkksContext &ctx,
                        const BootstrapOptions &opts = {});
@@ -91,7 +89,8 @@ class Bootstrapper
     Ciphertext bootstrap(const Ciphertext &ct) const;
 
     /// Levels a bootstrap consumes: ctx.max_level() minus the output
-    /// level. EvalMod's cosine takes PolyEvaluator::chebyshev_depth.
+    /// level, 2G + EvalMod's. EvalMod's cosine takes
+    /// PolyEvaluator::chebyshev_depth.
     size_t depth() const;
 
     /**
@@ -103,11 +102,9 @@ class Bootstrapper
     Ciphertext mod_raise(const Ciphertext &ct) const;
 
   private:
-    /// EvalMod with a complex pre-factor folded into the input
-    /// normalisation (the factored path feeds i·b-valued slots).
-    Ciphertext eval_mod(const Ciphertext &ct, Complex prefactor) const;
-    Ciphertext bootstrap_dense(const Ciphertext &raised) const;
-    Ciphertext bootstrap_factored(const Ciphertext &raised) const;
+    /// EvalMod with a real pre-factor folded into the input
+    /// normalisation.
+    Ciphertext eval_mod(const Ciphertext &ct, double factor) const;
 
     const CkksContext &ctx_;
     const Evaluator &ev_;
@@ -115,12 +112,7 @@ class Bootstrapper
     BootstrapOptions opts_;
     PolyEvaluator poly_;
     std::vector<double> cos_coeffs_; // Chebyshev fit of the base cosine
-    // Dense path, built only when factored_groups == 0: CtS halves
-    // from slots; StC slots from halves.
-    std::unique_ptr<LinearTransform> cts_lo_, cts_hi_;
-    std::unique_ptr<LinearTransform> stc_lo_, stc_hi_;
-    // Factored path: grouped butterfly stages.
-    std::unique_ptr<class FactoredEmbedding> factored_;
+    FactoredEmbedding factored_;     // the grouped butterfly stages
 };
 
 } // namespace neo::boot

@@ -105,6 +105,33 @@ Evaluator::mul_integer(const Ciphertext &a, i64 k) const
 }
 
 Ciphertext
+Evaluator::mul_by_i(const Ciphertext &a) const
+{
+    obs::add("op.imult");
+    Ciphertext out = a;
+    for (RnsPoly *c : {&out.c0, &out.c1}) {
+        NEO_CHECK(c->form() == PolyForm::eval, "mul_by_i expects eval form");
+        NEO_CHECK(c->n() == ctx_.n(), "ciphertext is over another ring");
+        const size_t n = c->n();
+        for (size_t i = 0; i < c->limbs(); ++i) {
+            const NttTables &t = ctx_.tables().for_modulus(c->modulus(i));
+            const u64 q = t.modulus().value();
+            // X^{N/2} at ψ^{2k+1} is ψ^{N/2}·ψ^{kN} = ψ^{N/2}·(−1)^k.
+            const u64 even = t.psi_pow(n / 2);
+            const u64 even_s = t.psi_pow_shoup(n / 2);
+            const u64 odd = q - even;
+            const u64 odd_s = shoup_precompute(odd, q);
+            u64 *x = c->limb(i);
+            for (size_t k = 0; k < n; k += 2) {
+                x[k] = mul_shoup(x[k], even, even_s, q);
+                x[k + 1] = mul_shoup(x[k + 1], odd, odd_s, q);
+            }
+        }
+    }
+    return out;
+}
+
+Ciphertext
 Evaluator::add_constant(const Ciphertext &a, double c) const
 {
     obs::add("op.cadd");

@@ -69,6 +69,15 @@ class Evaluator
     Ciphertext mul_integer(const Ciphertext &a, i64 k) const;
 
     /**
+     * Multiply every slot by i, exactly: the product with the monomial
+     * X^{N/2}, which is i at every slot's root ζ^{5^j}. No key, no
+     * level; the scale is unchanged. Eval form word k of a limb is
+     * a(ψ^{2k+1}), so the product is two Shoup constants per limb,
+     * ψ^{N/2}·(−1)^k.
+     */
+    Ciphertext mul_by_i(const Ciphertext &a) const;
+
+    /**
      * Add the real constant @p c to every slot: round(c·scale) to every
      * eval-form word of c0, one pass per limb, with no encode. The
      * rounded constant must fit an i64.

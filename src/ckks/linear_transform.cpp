@@ -102,12 +102,6 @@ LinearTransform::LinearTransform(std::vector<Complex> matrix, size_t slots)
 {
 }
 
-std::vector<i64>
-LinearTransform::rotations(const std::vector<size_t> &offsets, size_t slots)
-{
-    return bsgs_split(offsets, slots).second;
-}
-
 std::vector<Complex>
 LinearTransform::diagonal(size_t d) const
 {
@@ -120,7 +114,7 @@ LinearTransform::diagonal(size_t d) const
 std::vector<i64>
 LinearTransform::required_rotations() const
 {
-    return rotations(offsets_of(diagonals_), slots_);
+    return bsgs_split(offsets_of(diagonals_), slots_).second;
 }
 
 Ciphertext

@@ -1,8 +1,9 @@
 /**
  * @file
- * Homomorphic slot-wise linear transforms — the machinery behind
- * CoeffToSlot / SlotToCoeff and any matrix-vector product on packed
- * ciphertexts.
+ * Homomorphic slot-wise linear transforms — the machinery behind the
+ * bootstrap's CoeffToSlot / SlotToCoeff stages (sparse butterfly
+ * groups, boot/factored_transform.h) and any matrix-vector product on
+ * packed ciphertexts.
  *
  * For a matrix M over the slot space, y = M·z is evaluated with the
  * diagonal method, y = Σ_d diag_d(M) ⊙ rot(z, d), organised
@@ -10,9 +11,9 @@
  * baby rotation by j of z and a giant rotation by i·g of the inner sum
  * over j. Each transform picks g from its kept offsets (the power of
  * two with the fewest distinct rotation steps), so a full matrix
- * rotates ~2√slots times (the rotation counts the bootstrap schedule
- * in apps/schedules.cpp assumes) and a sparse one rotates once per
- * diagonal or fewer. One apply() serves every transform, and
+ * rotates ~2√slots times (the rotation counts the model's bootstrap
+ * schedule in apps/schedules.cpp assumes) and a sparse one rotates
+ * once per diagonal or fewer. One apply() serves every transform, and
  * required_rotations() names exactly the steps it rotates by.
  */
 #pragma once
@@ -52,15 +53,6 @@ class LinearTransform
      * @param slots   dimension (must equal the context's slot count).
      */
     LinearTransform(std::vector<Complex> matrix, size_t slots);
-
-    /**
-     * The rotation steps apply() takes for a transform whose kept
-     * diagonals sit at @p offsets (each below @p slots), for callers
-     * that need the key list before they build the transform.
-     * Ascending, no duplicates.
-     */
-    static std::vector<i64> rotations(const std::vector<size_t> &offsets,
-                                      size_t slots);
 
     size_t slots() const { return slots_; }
 

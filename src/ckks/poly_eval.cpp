@@ -82,26 +82,6 @@ node_depth(std::span<const double> p, size_t baby)
 
 } // namespace
 
-PolyEvaluator::PolyEvaluator(const CkksContext &ctx, const Evaluator &ev,
-                             const EvalKeyBundle &keys)
-    : ctx_(ctx), ev_(ev), keys_(keys)
-{
-    // Nominal scale ≈ the prime size, so scale²/q ≈ scale and the
-    // post-rescale snap absorbs only the prime's distance from 2^w.
-    nominal_scale_ = static_cast<double>(ctx.q_basis()[1].value());
-}
-
-Ciphertext
-PolyEvaluator::mul_stable(const Ciphertext &a, const Ciphertext &b) const
-{
-    const size_t level = std::min(a.level, b.level);
-    Ciphertext x = ev_.mod_switch_to(a, level);
-    Ciphertext y = ev_.mod_switch_to(b, level);
-    Ciphertext p = ev_.rescale(ev_.mul(x, y, keys_));
-    p.scale = nominal_scale_;
-    return p;
-}
-
 Ciphertext
 PolyEvaluator::leaf(std::span<const Term> terms, double constant,
                     double scale, size_t level) const
@@ -124,37 +104,6 @@ PolyEvaluator::leaf(std::span<const Term> terms, double constant,
     Ciphertext out = ev_.rescale(acc);
     return std::abs(constant) >= kZero ? ev_.add_constant(out, constant)
                                        : out;
-}
-
-Ciphertext
-PolyEvaluator::evaluate_power(const Ciphertext &x,
-                              const std::vector<double> &coeffs) const
-{
-    NEO_CHECK(coeffs.size() >= 2, "need degree >= 1");
-    const size_t deg = coeffs.size() - 1;
-
-    // Build x^k for every k via the balanced binary split
-    // x^k = x^hi · x^{k-hi} (hi = largest power of two below k), which
-    // keeps the multiplicative depth at ceil(log2 deg).
-    std::map<size_t, Ciphertext> pw;
-    pw.emplace(1, x);
-    pw.at(1).scale = nominal_scale_;
-    for (size_t k = 2; k <= deg; ++k) {
-        size_t hi = 1;
-        while (hi * 2 < k)
-            hi <<= 1;
-        pw.emplace(k, mul_stable(pw.at(hi), pw.at(k - hi)));
-    }
-
-    std::vector<Term> terms;
-    size_t level = x.level;
-    for (size_t k = 1; k <= deg; ++k) {
-        if (std::abs(coeffs[k]) >= kZero) {
-            terms.emplace_back(coeffs[k], &pw.at(k));
-            level = std::min(level, pw.at(k).level);
-        }
-    }
-    return leaf(terms, coeffs[0], nominal_scale_, level);
 }
 
 const Ciphertext &

@@ -5,26 +5,21 @@
  * approximation) and polynomial activation functions (the ResNet
  * ReLU and HELR sigmoid workloads).
  *
- * Power basis:      x^{a+b} = x^a · x^b        (binary decomposition)
  * Chebyshev basis:  T_{a+b} = 2·T_a·T_b − T_{a−b}  (stable recurrence),
  *                   evaluated baby-step giant-step (Bossuat et al.,
  *                   EUROCRYPT 2021, after Han–Ki's modified
  *                   Paterson–Stockmeyer): p = q·T_n + r down to leaves
  *                   of degree below the baby-step bound.
  *
- * Both sum their terms through one leaf: each term is multiplied by an
- * integer constant that puts it at scale S·q_ℓ, and the sum is rescaled
- * once onto S; the constant term is added after the rescale.
+ * Each leaf sums its terms through integer constants that put every
+ * term at scale S·q_ℓ, and the sum is rescaled once onto S; the
+ * constant term is added after the rescale.
  *
- * Scales: the Chebyshev evaluation keeps every scale exact. Each T_k
- * keeps the scale its rescale leaves, and every integer constant is
- * chosen against the actual scales, so the result lands on the input's
- * scale up to the constants' rounding. It must: q·T_n and r are each
- * larger than p and cancel, which would magnify a snapped scale's
- * error. Snapping to nominal applies to power-basis products only:
- * each product's bookkeeping scale is reset to the nominal Δ (a
- * prime-sized value), absorbing the prime's ~10⁻⁵ relative distance
- * from it.
+ * Scales: every scale stays exact. Each T_k keeps the scale its
+ * rescale leaves, and every integer constant is chosen against the
+ * actual scales, so the result lands on the input's scale up to the
+ * constants' rounding. It must: q·T_n and r are each larger than p and
+ * cancel, which would magnify a snapped scale's error.
  */
 #pragma once
 
@@ -47,15 +42,10 @@ class PolyEvaluator
      *        ciphertext-ciphertext multiply. Must outlive this object.
      */
     PolyEvaluator(const CkksContext &ctx, const Evaluator &ev,
-                  const EvalKeyBundle &keys);
-
-    /**
-     * Evaluate Σ_k coeffs[k] · x^k. Multiplicative depth is
-     * ceil(log2(deg)) + 1; the input's scale must be the nominal
-     * scale (fresh encodings qualify).
-     */
-    Ciphertext evaluate_power(const Ciphertext &x,
-                              const std::vector<double> &coeffs) const;
+                  const EvalKeyBundle &keys)
+        : ctx_(ctx), ev_(ev), keys_(keys)
+    {
+    }
 
     /**
      * Evaluate Σ_k coeffs[k] · T_k(x) for |x| ≤ 1, baby-step
@@ -85,8 +75,6 @@ class PolyEvaluator
     /// Chebyshev basis elements T_k built so far, by k.
     using Basis = std::map<size_t, Ciphertext>;
 
-    /// x*y, rescaled, with the scale snapped back to nominal.
-    Ciphertext mul_stable(const Ciphertext &a, const Ciphertext &b) const;
     /// Σ c·t over @p terms summed at @p level, rescaled once onto
     /// @p scale, plus @p constant.
     Ciphertext leaf(std::span<const Term> terms, double constant,
@@ -100,7 +88,6 @@ class PolyEvaluator
     const CkksContext &ctx_;
     const Evaluator &ev_;
     const EvalKeyBundle &keys_;
-    double nominal_scale_;
 };
 
 } // namespace neo::ckks

@@ -1,6 +1,7 @@
 #include "ckks/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -66,6 +67,7 @@ load_poly(std::istream &is)
     NEO_CHECK(n >= 4 && n <= (1ULL << 20) && is_pow2(n), "bad degree");
     NEO_CHECK(limbs >= 1 && limbs <= 4096, "bad limb count");
     const u8 form = read_pod<u8>(is);
+    NEO_CHECK(form <= 1, "bad form");
     std::vector<Modulus> mods;
     mods.reserve(limbs);
     for (u64 i = 0; i < limbs; ++i)
@@ -115,10 +117,13 @@ load_ciphertext(std::istream &is)
     Ciphertext ct;
     ct.level = read_pod<u64>(is);
     ct.scale = read_pod<double>(is);
-    NEO_CHECK(ct.scale > 0, "bad scale");
+    NEO_CHECK(std::isfinite(ct.scale) && ct.scale > 0, "bad scale");
     ct.c0 = load_poly(is);
     ct.c1 = load_poly(is);
     NEO_CHECK(ct.c0.same_shape(ct.c1), "component shape mismatch");
+    NEO_CHECK(ct.c0.form() == PolyForm::eval &&
+                  ct.c1.form() == PolyForm::eval,
+              "ciphertext components must be in eval form");
     NEO_CHECK(ct.c0.limbs() == ct.level + 1, "level/limb mismatch");
     return ct;
 }
@@ -139,7 +144,7 @@ load_secret_key(std::istream &is)
 {
     expect_header(is, kSkMagic);
     const u64 n = read_pod<u64>(is);
-    NEO_CHECK(n >= 4 && n <= (1ULL << 20), "bad degree");
+    NEO_CHECK(n >= 4 && n <= (1ULL << 20) && is_pow2(n), "bad degree");
     SecretKey sk;
     sk.coeffs.resize(n);
     is.read(reinterpret_cast<char *>(sk.coeffs.data()),
@@ -174,6 +179,8 @@ load_eval_key(std::istream &is)
         RnsPoly b = load_poly(is);
         RnsPoly a = load_poly(is);
         NEO_CHECK(b.same_shape(a), "key component mismatch");
+        NEO_CHECK(b.form() == PolyForm::eval && a.form() == PolyForm::eval,
+                  "key parts must be in eval form");
         evk.parts.push_back({std::move(b), std::move(a)});
     }
     return evk;

@@ -223,14 +223,9 @@ TEST_F(LtFixture, GiantStepRuleTakesFewestSteps)
         for (const auto &offsets : sets) {
             SCOPED_TRACE(::testing::Message()
                          << "slots=" << s << " offsets=" << offsets.size());
-            const std::vector<i64> want =
-                fewest_steps_brute_force(offsets, s);
-            EXPECT_EQ(LinearTransform::rotations(offsets, s), want);
-            if (offsets.empty())
-                continue;
-            // A transform built on those diagonals takes the same steps.
             const LinearTransform lt(banded_matrix(s, offsets, 1.0, rng), s);
-            EXPECT_EQ(lt.required_rotations(), want);
+            EXPECT_EQ(lt.required_rotations(),
+                      fewest_steps_brute_force(offsets, s));
         }
 
         // A full matrix keeps the classic split: g is the smallest power
@@ -243,9 +238,12 @@ TEST_F(LtFixture, GiantStepRuleTakesFewestSteps)
             classic.push_back(static_cast<i64>(j));
         for (size_t i = g; i < s; i += g)
             classic.push_back(static_cast<i64>(i));
-        EXPECT_EQ(LinearTransform::rotations(iota_offsets(s), s), classic);
+        const LinearTransform full(
+            banded_matrix(s, iota_offsets(s), 1.0, rng), s);
+        EXPECT_EQ(full.required_rotations(), classic);
     }
-    EXPECT_THROW(LinearTransform::rotations({0, 16}, 16),
+    const std::vector<Complex> ones(16, Complex(1, 0));
+    EXPECT_THROW(LinearTransform({{0, ones}, {16, ones}}, 16),
                  std::invalid_argument);
 }
 
@@ -341,35 +339,6 @@ KeyGenerator *PolyFixture::keygen_ = nullptr;
 SecretKey *PolyFixture::sk_ = nullptr;
 PublicKey *PolyFixture::pk_ = nullptr;
 EvalKeyBundle *PolyFixture::keys_ = nullptr;
-
-TEST_F(PolyFixture, PowerBasisMatchesPlainEvaluation)
-{
-    Encryptor enc(*ctx_);
-    Decryptor dec(*ctx_, *sk_, *keygen_);
-    Evaluator ev(*ctx_);
-    PolyEvaluator pe(*ctx_, ev, *keys_);
-
-    Rng rng(6);
-    const size_t slots = ctx_->encoder().slot_count();
-    std::vector<Complex> z(slots);
-    for (auto &x : z)
-        x = Complex(2 * rng.uniform_real() - 1, 0);
-
-    const double nominal =
-        static_cast<double>(ctx_->q_basis()[1].value());
-    Ciphertext ct =
-        enc.encrypt(ctx_->encode(z, ctx_->max_level(), nominal), *pk_);
-
-    // p(x) = 0.3 - 0.5x + 0.25x^3 + 0.1x^5.
-    std::vector<double> coeffs = {0.3, -0.5, 0.0, 0.25, 0.0, 0.1};
-    auto got = dec.decrypt_decode(pe.evaluate_power(ct, coeffs));
-    for (size_t i = 0; i < slots; ++i) {
-        double x = z[i].real();
-        double want = 0.3 - 0.5 * x + 0.25 * x * x * x +
-                      0.1 * std::pow(x, 5);
-        EXPECT_NEAR(got[i].real(), want, 2e-3) << "slot " << i;
-    }
-}
 
 TEST_F(PolyFixture, ChebyshevBasisMatchesPlainEvaluation)
 {
@@ -531,8 +500,12 @@ TEST(Bootstrap, RefreshesLevelAndPreservesMessage)
     Ciphertext ct = enc.encrypt(ctx.encode(z, /*level=*/0), pk);
     ASSERT_EQ(ct.level, 0u);
 
+    obs::Scope scope;
     Ciphertext fresh = boot.bootstrap(ct);
     EXPECT_GE(fresh.level, 2u) << "bootstrap must refresh levels";
+    // One factored group each way: 44 rotations and one conjugation.
+    EXPECT_EQ(scope.counter("op.hrotate"), 44u);
+    EXPECT_EQ(scope.counter("op.hconj"), 1u);
 
     auto got = dec.decrypt_decode(fresh);
     EXPECT_LT(max_err(got, z), 2e-3);
@@ -673,7 +646,7 @@ TEST(Bootstrap, ModRaiseLiftIsCentered)
 {
     // Both raised components hold, over the full chain, the centered
     // lift of their level-0 residues: v for v ≤ q0/2 and v − q0 above.
-    // The chain holds the default dense bootstrap's 10 levels.
+    // The chain holds the default bootstrap's 10 levels.
     CkksParams params = CkksParams::test_params(256, 10, 2);
     CkksContext ctx(params);
     KeyGenerator keygen(ctx, 5);
@@ -711,15 +684,16 @@ TEST(Bootstrap, ModRaiseLiftIsCentered)
 TEST(Bootstrap, DepthIsTheLevelsConsumed)
 {
     // depth() is the levels a bootstrap takes off the top of the chain,
-    // dense and factored alike.
+    // 2G + EvalMod's, so G = 1 refreshes a 10-level chain to level 0.
     struct Case
     {
         size_t levels;
         size_t groups;
     };
-    for (const Case &c : {Case{14, 0}, Case{17, 1}, Case{17, 2},
-                          Case{17, 3}}) {
-        SCOPED_TRACE(::testing::Message() << "groups=" << c.groups);
+    for (const Case &c : {Case{17, 1}, Case{17, 2}, Case{17, 3},
+                          Case{10, 1}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "levels=" << c.levels << " groups=" << c.groups);
         CkksParams params = CkksParams::test_params(256, c.levels, 3);
         CkksContext ctx(params);
         KeyGenerator keygen(ctx, 47);
@@ -736,6 +710,9 @@ TEST(Bootstrap, DepthIsTheLevelsConsumed)
         const Ciphertext fresh = boot.bootstrap(enc.encrypt(
             ctx.encode(z, 0), pk));
         EXPECT_EQ(ctx.max_level() - fresh.level, boot.depth());
+        if (c.levels == 10) {
+            EXPECT_EQ(fresh.level, 0u);
+        }
     }
 }
 
@@ -743,7 +720,7 @@ TEST(Bootstrap, RejectsOptionsTheChainCannotRun)
 {
     const EvalKeyBundle keys; // construction switches no key
     {
-        // The default dense bootstrap needs 10 levels; this chain has 9.
+        // The default bootstrap needs 10 levels; this chain has 9.
         CkksContext ctx(CkksParams::test_params(256, 9, 3));
         Evaluator ev(ctx);
         EXPECT_THROW(Bootstrapper(ctx, ev, keys), std::invalid_argument);
@@ -762,8 +739,9 @@ TEST(Bootstrap, RejectsOptionsTheChainCannotRun)
     rejects([](BootstrapOptions &o) { o.k_range = -8; });
     rejects([](BootstrapOptions &o) { o.double_angles = -1; });
     rejects([](BootstrapOptions &o) { o.input_level = 1; });
-    // Three factored groups take 15 levels.
-    rejects([](BootstrapOptions &o) { o.factored_groups = 3; });
+    rejects([](BootstrapOptions &o) { o.factored_groups = 0; });
+    // Four factored groups take 16 levels.
+    rejects([](BootstrapOptions &o) { o.factored_groups = 4; });
 }
 
 TEST(Bootstrap, SecretKeySparseHammingWeight)

@@ -287,6 +287,48 @@ TEST_F(CkksFixture, ConjugateFlipsImaginaryPart)
         EXPECT_LT(std::abs(got[i] - std::conj(a[i])), 1e-4);
 }
 
+TEST_F(CkksFixture, MulByIIsTheMonomialXToTheHalfN)
+{
+    // X^{N/2} is i at every slot, so at every level: twice is negate
+    // and four times the identity, word for word, and once decrypts to
+    // i·z with level, scale and form kept.
+    Encryptor enc(*ctx_, 25);
+    Decryptor dec(*ctx_, *sk_, *keygen_);
+    Evaluator ev(*ctx_);
+    const auto a = random_slots(ctx_->encoder().slot_count(), 22);
+    std::vector<Complex> ia(a.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        ia[i] = Complex(0, 1) * a[i];
+    const auto same_words = [](const Ciphertext &x, const Ciphertext &y) {
+        for (const auto &[p, r] : {std::pair{&x.c0, &y.c0}, {&x.c1, &y.c1}})
+            if (!p->same_shape(*r) ||
+                !std::equal(p->data(), p->data() + p->limbs() * p->n(),
+                            r->data()))
+                return false;
+        return true;
+    };
+    for (size_t level = 0; level <= ctx_->max_level(); ++level) {
+        SCOPED_TRACE(::testing::Message() << "level " << level);
+        const Ciphertext ct = enc.encrypt(ctx_->encode(a, level), *pk_);
+        obs::Scope scope;
+        const Ciphertext once = ev.mul_by_i(ct);
+        EXPECT_EQ(scope.counter("op.imult"), 1u);
+        EXPECT_EQ(once.level, ct.level);
+        EXPECT_EQ(once.scale, ct.scale);
+        EXPECT_EQ(once.c0.form(), PolyForm::eval);
+        EXPECT_EQ(once.c1.form(), PolyForm::eval);
+        EXPECT_LT(max_error(dec.decrypt_decode(once), ia), 1e-5);
+
+        const Ciphertext twice = ev.mul_by_i(once);
+        EXPECT_TRUE(same_words(twice, ev.negate(ct)));
+        EXPECT_TRUE(same_words(ev.mul_by_i(ev.mul_by_i(twice)), ct));
+    }
+    Ciphertext coeff = enc.encrypt(ctx_->encode(a, 2), *pk_);
+    ctx_->tables().to_coeff(coeff.c0);
+    ctx_->tables().to_coeff(coeff.c1);
+    EXPECT_THROW(ev.mul_by_i(coeff), std::invalid_argument);
+}
+
 TEST_F(CkksFixture, RotationComposition)
 {
     // rot(rot(x, 1), 2) == rot(x, 3).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <sstream>
 
 #include "ckks/encryptor.h"
@@ -131,6 +133,103 @@ TEST_F(SnFixture, TamperedStreamsRejected)
 
     std::stringstream wrong_magic(std::string("XXXX") + raw.substr(4));
     EXPECT_THROW(load_secret_key(wrong_magic), std::invalid_argument);
+
+    // What the types forbid: a ciphertext in coefficient form or at an
+    // infinite scale, a secret key whose degree is not a power of two,
+    // a polynomial form byte other than 0 (coeff) and 1 (eval).
+    Encryptor enc(*ctx_);
+    const Ciphertext ct = enc.encrypt(ctx_->encode(slots(9), 2), *pk_);
+    const auto rejected = [](const auto &obj, auto load) {
+        std::stringstream ss;
+        save(ss, obj);
+        EXPECT_THROW(load(ss), std::invalid_argument);
+    };
+    Ciphertext coeff = ct;
+    ctx_->tables().to_coeff(coeff.c0);
+    ctx_->tables().to_coeff(coeff.c1);
+    rejected(coeff, load_ciphertext);
+    Ciphertext inf = ct;
+    inf.scale = std::numeric_limits<double>::infinity();
+    rejected(inf, load_ciphertext);
+    SecretKey five;
+    five.coeffs = {1, 0, -1, 0, 1};
+    rejected(five, load_secret_key);
+
+    std::stringstream ps;
+    save(ps, ct.c0);
+    std::string form2 = ps.str();
+    ASSERT_EQ(form2[24], 1); // magic, version, n, limbs, then the form
+    form2[24] = 2;
+    std::stringstream bad_form(form2);
+    EXPECT_THROW(load_poly(bad_form), std::invalid_argument);
+}
+
+/// Every strict prefix of @p raw fails to load with
+/// std::invalid_argument, and every single-bit flip of it either fails
+/// so or loads an object that saves back to exactly the bytes it read.
+/// Those are all the flipped bytes, or a prefix of them when a count
+/// dropped: limbs 3 → 1 reads a valid one-limb polynomial, and a stream
+/// loader cannot tell the rest from the next object's bytes.
+template <class Load>
+void
+expect_strict_loader(const std::string &raw, Load load)
+{
+    for (size_t len = 0; len < raw.size(); ++len) {
+        std::stringstream ss(raw.substr(0, len));
+        EXPECT_THROW(load(ss), std::invalid_argument) << "prefix " << len;
+    }
+    for (size_t bit = 0; bit < 8 * raw.size(); ++bit) {
+        std::string flipped = raw;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        std::stringstream in(flipped);
+        try {
+            const auto obj = load(in);
+            std::stringstream out;
+            save(out, obj);
+            const std::string back = out.str();
+            EXPECT_EQ(static_cast<size_t>(in.tellg()), back.size())
+                << "bit " << bit;
+            EXPECT_TRUE(flipped.compare(0, back.size(), back) == 0)
+                << "bit " << bit << " loads but saves other bytes";
+        } catch (const std::invalid_argument &) {
+        }
+    }
+}
+
+TEST_F(SnFixture, LoadersRejectEveryPrefixAndSurviveEveryBitFlip)
+{
+    Encryptor enc(*ctx_);
+    const Ciphertext ct = enc.encrypt(ctx_->encode(slots(10), 2), *pk_);
+    // A relinearization key cut to two digits over three limbs.
+    EvalKey evk;
+    for (size_t j = 0; j < 2; ++j) {
+        std::array<RnsPoly, 2> part = rlk_->parts[j];
+        for (RnsPoly &p : part)
+            p.drop_limbs_to(3);
+        evk.parts.push_back(std::move(part));
+    }
+    const auto saved = [](const auto &obj) {
+        std::stringstream ss;
+        save(ss, obj);
+        return ss.str();
+    };
+    {
+        SCOPED_TRACE("load_poly");
+        expect_strict_loader(saved(ct.c0), load_poly);
+    }
+    {
+        SCOPED_TRACE("load_ciphertext");
+        expect_strict_loader(saved(ct), load_ciphertext);
+    }
+    {
+        SCOPED_TRACE("load_secret_key");
+        expect_strict_loader(saved(*sk_), load_secret_key);
+    }
+    {
+        SCOPED_TRACE("load_eval_key");
+        expect_strict_loader(saved(evk), load_eval_key);
+    }
 }
 
 TEST_F(SnFixture, OversizedPolyHeaderFailsTruncatedWithoutAllocating)
